@@ -2,9 +2,12 @@
 
 Library layout:
   fem_core         meshes, P1 assembly, spectral constants, inner products
-  state_solvers    backward-Euler parabolic and elliptic forward solvers
+  state_solvers    backward-Euler parabolic and elliptic forward solvers; the
+                   one place the transfer coefficient alpha becomes a system
+                   (+inf: exact imposition, finite > 0: Robin transfer)
   adjoint_solvers  exact discrete adjoints of the state recursions
-  optimal_control  tracking costs, gradients, reduced-space CG optimizers
+  optimal_control  tracking costs, gradients, and one reduced-space CG driver
+                   behind the boundary, distributed and simultaneous optimizers
   scalar_control   closed-form one-parameter controls and comparison checks
   asymptotics      transfer-coefficient sweeps and long-time decay studies
   cli              batch front end (config files, CSV/JSON/SVG output)

@@ -16,8 +16,6 @@ formula consumes it.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .fem_core import DiscreteOperators, TimeField, TimeGrid, _check_field
@@ -29,24 +27,24 @@ def trace_gamma2(ops: DiscreteOperators, p: TimeField) -> np.ndarray:
     return p.values[:, ops.gamma2_nodes]
 
 
-def solve_adjoint_dirichlet(ops: DiscreteOperators, u: TimeField,
-                            target: TimeField, grid: TimeGrid) -> TimeField:
-    """Backward recursion with terminal value zero and source u_k - target_k,
-    homogeneous Dirichlet rows on GAMMA1."""
-    _check_field(grid, ops, u, "state")
-    _check_field(grid, ops, target, "target")
-    stepper = ParabolicStepper(ops, grid, alpha=None)
-    return TimeField(stepper.run_adjoint(u.values - target.values))
-
-
-def solve_adjoint_robin(ops: DiscreteOperators, u: TimeField, target: TimeField,
-                        alpha: float, grid: TimeGrid) -> TimeField:
-    """Backward recursion with the homogeneous Robin condition on GAMMA1."""
-    if math.isinf(alpha):
-        return solve_adjoint_dirichlet(ops, u, target, grid)
-    if alpha <= 0:
-        raise ValueError(f"transfer coefficient must be > 0, got {alpha}")
+def _solve_adjoint(ops: DiscreteOperators, u: TimeField, target: TimeField,
+                   grid: TimeGrid, alpha) -> TimeField:
+    # shared body of the two adjoint solvers; alpha as in ParabolicStepper
     _check_field(grid, ops, u, "state")
     _check_field(grid, ops, target, "target")
     stepper = ParabolicStepper(ops, grid, alpha=alpha)
     return TimeField(stepper.run_adjoint(u.values - target.values))
+
+
+def solve_adjoint_dirichlet(ops: DiscreteOperators, u: TimeField,
+                            target: TimeField, grid: TimeGrid) -> TimeField:
+    """Backward recursion with terminal value zero and source u_k - target_k,
+    homogeneous Dirichlet rows on GAMMA1."""
+    return _solve_adjoint(ops, u, target, grid, None)
+
+
+def solve_adjoint_robin(ops: DiscreteOperators, u: TimeField, target: TimeField,
+                        alpha: float, grid: TimeGrid) -> TimeField:
+    """Backward recursion with the homogeneous Robin condition on GAMMA1;
+    alpha = +inf gives the Dirichlet recursion."""
+    return _solve_adjoint(ops, u, target, grid, alpha)

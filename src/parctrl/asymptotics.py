@@ -5,16 +5,11 @@ Dirichlet ones as the coefficient grows, either at a fixed flux or with a full
 optimization per coefficient.  Decay studies march a time-constant (or
 asymptotically constant) problem and compare the distance to the steady state
 against the exponential bound built from the discrete coercivity constant.
-
-Sweep rows are independent; the driver can evaluate them on a thread pool and
-always merges results in coefficient order, so repeated runs with the same
-configuration are bit-identical.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -71,15 +66,8 @@ class DecayResult:
     coercivity: float
 
 
-def _boundary_extension(ops, spec):
-    b_ext = np.zeros(ops.n_nodes)
-    b_ext[ops.dirichlet_nodes] = spec.boundary_temp
-    return b_ext
-
-
 def alpha_sweep(ops: DiscreteOperators, spec: ProblemSpec, grid: TimeGrid,
-                alphas, q="optimize", tol: float = 1e-10,
-                threads: int = 1) -> list:
+                alphas, q="optimize", tol: float = 1e-10) -> list:
     """Robin-to-Dirichlet gap per transfer coefficient.
 
     q is either a fixed BoundaryControl (state and adjoint gaps only) or the
@@ -94,7 +82,8 @@ def alpha_sweep(ops: DiscreteOperators, spec: ProblemSpec, grid: TimeGrid,
         raise ValueError("alphas must all exceed 1 (the boundary-mismatch "
                          "weight is sqrt(alpha - 1))")
     spec.validate(ops, grid)
-    b_ext = _boundary_extension(ops, spec)
+    b_ext = np.zeros(ops.n_nodes)
+    b_ext[ops.dirichlet_nodes] = spec.boundary_temp
 
     if q == OPTIMIZE:
         ref = optimize_boundary(ops, spec, grid, tol=tol, variant="dirichlet")
@@ -105,7 +94,8 @@ def alpha_sweep(ops: DiscreteOperators, spec: ProblemSpec, grid: TimeGrid,
         p_ref = solve_adjoint_dirichlet(ops, u_ref, spec.target, grid)
         q_ref = None
 
-    def one_row(alpha):
+    rows = []
+    for alpha in alphas:
         if q == OPTIMIZE:
             res = optimize_boundary(ops, replace(spec, transfer_coeff=alpha),
                                     grid, tol=tol, variant="robin")
@@ -122,15 +112,9 @@ def alpha_sweep(ops: DiscreteOperators, spec: ProblemSpec, grid: TimeGrid,
         err_adjoint = norm_h1_time(grid, ops, TimeField(p_a.values - p_ref.values))
         mismatch = math.sqrt(alpha - 1.0) * norm_gamma1_time(
             grid, ops, TimeField(u_a.values - b_ext[None, :]))
-        return SweepRow(alpha=alpha, err_state=err_state, err_adjoint=err_adjoint,
-                        err_control=err_control, boundary_mismatch=mismatch,
-                        converged=converged)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(one_row, alphas))
-    else:
-        rows = [one_row(a) for a in alphas]
+        rows.append(SweepRow(alpha=alpha, err_state=err_state, err_adjoint=err_adjoint,
+                             err_control=err_control, boundary_mismatch=mismatch,
+                             converged=converged))
     return rows
 
 
@@ -231,25 +215,6 @@ def decay_with_forcing(ops: DiscreteOperators, spec: ProblemSpec,
                              bound=float(bound), ratio=float(ratio)))
     return DecayResult(rows=rows, fitted_rate=_fit_rate(times, errs, grid.n_steps),
                        coercivity=lam0)
-
-
-def forcing_l1_norms(ops: DiscreteOperators, spec: ProblemSpec, q: BoundaryControl,
-                     grid: TimeGrid, g_inf: np.ndarray, q_inf: np.ndarray) -> tuple:
-    """Rectangle-rule L1(0, t_final) norms of the exponentially weighted
-    forcing gaps (source part, flux part)."""
-    lam0 = ops.lambda0
-    if grid.t_final * lam0 > 500.0:
-        raise ValueError("horizon too long for the exponential weight")
-    times = grid.times()
-    tr_sq = ops.trace_norm ** 2
-    f1 = f2 = 0.0
-    for k in range(1, grid.n_steps + 1):
-        w = math.exp(lam0 * times[k])
-        dg = spec.source.values[k] - g_inf
-        dq = q.values[k] - q_inf
-        f1 += grid.dt * w * inner_domain(ops, dg, dg)
-        f2 += grid.dt * w * tr_sq * float(dq @ (ops.bmass_gamma2_sub @ dq))
-    return f1, f2
 
 
 def exp_forcing_quadrature(t_max: float, dt: float) -> dict:

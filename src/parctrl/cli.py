@@ -8,8 +8,6 @@ hash, the spectral constants and wall time; re-running a command from the
 manifest (pass the manifest path as --config) reproduces byte-identical CSVs.
 Exit codes: 0 success, 1 failed verify properties, 2 validation errors,
 3 solver non-convergence.
-
-PARCTRL_THREADS caps the row parallelism of sweep-alpha.
 """
 
 from __future__ import annotations
@@ -25,7 +23,7 @@ import time
 import numpy as np
 
 from . import asymptotics, optimal_control, scalar_control
-from .adjoint_solvers import solve_adjoint_dirichlet, solve_adjoint_robin, trace_gamma2
+from .adjoint_solvers import _solve_adjoint, trace_gamma2
 from .config import ConfigError, Problem, build_problem, load_config, parse_config_text
 from .fem_core import (
     BoundaryControl,
@@ -35,10 +33,7 @@ from .fem_core import (
     inner_domain_time,
     norm_boundary_time,
 )
-from .state_solvers import (
-    solve_parabolic_dirichlet,
-    solve_parabolic_robin,
-)
+from .state_solvers import _solve_parabolic, solve_parabolic_dirichlet, variant_alpha
 
 FMT = "{:.17g}"
 
@@ -187,13 +182,8 @@ def _require(problem, attr, what):
 def _cmd_solve(problem: Problem, out_dir):
     q = problem.q if problem.q is not None else BoundaryControl.zeros(
         problem.grid, problem.ops.gamma2_nodes.size)
-    if problem.variant == "robin":
-        u = solve_parabolic_robin(problem.ops, problem.spec, q, problem.grid)
-    elif problem.variant == "dirichlet":
-        u = solve_parabolic_dirichlet(problem.ops, problem.spec, q, problem.grid)
-    else:
-        raise ConfigError(f"solve expects variant dirichlet or robin, got "
-                          f"{problem.variant!r}", problem.cfg.path)
+    u = _solve_parabolic(problem.ops, problem.spec, q, problem.grid,
+                         variant_alpha(problem.spec, problem.variant))
     path = os.path.join(out_dir, "u.csv")
     write_field_csv(path, problem.grid, u.values)
     return ["u.csv"], {"u_file": "u.csv",
@@ -203,9 +193,6 @@ def _cmd_solve(problem: Problem, out_dir):
 
 def _cmd_optimize(problem: Problem, out_dir):
     ops, spec, grid = problem.ops, problem.spec, problem.grid
-    if problem.variant not in ("dirichlet", "robin"):
-        raise ConfigError(f"optimize expects variant dirichlet or robin, got "
-                          f"{problem.variant!r}", problem.cfg.path)
     if problem.control == "boundary":
         res = optimal_control.optimize_boundary(ops, spec, grid, tol=problem.opt_tol,
                                                 variant=problem.variant)
@@ -276,14 +263,6 @@ def _cmd_lambda(problem: Problem, out_dir):
     return ["lambda.csv"], results
 
 
-def _sweep_threads() -> int:
-    raw = os.environ.get("PARCTRL_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def _cmd_sweep_alpha(problem: Problem, out_dir):
     if not problem.alphas:
         raise ConfigError("sweep-alpha needs 'alphas' in section [weights]",
@@ -293,8 +272,7 @@ def _cmd_sweep_alpha(problem: Problem, out_dir):
         raise ConfigError("sweep-alpha needs 'q' in section [data] (a profile "
                           "or the word optimize)", problem.cfg.path)
     rows = asymptotics.alpha_sweep(problem.ops, problem.spec, problem.grid,
-                                   problem.alphas, q=q, tol=problem.opt_tol,
-                                   threads=_sweep_threads())
+                                   problem.alphas, q=q, tol=problem.opt_tol)
     path = os.path.join(out_dir, "sweep.csv")
     _write_csv(path, "alpha,err_state,err_adjoint,err_control,boundary_mismatch,converged",
                [[r.alpha, r.err_state, r.err_adjoint, r.err_control,
@@ -420,26 +398,20 @@ def _verify_battery(problem: Problem):
     worst = float(np.max(norms[1:] - norms[:-1]))
     record("energy-decay", worst < 0.0, worst)
 
-    # adjoint duality, both boundary-condition variants
-    alpha = spec.transfer_coeff if not math.isinf(spec.transfer_coeff) else 5.0
+    # adjoint duality, both boundary-condition variants; an infinite transfer
+    # coefficient would repeat the Dirichlet check, so Robin then uses 5
+    robin_spec = spec if not math.isinf(spec.transfer_coeff) else replace(
+        spec, transfer_coeff=5.0)
     for variant in ("dirichlet", "robin"):
+        alpha = variant_alpha(robin_spec, variant)
         worst = 0.0
         for _ in range(3):
             q = BoundaryControl(rng.standard_normal((grid.n_steps + 1, m)))
             eta = BoundaryControl(rng.standard_normal((grid.n_steps + 1, m)))
-            if variant == "dirichlet":
-                u_q = solve_parabolic_dirichlet(ops, spec, q, grid)
-                u_eta = solve_parabolic_dirichlet(ops, spec, eta, grid)
-                u_0 = solve_parabolic_dirichlet(ops, spec,
-                                                BoundaryControl.zeros(grid, m), grid)
-                p_q = solve_adjoint_dirichlet(ops, u_q, spec.target, grid)
-            else:
-                u_q = solve_parabolic_robin(ops, spec, q, grid, alpha=alpha)
-                u_eta = solve_parabolic_robin(ops, spec, eta, grid, alpha=alpha)
-                u_0 = solve_parabolic_robin(ops, spec,
-                                            BoundaryControl.zeros(grid, m), grid,
-                                            alpha=alpha)
-                p_q = solve_adjoint_robin(ops, u_q, spec.target, alpha, grid)
+            u_q = _solve_parabolic(ops, spec, q, grid, alpha)
+            u_eta = _solve_parabolic(ops, spec, eta, grid, alpha)
+            u_0 = _solve_parabolic(ops, spec, BoundaryControl.zeros(grid, m), grid, alpha)
+            p_q = _solve_adjoint(ops, u_q, spec.target, grid, alpha)
             lhs = inner_domain_time(grid, ops, TimeField(u_eta.values - u_0.values),
                                     TimeField(u_q.values - spec.target.values))
             rhs = -inner_boundary_time(grid, ops, eta,

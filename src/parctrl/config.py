@@ -43,8 +43,8 @@ KNOWN_KEYS = {
     "grid": {"t_final", "steps"},
     "data": {"g", "b", "v_b", "z_d", "q", "q0", "g_inf", "q_inf", "variant", "control"},
     "weights": {"flux_penalty", "source_penalty", "alpha", "alphas"},
-    "tolerances": {"opt_tol", "solver_tol"},
-    "output": {"plots", "prefix"},
+    "tolerances": {"opt_tol"},
+    "output": {"plots"},
 }
 
 

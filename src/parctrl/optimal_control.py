@@ -2,9 +2,14 @@
 
 The boundary, distributed and simultaneous problems are strictly convex
 linear-quadratic programs over the control alone; the state is eliminated by
-one forward solve per evaluation.  The normal equations are solved by
-conjugate gradients in the control-space inner product; every operator
-application costs exactly one homogeneous state solve plus one adjoint solve.
+one forward solve per evaluation.  They differ only in which of (source, flux)
+is held fixed, so the three optimizers are thin calls into one driver
+(_optimize over a _ReducedProblem) that owns the Gram inner product, the
+gradient and Hessian applications and the result packing.  The normal
+equations are solved by conjugate gradients in the control-space inner
+product (Hinze, Pinnau, Ulbrich & Ulbrich, Optimization with PDE Constraints,
+2009); every operator application costs exactly one homogeneous state solve
+plus one adjoint solve.
 Because the adjoint is the exact transpose of the state recursion, the CG
 residual equals the true cost gradient up to roundoff, and the optimality
 condition (penalty * control - adjoint trace = 0) is certified at solver
@@ -30,7 +35,7 @@ from .fem_core import (
     _check_control,
     lambda_alpha,
 )
-from .state_solvers import ProblemSpec, make_stepper
+from .state_solvers import ProblemSpec, make_stepper, variant_alpha
 
 DEFAULT_MAX_ITER = 500
 _RESTARTS = 3
@@ -80,12 +85,79 @@ def tracking_gradient(ops: DiscreteOperators, spec: ProblemSpec, q: BoundaryCont
     product: penalty * q minus the adjoint trace, per time step."""
     spec.validate(ops, grid)
     _check_control(grid, ops, q)
-    stepper = make_stepper(ops, grid, spec, variant)
-    u = stepper.run(spec.initial_temp, spec.boundary_temp, spec.source.values, q.values)
-    p = stepper.run_adjoint(u - spec.target.values)
-    grad = spec.flux_penalty * q.values - p[:, ops.gamma2_nodes]
-    grad[0] = 0.0
+    reduced = _ReducedProblem(ops, spec, grid, variant, g_fixed=spec.source)
+    grad, _ = reduced.grad_at(q.values)
     return BoundaryControl(grad)
+
+
+class _ReducedProblem:
+    """The tracking cost as a function of its free controls alone.
+
+    Of the pair (source, flux), the parts not held fixed are the controls; a
+    control vector stacks them columnwise per time step, source first.  Every
+    gradient or Hessian application costs one state and one adjoint march on
+    the same prefactored stepper.
+    """
+
+    def __init__(self, ops, spec, grid, variant, g_fixed=None, q_fixed=None):
+        self.ops, self.spec, self.grid = ops, spec, grid
+        self.stepper = make_stepper(ops, grid, spec, variant)
+        self.g_fixed = None if g_fixed is None else g_fixed.values
+        self.q_fixed = None if q_fixed is None else q_fixed.values
+        self.n_g = ops.n_nodes if g_fixed is None else 0
+        self.width = self.n_g + (ops.gamma2_nodes.size if q_fixed is None else 0)
+        self.state = {}  # u and p of the latest grad_at
+
+    def free_parts(self, x):
+        """(source, flux) parts of a control vector; None for a fixed part."""
+        gv = x[:, :self.n_g] if self.g_fixed is None else None
+        qv = x[:, self.n_g:] if self.q_fixed is None else None
+        return gv, qv
+
+    def inner(self, a, b):
+        """Gram product over the free parts: mass block plus GAMMA2-mass block."""
+        ops, n_g = self.ops, self.n_g
+        parts = []
+        if self.g_fixed is None:
+            parts.append(np.sum(a[1:, :n_g] * (ops.mass @ b[1:, :n_g].T).T))
+        if self.q_fixed is None:
+            parts.append(np.sum(a[1:, n_g:] * (ops.bmass_gamma2_sub @ b[1:, n_g:].T).T))
+        return self.grid.dt * float(sum(parts))
+
+    def _riesz(self, gv, qv, p):
+        # penalty * control plus the adjoint (source) or minus its GAMMA2
+        # trace (flux), per free part; row 0 is inert
+        blocks = []
+        if gv is not None:
+            blocks.append(self.spec.source_penalty * gv + p)
+        if qv is not None:
+            blocks.append(self.spec.flux_penalty * qv - p[:, self.ops.gamma2_nodes])
+        out = np.hstack(blocks)
+        out[0] = 0.0
+        return out
+
+    def grad_at(self, x):
+        """True gradient and cost at x, from fresh state and adjoint solves."""
+        ops, spec, grid = self.ops, self.spec, self.grid
+        gv, qv = self.free_parts(x)
+        g_all = self.g_fixed if gv is None else gv
+        q_all = self.q_fixed if qv is None else qv
+        target = spec.target.values
+        u = self.stepper.run(spec.initial_temp, spec.boundary_temp, g_all, q_all)
+        p = self.stepper.run_adjoint(u - target)
+        self.state["u"], self.state["p"] = u, p
+        cost = 0.5 * _domain_sq(grid, ops, u - target)
+        if gv is not None:
+            cost = cost + 0.5 * spec.source_penalty * _domain_sq(grid, ops, gv)
+        # a fixed flux still carries its (constant) penalty term
+        cost = cost + 0.5 * spec.flux_penalty * _boundary_sq(grid, ops, q_all)
+        return self._riesz(gv, qv, p), cost
+
+    def apply_h(self, x):
+        """Reduced Hessian times x: homogeneous state, then its adjoint."""
+        gv, qv = self.free_parts(x)
+        w = self.stepper.run(np.zeros(self.ops.n_nodes), None, gv, qv)
+        return self._riesz(gv, qv, self.stepper.run_adjoint(w))
 
 
 def _cg_quadratic(apply_h, x, residual, inner, threshold, max_iter, cost_now):
@@ -141,50 +213,33 @@ def _run_reduced_cg(grad_at, apply_h, inner, x0, tol, max_iter):
     return x, grad, cost, residual, total_it, converged, cost_history, residual_history
 
 
+def _optimize(ops, spec, grid, tol, variant, max_iter, g_fixed=None, q_fixed=None):
+    """The one reduced-CG driver: minimize over whichever of (source, flux)
+    is not held fixed."""
+    if tol <= 0:
+        raise ValueError(f"tol must be > 0, got {tol}")
+    spec.validate(ops, grid)
+    if q_fixed is not None:
+        _check_control(grid, ops, q_fixed)
+    reduced = _ReducedProblem(ops, spec, grid, variant, g_fixed, q_fixed)
+    x0 = np.zeros((grid.n_steps + 1, reduced.width))
+    x, grad, cost, residual, iters, converged, costs, resids = _run_reduced_cg(
+        reduced.grad_at, reduced.apply_h, reduced.inner, x0, tol, max_iter)
+    gv, qv = reduced.free_parts(x)
+    return OptimResult(
+        g_opt=None if gv is None else TimeField(gv.copy()),
+        q_opt=None if qv is None else BoundaryControl(qv.copy()),
+        u_opt=TimeField(reduced.state["u"]),
+        p_opt=TimeField(reduced.state["p"]),
+        cost=cost, optimality_residual=residual, iterations=iters,
+        converged=converged, cost_history=costs, residual_history=resids)
+
+
 def optimize_boundary(ops: DiscreteOperators, spec: ProblemSpec, grid: TimeGrid,
                       tol: float = 1e-10, variant: str = "dirichlet",
                       max_iter: int = DEFAULT_MAX_ITER) -> OptimResult:
     """Minimize the tracking cost over the boundary flux control."""
-    if tol <= 0:
-        raise ValueError(f"tol must be > 0, got {tol}")
-    spec.validate(ops, grid)
-    stepper = make_stepper(ops, grid, spec, variant)
-    g2 = ops.gamma2_nodes
-    n = ops.n_nodes
-    zeros_init = np.zeros(n)
-    weight = spec.flux_penalty
-    target = spec.target.values
-
-    def inner(a, b):
-        return grid.dt * float(np.sum(a[1:] * (ops.bmass_gamma2_sub @ b[1:].T).T))
-
-    state_cache = {}
-
-    def grad_at(qv):
-        u = stepper.run(spec.initial_temp, spec.boundary_temp, spec.source.values, qv)
-        p = stepper.run_adjoint(u - target)
-        state_cache["u"], state_cache["p"] = u, p
-        grad = weight * qv - p[:, g2]
-        grad[0] = 0.0
-        cost = 0.5 * _domain_sq(grid, ops, u - target) + 0.5 * weight * _boundary_sq(grid, ops, qv)
-        return grad, cost
-
-    def apply_h(qv):
-        w = stepper.run(zeros_init, None, None, qv)
-        p = stepper.run_adjoint(w)
-        out = weight * qv - p[:, g2]
-        out[0] = 0.0
-        return out
-
-    x0 = np.zeros((grid.n_steps + 1, g2.size))
-    x, grad, cost, residual, iters, converged, costs, resids = _run_reduced_cg(
-        grad_at, apply_h, inner, x0, tol, max_iter)
-    return OptimResult(
-        q_opt=BoundaryControl(x),
-        u_opt=TimeField(state_cache["u"]),
-        p_opt=TimeField(state_cache["p"]),
-        cost=cost, optimality_residual=residual, iterations=iters,
-        converged=converged, cost_history=costs, residual_history=resids)
+    return _optimize(ops, spec, grid, tol, variant, max_iter, g_fixed=spec.source)
 
 
 def optimize_distributed(ops: DiscreteOperators, spec: ProblemSpec, grid: TimeGrid,
@@ -196,48 +251,7 @@ def optimize_distributed(ops: DiscreteOperators, spec: ProblemSpec, grid: TimeGr
     The control replaces the problem's source field; the fixed flux
     contributes the constant penalty term included in the reported cost.
     """
-    if tol <= 0:
-        raise ValueError(f"tol must be > 0, got {tol}")
-    spec.validate(ops, grid)
-    _check_control(grid, ops, q_fixed)
-    stepper = make_stepper(ops, grid, spec, variant)
-    n = ops.n_nodes
-    zeros_init = np.zeros(n)
-    weight = spec.source_penalty
-    target = spec.target.values
-    const_term = 0.5 * spec.flux_penalty * _boundary_sq(grid, ops, q_fixed.values)
-
-    def inner(a, b):
-        return grid.dt * float(np.sum(a[1:] * (ops.mass @ b[1:].T).T))
-
-    state_cache = {}
-
-    def grad_at(gv):
-        u = stepper.run(spec.initial_temp, spec.boundary_temp, gv, q_fixed.values)
-        p = stepper.run_adjoint(u - target)
-        state_cache["u"], state_cache["p"] = u, p
-        grad = weight * gv + p
-        grad[0] = 0.0
-        cost = (0.5 * _domain_sq(grid, ops, u - target)
-                + 0.5 * weight * _domain_sq(grid, ops, gv) + const_term)
-        return grad, cost
-
-    def apply_h(gv):
-        w = stepper.run(zeros_init, None, gv, None)
-        p = stepper.run_adjoint(w)
-        out = weight * gv + p
-        out[0] = 0.0
-        return out
-
-    x0 = np.zeros((grid.n_steps + 1, n))
-    x, grad, cost, residual, iters, converged, costs, resids = _run_reduced_cg(
-        grad_at, apply_h, inner, x0, tol, max_iter)
-    return OptimResult(
-        g_opt=TimeField(x),
-        u_opt=TimeField(state_cache["u"]),
-        p_opt=TimeField(state_cache["p"]),
-        cost=cost, optimality_residual=residual, iterations=iters,
-        converged=converged, cost_history=costs, residual_history=resids)
+    return _optimize(ops, spec, grid, tol, variant, max_iter, q_fixed=q_fixed)
 
 
 def optimize_simultaneous(ops: DiscreteOperators, spec: ProblemSpec, grid: TimeGrid,
@@ -249,55 +263,7 @@ def optimize_simultaneous(ops: DiscreteOperators, spec: ProblemSpec, grid: TimeG
     is (source_penalty * g + adjoint, flux_penalty * q - adjoint trace) and the
     product inner product is the sum of the domain and boundary parts.
     """
-    if tol <= 0:
-        raise ValueError(f"tol must be > 0, got {tol}")
-    spec.validate(ops, grid)
-    stepper = make_stepper(ops, grid, spec, variant)
-    n = ops.n_nodes
-    g2 = ops.gamma2_nodes
-    m = g2.size
-    zeros_init = np.zeros(n)
-    w_g = spec.source_penalty
-    w_q = spec.flux_penalty
-    target = spec.target.values
-
-    def inner(a, b):
-        dom = np.sum(a[1:, :n] * (ops.mass @ b[1:, :n].T).T)
-        bnd = np.sum(a[1:, n:] * (ops.bmass_gamma2_sub @ b[1:, n:].T).T)
-        return grid.dt * float(dom + bnd)
-
-    state_cache = {}
-
-    def grad_at(x):
-        gv, qv = x[:, :n], x[:, n:]
-        u = stepper.run(spec.initial_temp, spec.boundary_temp, gv, qv)
-        p = stepper.run_adjoint(u - target)
-        state_cache["u"], state_cache["p"] = u, p
-        grad = np.hstack([w_g * gv + p, w_q * qv - p[:, g2]])
-        grad[0] = 0.0
-        cost = (0.5 * _domain_sq(grid, ops, u - target)
-                + 0.5 * w_g * _domain_sq(grid, ops, gv)
-                + 0.5 * w_q * _boundary_sq(grid, ops, qv))
-        return grad, cost
-
-    def apply_h(x):
-        gv, qv = x[:, :n], x[:, n:]
-        w = stepper.run(zeros_init, None, gv, qv)
-        p = stepper.run_adjoint(w)
-        out = np.hstack([w_g * gv + p, w_q * qv - p[:, g2]])
-        out[0] = 0.0
-        return out
-
-    x0 = np.zeros((grid.n_steps + 1, n + m))
-    x, grad, cost, residual, iters, converged, costs, resids = _run_reduced_cg(
-        grad_at, apply_h, inner, x0, tol, max_iter)
-    return OptimResult(
-        g_opt=TimeField(x[:, :n].copy()),
-        q_opt=BoundaryControl(x[:, n:].copy()),
-        u_opt=TimeField(state_cache["u"]),
-        p_opt=TimeField(state_cache["p"]),
-        cost=cost, optimality_residual=residual, iterations=iters,
-        converged=converged, cost_history=costs, residual_history=resids)
+    return _optimize(ops, spec, grid, tol, variant, max_iter)
 
 
 def control_gap_estimate(ops: DiscreteOperators, spec: ProblemSpec, grid: TimeGrid,
@@ -319,10 +285,11 @@ def control_gap_estimate(ops: DiscreteOperators, spec: ProblemSpec, grid: TimeGr
 
     diff = BoundaryControl(bnd.q_opt.values - sim.q_opt.values)
     lhs = math.sqrt(_boundary_sq(grid, ops, diff.values))
-    if variant == "robin" and not math.isinf(spec.transfer_coeff):
-        coercivity = lambda_alpha(ops, spec.transfer_coeff)
-    else:
+    alpha = variant_alpha(spec, variant)
+    if alpha is None or math.isinf(alpha):
         coercivity = ops.lambda0
+    else:
+        coercivity = lambda_alpha(ops, alpha)
     state_gap = math.sqrt(_domain_sq(grid, ops, sim.u_opt.values - bnd.u_opt.values))
     rhs = ops.trace_norm / (coercivity * spec.flux_penalty) * state_gap
     j1 = bnd.cost + 0.5 * spec.source_penalty * _domain_sq(grid, ops, g_fixed.values)

@@ -4,7 +4,10 @@ Restricting the flux control to the line {lam * q0} turns the tracking cost
 into a scalar quadratic  quad*lam^2 + lin*lam + const  whose coefficients come
 from three building-block solves (datum only, unit flux only, source only).
 The minimizer is -lin/(2*quad) in closed form, for the parabolic and steady
-problems with either the Dirichlet or the Robin condition on GAMMA1.
+problems with either the Dirichlet or the Robin condition on GAMMA1.  Each
+variant name maps to a transfer coefficient through state_solvers.variant_alpha,
+and the solves route through ParabolicStepper or the one steady body, which
+alone decide how that coefficient imposes the datum.
 
 The monotonicity check compares two such solutions nodewise.  It requires the
 lumped mass matrix and the non-obtuse meshes produced by the mesh builders:
@@ -20,7 +23,6 @@ supplied time-dependent data.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,13 +38,17 @@ from .optimal_control import _boundary_sq, _domain_sq, tracking_cost
 from .state_solvers import (
     ParabolicStepper,
     ProblemSpec,
-    solve_elliptic_dirichlet,
+    _solve_steady,
     solve_elliptic_robin,
+    variant_alpha,
 )
 
 PARABOLIC_VARIANTS = ("parabolic", "parabolic_robin")
 ELLIPTIC_VARIANTS = ("elliptic", "elliptic_robin")
 ALL_VARIANTS = PARABOLIC_VARIANTS + ELLIPTIC_VARIANTS
+# the boundary variant (see state_solvers.variant_alpha) each variant names
+_BOUNDARY_VARIANT = {"parabolic": "dirichlet", "parabolic_robin": "robin",
+                     "elliptic": "dirichlet", "elliptic_robin": "robin"}
 
 
 @dataclass(frozen=True)
@@ -70,14 +76,6 @@ def _check_variant(variant):
         raise ValueError(f"unknown variant {variant!r}, expected one of {ALL_VARIANTS}")
 
 
-def _robin_alpha(spec, variant):
-    if variant.endswith("_robin"):
-        if math.isinf(spec.transfer_coeff):
-            return None  # infinite transfer routes to the Dirichlet form
-        return spec.transfer_coeff
-    return None
-
-
 def building_blocks(ops: DiscreteOperators, spec: ProblemSpec, q0: BoundaryControl,
                     grid: TimeGrid, variant: str = "parabolic"):
     """Three decoupled solves: datum only, unit flux direction only, source only.
@@ -89,11 +87,12 @@ def building_blocks(ops: DiscreteOperators, spec: ProblemSpec, q0: BoundaryContr
     _check_variant(variant)
     spec.validate(ops, grid)
     _check_control(grid, ops, q0)
+    alpha = variant_alpha(spec, _BOUNDARY_VARIANT[variant])
     if variant in PARABOLIC_VARIANTS:
         if np.max(np.abs(q0.values[1:])) == 0.0:
             raise ValueError("q0 must not be identically zero: the quadratic "
                              "coefficient would vanish")
-        stepper = ParabolicStepper(ops, grid, alpha=_robin_alpha(spec, variant))
+        stepper = ParabolicStepper(ops, grid, alpha=alpha)
         u_b = stepper.run(spec.initial_temp, spec.boundary_temp, None, None)
         u_q0 = stepper.run(np.zeros(ops.n_nodes), None, None, q0.values)
         u_g = stepper.run(np.zeros(ops.n_nodes), None, spec.source.values, None)
@@ -107,15 +106,9 @@ def building_blocks(ops: DiscreteOperators, spec: ProblemSpec, q0: BoundaryContr
     zeros_g = np.zeros(ops.n_nodes)
     zeros_q = np.zeros(ops.gamma2_nodes.size)
     zeros_b = np.zeros(ops.dirichlet_nodes.size)
-    if variant == "elliptic":
-        u_b = solve_elliptic_dirichlet(ops, zeros_g, zeros_q, spec.boundary_temp)
-        u_q0 = solve_elliptic_dirichlet(ops, zeros_g, q_row, zeros_b)
-        u_g = solve_elliptic_dirichlet(ops, g_row, zeros_q, zeros_b)
-    else:
-        alpha = spec.transfer_coeff
-        u_b = solve_elliptic_robin(ops, zeros_g, zeros_q, spec.boundary_temp, alpha)
-        u_q0 = solve_elliptic_robin(ops, zeros_g, q_row, zeros_b, alpha)
-        u_g = solve_elliptic_robin(ops, g_row, zeros_q, zeros_b, alpha)
+    u_b = solve_elliptic_robin(ops, zeros_g, zeros_q, spec.boundary_temp, alpha)
+    u_q0 = solve_elliptic_robin(ops, zeros_g, q_row, zeros_b, alpha)
+    u_g = solve_elliptic_robin(ops, g_row, zeros_q, zeros_b, alpha)
     return u_b, u_q0, u_g
 
 
@@ -153,16 +146,12 @@ def scalar_cost(ops: DiscreteOperators, spec: ProblemSpec, q0: BoundaryControl,
     _check_variant(variant)
     if variant in PARABOLIC_VARIANTS:
         q = BoundaryControl(lam * q0.values)
-        bc_variant = "robin" if variant == "parabolic_robin" else "dirichlet"
-        return tracking_cost(ops, spec, q, grid, bc_variant)
+        return tracking_cost(ops, spec, q, grid, _BOUNDARY_VARIANT[variant])
     g_row = spec.source.values[-1]
     z_row = spec.target.values[-1]
     q_row = lam * q0.values[-1]
-    if variant == "elliptic":
-        u = solve_elliptic_dirichlet(ops, g_row, q_row, spec.boundary_temp)
-    else:
-        u = solve_elliptic_robin(ops, g_row, q_row, spec.boundary_temp,
-                                 spec.transfer_coeff)
+    alpha = variant_alpha(spec, _BOUNDARY_VARIANT[variant])
+    u = solve_elliptic_robin(ops, g_row, q_row, spec.boundary_temp, alpha)
     misfit = u - z_row
     return (0.5 * float(misfit @ (ops.mass @ misfit))
             + 0.5 * spec.flux_penalty * float(q_row @ (ops.bmass_gamma2_sub @ q_row)))
@@ -209,8 +198,8 @@ def monotonicity_check(ops: DiscreteOperators, spec: ProblemSpec, grid: TimeGrid
     _require(np.all(spec.initial_temp <= upper.initial_temp),
              "ordered initial temperatures")
 
+    alpha = variant_alpha(spec, _BOUNDARY_VARIANT[variant])
     if variant in PARABOLIC_VARIANTS:
-        alpha = _robin_alpha(spec, variant)
         stepper = ParabolicStepper(ops, grid, alpha=alpha, lumped=True)
         u1 = stepper.run(spec.initial_temp, spec.boundary_temp,
                          g1.values, lam1 * q0.values)
@@ -219,32 +208,12 @@ def monotonicity_check(ops: DiscreteOperators, spec: ProblemSpec, grid: TimeGrid
         max_violation = float(np.max(u1 - u2))
     else:
         q_row = q0.values[-1]
-        alpha = None if variant == "elliptic" else spec.transfer_coeff
-        u1 = _elliptic_lumped(ops, g1.values[-1], lam1 * q_row,
-                              spec.boundary_temp, alpha)
-        u2 = _elliptic_lumped(ops, g2.values[-1], lam2 * q_row,
-                              upper.boundary_temp, alpha)
+        u1 = _solve_steady(ops, g1.values[-1], lam1 * q_row, spec.boundary_temp,
+                           alpha, lumped=True)
+        u2 = _solve_steady(ops, g2.values[-1], lam2 * q_row, upper.boundary_temp,
+                           alpha, lumped=True)
         max_violation = float(np.max(u1 - u2))
     return {"max_violation": max_violation, "holds": max_violation <= 1e-12}
-
-
-def _elliptic_lumped(ops, g_row, q_row, b, alpha):
-    # steady comparison solve with lumped boundary masses, so the Robin system
-    # stays an M-matrix on non-obtuse meshes
-    from .fem_core import spd_solver
-
-    load = ops.mass @ g_row - ops.bmass_gamma2_lumped[:, ops.gamma2_nodes] @ q_row
-    if alpha is None or math.isinf(alpha):
-        f, d = ops.free_nodes, ops.dirichlet_nodes
-        u = np.empty(ops.n_nodes)
-        u[d] = b
-        lift = ops.stiffness[np.ix_(f, d)] @ b
-        u[f] = spd_solver(ops.stiffness[np.ix_(f, f)].tocsr())(load[f] - lift)
-        return u
-    b_ext = np.zeros(ops.n_nodes)
-    b_ext[ops.dirichlet_nodes] = b
-    a_mat = (ops.stiffness + alpha * ops.bmass_gamma1_lumped).tocsr()
-    return spd_solver(a_mat)(load + alpha * (ops.bmass_gamma1_lumped @ b_ext))
 
 
 def scale_trajectory(ops: DiscreteOperators, spec: ProblemSpec, q0: BoundaryControl,

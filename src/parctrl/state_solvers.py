@@ -3,10 +3,11 @@
 Parabolic problems are discretized by backward Euler: unconditionally stable,
 monotone with lumped mass, and its algebraic transpose is again a backward
 recursion, which is what makes the discrete optimality identities exact.
-On the temperature boundary the Dirichlet variant eliminates rows/columns and
-lifts the datum; the Robin variant keeps all nodes and adds the transfer term
-alpha * (boundary mass).  A transfer coefficient of +inf routes to the
-Dirichlet solver.
+Only ParabolicStepper.__init__ and its steady counterpart _solve_steady turn
+the transfer coefficient alpha into a system: +inf (or None) eliminates the
+GAMMA1 rows/columns and lifts the datum; finite alpha > 0 keeps all nodes and
+adds alpha * (boundary mass).  variant_alpha maps 'dirichlet'/'robin' onto
+alpha, and each *_dirichlet/*_robin pair delegates to one shared body.
 
 Solvers are pure functions of immutable inputs; concurrent calls are safe.
 """
@@ -65,16 +66,12 @@ class ProblemSpec:
             raise ValueError(f"flux_penalty must be > 0, got {self.flux_penalty}")
         if self.source_penalty <= 0:
             raise ValueError(f"source_penalty must be > 0, got {self.source_penalty}")
-        if not math.isinf(self.transfer_coeff) and self.transfer_coeff <= 0:
+        if not self.transfer_coeff > 0:
             raise ValueError(f"transfer_coeff must be > 0, got {self.transfer_coeff}")
         mismatch = np.max(np.abs(self.initial_temp[ops.dirichlet_nodes] - self.boundary_temp))
         if mismatch != 0.0:
             raise ValueError(
                 f"initial_temp disagrees with boundary_temp on GAMMA1 (max {mismatch:.3e})")
-
-
-def _mass_of(ops, lumped):
-    return ops.mass_lumped if lumped else ops.mass
 
 
 def _gamma2_load(ops, lumped):
@@ -84,25 +81,27 @@ def _gamma2_load(ops, lumped):
 
 
 class ParabolicStepper:
-    """Prefactored backward-Euler marcher for one boundary-condition variant.
+    """Prefactored backward-Euler marcher for one boundary-condition system.
 
-    alpha=None gives the Dirichlet variant (GAMMA1 rows eliminated, datum
-    lifted); finite alpha > 0 gives the Robin variant on all nodes.  The same
+    This constructor, with _solve_steady for the steady problem, is the one
+    place that turns a transfer coefficient into a linear system: alpha None
+    or +inf eliminates the GAMMA1 rows and lifts the datum; finite alpha > 0
+    keeps all nodes and adds alpha * (GAMMA1 boundary mass).  The same
     factorization drives the forward state recursion and its exact transpose,
     the backward adjoint recursion.
     """
 
     def __init__(self, ops: DiscreteOperators, grid: TimeGrid, alpha=None,
                  lumped: bool = False):
-        if alpha is not None and math.isinf(alpha):
+        if alpha == math.inf:
             alpha = None
-        if alpha is not None and alpha <= 0:
+        if alpha is not None and not alpha > 0:
             raise ValueError(f"transfer coefficient must be > 0, got {alpha}")
         self.ops = ops
         self.grid = grid
         self.alpha = alpha
         self.lumped = lumped
-        self.mass = _mass_of(ops, lumped)
+        self.mass = ops.mass_lumped if lumped else ops.mass
         self.load_gamma2 = _gamma2_load(ops, lumped)
         dt = grid.dt
         if alpha is None:
@@ -178,29 +177,74 @@ class ParabolicStepper:
         return p
 
 
+def _solve_steady(ops: DiscreteOperators, g, q, b, alpha, lumped: bool = False):
+    """Steady solution: K u = M g - (GAMMA2 load) q with the datum b on GAMMA1,
+    imposed as ParabolicStepper imposes it (alpha None or +inf: exactly;
+    finite alpha > 0: through the transfer term alpha * B1).
+
+    lumped selects the lumped boundary masses, which keep the Robin system an
+    M-matrix on non-obtuse meshes, as the comparison principle needs.
+    """
+    if alpha == math.inf:
+        alpha = None
+    if alpha is not None and not alpha > 0:
+        raise ValueError(f"transfer coefficient must be > 0, got {alpha}")
+    g = np.asarray(g, dtype=float)
+    q = np.asarray(q, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if g.shape != (ops.n_nodes,):
+        raise ValueError(f"g has shape {g.shape}, expected ({ops.n_nodes},)")
+    if q.shape != (ops.gamma2_nodes.size,):
+        raise ValueError(f"q has shape {q.shape}, expected ({ops.gamma2_nodes.size},)")
+    if b.shape != (ops.dirichlet_nodes.size,):
+        raise ValueError(f"b has shape {b.shape}, expected ({ops.dirichlet_nodes.size},)")
+    rhs = ops.mass @ g - _gamma2_load(ops, lumped) @ q
+    if alpha is None:
+        f, d = ops.free_nodes, ops.dirichlet_nodes
+        lift = ops.stiffness[np.ix_(f, d)] @ b
+        u = np.empty(ops.n_nodes)
+        u[d] = b
+        u[f] = spd_solver(ops.stiffness[np.ix_(f, f)].tocsr())(rhs[f] - lift)
+        return u
+    b1 = ops.bmass_gamma1_lumped if lumped else ops.bmass_gamma1
+    b_ext = np.zeros(ops.n_nodes)
+    b_ext[ops.dirichlet_nodes] = b
+    a_mat = (ops.stiffness + alpha * b1).tocsr()
+    return spd_solver(a_mat)(rhs + alpha * (b1 @ b_ext))
+
+
+def variant_alpha(spec: ProblemSpec, variant: str):
+    """Transfer coefficient of a named boundary variant: None (exact
+    imposition) for 'dirichlet', spec.transfer_coeff for 'robin'."""
+    if variant == "dirichlet":
+        return None
+    if variant == "robin":
+        return spec.transfer_coeff
+    raise ValueError(f"unknown variant {variant!r}, expected 'dirichlet' or 'robin'")
+
+
 def make_stepper(ops, grid, spec: ProblemSpec, variant: str,
                  lumped: bool = False) -> ParabolicStepper:
     """Stepper for a named variant; 'robin' with an infinite transfer
-    coefficient falls back to the Dirichlet recursion."""
-    if variant == "dirichlet":
-        return ParabolicStepper(ops, grid, alpha=None, lumped=lumped)
-    if variant == "robin":
-        alpha = spec.transfer_coeff
-        if math.isinf(alpha):
-            return ParabolicStepper(ops, grid, alpha=None, lumped=lumped)
-        return ParabolicStepper(ops, grid, alpha=alpha, lumped=lumped)
-    raise ValueError(f"unknown variant {variant!r}, expected 'dirichlet' or 'robin'")
+    coefficient marches the Dirichlet recursion."""
+    return ParabolicStepper(ops, grid, alpha=variant_alpha(spec, variant), lumped=lumped)
+
+
+def _solve_parabolic(ops: DiscreteOperators, spec: ProblemSpec, q: BoundaryControl,
+                     grid: TimeGrid, alpha) -> TimeField:
+    # shared body of the two parabolic solvers; alpha as in ParabolicStepper
+    spec.validate(ops, grid)
+    _check_control(grid, ops, q)
+    stepper = ParabolicStepper(ops, grid, alpha=alpha)
+    u = stepper.run(spec.initial_temp, spec.boundary_temp,
+                    spec.source.values, q.values)
+    return TimeField(u)
 
 
 def solve_parabolic_dirichlet(ops: DiscreteOperators, spec: ProblemSpec,
                               q: BoundaryControl, grid: TimeGrid) -> TimeField:
     """Backward-Euler solution with the temperature datum imposed exactly."""
-    spec.validate(ops, grid)
-    _check_control(grid, ops, q)
-    stepper = ParabolicStepper(ops, grid, alpha=None)
-    u = stepper.run(spec.initial_temp, spec.boundary_temp,
-                    spec.source.values, q.values)
-    return TimeField(u)
+    return _solve_parabolic(ops, spec, q, grid, None)
 
 
 def solve_parabolic_robin(ops: DiscreteOperators, spec: ProblemSpec,
@@ -208,61 +252,22 @@ def solve_parabolic_robin(ops: DiscreteOperators, spec: ProblemSpec,
                           alpha: float | None = None) -> TimeField:
     """Backward-Euler solution with the Robin transfer condition on GAMMA1.
 
-    alpha defaults to spec.transfer_coeff; +inf routes to the Dirichlet solver.
+    alpha defaults to spec.transfer_coeff; +inf imposes the datum exactly.
     """
-    spec.validate(ops, grid)
-    _check_control(grid, ops, q)
-    if alpha is None:
-        alpha = spec.transfer_coeff
-    if math.isinf(alpha):
-        return solve_parabolic_dirichlet(ops, spec, q, grid)
-    if alpha <= 0:
-        raise ValueError(f"transfer coefficient must be > 0, got {alpha}")
-    stepper = ParabolicStepper(ops, grid, alpha=alpha)
-    u = stepper.run(spec.initial_temp, spec.boundary_temp,
-                    spec.source.values, q.values)
-    return TimeField(u)
+    return _solve_parabolic(ops, spec, q, grid,
+                            spec.transfer_coeff if alpha is None else alpha)
 
 
 def solve_elliptic_dirichlet(ops: DiscreteOperators, g: np.ndarray,
                              q: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Steady solution: K u = M g - (GAMMA2 load) q on free nodes, u = b on GAMMA1."""
-    g = np.asarray(g, dtype=float)
-    q = np.asarray(q, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if g.shape != (ops.n_nodes,):
-        raise ValueError(f"g has shape {g.shape}, expected ({ops.n_nodes},)")
-    if q.shape != (ops.gamma2_nodes.size,):
-        raise ValueError(f"q has shape {q.shape}, expected ({ops.gamma2_nodes.size},)")
-    if b.shape != (ops.dirichlet_nodes.size,):
-        raise ValueError(f"b has shape {b.shape}, expected ({ops.dirichlet_nodes.size},)")
-    f, d = ops.free_nodes, ops.dirichlet_nodes
-    rhs = ops.mass @ g - _gamma2_load(ops, False) @ q
-    lift = ops.stiffness[np.ix_(f, d)] @ b
-    u = np.empty(ops.n_nodes)
-    u[d] = b
-    u[f] = spd_solver(ops.stiffness[np.ix_(f, f)].tocsr())(rhs[f] - lift)
-    return u
+    return _solve_steady(ops, g, q, b, math.inf)
 
 
 def solve_elliptic_robin(ops: DiscreteOperators, g: np.ndarray, q: np.ndarray,
-                         b: np.ndarray, alpha: float) -> np.ndarray:
-    """Steady solution with the Robin condition: (K + alpha B1) u = rhs."""
-    if math.isinf(alpha):
-        return solve_elliptic_dirichlet(ops, g, q, b)
-    if alpha <= 0:
-        raise ValueError(f"transfer coefficient must be > 0, got {alpha}")
-    g = np.asarray(g, dtype=float)
-    q = np.asarray(q, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if g.shape != (ops.n_nodes,):
-        raise ValueError(f"g has shape {g.shape}, expected ({ops.n_nodes},)")
-    if q.shape != (ops.gamma2_nodes.size,):
-        raise ValueError(f"q has shape {q.shape}, expected ({ops.gamma2_nodes.size},)")
-    if b.shape != (ops.dirichlet_nodes.size,):
-        raise ValueError(f"b has shape {b.shape}, expected ({ops.dirichlet_nodes.size},)")
-    b_ext = np.zeros(ops.n_nodes)
-    b_ext[ops.dirichlet_nodes] = b
-    rhs = ops.mass @ g - _gamma2_load(ops, False) @ q + alpha * (ops.bmass_gamma1 @ b_ext)
-    a_mat = (ops.stiffness + alpha * ops.bmass_gamma1).tocsr()
-    return spd_solver(a_mat)(rhs)
+                         b: np.ndarray, alpha: float | None) -> np.ndarray:
+    """Steady solution with the Robin condition: (K + alpha B1) u = rhs.
+
+    alpha None or +inf imposes the datum exactly.
+    """
+    return _solve_steady(ops, g, q, b, alpha)

@@ -8,7 +8,6 @@ from parctrl.asymptotics import (
     decay_study,
     decay_with_forcing,
     exp_forcing_quadrature,
-    forcing_l1_norms,
 )
 from parctrl.fem_core import BoundaryControl, TimeField, TimeGrid
 from parctrl.state_solvers import ProblemSpec, solve_elliptic_dirichlet
@@ -66,16 +65,6 @@ def test_sweep_fixed_control_2d(ops2d, grid):
     states = [r.err_state for r in rows]
     assert all(b < a for a, b in zip(states, states[1:]))
     assert states[-1] <= states[0] / 10.0
-
-
-def test_sweep_threaded_matches_serial(ops1d, grid):
-    rng = np.random.default_rng(103)
-    spec = make_spec(ops1d, grid)
-    q = random_control(rng, grid, ops1d)
-    serial = alpha_sweep(ops1d, spec, grid, ALPHAS, q=q, threads=1)
-    threaded = alpha_sweep(ops1d, spec, grid, ALPHAS, q=q, threads=4)
-    for a, b in zip(serial, threaded):
-        assert a == b
 
 
 def test_sweep_validates_alphas(ops1d, grid, spec1d):
@@ -162,19 +151,6 @@ def test_forced_decay_bound_holds(ops1d):
     result = decay_with_forcing(ops1d, spec, q, grid, g_inf=g_inf, q_inf=q.values[1])
     for r in result.rows:
         assert r.err_h ** 2 <= 1.05 * r.bound ** 2
-
-
-def test_forcing_quadratic_scaling(ops1d):
-    grid = TimeGrid(t_final=5.0, n_steps=100)
-    spec, q, _ = decay_setup(ops1d, grid, start_at_steady=False)
-    g_inf = spec.source.values[1].copy()
-    times = grid.times()
-    bump = np.exp(-times)[:, None] * np.ones(ops1d.n_nodes)[None, :]
-    spec.source = TimeField(g_inf[None, :] + bump)
-    f1_a, _ = forcing_l1_norms(ops1d, spec, q, grid, g_inf, q.values[1])
-    spec.source = TimeField(g_inf[None, :] + 2.0 * bump)
-    f1_b, _ = forcing_l1_norms(ops1d, spec, q, grid, g_inf, q.values[1])
-    assert abs(f1_b - 4.0 * f1_a) <= 1e-10 * f1_b
 
 
 def test_exp_forcing_quadrature_limits():

@@ -176,6 +176,29 @@ def test_unknown_key_cites_line(tmp_path, capsys):
     assert "cellz" in err and "bad.cfg:3" in err
 
 
+@pytest.mark.parametrize("section,key", [("tolerances", "solver_tol"),
+                                         ("output", "prefix")])
+def test_unread_keys_are_rejected(tmp_path, capsys, section, key):
+    # keys no command reads fail like any other unknown key, with file:line
+    text = SMALL_CFG.replace(f"[{section}]\n", f"[{section}]\n{key} = 1\n")
+    line = text.splitlines().index(f"{key} = 1") + 1
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(text)
+    assert run("solve", str(bad), tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert f"unknown key '{key}'" in err and f"bad.cfg:{line}:" in err
+
+
+@pytest.mark.parametrize("command", ["solve", "optimize"])
+def test_unknown_variant_exits_2(tmp_path, capsys, command):
+    text = SMALL_CFG.replace("q0 = constant(1.0)", "q0 = constant(1.0)\nvariant = neumann")
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(text)
+    assert run(command, str(bad), tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert "bad.cfg" in err and "'neumann'" in err
+
+
 def test_manifest_rerun_reproduces_csv_bytes(cfg_path, tmp_path):
     out1 = tmp_path / "out1"
     assert run("sweep-alpha", cfg_path, out1) == 0
@@ -207,15 +230,6 @@ def test_optimizer_nonconvergence_exits_3(cfg_path, tmp_path, capsys, monkeypatc
     monkeypatch.setattr("parctrl.cli.optimal_control.optimize_boundary", stalled)
     assert run("optimize", str(cfg_path), tmp_path / "out") == 3
     assert "did not converge" in capsys.readouterr().err
-
-
-def test_sweep_thread_env_var(cfg_path, tmp_path, monkeypatch):
-    out1 = tmp_path / "serial"
-    assert run("sweep-alpha", cfg_path, out1) == 0
-    monkeypatch.setenv("PARCTRL_THREADS", "4")
-    out2 = tmp_path / "threaded"
-    assert run("sweep-alpha", cfg_path, out2) == 0
-    assert (out1 / "sweep.csv").read_bytes() == (out2 / "sweep.csv").read_bytes()
 
 
 def test_mesh_json_written(cfg_path, tmp_path):

@@ -268,3 +268,52 @@ def test_control_gap_shrinks_with_heavier_penalty(ops1d, grid):
 def test_optimize_rejects_bad_tol(ops1d, grid, spec1d):
     with pytest.raises(ValueError):
         optimize_boundary(ops1d, spec1d, grid, tol=0.0)
+
+
+def _optimize_with(control, ops, spec, grid, variant, q_fixed):
+    if control == "boundary":
+        return optimize_boundary(ops, spec, grid, tol=1e-10, variant=variant)
+    if control == "distributed":
+        return optimize_distributed(ops, spec, grid, q_fixed, tol=1e-10,
+                                    variant=variant)
+    return optimize_simultaneous(ops, spec, grid, tol=1e-10, variant=variant)
+
+
+@pytest.mark.parametrize("variant", ["dirichlet", "robin"])
+@pytest.mark.parametrize("control", ["boundary", "distributed", "simultaneous"])
+def test_optimizer_control_variant_matrix(ops1d, grid, control, variant):
+    from dataclasses import replace
+
+    rng = np.random.default_rng(89)
+    spec = make_spec(ops1d, grid, alpha=5.0)
+    q_fixed = random_control(rng, grid, ops1d, scale=0.5)
+    res = _optimize_with(control, ops1d, spec, grid, variant, q_fixed)
+    assert res.converged
+    assert res.optimality_residual <= 1e-10
+
+    # the reported cost is the cost of the returned controls, recomputed from
+    # a fresh forward solve
+    g = res.g_opt if res.g_opt is not None else spec.source
+    q = res.q_opt if res.q_opt is not None else q_fixed
+    solver = solve_parabolic_dirichlet if variant == "dirichlet" else solve_parabolic_robin
+    u = solver(ops1d, replace(spec, source=g), q, grid)
+    misfit = TimeField(u.values - spec.target.values)
+    fresh = (0.5 * inner_domain_time(grid, ops1d, misfit, misfit)
+             + 0.5 * spec.flux_penalty * inner_boundary_time(grid, ops1d, q, q))
+    if res.g_opt is not None:
+        fresh += 0.5 * spec.source_penalty * inner_domain_time(grid, ops1d, g, g)
+    assert rel_err(res.cost, fresh) < 1e-9
+
+    # an infinite transfer coefficient is the Dirichlet problem, bit for bit
+    spec_inf = replace(spec, transfer_coeff=math.inf)
+    robin = _optimize_with(control, ops1d, spec_inf, grid, "robin", q_fixed)
+    dirichlet = _optimize_with(control, ops1d, spec_inf, grid, "dirichlet", q_fixed)
+    for name in ("u_opt", "p_opt", "g_opt", "q_opt"):
+        a, b = getattr(robin, name), getattr(dirichlet, name)
+        assert (a is None) == (b is None)
+        if a is not None:
+            assert a.values.tobytes() == b.values.tobytes()
+    assert robin.cost == dirichlet.cost
+
+    with pytest.raises(ValueError, match="'neumann'"):
+        _optimize_with(control, ops1d, spec, grid, "neumann", q_fixed)

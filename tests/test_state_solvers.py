@@ -140,11 +140,19 @@ def test_robin_boundary_mismatch_bounded(ops1d, grid):
 
 
 def test_robin_rejects_bad_alpha(ops1d, grid, spec1d):
-    with pytest.raises(ValueError):
-        solve_parabolic_robin(ops1d, spec1d, zero_control(ops1d, grid), grid, alpha=-1.0)
-    with pytest.raises(ValueError):
-        solve_elliptic_robin(ops1d, np.zeros(ops1d.n_nodes),
-                             np.zeros(ops1d.gamma2_nodes.size), np.zeros(1), alpha=0.0)
+    from dataclasses import replace
+
+    # -inf and nan are not > 0 either; only +inf means exact imposition
+    for alpha in (-1.0, 0.0, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="transfer coefficient"):
+            solve_parabolic_robin(ops1d, spec1d, zero_control(ops1d, grid), grid,
+                                  alpha=alpha)
+        with pytest.raises(ValueError, match="transfer coefficient"):
+            solve_elliptic_robin(ops1d, np.zeros(ops1d.n_nodes),
+                                 np.zeros(ops1d.gamma2_nodes.size), np.zeros(1),
+                                 alpha=alpha)
+        with pytest.raises(ValueError, match="transfer_coeff"):
+            replace(spec1d, transfer_coeff=alpha).validate(ops1d, grid)
 
 
 def test_robin_inf_routes_to_dirichlet(ops1d, grid, spec1d):

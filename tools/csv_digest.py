@@ -1,0 +1,91 @@
+"""Digest every CSV the CLI writes on the shipped configs.
+
+    python tools/csv_digest.py
+
+Runs, into a temporary directory and for configs/benchmark1d.cfg and
+configs/benchmark2d.cfg: solve, lambda, sweep-alpha and decay; optimize for
+each control (boundary, distributed, simultaneous) with each variant
+(dirichlet, robin); and verify.  Prints one "sha256  <name>" line per CSV,
+named <config>/<run>/<file>, followed by each config's verify lines.  Nothing
+printed depends on the temporary directory or on wall time, so the output of
+two checkouts is equal exactly when their CSVs and verify results are.  Use it
+as the byte-identity check of a refactor: run it before and after, and diff.
+
+Standard library only; the package is imported from the src/ directory next
+to this script.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import os
+import subprocess
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+CONFIGS = ("benchmark1d", "benchmark2d")
+PLAIN_COMMANDS = ("solve", "lambda", "sweep-alpha", "decay")
+CONTROLS = ("boundary", "distributed", "simultaneous")
+VARIANTS = ("dirichlet", "robin")
+
+
+def _with_data_keys(text, keys):
+    """Config text with extra "key = value" lines at the top of [data]."""
+    lines = text.splitlines()
+    at = lines.index("[data]") + 1
+    extra = [f"{key} = {value}" for key, value in keys.items()]
+    return "\n".join(lines[:at] + extra + lines[at:]) + "\n"
+
+
+def _run(command, config_path, out_dir):
+    env = dict(os.environ)
+    src = os.path.join(ROOT, "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "parctrl.cli", command, "--config", config_path,
+         "--out", out_dir],
+        env=env, capture_output=True, text=True)
+    if proc.returncode != 0:
+        sys.exit(f"{command} on {config_path} exited {proc.returncode}:\n{proc.stderr}")
+    return proc.stdout
+
+
+def _digests(name, out_dir):
+    lines = []
+    for fname in sorted(os.listdir(out_dir)):
+        if fname.endswith(".csv"):
+            with open(os.path.join(out_dir, fname), "rb") as fh:
+                digest = hashlib.sha256(fh.read()).hexdigest()
+            lines.append(f"{digest}  {name}/{fname}")
+    return lines
+
+
+def main():
+    digests, verify_lines = [], []
+    with tempfile.TemporaryDirectory() as tmp:
+        for cfg in CONFIGS:
+            cfg_file = os.path.join(ROOT, "configs", cfg + ".cfg")
+            with open(cfg_file, encoding="utf-8") as fh:
+                text = fh.read()
+            runs = [(command, command, {}) for command in PLAIN_COMMANDS]
+            runs += [("optimize", f"optimize-{control}-{variant}",
+                      {"control": control, "variant": variant})
+                     for control in CONTROLS for variant in VARIANTS]
+            runs.append(("verify", "verify", {}))
+            for command, name, keys in runs:
+                run_dir = os.path.join(tmp, cfg, name)
+                os.makedirs(run_dir)
+                config_path = os.path.join(run_dir, "run.cfg")
+                with open(config_path, "w", encoding="utf-8") as fh:
+                    fh.write(_with_data_keys(text, keys))
+                out_dir = os.path.join(run_dir, "out")
+                stdout = _run(command, config_path, out_dir)
+                digests += _digests(f"{cfg}/{name}", out_dir)
+                if command == "verify":
+                    verify_lines += [f"{cfg}: {line}" for line in stdout.splitlines()]
+    print("\n".join(digests + verify_lines))
+
+
+if __name__ == "__main__":
+    main()
