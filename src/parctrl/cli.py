@@ -342,20 +342,20 @@ def _verify_battery(problem: Problem):
     s2 = abs(inner_boundary_time(grid, ops, Q, R) - inner_boundary_time(grid, ops, R, Q))
     record("inner-product-symmetry", max(s1, s2) <= 1e-12, max(s1, s2))
 
-    # spectral certificates on 1000 random vectors
-    V = (ops.stiffness + ops.mass).toarray()
+    # spectral certificates on 1000 random vectors; the forms stay sparse,
+    # since a dense n x n copy would cost O(n^2) memory
+    def forms(a_mat, xs):
+        return np.einsum("ij,ij->i", xs, (a_mat @ xs.T).T)
+
+    V = ops.stiffness + ops.mass
     vs = rng.standard_normal((1000, n))
     vs0 = vs.copy()
     vs0[:, ops.dirichlet_nodes] = 0.0
-    vq0 = np.einsum("ij,ij->i", vs0, vs0 @ V)
-    slack0 = np.min(np.einsum("ij,ij->i", vs0, vs0 @ ops.stiffness.toarray())
-                    - ops.lambda0 * vq0)
-    vq = np.einsum("ij,ij->i", vs, vs @ V)
-    slack1 = np.min(np.einsum("ij,ij->i", vs,
-                              vs @ (ops.stiffness + ops.bmass_gamma1).toarray())
-                    - ops.lambda1 * vq)
-    slack2 = np.min(ops.trace_norm ** 2 * vq
-                    - np.einsum("ij,ij->i", vs, vs @ ops.bmass_gamma2.toarray()))
+    vq0 = forms(V, vs0)
+    slack0 = np.min(forms(ops.stiffness, vs0) - ops.lambda0 * vq0)
+    vq = forms(V, vs)
+    slack1 = np.min(forms(ops.stiffness + ops.bmass_gamma1, vs) - ops.lambda1 * vq)
+    slack2 = np.min(ops.trace_norm ** 2 * vq - forms(ops.bmass_gamma2, vs))
     worst = min(slack0, slack1, slack2) / max(np.max(vq), 1.0)
     record("spectral-certificates", worst >= -1e-12, worst)
 

@@ -125,6 +125,14 @@ def _parse_float(cfg, section, key, value):
                           cfg.path, cfg.line_of(section, key)) from None
 
 
+def _parse_positive(cfg, section, key, default):
+    value = _parse_float(cfg, section, key, cfg.get(section, key, default))
+    if not (math.isfinite(value) and value > 0):
+        raise ConfigError(f"key '{key}' must be finite and > 0, got {value}",
+                          cfg.path, cfg.line_of(section, key))
+    return value
+
+
 def _parse_int(cfg, section, key, value):
     try:
         return int(value)
@@ -259,10 +267,8 @@ def build_problem(cfg: RawConfig) -> Problem:
                           cfg.line_of("data", "v_b"))
     v_b[ops.dirichlet_nodes] = b
 
-    flux_penalty = _parse_float(cfg, "weights", "flux_penalty",
-                                cfg.get("weights", "flux_penalty", "1.0"))
-    source_penalty = _parse_float(cfg, "weights", "source_penalty",
-                                  cfg.get("weights", "source_penalty", "1.0"))
+    flux_penalty = _parse_positive(cfg, "weights", "flux_penalty", "1.0")
+    source_penalty = _parse_positive(cfg, "weights", "source_penalty", "1.0")
     alpha_text = cfg.get("weights", "alpha")
     alpha = math.inf if alpha_text is None else _parse_float(
         cfg, "weights", "alpha", alpha_text)
@@ -289,11 +295,7 @@ def build_problem(cfg: RawConfig) -> Problem:
         raise ConfigError(f"control must be boundary, distributed or simultaneous, "
                           f"got {control!r}", cfg.path, cfg.line_of("data", "control"))
 
-    opt_tol = _parse_float(cfg, "tolerances", "opt_tol",
-                           cfg.get("tolerances", "opt_tol", "1e-10"))
-    if opt_tol <= 0:
-        raise ConfigError("opt_tol must be > 0", cfg.path,
-                          cfg.line_of("tolerances", "opt_tol"))
+    opt_tol = _parse_positive(cfg, "tolerances", "opt_tol", "1e-10")
     plots = cfg.get("output", "plots", "false").lower() in ("true", "1", "yes")
 
     q_mode = "fixed"

@@ -35,7 +35,7 @@ from .fem_core import (
     _check_control,
     lambda_alpha,
 )
-from .state_solvers import ProblemSpec, make_stepper, variant_alpha
+from .state_solvers import ParabolicStepper, ProblemSpec, variant_alpha
 
 DEFAULT_MAX_ITER = 500
 _RESTARTS = 3
@@ -73,7 +73,7 @@ def tracking_cost(ops: DiscreteOperators, spec: ProblemSpec, q: BoundaryControl,
     """Half the squared tracking misfit plus the flux penalty term."""
     spec.validate(ops, grid)
     _check_control(grid, ops, q)
-    stepper = make_stepper(ops, grid, spec, variant)
+    stepper = ParabolicStepper(ops, grid, alpha=variant_alpha(spec, variant))
     u = stepper.run(spec.initial_temp, spec.boundary_temp, spec.source.values, q.values)
     misfit = _domain_sq(grid, ops, u - spec.target.values)
     return 0.5 * misfit + 0.5 * spec.flux_penalty * _boundary_sq(grid, ops, q.values)
@@ -101,7 +101,7 @@ class _ReducedProblem:
 
     def __init__(self, ops, spec, grid, variant, g_fixed=None, q_fixed=None):
         self.ops, self.spec, self.grid = ops, spec, grid
-        self.stepper = make_stepper(ops, grid, spec, variant)
+        self.stepper = ParabolicStepper(ops, grid, alpha=variant_alpha(spec, variant))
         self.g_fixed = None if g_fixed is None else g_fixed.values
         self.q_fixed = None if q_fixed is None else q_fixed.values
         self.n_g = ops.n_nodes if g_fixed is None else 0

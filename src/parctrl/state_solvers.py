@@ -6,8 +6,11 @@ recursion, which is what makes the discrete optimality identities exact.
 Only ParabolicStepper.__init__ and its steady counterpart _solve_steady turn
 the transfer coefficient alpha into a system: +inf (or None) eliminates the
 GAMMA1 rows/columns and lifts the datum; finite alpha > 0 keeps all nodes and
-adds alpha * (boundary mass).  variant_alpha maps 'dirichlet'/'robin' onto
-alpha, and each *_dirichlet/*_robin pair delegates to one shared body.
+adds alpha * (boundary mass).  The choice only fixes the unknown rows, the
+lift and the constant load; the forward march, the adjoint march and the
+steady solve then run one code path for both, through one sparse direct
+factorization.  variant_alpha maps 'dirichlet'/'robin' onto alpha, and each
+*_dirichlet/*_robin pair delegates to one shared body.
 
 Solvers are pure functions of immutable inputs; concurrent calls are safe.
 """
@@ -38,8 +41,8 @@ class ProblemSpec:
     boundary_temp  temperature datum on the GAMMA1 nodes
     initial_temp   initial nodal temperature; must equal boundary_temp on GAMMA1
     target         tracking target as a TimeField
-    flux_penalty   weight of the boundary control in the cost (> 0)
-    source_penalty weight of the distributed control in the cost (> 0)
+    flux_penalty   weight of the boundary control in the cost (finite, > 0)
+    source_penalty weight of the distributed control in the cost (finite, > 0)
     transfer_coeff Robin heat-transfer coefficient (> 0); +inf means Dirichlet
     """
 
@@ -62,10 +65,10 @@ class ProblemSpec:
             raise ValueError(
                 f"initial_temp has shape {self.initial_temp.shape}, "
                 f"expected ({ops.n_nodes},)")
-        if self.flux_penalty <= 0:
-            raise ValueError(f"flux_penalty must be > 0, got {self.flux_penalty}")
-        if self.source_penalty <= 0:
-            raise ValueError(f"source_penalty must be > 0, got {self.source_penalty}")
+        if not (math.isfinite(self.flux_penalty) and self.flux_penalty > 0):
+            raise ValueError(f"flux_penalty must be finite and > 0, got {self.flux_penalty}")
+        if not (math.isfinite(self.source_penalty) and self.source_penalty > 0):
+            raise ValueError(f"source_penalty must be finite and > 0, got {self.source_penalty}")
         if not self.transfer_coeff > 0:
             raise ValueError(f"transfer_coeff must be > 0, got {self.transfer_coeff}")
         mismatch = np.max(np.abs(self.initial_temp[ops.dirichlet_nodes] - self.boundary_temp))
@@ -108,11 +111,13 @@ class ParabolicStepper:
             a_full = (self.mass + dt * ops.stiffness).tocsr()
             f, d = ops.free_nodes, ops.dirichlet_nodes
             self._a_fd = a_full[np.ix_(f, d)].tocsr()
+            self._unknowns = f
             self._solve = spd_solver(a_full[np.ix_(f, f)].tocsr())
         else:
             b1 = ops.bmass_gamma1_lumped if lumped else ops.bmass_gamma1
             a_full = (self.mass + dt * (ops.stiffness + alpha * b1)).tocsr()
             self._robin_b1 = b1
+            self._unknowns = slice(None)
             self._solve = spd_solver(a_full)
 
     def run(self, initial, boundary_temp=None, source_values=None,
@@ -125,28 +130,25 @@ class ParabolicStepper:
         u[0] = initial
 
         b = np.zeros(ops.dirichlet_nodes.size) if boundary_temp is None else boundary_temp
+        # elimination keeps the datum on GAMMA1; Robin overwrites these entries
+        u[1:, ops.dirichlet_nodes] = b
+        # elimination subtracts a lift from the free rows, Robin adds a
+        # constant transfer load; x - 0.0 and x + -0.0 equal x bit for bit
+        # (+0.0 would turn -0.0 into 0.0), so each leaves the other's term inert
         if self.alpha is None:
-            f, d = ops.free_nodes, ops.dirichlet_nodes
-            lift = self._a_fd @ b
-            for k in range(1, nsteps + 1):
-                rhs = self.mass @ u[k - 1]
-                if source_values is not None:
-                    rhs = rhs + dt * (self.mass @ source_values[k])
-                if flux_values is not None:
-                    rhs = rhs - dt * (self.load_gamma2 @ flux_values[k])
-                u[k, f] = self._solve(rhs[f] - lift)
-                u[k, d] = b
+            lift, load = self._a_fd @ b, -0.0
         else:
             b_ext = np.zeros(n)
             b_ext[ops.dirichlet_nodes] = b
-            robin_load = dt * self.alpha * (self._robin_b1 @ b_ext)
-            for k in range(1, nsteps + 1):
-                rhs = self.mass @ u[k - 1] + robin_load
-                if source_values is not None:
-                    rhs = rhs + dt * (self.mass @ source_values[k])
-                if flux_values is not None:
-                    rhs = rhs - dt * (self.load_gamma2 @ flux_values[k])
-                u[k] = self._solve(rhs)
+            lift, load = 0.0, dt * self.alpha * (self._robin_b1 @ b_ext)
+        rows = self._unknowns
+        for k in range(1, nsteps + 1):
+            rhs = self.mass @ u[k - 1] + load
+            if source_values is not None:
+                rhs = rhs + dt * (self.mass @ source_values[k])
+            if flux_values is not None:
+                rhs = rhs - dt * (self.load_gamma2 @ flux_values[k])
+            u[k, rows] = self._solve(rhs[rows] - lift)
         return u
 
     def run_adjoint(self, source_values: np.ndarray) -> np.ndarray:
@@ -161,19 +163,12 @@ class ParabolicStepper:
         nsteps = grid.n_steps
         p = np.zeros((nsteps + 1, n))
         p_next = np.zeros(n)
-        if self.alpha is None:
-            f = ops.free_nodes
-            for k in range(nsteps, 0, -1):
-                rhs = self.mass @ p_next + dt * (self.mass @ source_values[k])
-                p[k, f] = self._solve(rhs[f])
-                p_next = p[k]
-            p[0, f] = self._solve((self.mass @ p[1])[f])
-        else:
-            for k in range(nsteps, 0, -1):
-                rhs = self.mass @ p_next + dt * (self.mass @ source_values[k])
-                p[k] = self._solve(rhs)
-                p_next = p[k]
-            p[0] = self._solve(self.mass @ p[1])
+        rows = self._unknowns
+        for k in range(nsteps, 0, -1):
+            rhs = self.mass @ p_next + dt * (self.mass @ source_values[k])
+            p[k, rows] = self._solve(rhs[rows])
+            p_next = p[k]
+        p[0, rows] = self._solve((self.mass @ p[1])[rows])
         return p
 
 
@@ -199,18 +194,22 @@ def _solve_steady(ops: DiscreteOperators, g, q, b, alpha, lumped: bool = False):
     if b.shape != (ops.dirichlet_nodes.size,):
         raise ValueError(f"b has shape {b.shape}, expected ({ops.dirichlet_nodes.size},)")
     rhs = ops.mass @ g - _gamma2_load(ops, lumped) @ q
+    u = np.empty(ops.n_nodes)
+    # elimination keeps the datum on GAMMA1; Robin overwrites these entries
+    u[ops.dirichlet_nodes] = b
     if alpha is None:
         f, d = ops.free_nodes, ops.dirichlet_nodes
-        lift = ops.stiffness[np.ix_(f, d)] @ b
-        u = np.empty(ops.n_nodes)
-        u[d] = b
-        u[f] = spd_solver(ops.stiffness[np.ix_(f, f)].tocsr())(rhs[f] - lift)
-        return u
-    b1 = ops.bmass_gamma1_lumped if lumped else ops.bmass_gamma1
-    b_ext = np.zeros(ops.n_nodes)
-    b_ext[ops.dirichlet_nodes] = b
-    a_mat = (ops.stiffness + alpha * b1).tocsr()
-    return spd_solver(a_mat)(rhs + alpha * (b1 @ b_ext))
+        rows, a_mat = f, ops.stiffness[np.ix_(f, f)].tocsr()
+        lift, load = ops.stiffness[np.ix_(f, d)] @ b, -0.0
+    else:
+        b1 = ops.bmass_gamma1_lumped if lumped else ops.bmass_gamma1
+        b_ext = np.zeros(ops.n_nodes)
+        b_ext[ops.dirichlet_nodes] = b
+        rows, a_mat = slice(None), (ops.stiffness + alpha * b1).tocsr()
+        # the unused lift or load is inert bit for bit, as in ParabolicStepper.run
+        lift, load = 0.0, alpha * (b1 @ b_ext)
+    u[rows] = spd_solver(a_mat)(rhs[rows] + load - lift)
+    return u
 
 
 def variant_alpha(spec: ProblemSpec, variant: str):
@@ -221,13 +220,6 @@ def variant_alpha(spec: ProblemSpec, variant: str):
     if variant == "robin":
         return spec.transfer_coeff
     raise ValueError(f"unknown variant {variant!r}, expected 'dirichlet' or 'robin'")
-
-
-def make_stepper(ops, grid, spec: ProblemSpec, variant: str,
-                 lumped: bool = False) -> ParabolicStepper:
-    """Stepper for a named variant; 'robin' with an infinite transfer
-    coefficient marches the Dirichlet recursion."""
-    return ParabolicStepper(ops, grid, alpha=variant_alpha(spec, variant), lumped=lumped)
 
 
 def _solve_parabolic(ops: DiscreteOperators, spec: ProblemSpec, q: BoundaryControl,

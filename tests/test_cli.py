@@ -189,6 +189,45 @@ def test_unread_keys_are_rejected(tmp_path, capsys, section, key):
     assert f"unknown key '{key}'" in err and f"bad.cfg:{line}:" in err
 
 
+@pytest.mark.parametrize("key,value", [("t_final", "nan"), ("t_final", "inf"),
+                                       ("flux_penalty", "nan"),
+                                       ("source_penalty", "nan"),
+                                       ("opt_tol", "nan")])
+def test_non_finite_values_are_rejected(tmp_path, capsys, key, value):
+    # "<= 0" checks let nan through; every one of these must be finite and > 0
+    lines = SMALL_CFG.splitlines()
+    line = next(i for i, text in enumerate(lines, 1) if text.startswith(f"{key} ="))
+    lines[line - 1] = f"{key} = {value}"
+    bad = tmp_path / "bad.cfg"
+    bad.write_text("\n".join(lines) + "\n")
+    assert run("optimize", str(bad), tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert key in err and f"bad.cfg:{line}:" in err
+
+
+def test_verify_battery_stays_sparse(monkeypatch):
+    # a dense n x n copy costs O(n^2) memory; no sparse matrix may be densified
+    import scipy.sparse as sp
+
+    from parctrl.cli import _verify_battery
+    from parctrl.config import build_problem
+
+    text = SMALL_CFG.replace("dim = 1\ncells = 32\n", "dim = 2\nnx = 6\nny = 5\n")
+    problem = build_problem(parse_config_text(text.replace("steps = 20", "steps = 8")))
+
+    def densify(self, *args, **kwargs):
+        raise AssertionError("sparse matrix densified")
+
+    for name in dir(sp):
+        cls = getattr(sp, name)
+        if isinstance(cls, type):
+            for klass in cls.__mro__:
+                if "toarray" in vars(klass):
+                    monkeypatch.setattr(klass, "toarray", densify)
+    checks = _verify_battery(problem)
+    assert checks and all(c["passed"] for c in checks)
+
+
 @pytest.mark.parametrize("command", ["solve", "optimize"])
 def test_unknown_variant_exits_2(tmp_path, capsys, command):
     text = SMALL_CFG.replace("q0 = constant(1.0)", "q0 = constant(1.0)\nvariant = neumann")

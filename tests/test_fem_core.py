@@ -18,7 +18,7 @@ from parctrl.fem_core import (
     inner_domain,
     inner_domain_time,
     lambda_alpha,
-    solve_spd,
+    spd_solver,
     trace_norm,
 )
 
@@ -202,29 +202,19 @@ def test_trace_bound_vanishes_away_from_gamma2(ops1d):
 def test_solve_spd_identity_and_manufactured(ops1d):
     rng = np.random.default_rng(3)
     b = rng.standard_normal(5)
-    assert np.allclose(solve_spd(sp.eye(5, format="csr"), b), b)
+    assert np.allclose(spd_solver(sp.eye(5, format="csr"))(b), b)
 
     A = (ops1d.stiffness + ops1d.mass).tocsr()
     x_true = rng.standard_normal(ops1d.n_nodes)
-    x = solve_spd(A, A @ x_true, tol=1e-12)
+    x = spd_solver(A)(A @ x_true)
     assert np.linalg.norm(x - x_true) < 1e-9 * np.linalg.norm(x_true)
-
-
-def test_solve_spd_iterative_path(ops1d):
-    # force the Jacobi-CG branch with direct_limit=0
-    rng = np.random.default_rng(4)
-    A = (ops1d.stiffness + ops1d.mass).tocsr()
-    x_true = rng.standard_normal(ops1d.n_nodes)
-    rhs = A @ x_true
-    x = solve_spd(A, rhs, tol=1e-12, direct_limit=0)
-    assert np.linalg.norm(A @ x - rhs) <= 1e-12 * np.linalg.norm(rhs)
 
 
 def test_solve_spd_2d_residual_contract(ops2d):
     rng = np.random.default_rng(5)
     A = (ops2d.stiffness + ops2d.mass).tocsr()
     rhs = rng.standard_normal(ops2d.n_nodes)
-    x = solve_spd(A, rhs, tol=1e-12)
+    x = spd_solver(A)(rhs)
     assert np.linalg.norm(A @ x - rhs) <= 1e-12 * np.linalg.norm(rhs)
 
 

@@ -15,6 +15,7 @@ from parctrl.fem_core import (
     norm_h1_time,
 )
 from parctrl.state_solvers import (
+    ParabolicStepper,
     ProblemSpec,
     solve_elliptic_dirichlet,
     solve_elliptic_robin,
@@ -270,3 +271,65 @@ def test_spec_validation_rejects_mismatched_initial(ops1d, grid, spec1d):
     spec1d.initial_temp[ops1d.dirichlet_nodes] += 0.1
     with pytest.raises(ValueError):
         solve_parabolic_dirichlet(ops1d, spec1d, zero_control(ops1d, grid), grid)
+
+
+def _dense_reference(ops, grid, alpha, lumped, initial, b, g, q, s):
+    """Forward and adjoint recursions with dense matrices and
+    numpy.linalg.solve; elimination replaces the GAMMA1 rows of the step
+    matrix by identity rows carrying the datum (zero for the adjoint)."""
+    mass = (ops.mass_lumped if lumped else ops.mass).toarray()
+    b1 = (ops.bmass_gamma1_lumped if lumped else ops.bmass_gamma1).toarray()
+    b2 = (ops.bmass_gamma2_lumped if lumped else ops.bmass_gamma2).toarray()
+    load2 = b2[:, ops.gamma2_nodes]
+    n, d, dt = ops.n_nodes, ops.dirichlet_nodes, grid.dt
+    b_ext = np.zeros(n)
+    b_ext[d] = b
+    if alpha is None:
+        a_mat = mass + dt * ops.stiffness.toarray()
+        a_mat[d, :] = 0.0
+        a_mat[d, d] = 1.0
+        const = np.zeros(n)
+    else:
+        a_mat = mass + dt * (ops.stiffness.toarray() + alpha * b1)
+        const = dt * alpha * (b1 @ b_ext)
+
+    def solve(rhs, fixed):
+        if alpha is None:
+            rhs = rhs.copy()
+            rhs[d] = fixed
+        return np.linalg.solve(a_mat, rhs)
+
+    nsteps = grid.n_steps
+    u = np.empty((nsteps + 1, n))
+    u[0] = initial
+    for k in range(1, nsteps + 1):
+        rhs = mass @ u[k - 1] + const + dt * (mass @ g[k]) - dt * (load2 @ q[k])
+        u[k] = solve(rhs, b)
+    p = np.zeros((nsteps + 2, n))
+    for k in range(nsteps, 0, -1):
+        p[k] = solve(mass @ p[k + 1] + dt * (mass @ s[k]), 0.0)
+    p[0] = solve(mass @ p[1], 0.0)
+    return u, p[:-1]
+
+
+@pytest.mark.parametrize("lumped", [False, True], ids=["consistent", "lumped"])
+@pytest.mark.parametrize("alpha", [None, 7.5], ids=["elimination", "robin"])
+def test_stepper_matches_dense_reference(alpha, lumped):
+    # nonzero datum, source, flux and adjoint source on a small 2D mesh
+    ops = assemble(fem_core.build_rect_mesh(5, 4, {"left", "bottom"}))
+    grid = TimeGrid(t_final=0.5, n_steps=6)
+    rng = np.random.default_rng(11)
+    n, m = ops.n_nodes, ops.gamma2_nodes.size
+    b = 1.0 + rng.random(ops.dirichlet_nodes.size)
+    initial = rng.standard_normal(n)
+    initial[ops.dirichlet_nodes] = b
+    g = rng.standard_normal((grid.n_steps + 1, n))
+    q = rng.standard_normal((grid.n_steps + 1, m))
+    s = rng.standard_normal((grid.n_steps + 1, n))
+
+    stepper = ParabolicStepper(ops, grid, alpha=alpha, lumped=lumped)
+    u = stepper.run(initial, b, g, q)
+    p = stepper.run_adjoint(s)
+    u_ref, p_ref = _dense_reference(ops, grid, alpha, lumped, initial, b, g, q, s)
+    assert np.max(np.abs(u - u_ref)) <= 1e-12 * np.max(np.abs(u_ref))
+    assert np.max(np.abs(p - p_ref)) <= 1e-12 * np.max(np.abs(p_ref))

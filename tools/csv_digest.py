@@ -3,13 +3,15 @@
     python tools/csv_digest.py
 
 Runs, into a temporary directory and for configs/benchmark1d.cfg and
-configs/benchmark2d.cfg: solve, lambda, sweep-alpha and decay; optimize for
-each control (boundary, distributed, simultaneous) with each variant
-(dirichlet, robin); and verify.  Prints one "sha256  <name>" line per CSV,
-named <config>/<run>/<file>, followed by each config's verify lines.  Nothing
-printed depends on the temporary directory or on wall time, so the output of
-two checkouts is equal exactly when their CSVs and verify results are.  Use it
-as the byte-identity check of a refactor: run it before and after, and diff.
+configs/benchmark2d.cfg: solve, sweep-alpha and decay; lambda for each scalar
+variant (parabolic, parabolic_robin, elliptic, elliptic_robin), so the steady
+solves are reached too; optimize for each control (boundary, distributed,
+simultaneous) with each variant (dirichlet, robin); and verify.  Prints one
+"sha256  <name>" line per CSV, named <config>/<run>/<file>, followed by each
+config's verify lines.  Nothing printed depends on the temporary directory or
+on wall time, so the output of two checkouts is equal exactly when their CSVs
+and verify results are.  Use it as the byte-identity check of a refactor: run
+it before and after, and diff.
 
 Standard library only; the package is imported from the src/ directory next
 to this script.
@@ -25,9 +27,10 @@ import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CONFIGS = ("benchmark1d", "benchmark2d")
-PLAIN_COMMANDS = ("solve", "lambda", "sweep-alpha", "decay")
+PLAIN_COMMANDS = ("solve", "sweep-alpha", "decay")
 CONTROLS = ("boundary", "distributed", "simultaneous")
 VARIANTS = ("dirichlet", "robin")
+SCALAR_VARIANTS = ("parabolic", "parabolic_robin", "elliptic", "elliptic_robin")
 
 
 def _with_data_keys(text, keys):
@@ -69,6 +72,8 @@ def main():
             with open(cfg_file, encoding="utf-8") as fh:
                 text = fh.read()
             runs = [(command, command, {}) for command in PLAIN_COMMANDS]
+            runs += [("lambda", f"lambda-{variant}", {"variant": variant})
+                     for variant in SCALAR_VARIANTS]
             runs += [("optimize", f"optimize-{control}-{variant}",
                       {"control": control, "variant": variant})
                      for control in CONTROLS for variant in VARIANTS]
