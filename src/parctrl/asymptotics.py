@@ -66,6 +66,19 @@ class DecayResult:
     coercivity: float
 
 
+def check_alphas(alphas) -> list:
+    """The sweep's coefficients as floats; ValueError naming the offending
+    entry unless each is finite and > 1 and they strictly increase."""
+    alphas = [float(a) for a in alphas]
+    for a in alphas:
+        if not (math.isfinite(a) and a > 1.0):
+            raise ValueError(f"alphas must be finite and exceed 1 (the boundary-"
+                             f"mismatch weight is sqrt(alpha - 1)), got {a}")
+    if any(b <= a for a, b in zip(alphas, alphas[1:])):
+        raise ValueError("alphas must be strictly increasing")
+    return alphas
+
+
 def alpha_sweep(ops: DiscreteOperators, spec: ProblemSpec, grid: TimeGrid,
                 alphas, q="optimize", tol: float = 1e-10) -> list:
     """Robin-to-Dirichlet gap per transfer coefficient.
@@ -75,12 +88,7 @@ def alpha_sweep(ops: DiscreteOperators, spec: ProblemSpec, grid: TimeGrid,
     compared too).  A non-converged optimization flags its row and the sweep
     continues.
     """
-    alphas = [float(a) for a in alphas]
-    if any(b <= a for a, b in zip(alphas, alphas[1:])):
-        raise ValueError("alphas must be strictly increasing")
-    if alphas[0] <= 1.0:
-        raise ValueError("alphas must all exceed 1 (the boundary-mismatch "
-                         "weight is sqrt(alpha - 1))")
+    alphas = check_alphas(alphas)
     spec.validate(ops, grid)
     b_ext = np.zeros(ops.n_nodes)
     b_ext[ops.dirichlet_nodes] = spec.boundary_temp

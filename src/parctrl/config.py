@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .asymptotics import check_alphas
 from .fem_core import (
     BoundaryControl,
     TimeField,
@@ -269,9 +270,11 @@ def build_problem(cfg: RawConfig) -> Problem:
 
     flux_penalty = _parse_positive(cfg, "weights", "flux_penalty", "1.0")
     source_penalty = _parse_positive(cfg, "weights", "source_penalty", "1.0")
-    alpha_text = cfg.get("weights", "alpha")
-    alpha = math.inf if alpha_text is None else _parse_float(
-        cfg, "weights", "alpha", alpha_text)
+    # an absent alpha imposes the datum exactly, as does an explicit inf
+    alpha = _parse_float(cfg, "weights", "alpha", cfg.get("weights", "alpha", "inf"))
+    if not alpha > 0:
+        raise ConfigError(f"key 'alpha' must be > 0, got {alpha}", cfg.path,
+                          cfg.line_of("weights", "alpha"))
     alphas_text = cfg.get("weights", "alphas")
     alphas = []
     if alphas_text is not None:
@@ -279,6 +282,11 @@ def build_problem(cfg: RawConfig) -> Problem:
             part = part.strip()
             if part:
                 alphas.append(_parse_float(cfg, "weights", "alphas", part))
+        try:
+            alphas = check_alphas(alphas)
+        except ValueError as exc:
+            raise ConfigError(f"key 'alphas': {exc}", cfg.path,
+                              cfg.line_of("weights", "alphas")) from exc
 
     spec = ProblemSpec(
         source=g, boundary_temp=b, initial_temp=v_b, target=z_d,

@@ -3,8 +3,12 @@
 Provides mesh construction with two-part boundary tagging (GAMMA1 carries the
 temperature datum, GAMMA2 the flux control), assembly of the stiffness, mass
 and boundary-mass matrices, the discrete coercivity and trace constants via
-power iterations, the sparse direct SPD factorization every linear solve
-uses, and the discrete inner products used by every other module.
+one pencil power iteration (inverse iteration for the smallest eigenvalue),
+the sparse direct SPD factorization every linear solve uses, and the discrete
+inner products used by every other module.  Trajectories are (N+1)-row
+arrays (TimeField; BoundaryControl is the same type over the GAMMA2 nodes)
+whose row 0 is inert, and every time integral of two of them goes through
+one right-endpoint rectangle pairing, _time_pairing.
 
 All assembled objects are immutable after construction and safe to share
 between threads; assembly and the eigen-iterations are single-threaded and
@@ -81,25 +85,12 @@ class TimeField:
         return cls(np.tile(np.asarray(nodal, dtype=float), (grid.n_steps + 1, 1)))
 
     def copy(self) -> "TimeField":
-        return TimeField(self.values.copy())
+        return type(self)(self.values.copy())
 
 
-@dataclass
-class BoundaryControl:
-    """Flux values on the GAMMA2 nodes per time step, shape (n_steps+1, m)."""
-
-    values: np.ndarray
-
-    @classmethod
-    def zeros(cls, grid: TimeGrid, n_gamma2: int) -> "BoundaryControl":
-        return cls(np.zeros((grid.n_steps + 1, n_gamma2)))
-
-    @classmethod
-    def constant_in_time(cls, grid: TimeGrid, nodal: np.ndarray) -> "BoundaryControl":
-        return cls(np.tile(np.asarray(nodal, dtype=float), (grid.n_steps + 1, 1)))
-
-    def copy(self) -> "BoundaryControl":
-        return BoundaryControl(self.values.copy())
+class BoundaryControl(TimeField):
+    """Flux values on the GAMMA2 nodes per time step, shape (n_steps+1, m):
+    the same (N+1)-row trajectory as TimeField, over the GAMMA2 nodes."""
 
 
 @dataclass
@@ -126,15 +117,6 @@ class Mesh:
             "elements": self.elements.tolist(),
             "boundary_facets": [[list(f), t] for f, t in self.boundary_facets],
         }
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "Mesh":
-        return cls(
-            dim=int(d["dim"]),
-            node_coords=np.asarray(d["node_coords"], dtype=float),
-            elements=np.asarray(d["elements"], dtype=int),
-            boundary_facets=[(tuple(f), t) for f, t in d["boundary_facets"]],
-        )
 
 
 def build_interval_mesh(n_cells: int, left: float = 0.0, right: float = 1.0,
@@ -339,48 +321,30 @@ def assemble(mesh: Mesh) -> DiscreteOperators:
     return ops
 
 
-def _start_vector(n):
-    # deterministic, not orthogonal to the slowly varying principal modes
-    return np.ones(n) + 1e-3 * np.linspace(0.0, 1.0, n)
+def _pencil_eig(a_mat, b_mat, largest, tol=EIG_TOL, max_iter=EIG_MAX_ITER):
+    """Extreme eigenvalue of A x = lam B x, A PSD and B SPD, by power iteration.
 
-
-def _smallest_pencil_eig(a_mat, b_mat, tol=EIG_TOL, max_iter=EIG_MAX_ITER):
-    """Smallest eigenvalue of A x = lam B x by inverse power iteration, both SPD."""
-    solve = spla.factorized(a_mat.tocsc())
-    x = _start_vector(a_mat.shape[0])
+    largest iterates x <- B^-1 A x; otherwise (A SPD) inverse iteration
+    x <- A^-1 B x finds the smallest.  Either way the iterate is B-normalized
+    and its Rayleigh quotient is the estimate.
+    """
+    factorized, applied = (b_mat, a_mat) if largest else (a_mat, b_mat)
+    solve = spla.factorized(factorized.tocsc())
+    # deterministic start, not orthogonal to the slowly varying principal modes
+    n = b_mat.shape[0]
+    x = np.ones(n) + 1e-3 * np.linspace(0.0, 1.0, n)
     x /= np.sqrt(x @ (b_mat @ x))
     lam_old = np.inf
     for _ in range(max_iter):
-        y = solve(b_mat @ x)
+        y = solve(applied @ x)
         bn = np.sqrt(y @ (b_mat @ y))
         if bn == 0.0:
-            raise EigenSolverError("inverse iteration produced a null vector")
+            raise EigenSolverError("power iteration produced a null vector")
         y /= bn
         lam = y @ (a_mat @ y)
         if abs(lam - lam_old) <= tol * abs(lam):
             return float(lam)
         lam_old = lam
-        x = y
-    raise EigenSolverError(f"inverse power iteration did not converge in {max_iter} iterations")
-
-
-def _largest_pencil_eig(a_mat, b_mat, tol=EIG_TOL, max_iter=EIG_MAX_ITER):
-    """Largest eigenvalue of A x = mu B x by power iteration; A PSD, B SPD."""
-    solve = spla.factorized(b_mat.tocsc())
-    x = _start_vector(b_mat.shape[0])
-    x /= np.sqrt(x @ (b_mat @ x))
-    mu_old = np.inf
-    for _ in range(max_iter):
-        ax = a_mat @ x
-        y = solve(ax)
-        bn = np.sqrt(y @ (b_mat @ y))
-        if bn == 0.0:
-            raise EigenSolverError("power iteration start vector lies in the kernel")
-        y /= bn
-        mu = y @ (a_mat @ y)
-        if abs(mu - mu_old) <= tol * abs(mu):
-            return float(mu)
-        mu_old = mu
         x = y
     raise EigenSolverError(f"power iteration did not converge in {max_iter} iterations")
 
@@ -401,13 +365,13 @@ def coercivity_constant(ops: DiscreteOperators, space: str) -> float:
         b_mat = v_mat
     else:
         raise ValueError(f"unknown space {space!r}, expected 'v0' or 'v_robin'")
-    return _smallest_pencil_eig(a_mat, b_mat)
+    return _pencil_eig(a_mat, b_mat, largest=False)
 
 
 def trace_norm(ops: DiscreteOperators) -> float:
     """Discrete operator norm of the GAMMA2 trace: sqrt of the largest
     eigenvalue of B2 x = mu (K+M) x over all of V."""
-    mu = _largest_pencil_eig(ops.bmass_gamma2, ops.v_matrix())
+    mu = _pencil_eig(ops.bmass_gamma2, ops.v_matrix(), largest=True)
     return float(np.sqrt(mu))
 
 
@@ -434,6 +398,12 @@ def spd_solver(a_mat: sp.spmatrix):
 # discrete inner products; time integrals use the right-endpoint rectangle
 # rule sum_{k=1..N} dt * (.,.) so the backward-Euler adjoint is exact
 # ---------------------------------------------------------------------------
+
+def _time_pairing(mat, a: np.ndarray, b: np.ndarray) -> float:
+    """sum_{k=1..N} a_k . (mat b_k) over two (N+1)-row trajectories: the
+    rectangle-rule pairing before its factor dt; row 0 never enters."""
+    return float(np.sum(a[1:] * (mat @ b[1:].T).T))
+
 
 def inner_domain(ops: DiscreteOperators, u: np.ndarray, v: np.ndarray) -> float:
     u, v = np.asarray(u), np.asarray(v)
@@ -466,16 +436,14 @@ def inner_domain_time(grid: TimeGrid, ops: DiscreteOperators,
                       u: TimeField, v: TimeField) -> float:
     _check_field(grid, ops, u)
     _check_field(grid, ops, v)
-    uu, vv = u.values[1:], v.values[1:]
-    return grid.dt * float(np.sum(uu * (ops.mass @ vv.T).T))
+    return grid.dt * _time_pairing(ops.mass, u.values, v.values)
 
 
 def inner_boundary_time(grid: TimeGrid, ops: DiscreteOperators,
                         q: BoundaryControl, r: BoundaryControl) -> float:
     _check_control(grid, ops, q)
     _check_control(grid, ops, r)
-    qq, rr = q.values[1:], r.values[1:]
-    return grid.dt * float(np.sum(qq * (ops.bmass_gamma2_sub @ rr.T).T))
+    return grid.dt * _time_pairing(ops.bmass_gamma2_sub, q.values, r.values)
 
 
 def norm_domain_time(grid, ops, u: TimeField) -> float:
@@ -489,13 +457,11 @@ def norm_boundary_time(grid, ops, q: BoundaryControl) -> float:
 def norm_h1_time(grid, ops, u: TimeField) -> float:
     """L2-in-time H1-in-space norm: sum_k dt * u_k (K+M) u_k, square-rooted."""
     _check_field(grid, ops, u)
-    v_mat = ops.v_matrix()
-    uu = u.values[1:]
-    return float(np.sqrt(max(grid.dt * np.sum(uu * (v_mat @ uu.T).T), 0.0)))
+    return float(np.sqrt(max(grid.dt * _time_pairing(ops.v_matrix(), u.values, u.values), 0.0)))
 
 
 def norm_gamma1_time(grid, ops, u: TimeField) -> float:
     """L2-in-time L2(GAMMA1)-in-space norm of a full nodal field."""
     _check_field(grid, ops, u)
-    uu = u.values[1:]
-    return float(np.sqrt(max(grid.dt * np.sum(uu * (ops.bmass_gamma1 @ uu.T).T), 0.0)))
+    return float(np.sqrt(max(grid.dt * _time_pairing(ops.bmass_gamma1, u.values, u.values),
+                             0.0)))

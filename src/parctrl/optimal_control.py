@@ -33,6 +33,7 @@ from .fem_core import (
     TimeField,
     TimeGrid,
     _check_control,
+    _time_pairing,
     lambda_alpha,
 )
 from .state_solvers import ParabolicStepper, ProblemSpec, variant_alpha
@@ -59,13 +60,11 @@ class OptimResult:
 
 def _domain_sq(grid, ops, rows):
     # sum_k dt * rows_k M rows_k over k = 1..N
-    r = rows[1:]
-    return grid.dt * float(np.sum(r * (ops.mass @ r.T).T))
+    return grid.dt * _time_pairing(ops.mass, rows, rows)
 
 
 def _boundary_sq(grid, ops, rows):
-    r = rows[1:]
-    return grid.dt * float(np.sum(r * (ops.bmass_gamma2_sub @ r.T).T))
+    return grid.dt * _time_pairing(ops.bmass_gamma2_sub, rows, rows)
 
 
 def tracking_cost(ops: DiscreteOperators, spec: ProblemSpec, q: BoundaryControl,
@@ -119,9 +118,9 @@ class _ReducedProblem:
         ops, n_g = self.ops, self.n_g
         parts = []
         if self.g_fixed is None:
-            parts.append(np.sum(a[1:, :n_g] * (ops.mass @ b[1:, :n_g].T).T))
+            parts.append(_time_pairing(ops.mass, a[:, :n_g], b[:, :n_g]))
         if self.q_fixed is None:
-            parts.append(np.sum(a[1:, n_g:] * (ops.bmass_gamma2_sub @ b[1:, n_g:].T).T))
+            parts.append(_time_pairing(ops.bmass_gamma2_sub, a[:, n_g:], b[:, n_g:]))
         return self.grid.dt * float(sum(parts))
 
     def _riesz(self, gv, qv, p):
@@ -286,7 +285,7 @@ def control_gap_estimate(ops: DiscreteOperators, spec: ProblemSpec, grid: TimeGr
     diff = BoundaryControl(bnd.q_opt.values - sim.q_opt.values)
     lhs = math.sqrt(_boundary_sq(grid, ops, diff.values))
     alpha = variant_alpha(spec, variant)
-    if alpha is None or math.isinf(alpha):
+    if math.isinf(alpha):
         coercivity = ops.lambda0
     else:
         coercivity = lambda_alpha(ops, alpha)

@@ -6,14 +6,14 @@ from three building-block solves (datum only, unit flux only, source only).
 The minimizer is -lin/(2*quad) in closed form, for the parabolic and steady
 problems with either the Dirichlet or the Robin condition on GAMMA1.  Each
 variant name maps to a transfer coefficient through state_solvers.variant_alpha,
-and the solves route through ParabolicStepper or the one steady body, which
-alone decide how that coefficient imposes the datum.
+and the solves route through ParabolicStepper or the steady body, whose one
+GAMMA1 helper alone decides how that coefficient imposes the datum.
 
-The monotonicity check compares two such solutions nodewise.  It requires the
-lumped mass matrix and the non-obtuse meshes produced by the mesh builders:
-that combination makes the system matrix an M-matrix, so ordered data yield
-ordered solutions; with consistent mass the ordering can fail spuriously, and
-the check refuses to run rather than report noise.
+The monotonicity check compares two such solutions nodewise.  It always runs
+on the lumped mass matrix, over the non-obtuse meshes produced by the mesh
+builders: that combination makes the system matrix an M-matrix, so ordered
+data yield ordered solutions; with consistent mass the ordering can fail
+spuriously, so there is no consistent-mass option.
 
 All spatial quadratures reuse the assembled mass and boundary-mass matrices,
 never pointwise products, so every inner product refers to one discrete
@@ -33,6 +33,7 @@ from .fem_core import (
     TimeField,
     TimeGrid,
     _check_control,
+    _time_pairing,
 )
 from .optimal_control import _boundary_sq, _domain_sq, tracking_cost
 from .state_solvers import (
@@ -122,8 +123,7 @@ def scalar_optimum(ops: DiscreteOperators, spec: ProblemSpec, q0: BoundaryContro
         drift = u_b.values + u_g.values - spec.target.values
         quad = (0.5 * weight * _boundary_sq(grid, ops, q0.values)
                 + 0.5 * _domain_sq(grid, ops, u_q0.values))
-        uq = u_q0.values[1:]
-        lin = grid.dt * float(np.sum(uq * (ops.mass @ drift[1:].T).T))
+        lin = grid.dt * _time_pairing(ops.mass, u_q0.values, drift)
         const = 0.5 * _domain_sq(grid, ops, drift)
     else:
         z_row = spec.target.values[-1]
@@ -165,7 +165,6 @@ def _require(cond, hypothesis):
 def monotonicity_check(ops: DiscreteOperators, spec: ProblemSpec, grid: TimeGrid,
                        lam1: float, lam2: float, g1: TimeField, g2: TimeField,
                        q0: BoundaryControl, variant: str = "parabolic",
-                       use_lumped: bool = True,
                        spec_upper: ProblemSpec | None = None) -> dict:
     """Nodewise comparison of the two restricted solutions.
 
@@ -176,9 +175,6 @@ def monotonicity_check(ops: DiscreteOperators, spec: ProblemSpec, grid: TimeGrid
     (lower solution - upper solution) over all steps and nodes.
     """
     _check_variant(variant)
-    if not use_lumped:
-        raise ValueError("the comparison principle requires the lumped mass "
-                         "matrix; refusing to run with consistent mass")
     spec.validate(ops, grid)
     upper = spec_upper if spec_upper is not None else spec
     upper.validate(ops, grid)

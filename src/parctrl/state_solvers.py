@@ -3,13 +3,13 @@
 Parabolic problems are discretized by backward Euler: unconditionally stable,
 monotone with lumped mass, and its algebraic transpose is again a backward
 recursion, which is what makes the discrete optimality identities exact.
-Only ParabolicStepper.__init__ and its steady counterpart _solve_steady turn
-the transfer coefficient alpha into a system: +inf (or None) eliminates the
-GAMMA1 rows/columns and lifts the datum; finite alpha > 0 keeps all nodes and
-adds alpha * (boundary mass).  The choice only fixes the unknown rows, the
-lift and the constant load; the forward march, the adjoint march and the
-steady solve then run one code path for both, through one sparse direct
-factorization.  variant_alpha maps 'dirichlet'/'robin' onto alpha, and each
+Only _Gamma1Imposition turns the transfer coefficient alpha into a system,
+for ParabolicStepper and the steady solve _solve_steady alike: +inf
+eliminates the GAMMA1 rows/columns and lifts the datum; finite alpha > 0
+keeps all nodes and adds alpha * (boundary mass).  The choice only fixes the
+unknown rows, the factorization, the lift and the constant load; the forward
+march, the adjoint march and the steady solve then run one code path for
+both.  variant_alpha maps 'dirichlet'/'robin' onto alpha, and each
 *_dirichlet/*_robin pair delegates to one shared body.
 
 Solvers are pure functions of immutable inputs; concurrent calls are safe.
@@ -83,42 +83,66 @@ def _gamma2_load(ops, lumped):
     return b2[:, ops.gamma2_nodes].tocsr()
 
 
-class ParabolicStepper:
-    """Prefactored backward-Euler marcher for one boundary-condition system.
+class _Gamma1Imposition:
+    """How the GAMMA1 datum enters one linear system: its unknown rows, its
+    factorization, and the datum's lift and load.
 
-    This constructor, with _solve_steady for the steady problem, is the one
-    place that turns a transfer coefficient into a linear system: alpha None
-    or +inf eliminates the GAMMA1 rows and lifts the datum; finite alpha > 0
-    keeps all nodes and adds alpha * (GAMMA1 boundary mass).  The same
-    factorization drives the forward state recursion and its exact transpose,
-    the backward adjoint recursion.
+    alpha +inf (None is read as +inf) eliminates the GAMMA1 rows and columns;
+    finite alpha > 0 keeps all nodes and adds alpha * B1, the lumped or
+    consistent GAMMA1 boundary mass.  The matrix is M + dt * (K [+ alpha B1])
+    for a backward-Euler step and K [+ alpha B1] when steady (mass None, dt 1).
     """
 
-    def __init__(self, ops: DiscreteOperators, grid: TimeGrid, alpha=None,
-                 lumped: bool = False):
-        if alpha == math.inf:
-            alpha = None
-        if alpha is not None and not alpha > 0:
+    def __init__(self, ops: DiscreteOperators, alpha, lumped: bool, mass=None,
+                 dt: float = 1.0):
+        alpha = math.inf if alpha is None else alpha
+        if not alpha > 0:
             raise ValueError(f"transfer coefficient must be > 0, got {alpha}")
-        self.ops = ops
-        self.grid = grid
-        self.alpha = alpha
-        self.lumped = lumped
-        self.mass = ops.mass_lumped if lumped else ops.mass
-        self.load_gamma2 = _gamma2_load(ops, lumped)
-        dt = grid.dt
-        if alpha is None:
-            a_full = (self.mass + dt * ops.stiffness).tocsr()
+        self.ops, self.alpha, self.dt = ops, alpha, dt
+
+        def volume(spatial):
+            return spatial if mass is None else mass + dt * spatial
+
+        if math.isinf(alpha):
+            a_full = volume(ops.stiffness).tocsr()
             f, d = ops.free_nodes, ops.dirichlet_nodes
             self._a_fd = a_full[np.ix_(f, d)].tocsr()
-            self._unknowns = f
-            self._solve = spd_solver(a_full[np.ix_(f, f)].tocsr())
+            self.rows = f
+            self.solve = spd_solver(a_full[np.ix_(f, f)].tocsr())
         else:
-            b1 = ops.bmass_gamma1_lumped if lumped else ops.bmass_gamma1
-            a_full = (self.mass + dt * (ops.stiffness + alpha * b1)).tocsr()
-            self._robin_b1 = b1
-            self._unknowns = slice(None)
-            self._solve = spd_solver(a_full)
+            self._b1 = ops.bmass_gamma1_lumped if lumped else ops.bmass_gamma1
+            self.rows = slice(None)
+            self.solve = spd_solver(volume(ops.stiffness + alpha * self._b1).tocsr())
+
+    def lift_and_load(self, b):
+        """(lift, load) of the GAMMA1 datum b, to subtract from and add to the
+        right-hand side: elimination has a lift, Robin a transfer load.  The
+        unused one is 0.0 or -0.0: x - 0.0 and x + -0.0 equal x bit for bit
+        (+0.0 would turn -0.0 into 0.0), so every value stays unchanged.
+        """
+        if math.isinf(self.alpha):
+            return self._a_fd @ b, -0.0
+        b_ext = np.zeros(self.ops.n_nodes)
+        b_ext[self.ops.dirichlet_nodes] = b
+        return 0.0, self.dt * self.alpha * (self._b1 @ b_ext)
+
+
+class ParabolicStepper:
+    """Prefactored backward-Euler marcher for the system _Gamma1Imposition
+    builds from alpha and lumped.  The same factorization drives the forward
+    state recursion and its exact transpose, the backward adjoint recursion.
+    """
+
+    def __init__(self, ops: DiscreteOperators, grid: TimeGrid, alpha=math.inf,
+                 lumped: bool = False):
+        mass = ops.mass_lumped if lumped else ops.mass
+        self._gamma1 = _Gamma1Imposition(ops, alpha, lumped, mass, grid.dt)
+        self.ops = ops
+        self.grid = grid
+        self.alpha = self._gamma1.alpha
+        self.lumped = lumped
+        self.mass = mass
+        self.load_gamma2 = _gamma2_load(ops, lumped)
 
     def run(self, initial, boundary_temp=None, source_values=None,
             flux_values=None) -> np.ndarray:
@@ -132,23 +156,15 @@ class ParabolicStepper:
         b = np.zeros(ops.dirichlet_nodes.size) if boundary_temp is None else boundary_temp
         # elimination keeps the datum on GAMMA1; Robin overwrites these entries
         u[1:, ops.dirichlet_nodes] = b
-        # elimination subtracts a lift from the free rows, Robin adds a
-        # constant transfer load; x - 0.0 and x + -0.0 equal x bit for bit
-        # (+0.0 would turn -0.0 into 0.0), so each leaves the other's term inert
-        if self.alpha is None:
-            lift, load = self._a_fd @ b, -0.0
-        else:
-            b_ext = np.zeros(n)
-            b_ext[ops.dirichlet_nodes] = b
-            lift, load = 0.0, dt * self.alpha * (self._robin_b1 @ b_ext)
-        rows = self._unknowns
+        lift, load = self._gamma1.lift_and_load(b)
+        rows, solve = self._gamma1.rows, self._gamma1.solve
         for k in range(1, nsteps + 1):
             rhs = self.mass @ u[k - 1] + load
             if source_values is not None:
                 rhs = rhs + dt * (self.mass @ source_values[k])
             if flux_values is not None:
                 rhs = rhs - dt * (self.load_gamma2 @ flux_values[k])
-            u[k, rows] = self._solve(rhs[rows] - lift)
+            u[k, rows] = solve(rhs[rows] - lift)
         return u
 
     def run_adjoint(self, source_values: np.ndarray) -> np.ndarray:
@@ -163,27 +179,23 @@ class ParabolicStepper:
         nsteps = grid.n_steps
         p = np.zeros((nsteps + 1, n))
         p_next = np.zeros(n)
-        rows = self._unknowns
+        rows, solve = self._gamma1.rows, self._gamma1.solve
         for k in range(nsteps, 0, -1):
             rhs = self.mass @ p_next + dt * (self.mass @ source_values[k])
-            p[k, rows] = self._solve(rhs[rows])
+            p[k, rows] = solve(rhs[rows])
             p_next = p[k]
-        p[0, rows] = self._solve((self.mass @ p[1])[rows])
+        p[0, rows] = solve((self.mass @ p[1])[rows])
         return p
 
 
 def _solve_steady(ops: DiscreteOperators, g, q, b, alpha, lumped: bool = False):
     """Steady solution: K u = M g - (GAMMA2 load) q with the datum b on GAMMA1,
-    imposed as ParabolicStepper imposes it (alpha None or +inf: exactly;
+    imposed by _Gamma1Imposition as in ParabolicStepper (alpha +inf: exactly;
     finite alpha > 0: through the transfer term alpha * B1).
 
     lumped selects the lumped boundary masses, which keep the Robin system an
     M-matrix on non-obtuse meshes, as the comparison principle needs.
     """
-    if alpha == math.inf:
-        alpha = None
-    if alpha is not None and not alpha > 0:
-        raise ValueError(f"transfer coefficient must be > 0, got {alpha}")
     g = np.asarray(g, dtype=float)
     q = np.asarray(q, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -193,30 +205,21 @@ def _solve_steady(ops: DiscreteOperators, g, q, b, alpha, lumped: bool = False):
         raise ValueError(f"q has shape {q.shape}, expected ({ops.gamma2_nodes.size},)")
     if b.shape != (ops.dirichlet_nodes.size,):
         raise ValueError(f"b has shape {b.shape}, expected ({ops.dirichlet_nodes.size},)")
+    gamma1 = _Gamma1Imposition(ops, alpha, lumped)
     rhs = ops.mass @ g - _gamma2_load(ops, lumped) @ q
     u = np.empty(ops.n_nodes)
     # elimination keeps the datum on GAMMA1; Robin overwrites these entries
     u[ops.dirichlet_nodes] = b
-    if alpha is None:
-        f, d = ops.free_nodes, ops.dirichlet_nodes
-        rows, a_mat = f, ops.stiffness[np.ix_(f, f)].tocsr()
-        lift, load = ops.stiffness[np.ix_(f, d)] @ b, -0.0
-    else:
-        b1 = ops.bmass_gamma1_lumped if lumped else ops.bmass_gamma1
-        b_ext = np.zeros(ops.n_nodes)
-        b_ext[ops.dirichlet_nodes] = b
-        rows, a_mat = slice(None), (ops.stiffness + alpha * b1).tocsr()
-        # the unused lift or load is inert bit for bit, as in ParabolicStepper.run
-        lift, load = 0.0, alpha * (b1 @ b_ext)
-    u[rows] = spd_solver(a_mat)(rhs[rows] + load - lift)
+    lift, load = gamma1.lift_and_load(b)
+    u[gamma1.rows] = gamma1.solve(rhs[gamma1.rows] + load - lift)
     return u
 
 
 def variant_alpha(spec: ProblemSpec, variant: str):
-    """Transfer coefficient of a named boundary variant: None (exact
+    """Transfer coefficient of a named boundary variant: +inf (exact
     imposition) for 'dirichlet', spec.transfer_coeff for 'robin'."""
     if variant == "dirichlet":
-        return None
+        return math.inf
     if variant == "robin":
         return spec.transfer_coeff
     raise ValueError(f"unknown variant {variant!r}, expected 'dirichlet' or 'robin'")
@@ -236,7 +239,7 @@ def _solve_parabolic(ops: DiscreteOperators, spec: ProblemSpec, q: BoundaryContr
 def solve_parabolic_dirichlet(ops: DiscreteOperators, spec: ProblemSpec,
                               q: BoundaryControl, grid: TimeGrid) -> TimeField:
     """Backward-Euler solution with the temperature datum imposed exactly."""
-    return _solve_parabolic(ops, spec, q, grid, None)
+    return _solve_parabolic(ops, spec, q, grid, math.inf)
 
 
 def solve_parabolic_robin(ops: DiscreteOperators, spec: ProblemSpec,
@@ -260,6 +263,6 @@ def solve_elliptic_robin(ops: DiscreteOperators, g: np.ndarray, q: np.ndarray,
                          b: np.ndarray, alpha: float | None) -> np.ndarray:
     """Steady solution with the Robin condition: (K + alpha B1) u = rhs.
 
-    alpha None or +inf imposes the datum exactly.
+    alpha +inf (or None) imposes the datum exactly.
     """
     return _solve_steady(ops, g, q, b, alpha)

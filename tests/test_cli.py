@@ -192,9 +192,13 @@ def test_unread_keys_are_rejected(tmp_path, capsys, section, key):
 @pytest.mark.parametrize("key,value", [("t_final", "nan"), ("t_final", "inf"),
                                        ("flux_penalty", "nan"),
                                        ("source_penalty", "nan"),
-                                       ("opt_tol", "nan")])
+                                       ("opt_tol", "nan"),
+                                       ("alpha", "nan"), ("alpha", "-inf"),
+                                       ("alphas", "10, nan"), ("alphas", "10, inf")])
 def test_non_finite_values_are_rejected(tmp_path, capsys, key, value):
-    # "<= 0" checks let nan through; every one of these must be finite and > 0
+    # "<= 0" checks let nan through; every one of these must be > 0 and all
+    # but alpha finite (alpha = inf imposes the datum exactly; sweep entries
+    # must also exceed 1)
     lines = SMALL_CFG.splitlines()
     line = next(i for i, text in enumerate(lines, 1) if text.startswith(f"{key} ="))
     lines[line - 1] = f"{key} = {value}"
@@ -228,7 +232,7 @@ def test_verify_battery_stays_sparse(monkeypatch):
     assert checks and all(c["passed"] for c in checks)
 
 
-@pytest.mark.parametrize("command", ["solve", "optimize"])
+@pytest.mark.parametrize("command", ["solve", "optimize", "lambda"])
 def test_unknown_variant_exits_2(tmp_path, capsys, command):
     text = SMALL_CFG.replace("q0 = constant(1.0)", "q0 = constant(1.0)\nvariant = neumann")
     bad = tmp_path / "bad.cfg"

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -294,16 +296,32 @@ def test_eigensolver_iteration_cap(ops1d):
     f = ops1d.free_nodes
     a_mat = ops1d.stiffness[np.ix_(f, f)].tocsc()
     b_mat = (ops1d.stiffness + ops1d.mass)[np.ix_(f, f)].tocsr()
-    with pytest.raises(fem_core.EigenSolverError):
-        fem_core._smallest_pencil_eig(a_mat, b_mat, max_iter=0)
-    with pytest.raises(fem_core.EigenSolverError):
-        fem_core._largest_pencil_eig(ops1d.bmass_gamma2, ops1d.v_matrix(), max_iter=0)
+    # one power iteration serves both ends of the spectrum; both stop at the cap
+    with pytest.raises(fem_core.EigenSolverError, match="did not converge in 0"):
+        fem_core._pencil_eig(a_mat, b_mat, largest=False, max_iter=0)
+    with pytest.raises(fem_core.EigenSolverError, match="did not converge in 0"):
+        fem_core._pencil_eig(ops1d.bmass_gamma2, ops1d.v_matrix(), largest=True,
+                             max_iter=0)
+    # and with room to run, each end agrees with the dense pencil spectrum
+    import scipy.linalg
+
+    lams = scipy.linalg.eigh(a_mat.toarray(), b_mat.toarray(), eigvals_only=True)
+    assert fem_core._pencil_eig(a_mat, b_mat, largest=False) == pytest.approx(
+        lams[0], rel=1e-8)
+    mus = scipy.linalg.eigh(ops1d.bmass_gamma2.toarray(), ops1d.v_matrix().toarray(),
+                            eigvals_only=True)
+    assert fem_core._pencil_eig(ops1d.bmass_gamma2, ops1d.v_matrix(),
+                                largest=True) == pytest.approx(mus[-1], rel=1e-8)
 
 
-def test_mesh_json_roundtrip():
+def test_mesh_json_dict_fields():
+    # the JSON form written to mesh.json: plain lists, facets as [nodes, tag]
     mesh = build_rect_mesh(3, 2, {"top", "left"})
-    back = fem_core.Mesh.from_json_dict(mesh.to_json_dict())
-    assert back.dim == mesh.dim
-    assert np.allclose(back.node_coords, mesh.node_coords)
-    assert np.array_equal(back.elements, mesh.elements)
-    assert back.boundary_facets == mesh.boundary_facets
+    d = mesh.to_json_dict()
+    assert sorted(d) == ["boundary_facets", "dim", "elements", "node_coords"]
+    assert d["dim"] == 2
+    assert d["node_coords"] == mesh.node_coords.tolist()
+    assert d["elements"] == mesh.elements.tolist()
+    assert d["boundary_facets"] == [[list(f), t] for f, t in mesh.boundary_facets]
+    assert all(t in (fem_core.GAMMA1, fem_core.GAMMA2) for _, t in d["boundary_facets"])
+    json.dumps(d)  # serializable as it stands

@@ -172,14 +172,6 @@ def test_monotonicity_names_failing_hypothesis(ops1d, grid, spec1d):
         monotonicity_check(ops1d, spec1d, grid, 1.0, 0.0, g, g, mixed, "parabolic")
 
 
-def test_monotonicity_refuses_consistent_mass(ops1d, grid, spec1d):
-    q0 = unit_q0(ops1d, grid)
-    g = TimeField.zeros(grid, ops1d.n_nodes)
-    with pytest.raises(ValueError, match="lumped"):
-        monotonicity_check(ops1d, spec1d, grid, 1.0, 0.0, g, g, q0, "parabolic",
-                           use_lumped=False)
-
-
 def test_scale_trajectory_runs_and_is_logged(ops1d, grid):
     spec = make_spec(ops1d, grid, source_value=0.4, bump=0.0)
     q0 = unit_q0(ops1d, grid)

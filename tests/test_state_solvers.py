@@ -333,3 +333,37 @@ def test_stepper_matches_dense_reference(alpha, lumped):
     u_ref, p_ref = _dense_reference(ops, grid, alpha, lumped, initial, b, g, q, s)
     assert np.max(np.abs(u - u_ref)) <= 1e-12 * np.max(np.abs(u_ref))
     assert np.max(np.abs(p - p_ref)) <= 1e-12 * np.max(np.abs(p_ref))
+
+
+@pytest.mark.parametrize("lumped", [False, True], ids=["consistent", "lumped"])
+@pytest.mark.parametrize("alpha", [math.inf, 7.5], ids=["elimination", "robin"])
+def test_steady_solve_matches_dense_reference(alpha, lumped):
+    # nonzero datum, source and flux on a small 2D mesh; the source pairs with
+    # the consistent mass, the boundary terms with the selected boundary masses
+    from parctrl.state_solvers import _solve_steady
+
+    ops = assemble(fem_core.build_rect_mesh(5, 4, {"left", "bottom"}))
+    rng = np.random.default_rng(12)
+    n, d = ops.n_nodes, ops.dirichlet_nodes
+    b = 1.0 + rng.random(d.size)
+    g = rng.standard_normal(n)
+    q = rng.standard_normal(ops.gamma2_nodes.size)
+
+    b1 = (ops.bmass_gamma1_lumped if lumped else ops.bmass_gamma1).toarray()
+    b2 = (ops.bmass_gamma2_lumped if lumped else ops.bmass_gamma2).toarray()
+    rhs = ops.mass.toarray() @ g - b2[:, ops.gamma2_nodes] @ q
+    if math.isinf(alpha):
+        # identity rows carry the datum on GAMMA1
+        a_mat = ops.stiffness.toarray()
+        a_mat[d, :] = 0.0
+        a_mat[d, d] = 1.0
+        rhs[d] = b
+    else:
+        b_ext = np.zeros(n)
+        b_ext[d] = b
+        a_mat = ops.stiffness.toarray() + alpha * b1
+        rhs = rhs + alpha * (b1 @ b_ext)
+    u_ref = np.linalg.solve(a_mat, rhs)
+
+    u = _solve_steady(ops, g, q, b, alpha, lumped=lumped)
+    assert np.max(np.abs(u - u_ref)) <= 1e-12 * np.max(np.abs(u_ref))

@@ -7,11 +7,13 @@ configs/benchmark2d.cfg: solve, sweep-alpha and decay; lambda for each scalar
 variant (parabolic, parabolic_robin, elliptic, elliptic_robin), so the steady
 solves are reached too; optimize for each control (boundary, distributed,
 simultaneous) with each variant (dirichlet, robin); and verify.  Prints one
-"sha256  <name>" line per CSV, named <config>/<run>/<file>, followed by each
-config's verify lines.  Nothing printed depends on the temporary directory or
-on wall time, so the output of two checkouts is equal exactly when their CSVs
-and verify results are.  Use it as the byte-identity check of a refactor: run
-it before and after, and diff.
+"sha256  <name>" line per CSV and per run's mesh.json, named
+<config>/<run>/<file>, then "<hash>  <config>/<run>/manifest.json:mesh.hash"
+with the mesh hash the run's manifest records, followed by each config's
+verify lines.  Nothing printed depends on the temporary directory or on wall
+time, so the output of two checkouts is equal exactly when their CSVs, mesh
+files, mesh hashes and verify results are.  Use it as the byte-identity check
+of a refactor: run it before and after, and diff.
 
 Standard library only; the package is imported from the src/ directory next
 to this script.
@@ -20,6 +22,7 @@ to this script.
 from __future__ import annotations
 
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -57,10 +60,13 @@ def _run(command, config_path, out_dir):
 def _digests(name, out_dir):
     lines = []
     for fname in sorted(os.listdir(out_dir)):
-        if fname.endswith(".csv"):
+        if fname.endswith(".csv") or fname == "mesh.json":
             with open(os.path.join(out_dir, fname), "rb") as fh:
                 digest = hashlib.sha256(fh.read()).hexdigest()
             lines.append(f"{digest}  {name}/{fname}")
+    with open(os.path.join(out_dir, "manifest.json"), encoding="utf-8") as fh:
+        mesh_hash = json.load(fh)["mesh"]["hash"]
+    lines.append(f"{mesh_hash}  {name}/manifest.json:mesh.hash")
     return lines
 
 
