@@ -245,28 +245,13 @@ def _data_entry(cfg, key, kind, ops, grid, required=False):
 
 def build_problem(cfg: RawConfig) -> Problem:
     mesh = _build_mesh(cfg)
-    ops = assemble(mesh)
+    # every key that does not need the operators is checked before assembly
     t_final = _parse_float(cfg, "grid", "t_final", cfg.require("grid", "t_final"))
     steps = _parse_int(cfg, "grid", "steps", cfg.require("grid", "steps"))
     try:
         grid = TimeGrid(t_final=t_final, n_steps=steps)
     except ValueError as exc:
         raise ConfigError(str(exc), cfg.path, cfg.line_of("grid", "t_final")) from exc
-
-    g = _data_entry(cfg, "g", "field", ops, grid, required=True)
-    z_d = _data_entry(cfg, "z_d", "field", ops, grid, required=True)
-    b = _data_entry(cfg, "b", "gamma1", ops, grid, required=True)
-    v_b_field = _data_entry(cfg, "v_b", "field", ops, grid, required=True)
-    v_b = v_b_field.values[0].copy()
-    # profiles evaluate trig at boundary points with roundoff; snap when the
-    # mismatch is clearly numerical noise, reject otherwise
-    gap = np.abs(v_b[ops.dirichlet_nodes] - b)
-    scale = max(float(np.max(np.abs(v_b))), float(np.max(np.abs(b))), 1.0)
-    if np.max(gap) > 1e-12 * scale:
-        raise ConfigError("v_b disagrees with b on the gamma1 nodes "
-                          f"(max gap {np.max(gap):.3e})", cfg.path,
-                          cfg.line_of("data", "v_b"))
-    v_b[ops.dirichlet_nodes] = b
 
     flux_penalty = _parse_positive(cfg, "weights", "flux_penalty", "1.0")
     source_penalty = _parse_positive(cfg, "weights", "source_penalty", "1.0")
@@ -288,6 +273,28 @@ def build_problem(cfg: RawConfig) -> Problem:
             raise ConfigError(f"key 'alphas': {exc}", cfg.path,
                               cfg.line_of("weights", "alphas")) from exc
 
+    control = cfg.get("data", "control", "boundary")
+    if control not in ("boundary", "distributed", "simultaneous"):
+        raise ConfigError(f"control must be boundary, distributed or simultaneous, "
+                          f"got {control!r}", cfg.path, cfg.line_of("data", "control"))
+    opt_tol = _parse_positive(cfg, "tolerances", "opt_tol", "1e-10")
+
+    ops = assemble(mesh)
+    g = _data_entry(cfg, "g", "field", ops, grid, required=True)
+    z_d = _data_entry(cfg, "z_d", "field", ops, grid, required=True)
+    b = _data_entry(cfg, "b", "gamma1", ops, grid, required=True)
+    v_b_field = _data_entry(cfg, "v_b", "field", ops, grid, required=True)
+    v_b = v_b_field.values[0].copy()
+    # profiles evaluate trig at boundary points with roundoff; snap when the
+    # mismatch is clearly numerical noise, reject otherwise
+    gap = np.abs(v_b[ops.dirichlet_nodes] - b)
+    scale = max(float(np.max(np.abs(v_b))), float(np.max(np.abs(b))), 1.0)
+    if np.max(gap) > 1e-12 * scale:
+        raise ConfigError("v_b disagrees with b on the gamma1 nodes "
+                          f"(max gap {np.max(gap):.3e})", cfg.path,
+                          cfg.line_of("data", "v_b"))
+    v_b[ops.dirichlet_nodes] = b
+
     spec = ProblemSpec(
         source=g, boundary_temp=b, initial_temp=v_b, target=z_d,
         flux_penalty=flux_penalty, source_penalty=source_penalty,
@@ -298,12 +305,6 @@ def build_problem(cfg: RawConfig) -> Problem:
         raise ConfigError(str(exc), cfg.path) from exc
 
     variant = cfg.get("data", "variant", "dirichlet")
-    control = cfg.get("data", "control", "boundary")
-    if control not in ("boundary", "distributed", "simultaneous"):
-        raise ConfigError(f"control must be boundary, distributed or simultaneous, "
-                          f"got {control!r}", cfg.path, cfg.line_of("data", "control"))
-
-    opt_tol = _parse_positive(cfg, "tolerances", "opt_tol", "1e-10")
     plots = cfg.get("output", "plots", "false").lower() in ("true", "1", "yes")
 
     q_mode = "fixed"

@@ -2,13 +2,14 @@
 
 Provides mesh construction with two-part boundary tagging (GAMMA1 carries the
 temperature datum, GAMMA2 the flux control), assembly of the stiffness, mass
-and boundary-mass matrices, the discrete coercivity and trace constants via
-one pencil power iteration (inverse iteration for the smallest eigenvalue),
-the sparse direct SPD factorization every linear solve uses, and the discrete
-inner products used by every other module.  Trajectories are (N+1)-row
-arrays (TimeField; BoundaryControl is the same type over the GAMMA2 nodes)
-whose row 0 is inert, and every time integral of two of them goes through
-one right-endpoint rectangle pairing, _time_pairing.
+and boundary-mass matrices (each one batched scatter, _scatter, of local
+matrices computed for all cells at once), the discrete coercivity and trace
+constants via one pencil power iteration (inverse iteration for the smallest
+eigenvalue), the sparse direct SPD factorization every linear solve uses,
+and the discrete inner products used by every other module.  Trajectories
+are (N+1)-row arrays (TimeField; BoundaryControl is the same type over the
+GAMMA2 nodes) whose row 0 is inert, and every time integral of two of them
+goes through one right-endpoint rectangle pairing, _time_pairing.
 
 All assembled objects are immutable after construction and safe to share
 between threads; assembly and the eigen-iterations are single-threaded and
@@ -161,21 +162,18 @@ def build_rect_mesh(nx: int, ny: int, gamma1_edges) -> Mesh:
     xs = np.linspace(0.0, 1.0, nx + 1)
     ys = np.linspace(0.0, 1.0, ny + 1)
     # node (i, j) -> j*(nx+1) + i
-    coords = np.array([[x, y] for y in ys for x in xs])
+    coords = np.column_stack([np.tile(xs, ny + 1), np.repeat(ys, nx + 1)])
 
     def nid(i, j):
         return j * (nx + 1) + i
 
-    tris = []
-    for j in range(ny):
-        for i in range(nx):
-            n00, n10 = nid(i, j), nid(i + 1, j)
-            n01, n11 = nid(i, j + 1), nid(i + 1, j + 1)
-            # split along the lower-left to upper-right diagonal: both halves
-            # are right isoceles, so the lumped-mass maximum principle holds
-            tris.append((n00, n10, n11))
-            tris.append((n00, n11, n01))
-    elements = np.asarray(tris, dtype=int)
+    ids = np.arange(coords.shape[0]).reshape(ny + 1, nx + 1)
+    n00, n10 = ids[:-1, :-1].ravel(), ids[:-1, 1:].ravel()
+    n01, n11 = ids[1:, :-1].ravel(), ids[1:, 1:].ravel()
+    # two triangles per cell, cells j-major as the nodes; split along the
+    # lower-left to upper-right diagonal: both halves are right isoceles, so
+    # the lumped-mass maximum principle holds
+    elements = np.column_stack([n00, n10, n11, n00, n11, n01]).reshape(-1, 3)
 
     def tag_for(edge):
         return GAMMA1 if edge in edges else GAMMA2
@@ -229,42 +227,55 @@ class DiscreteOperators:
         return (self.stiffness + self.mass).tocsr()
 
 
-def _interval_local(h):
+def _interval_local(coords):
+    """Stiffness and mass matrices of P1 intervals, coords (ne, 2, 1) ->
+    two (ne, 2, 2) arrays."""
+    h = (coords[:, 1, 0] - coords[:, 0, 0])[:, None, None]
+    if np.any(h <= 0.0):
+        raise MeshError("zero-area element encountered during assembly")
     k = np.array([[1.0, -1.0], [-1.0, 1.0]]) / h
     m = np.array([[2.0, 1.0], [1.0, 2.0]]) * (h / 6.0)
     return k, m
 
 
 def _triangle_local(coords):
-    x, y = coords[:, 0], coords[:, 1]
-    area2 = (x[1] - x[0]) * (y[2] - y[0]) - (x[2] - x[0]) * (y[1] - y[0])
-    area = 0.5 * abs(area2)
-    if area <= 0.0:
+    """Stiffness and mass matrices of P1 triangles, coords (ne, 3, 2) ->
+    two (ne, 3, 3) arrays."""
+    x, y = coords[:, :, 0], coords[:, :, 1]
+    area2 = ((x[:, 1] - x[:, 0]) * (y[:, 2] - y[:, 0])
+             - (x[:, 2] - x[:, 0]) * (y[:, 1] - y[:, 0]))
+    area = 0.5 * np.abs(area2)[:, None, None]
+    if np.any(area <= 0.0):
         raise MeshError("zero-area element encountered during assembly")
-    b = np.array([y[1] - y[2], y[2] - y[0], y[0] - y[1]]) / area2
-    c = np.array([x[2] - x[1], x[0] - x[2], x[1] - x[0]]) / area2
-    k = area * (np.outer(b, b) + np.outer(c, c))
+    b = np.column_stack([y[:, 1] - y[:, 2], y[:, 2] - y[:, 0], y[:, 0] - y[:, 1]])
+    c = np.column_stack([x[:, 2] - x[:, 1], x[:, 0] - x[:, 2], x[:, 1] - x[:, 0]])
+    b, c = b / area2[:, None], c / area2[:, None]
+    k = area * (b[:, :, None] * b[:, None, :] + c[:, :, None] * c[:, None, :])
     m = area / 12.0 * (np.ones((3, 3)) + np.eye(3))
     return k, m
 
 
+def _scatter(n, cells, local):
+    """n x n matrix summing each cell's (p, p) local matrix into the rows and
+    columns of its p nodes.  The triplets run cell by cell, row-major within a
+    cell, which fixes the order in which duplicates are summed."""
+    p = cells.shape[1]
+    rows = np.repeat(cells, p, axis=1).ravel()
+    cols = np.tile(cells, (1, p)).ravel()
+    return sp.csr_matrix((local.ravel(), (rows, cols)), shape=(n, n))
+
+
 def _facet_mass(mesh, tag):
-    n = mesh.n_nodes
-    rows, cols, vals = [], [], []
-    for facet, t in mesh.boundary_facets:
-        if t != tag:
-            continue
-        if len(facet) == 1:
-            # 1D: the boundary measure is the counting measure
-            rows.append(facet[0]); cols.append(facet[0]); vals.append(1.0)
-        else:
-            i, j = facet
-            length = float(np.linalg.norm(mesh.node_coords[j] - mesh.node_coords[i]))
-            loc = np.array([[2.0, 1.0], [1.0, 2.0]]) * (length / 6.0)
-            for a, ga in enumerate((i, j)):
-                for b_, gb in enumerate((i, j)):
-                    rows.append(ga); cols.append(gb); vals.append(loc[a, b_])
-    return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+    cells = np.array([f for f, t in mesh.boundary_facets if t == tag],
+                     dtype=int).reshape(-1, mesh.dim)
+    if mesh.dim == 1:
+        # 1D: the boundary measure is the counting measure
+        local = np.ones((cells.shape[0], 1, 1))
+    else:
+        edge = mesh.node_coords[cells[:, 1]] - mesh.node_coords[cells[:, 0]]
+        length = np.linalg.norm(edge, axis=1)[:, None, None]
+        local = np.array([[2.0, 1.0], [1.0, 2.0]]) * (length / 6.0)
+    return _scatter(mesh.n_nodes, cells, local)
 
 
 def _lump(mat: sp.csr_matrix) -> sp.csr_matrix:
@@ -275,23 +286,10 @@ def assemble(mesh: Mesh) -> DiscreteOperators:
     """Assemble all bilinear forms with exact element quadrature and compute
     the spectral constants."""
     n = mesh.n_nodes
-    rows, cols, kvals, mvals = [], [], [], []
-    for elem in mesh.elements:
-        coords = mesh.node_coords[list(elem)]
-        if mesh.dim == 1:
-            h = coords[1, 0] - coords[0, 0]
-            if h <= 0.0:
-                raise MeshError("zero-area element encountered during assembly")
-            k_loc, m_loc = _interval_local(h)
-        else:
-            k_loc, m_loc = _triangle_local(coords)
-        for a, ga in enumerate(elem):
-            for b, gb in enumerate(elem):
-                rows.append(ga); cols.append(gb)
-                kvals.append(k_loc[a, b]); mvals.append(m_loc[a, b])
-
-    stiffness = sp.csr_matrix((kvals, (rows, cols)), shape=(n, n))
-    mass = sp.csr_matrix((mvals, (rows, cols)), shape=(n, n))
+    local = _interval_local if mesh.dim == 1 else _triangle_local
+    k_loc, m_loc = local(mesh.node_coords[mesh.elements])
+    stiffness = _scatter(n, mesh.elements, k_loc)
+    mass = _scatter(n, mesh.elements, m_loc)
     b1 = _facet_mass(mesh, GAMMA1)
     b2 = _facet_mass(mesh, GAMMA2)
 
@@ -377,7 +375,7 @@ def trace_norm(ops: DiscreteOperators) -> float:
 
 def lambda_alpha(ops: DiscreteOperators, alpha: float) -> float:
     """Coercivity constant of the Robin form: lambda1 * min(1, alpha)."""
-    if alpha <= 0:
+    if not alpha > 0:
         raise ValueError(f"alpha must be > 0, got {alpha}")
     return ops.lambda1 * min(1.0, alpha)
 

@@ -209,6 +209,30 @@ def test_non_finite_values_are_rejected(tmp_path, capsys, key, value):
     assert key in err and f"bad.cfg:{line}:" in err
 
 
+@pytest.mark.parametrize("key,value", [("t_final", "0"), ("t_final", "nan"),
+                                       ("opt_tol", "-1"), ("opt_tol", "nan"),
+                                       ("flux_penalty", "0"), ("alphas", "10, 5"),
+                                       ("control", "nowhere")])
+def test_bad_keys_fail_before_assembly(tmp_path, capsys, monkeypatch, key, value):
+    # keys that need no operators are checked before assembly, which on a
+    # large mesh costs seconds
+    def no_assembly(mesh):
+        raise AssertionError("assembled before the config was checked")
+
+    monkeypatch.setattr("parctrl.config.assemble", no_assembly)
+    lines = SMALL_CFG.splitlines()
+    at = next((i for i, text in enumerate(lines) if text.startswith(f"{key} =")), None)
+    if at is None:
+        at = lines.index("[data]") + 1
+        lines.insert(at, "")
+    lines[at] = f"{key} = {value}"
+    bad = tmp_path / "bad.cfg"
+    bad.write_text("\n".join(lines) + "\n")
+    assert run("optimize", str(bad), tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert key in err and f"bad.cfg:{at + 1}:" in err
+
+
 def test_verify_battery_stays_sparse(monkeypatch):
     # a dense n x n copy costs O(n^2) memory; no sparse matrix may be densified
     import scipy.sparse as sp

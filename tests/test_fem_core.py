@@ -1,9 +1,11 @@
 import json
+from itertools import combinations
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import assembly_reference
 from parctrl import fem_core
 from parctrl.fem_core import (
     GAMMA1,
@@ -165,8 +167,10 @@ def test_robin_coercivity_1d_limit(ops1d_fine):
 def test_lambda_alpha_formula(ops1d):
     assert np.isclose(lambda_alpha(ops1d, 0.5), 0.5 * ops1d.lambda1)
     assert np.isclose(lambda_alpha(ops1d, 2.0), ops1d.lambda1)
-    with pytest.raises(ValueError):
-        lambda_alpha(ops1d, -1.0)
+    assert lambda_alpha(ops1d, np.inf) == ops1d.lambda1
+    for bad in (-1.0, 0.0, np.nan, -np.inf):
+        with pytest.raises(ValueError, match="alpha must be > 0"):
+            lambda_alpha(ops1d, bad)
 
 
 def test_spectral_certificates(ops1d, ops2d):
@@ -290,6 +294,70 @@ def test_assemble_rejects_degenerate_element():
     broken.node_coords[tri[2]] = broken.node_coords[tri[0]]
     with pytest.raises(fem_core.MeshError, match="zero-area"):
         assemble(broken)
+
+
+@pytest.mark.parametrize("moved_to", [0.25, 0.125], ids=["zero-length", "reversed"])
+def test_assemble_rejects_degenerate_interval(moved_to):
+    # node 2 sits at 0.5; moving it onto or behind node 1 (at 0.25) makes
+    # element 1 of zero or negative length
+    mesh = build_interval_mesh(4, 0.0, 1.0, "left")
+    mesh.node_coords[2, 0] = moved_to
+    with pytest.raises(fem_core.MeshError, match="zero-area"):
+        assemble(mesh)
+
+
+GAMMA1_SUBSETS = [set(edges) for r in (1, 2, 3)
+                  for edges in combinations(fem_core.RECT_EDGES, r)]
+
+
+@pytest.fixture()
+def matrices_only(monkeypatch):
+    # the spectral constants are functions of the matrices compared here;
+    # skipping their power iterations keeps the exhaustive sweep cheap
+    monkeypatch.setattr(fem_core, "coercivity_constant", lambda ops, space: 0.0)
+    monkeypatch.setattr(fem_core, "trace_norm", lambda ops: 0.0)
+
+
+def assert_same_bits(ops, mesh):
+    for name, want in assembly_reference.operators(mesh).items():
+        got = getattr(ops, name)
+        for part in ("indptr", "indices", "data"):
+            a, b = getattr(got, part), getattr(want, part)
+            assert a.dtype == b.dtype and a.shape == b.shape, (name, part)
+            assert np.array_equal(a.view(np.uint8), b.view(np.uint8)), (name, part)
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_assembly_matches_loop_oracle_1d(side, matrices_only):
+    for cells in range(2, 41):
+        mesh = build_interval_mesh(cells, 0.0, 1.0, side)
+        assert_same_bits(assemble(mesh), mesh)
+
+
+@pytest.mark.parametrize("edges", GAMMA1_SUBSETS,
+                         ids=["-".join(sorted(e)) for e in GAMMA1_SUBSETS])
+def test_assembly_matches_loop_oracle_2d(edges, matrices_only):
+    for nx in range(2, 9):
+        for ny in range(2, 9):
+            mesh = build_rect_mesh(nx, ny, edges)
+            looped = assembly_reference.rect_mesh(nx, ny, edges)
+            assert mesh.to_json_dict() == looped.to_json_dict()
+            assert mesh.node_coords.tobytes() == looped.node_coords.tobytes()
+            assert mesh.elements.dtype == looped.elements.dtype
+            assert_same_bits(assemble(mesh), looped)
+
+
+def test_assembly_matches_loop_oracle_on_general_triangles(matrices_only):
+    # interior nodes moved off the lattice: every triangle has its own shape,
+    # while the boundary edges stay axis-aligned
+    rng = np.random.default_rng(17)
+    for nx, ny in ((3, 2), (5, 7), (8, 8)):
+        mesh = build_rect_mesh(nx, ny, {"bottom", "right"})
+        x, y = mesh.node_coords[:, 0], mesh.node_coords[:, 1]
+        interior = (x > 0) & (x < 1) & (y > 0) & (y < 1)
+        step = np.array([1.0 / nx, 1.0 / ny])
+        mesh.node_coords[interior] += 0.2 * step * rng.uniform(-1, 1, (interior.sum(), 2))
+        assert_same_bits(assemble(mesh), mesh)
 
 
 def test_eigensolver_iteration_cap(ops1d):

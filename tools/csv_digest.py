@@ -10,17 +10,24 @@ simultaneous) with each variant (dirichlet, robin); and verify.  Prints one
 "sha256  <name>" line per CSV and per run's mesh.json, named
 <config>/<run>/<file>, then "<hash>  <config>/<run>/manifest.json:mesh.hash"
 with the mesh hash the run's manifest records, followed by each config's
-verify lines.  Nothing printed depends on the temporary directory or on wall
-time, so the output of two checkouts is equal exactly when their CSVs, mesh
-files, mesh hashes and verify results are.  Use it as the byte-identity check
-of a refactor: run it before and after, and diff.
+verify lines.  Last come the assembled operators of both configs and of a
+150x150 rectangle mesh with GAMMA1 on the left edge, the size of the
+solve-2d-150 benchmark: one "sha256  operators/<mesh>/<field>.<part>:<dtype>"
+line per array (the mesh's node_coords and elements, each sparse matrix's
+indptr, indices and data, the node index sets), then "repr" lines of lambda0,
+lambda1 and trace_norm.  Nothing printed depends on the temporary directory
+or on wall time, so the output of two checkouts is equal exactly when their
+CSVs, mesh files, mesh hashes, verify results and operators are, bit for
+bit.  Use it as the byte-identity check of a refactor: run it before and
+after, and diff.
 
-Standard library only; the package is imported from the src/ directory next
-to this script.
+The CLI runs in subprocesses; the operators are assembled in this process.
+Either way the package comes from the src/ directory next to this script.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -70,6 +77,36 @@ def _digests(name, out_dir):
     return lines
 
 
+def _operator_lines(label, ops):
+    arrays = [("mesh.node_coords", ops.mesh.node_coords),
+              ("mesh.elements", ops.mesh.elements)]
+    constants = []
+    for f in dataclasses.fields(ops):
+        value = getattr(ops, f.name)
+        if isinstance(value, float):
+            constants.append(f"operators/{label}/{f.name} = {value!r}")
+        elif hasattr(value, "indptr"):
+            arrays += [(f"{f.name}.{part}", getattr(value, part))
+                       for part in ("indptr", "indices", "data")]
+        elif hasattr(value, "dtype"):
+            arrays.append((f.name, value))
+    lines = [f"{hashlib.sha256(a.tobytes()).hexdigest()}  operators/{label}/{name}:{a.dtype}"
+             for name, a in arrays]
+    return lines + constants
+
+
+def _operators():
+    sys.path.insert(0, os.path.join(ROOT, "src"))
+    from parctrl.config import build_problem, load_config
+    from parctrl.fem_core import LEFT, assemble, build_rect_mesh
+
+    lines = []
+    for cfg in CONFIGS:
+        problem = build_problem(load_config(os.path.join(ROOT, "configs", cfg + ".cfg")))
+        lines += _operator_lines(cfg, problem.ops)
+    return lines + _operator_lines("rect150-left", assemble(build_rect_mesh(150, 150, {LEFT})))
+
+
 def main():
     digests, verify_lines = [], []
     with tempfile.TemporaryDirectory() as tmp:
@@ -95,7 +132,7 @@ def main():
                 digests += _digests(f"{cfg}/{name}", out_dir)
                 if command == "verify":
                     verify_lines += [f"{cfg}: {line}" for line in stdout.splitlines()]
-    print("\n".join(digests + verify_lines))
+    print("\n".join(digests + verify_lines + _operators()))
 
 
 if __name__ == "__main__":
