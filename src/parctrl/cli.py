@@ -4,8 +4,10 @@
 
 Commands: solve | optimize | lambda | sweep-alpha | decay | verify.  Every run
 writes its CSV outputs plus a JSON manifest echoing the config text, the mesh
-hash, the spectral constants and wall time; re-running a command from the
-manifest (pass the manifest path as --config) reproduces byte-identical CSVs.
+hash, the spectral constants the command read (verify reads all three, decay
+lambda0, and trace_norm when forced; the others none) and wall time;
+re-running a command from the manifest (pass the manifest path as --config)
+reproduces byte-identical CSVs.
 Exit codes: 0 success, 1 failed verify properties, 2 validation errors,
 3 solver non-convergence.
 """
@@ -62,15 +64,16 @@ def _write_csv(path, header, rows):
 
 
 def write_field_csv(path, grid, values):
+    # row by row: the state's factorization stays cached on ops meanwhile,
+    # and every row's strings at once would stack on top of it
     n = values.shape[1]
     header = "step,time," + ",".join(f"n{i}" for i in range(n))
     times = grid.times()
-    rows = [[str(k), _fmt(times[k])] + [_fmt(v) for v in values[k]]
-            for k in range(values.shape[0])]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(row) + "\n")
+        for k in range(values.shape[0]):
+            fh.write(",".join([str(k), _fmt(times[k])]
+                              + [_fmt(v) for v in values[k]]) + "\n")
 
 
 def write_control_csv(path, grid, ops, values):
@@ -151,11 +154,7 @@ def _write_manifest(out_dir, command, problem, outputs, results, wall_time):
             "file": "mesh.json",
         },
         "grid": {"t_final": problem.grid.t_final, "steps": problem.grid.n_steps},
-        "constants": {
-            "lambda0": problem.ops.lambda0,
-            "lambda1": problem.ops.lambda1,
-            "trace_norm": problem.ops.trace_norm,
-        },
+        "constants": problem.ops.constants_read(),
         "outputs": outputs,
         "results": results,
         "wall_time_s": wall_time,

@@ -248,6 +248,9 @@ def build_problem(cfg: RawConfig) -> Problem:
     # every key that does not need the operators is checked before assembly
     t_final = _parse_float(cfg, "grid", "t_final", cfg.require("grid", "t_final"))
     steps = _parse_int(cfg, "grid", "steps", cfg.require("grid", "steps"))
+    if steps < 1:
+        raise ConfigError(f"key 'steps' must be >= 1, got {steps}", cfg.path,
+                          cfg.line_of("grid", "steps"))
     try:
         grid = TimeGrid(t_final=t_final, n_steps=steps)
     except ValueError as exc:

@@ -11,14 +11,17 @@ are (N+1)-row arrays (TimeField; BoundaryControl is the same type over the
 GAMMA2 nodes) whose row 0 is inert, and every time integral of two of them
 goes through one right-endpoint rectangle pairing, _time_pairing.
 
-All assembled objects are immutable after construction and safe to share
-between threads; assembly and the eigen-iterations are single-threaded and
-deterministic.
+The assembled matrices are never modified after assembly.  The spectral
+constants are computed on first read and kept, as are the factorized systems
+the solvers look up (state_solvers); both caches live and die with their
+DiscreteOperators.  The library is single-threaded: an ops is not to be
+shared between threads.  Assembly and the eigen-iterations are deterministic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -190,7 +193,8 @@ def build_rect_mesh(nx: int, ny: int, gamma1_edges) -> Mesh:
 
 @dataclass
 class DiscreteOperators:
-    """Assembled P1 matrices plus the discrete spectral constants.
+    """Assembled P1 matrices; the discrete spectral constants are computed
+    on first read.
 
     stiffness            K,   houses the gradient form
     mass / mass_lumped   M_H, houses the L2(Omega) product
@@ -199,6 +203,8 @@ class DiscreteOperators:
     lambda0              coercivity of the gradient form on {v: v=0 on GAMMA1}
     lambda1              coercivity of gradient form + GAMMA1 mass on all of V
     trace_norm           discrete norm of the GAMMA2 trace operator
+    systems              factorized linear systems by (alpha, lumped, dt or
+                         None when steady), filled by state_solvers
     """
 
     mesh: Mesh
@@ -212,15 +218,32 @@ class DiscreteOperators:
     dirichlet_nodes: np.ndarray
     gamma2_nodes: np.ndarray
     free_nodes: np.ndarray
-    lambda0: float = 0.0
-    lambda1: float = 0.0
-    trace_norm: float = 0.0
     # |GAMMA2| x |GAMMA2| Gram matrix of the control space
     bmass_gamma2_sub: sp.csr_matrix = field(default=None, repr=False)
+    systems: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def n_nodes(self) -> int:
         return self.mesh.n_nodes
+
+    # each constant costs a factorization and a power iteration, and only
+    # the estimates read them
+    @cached_property
+    def lambda0(self) -> float:
+        return coercivity_constant(self, "v0")
+
+    @cached_property
+    def lambda1(self) -> float:
+        return coercivity_constant(self, "v_robin")
+
+    @cached_property
+    def trace_norm(self) -> float:
+        return trace_norm(self)
+
+    def constants_read(self) -> dict:
+        """The spectral constants computed so far, by name."""
+        return {name: self.__dict__[name] for name in ("lambda0", "lambda1", "trace_norm")
+                if name in self.__dict__}
 
     def v_matrix(self) -> sp.csr_matrix:
         """Gram matrix of the H1 norm: gradient part plus mass."""
@@ -283,8 +306,7 @@ def _lump(mat: sp.csr_matrix) -> sp.csr_matrix:
 
 
 def assemble(mesh: Mesh) -> DiscreteOperators:
-    """Assemble all bilinear forms with exact element quadrature and compute
-    the spectral constants."""
+    """Assemble all bilinear forms with exact element quadrature."""
     n = mesh.n_nodes
     local = _interval_local if mesh.dim == 1 else _triangle_local
     k_loc, m_loc = local(mesh.node_coords[mesh.elements])
@@ -299,7 +321,7 @@ def assemble(mesh: Mesh) -> DiscreteOperators:
         raise MeshError("both boundary parts must have positive measure")
     free = np.setdiff1d(np.arange(n), dirichlet)
 
-    ops = DiscreteOperators(
+    return DiscreteOperators(
         mesh=mesh,
         stiffness=stiffness,
         mass=mass,
@@ -313,10 +335,6 @@ def assemble(mesh: Mesh) -> DiscreteOperators:
         free_nodes=free,
         bmass_gamma2_sub=b2[np.ix_(gamma2, gamma2)].tocsr(),
     )
-    ops.lambda0 = coercivity_constant(ops, "v0")
-    ops.lambda1 = coercivity_constant(ops, "v_robin")
-    ops.trace_norm = trace_norm(ops)
-    return ops
 
 
 def _pencil_eig(a_mat, b_mat, largest, tol=EIG_TOL, max_iter=EIG_MAX_ITER):
@@ -384,10 +402,8 @@ def spd_solver(a_mat: sp.spmatrix):
     """Return a deterministic solve callable for an SPD matrix: its sparse
     direct factorization, at every size.
 
-    The eigen-iterations in assemble factorize matrices of the same size and
-    sparsity, so any problem that gets this far has already survived one;
-    with a fill-reducing ordering, fill for 2D P1 matrices grows near-linearly
-    (George, SIAM J. Numer. Anal. 1973).
+    With a fill-reducing ordering, fill for 2D P1 matrices grows
+    near-linearly (George, SIAM J. Numer. Anal. 1973).
     """
     return spla.factorized(a_mat.tocsc())
 

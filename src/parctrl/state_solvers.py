@@ -12,7 +12,9 @@ march, the adjoint march and the steady solve then run one code path for
 both.  variant_alpha maps 'dirichlet'/'robin' onto alpha, and each
 *_dirichlet/*_robin pair delegates to one shared body.
 
-Solvers are pure functions of immutable inputs; concurrent calls are safe.
+Every solver gets its _Gamma1Imposition from _imposition, which keeps one
+per system in ops.systems, so each distinct system is factorized once per
+ops.  The cache is per ops and unlocked: the library is single-threaded.
 """
 
 from __future__ import annotations
@@ -87,21 +89,22 @@ class _Gamma1Imposition:
     """How the GAMMA1 datum enters one linear system: its unknown rows, its
     factorization, and the datum's lift and load.
 
-    alpha +inf (None is read as +inf) eliminates the GAMMA1 rows and columns;
-    finite alpha > 0 keeps all nodes and adds alpha * B1, the lumped or
-    consistent GAMMA1 boundary mass.  The matrix is M + dt * (K [+ alpha B1])
-    for a backward-Euler step and K [+ alpha B1] when steady (mass None, dt 1).
+    alpha +inf eliminates the GAMMA1 rows and columns; finite alpha > 0
+    keeps all nodes and adds alpha * B1, the lumped or consistent GAMMA1
+    boundary mass.  The matrix is M + dt * (K [+ alpha B1]) for a
+    backward-Euler step, M lumped or consistent, and K [+ alpha B1] when
+    steady (dt None).
     """
 
-    def __init__(self, ops: DiscreteOperators, alpha, lumped: bool, mass=None,
-                 dt: float = 1.0):
-        alpha = math.inf if alpha is None else alpha
-        if not alpha > 0:
-            raise ValueError(f"transfer coefficient must be > 0, got {alpha}")
-        self.ops, self.alpha, self.dt = ops, alpha, dt
+    def __init__(self, ops: DiscreteOperators, alpha, lumped: bool, dt=None):
+        # only the node sets, so the cache entry holds no reference to ops
+        self.n_nodes, self.dirichlet_nodes = ops.n_nodes, ops.dirichlet_nodes
+        self.alpha = alpha
+        self.dt = 1.0 if dt is None else dt
+        mass = ops.mass_lumped if lumped else ops.mass
 
         def volume(spatial):
-            return spatial if mass is None else mass + dt * spatial
+            return spatial if dt is None else mass + dt * spatial
 
         if math.isinf(alpha):
             a_full = volume(ops.stiffness).tocsr()
@@ -122,9 +125,25 @@ class _Gamma1Imposition:
         """
         if math.isinf(self.alpha):
             return self._a_fd @ b, -0.0
-        b_ext = np.zeros(self.ops.n_nodes)
-        b_ext[self.ops.dirichlet_nodes] = b
+        b_ext = np.zeros(self.n_nodes)
+        b_ext[self.dirichlet_nodes] = b
         return 0.0, self.dt * self.alpha * (self._b1 @ b_ext)
+
+
+def _imposition(ops: DiscreteOperators, alpha, lumped: bool,
+                dt=None) -> _Gamma1Imposition:
+    """The _Gamma1Imposition of one system on ops, built on first use and
+    kept in ops.systems under (alpha, lumped, dt); dt None is the steady
+    system.  alpha None is read as +inf; any alpha not > 0 raises before
+    anything is cached.
+    """
+    alpha = math.inf if alpha is None else alpha
+    if not alpha > 0:
+        raise ValueError(f"transfer coefficient must be > 0, got {alpha}")
+    key = (alpha, lumped, dt)
+    if key not in ops.systems:
+        ops.systems[key] = _Gamma1Imposition(ops, alpha, lumped, dt)
+    return ops.systems[key]
 
 
 class ParabolicStepper:
@@ -135,13 +154,12 @@ class ParabolicStepper:
 
     def __init__(self, ops: DiscreteOperators, grid: TimeGrid, alpha=math.inf,
                  lumped: bool = False):
-        mass = ops.mass_lumped if lumped else ops.mass
-        self._gamma1 = _Gamma1Imposition(ops, alpha, lumped, mass, grid.dt)
+        self._gamma1 = _imposition(ops, alpha, lumped, grid.dt)
         self.ops = ops
         self.grid = grid
         self.alpha = self._gamma1.alpha
         self.lumped = lumped
-        self.mass = mass
+        self.mass = ops.mass_lumped if lumped else ops.mass
         self.load_gamma2 = _gamma2_load(ops, lumped)
 
     def run(self, initial, boundary_temp=None, source_values=None,
@@ -205,7 +223,7 @@ def _solve_steady(ops: DiscreteOperators, g, q, b, alpha, lumped: bool = False):
         raise ValueError(f"q has shape {q.shape}, expected ({ops.gamma2_nodes.size},)")
     if b.shape != (ops.dirichlet_nodes.size,):
         raise ValueError(f"b has shape {b.shape}, expected ({ops.dirichlet_nodes.size},)")
-    gamma1 = _Gamma1Imposition(ops, alpha, lumped)
+    gamma1 = _imposition(ops, alpha, lumped)
     rhs = ops.mass @ g - _gamma2_load(ops, lumped) @ q
     u = np.empty(ops.n_nodes)
     # elimination keeps the datum on GAMMA1; Robin overwrites these entries

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 
 import pytest
@@ -57,7 +58,50 @@ def test_solve_command(cfg_path, tmp_path):
     assert len(u) == 22  # header + 21 steps
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["command"] == "solve"
-    assert "lambda0" in manifest["constants"]
+    # the spectral constants are computed on first read, and solve reads none
+    assert manifest["constants"] == {}
+
+
+FORCED = "q0 = constant(1.0)\ng_inf = constant(1.0)\nq_inf = constant(0.5)"
+
+
+@pytest.mark.parametrize("command,extra,names", [
+    ("verify", None, ["lambda0", "lambda1", "trace_norm"]),
+    ("decay", None, ["lambda0"]),
+    ("decay", FORCED, ["lambda0", "trace_norm"]),
+    ("optimize", None, []),
+    ("lambda", None, []),
+    ("sweep-alpha", None, []),
+], ids=["verify", "decay", "decay-forced", "optimize", "lambda", "sweep-alpha"])
+def test_manifest_lists_the_constants_read(tmp_path, command, extra, names):
+    from parctrl.fem_core import (assemble, build_interval_mesh, coercivity_constant,
+                                  trace_norm)
+
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(SMALL_CFG if extra is None
+                   else SMALL_CFG.replace("q0 = constant(1.0)", extra))
+    out = tmp_path / "out"
+    assert run(command, str(cfg), out) == 0
+    constants = json.loads((out / "manifest.json").read_text())["constants"]
+    ops = assemble(build_interval_mesh(32, 0.0, 1.0, "left"))
+    computed = {"lambda0": coercivity_constant(ops, "v0"),
+                "lambda1": coercivity_constant(ops, "v_robin"),
+                "trace_norm": trace_norm(ops)}
+    assert constants == {name: computed[name] for name in names}
+
+
+def test_solve_runs_no_power_iteration(cfg_path, tmp_path, monkeypatch):
+    from parctrl import fem_core
+
+    def no_power_iteration(*args, **kwargs):
+        raise AssertionError("power iteration run")
+
+    monkeypatch.setattr(fem_core, "_pencil_eig", no_power_iteration)
+    fem_core.assemble(fem_core.build_rect_mesh(4, 3, {"left"}))
+    out1, out2 = tmp_path / "out1", tmp_path / "out2"
+    assert run("solve", cfg_path, out1) == 0
+    assert run("solve", str(out1 / "manifest.json"), out2) == 0
+    assert (out1 / "u.csv").read_bytes() == (out2 / "u.csv").read_bytes()
 
 
 def test_optimize_command(cfg_path, tmp_path):
@@ -210,6 +254,7 @@ def test_non_finite_values_are_rejected(tmp_path, capsys, key, value):
 
 
 @pytest.mark.parametrize("key,value", [("t_final", "0"), ("t_final", "nan"),
+                                       ("steps", "0"), ("steps", "-3"),
                                        ("opt_tol", "-1"), ("opt_tol", "nan"),
                                        ("flux_penalty", "0"), ("alphas", "10, 5"),
                                        ("control", "nowhere")])
@@ -233,15 +278,20 @@ def test_bad_keys_fail_before_assembly(tmp_path, capsys, monkeypatch, key, value
     assert key in err and f"bad.cfg:{at + 1}:" in err
 
 
+def small_2d_problem():
+    from parctrl.config import build_problem
+
+    text = SMALL_CFG.replace("dim = 1\ncells = 32\n", "dim = 2\nnx = 6\nny = 5\n")
+    return build_problem(parse_config_text(text.replace("steps = 20", "steps = 8")))
+
+
 def test_verify_battery_stays_sparse(monkeypatch):
     # a dense n x n copy costs O(n^2) memory; no sparse matrix may be densified
     import scipy.sparse as sp
 
     from parctrl.cli import _verify_battery
-    from parctrl.config import build_problem
 
-    text = SMALL_CFG.replace("dim = 1\ncells = 32\n", "dim = 2\nnx = 6\nny = 5\n")
-    problem = build_problem(parse_config_text(text.replace("steps = 20", "steps = 8")))
+    problem = small_2d_problem()
 
     def densify(self, *args, **kwargs):
         raise AssertionError("sparse matrix densified")
@@ -254,6 +304,28 @@ def test_verify_battery_stays_sparse(monkeypatch):
                     monkeypatch.setattr(klass, "toarray", densify)
     checks = _verify_battery(problem)
     assert checks and all(c["passed"] for c in checks)
+
+
+def test_verify_battery_factorizes_each_system_once(monkeypatch):
+    # the battery runs dozens of solves on two systems: exact imposition and
+    # Robin with the configured alpha, both consistent mass, one dt
+    from parctrl import state_solvers
+    from parctrl.cli import _verify_battery
+
+    factorized = []
+    real = state_solvers.spd_solver
+
+    def counting(a_mat):
+        factorized.append(a_mat.shape)
+        return real(a_mat)
+
+    monkeypatch.setattr(state_solvers, "spd_solver", counting)
+    problem = small_2d_problem()
+    checks = _verify_battery(problem)
+    assert checks and all(c["passed"] for c in checks)
+    dt = problem.grid.dt
+    assert set(problem.ops.systems) == {(math.inf, False, dt), (5.0, False, dt)}
+    assert len(factorized) == len(problem.ops.systems)
 
 
 @pytest.mark.parametrize("command", ["solve", "optimize", "lambda"])

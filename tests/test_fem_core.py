@@ -310,14 +310,6 @@ GAMMA1_SUBSETS = [set(edges) for r in (1, 2, 3)
                   for edges in combinations(fem_core.RECT_EDGES, r)]
 
 
-@pytest.fixture()
-def matrices_only(monkeypatch):
-    # the spectral constants are functions of the matrices compared here;
-    # skipping their power iterations keeps the exhaustive sweep cheap
-    monkeypatch.setattr(fem_core, "coercivity_constant", lambda ops, space: 0.0)
-    monkeypatch.setattr(fem_core, "trace_norm", lambda ops: 0.0)
-
-
 def assert_same_bits(ops, mesh):
     for name, want in assembly_reference.operators(mesh).items():
         got = getattr(ops, name)
@@ -328,7 +320,7 @@ def assert_same_bits(ops, mesh):
 
 
 @pytest.mark.parametrize("side", ["left", "right"])
-def test_assembly_matches_loop_oracle_1d(side, matrices_only):
+def test_assembly_matches_loop_oracle_1d(side):
     for cells in range(2, 41):
         mesh = build_interval_mesh(cells, 0.0, 1.0, side)
         assert_same_bits(assemble(mesh), mesh)
@@ -336,7 +328,7 @@ def test_assembly_matches_loop_oracle_1d(side, matrices_only):
 
 @pytest.mark.parametrize("edges", GAMMA1_SUBSETS,
                          ids=["-".join(sorted(e)) for e in GAMMA1_SUBSETS])
-def test_assembly_matches_loop_oracle_2d(edges, matrices_only):
+def test_assembly_matches_loop_oracle_2d(edges):
     for nx in range(2, 9):
         for ny in range(2, 9):
             mesh = build_rect_mesh(nx, ny, edges)
@@ -347,7 +339,7 @@ def test_assembly_matches_loop_oracle_2d(edges, matrices_only):
             assert_same_bits(assemble(mesh), looped)
 
 
-def test_assembly_matches_loop_oracle_on_general_triangles(matrices_only):
+def test_assembly_matches_loop_oracle_on_general_triangles():
     # interior nodes moved off the lattice: every triangle has its own shape,
     # while the boundary edges stay axis-aligned
     rng = np.random.default_rng(17)

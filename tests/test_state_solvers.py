@@ -14,16 +14,18 @@ from parctrl.fem_core import (
     norm_gamma1_time,
     norm_h1_time,
 )
+from parctrl.adjoint_solvers import _solve_adjoint
 from parctrl.state_solvers import (
     ParabolicStepper,
     ProblemSpec,
+    _solve_steady,
     solve_elliptic_dirichlet,
     solve_elliptic_robin,
     solve_parabolic_dirichlet,
     solve_parabolic_robin,
 )
 
-from conftest import make_spec
+from conftest import make_spec, random_control, random_field
 
 
 def constant_spec(ops, grid, c):
@@ -340,8 +342,6 @@ def test_stepper_matches_dense_reference(alpha, lumped):
 def test_steady_solve_matches_dense_reference(alpha, lumped):
     # nonzero datum, source and flux on a small 2D mesh; the source pairs with
     # the consistent mass, the boundary terms with the selected boundary masses
-    from parctrl.state_solvers import _solve_steady
-
     ops = assemble(fem_core.build_rect_mesh(5, 4, {"left", "bottom"}))
     rng = np.random.default_rng(12)
     n, d = ops.n_nodes, ops.dirichlet_nodes
@@ -367,3 +367,69 @@ def test_steady_solve_matches_dense_reference(alpha, lumped):
 
     u = _solve_steady(ops, g, q, b, alpha, lumped=lumped)
     assert np.max(np.abs(u - u_ref)) <= 1e-12 * np.max(np.abs(u_ref))
+
+
+def test_reused_systems_give_the_bits_of_fresh_ones():
+    # on one ops every call after the first of its system reuses the cached
+    # factorization; each call on a freshly assembled ops factorizes anew
+    mesh = fem_core.build_rect_mesh(5, 4, {"left", "bottom"})
+    grid = TimeGrid(t_final=0.5, n_steps=6)
+    ref = assemble(mesh)
+    spec = make_spec(ref, grid, alpha=7.5)
+    rng = np.random.default_rng(13)
+    q = random_control(rng, grid, ref)
+    u = random_field(rng, grid, ref)
+    g, q_row = rng.standard_normal(ref.n_nodes), rng.standard_normal(ref.gamma2_nodes.size)
+    b = rng.random(ref.dirichlet_nodes.size)
+    calls = [
+        lambda ops: solve_parabolic_dirichlet(ops, spec, q, grid).values,
+        lambda ops: solve_parabolic_robin(ops, spec, q, grid).values,
+        lambda ops: _solve_adjoint(ops, u, spec.target, grid, math.inf).values,
+        lambda ops: _solve_adjoint(ops, u, spec.target, grid, 7.5).values,
+        lambda ops: _solve_steady(ops, g, q_row, b, math.inf),
+        lambda ops: _solve_steady(ops, g, q_row, b, 7.5, lumped=True),
+    ]
+    fresh = [call(assemble(mesh)).tobytes() for call in calls]
+    ops = assemble(mesh)
+    for _ in range(2):
+        assert [call(ops).tobytes() for call in calls] == fresh
+    assert len(ops.systems) == 4
+
+
+def test_each_system_gets_its_own_entry(monkeypatch):
+    from parctrl import state_solvers
+
+    factorized = []
+    real = state_solvers.spd_solver
+    monkeypatch.setattr(state_solvers, "spd_solver",
+                        lambda a_mat: factorized.append(a_mat.shape) or real(a_mat))
+    ops = assemble(build_interval_mesh(8, 0.0, 1.0, "left"))
+    coarse, fine = TimeGrid(1.0, 4), TimeGrid(1.0, 8)
+    first = ParabolicStepper(ops, coarse, alpha=5.0)
+    # same dt on a longer horizon: the same system
+    assert ParabolicStepper(ops, TimeGrid(2.0, 8), alpha=5.0)._gamma1 is first._gamma1
+    ParabolicStepper(ops, coarse, alpha=5.0, lumped=True)
+    ParabolicStepper(ops, fine, alpha=5.0)
+    ParabolicStepper(ops, coarse, alpha=6.0)
+    ParabolicStepper(ops, coarse, alpha=None)
+    ParabolicStepper(ops, coarse, alpha=math.inf)  # None is read as inf
+    zeros = (np.zeros(ops.n_nodes), np.zeros(ops.gamma2_nodes.size), np.zeros(1))
+    _solve_steady(ops, *zeros, 5.0)
+    _solve_steady(ops, *zeros, 5.0, lumped=True)
+    assert set(ops.systems) == {(5.0, False, 0.25), (5.0, True, 0.25),
+                                (5.0, False, 0.125), (6.0, False, 0.25),
+                                (math.inf, False, 0.25), (5.0, False, None),
+                                (5.0, True, None)}
+    assert len(factorized) == len(ops.systems)
+
+
+def test_bad_alpha_caches_nothing():
+    ops = assemble(build_interval_mesh(8, 0.0, 1.0, "left"))
+    grid = TimeGrid(1.0, 4)
+    zeros = (np.zeros(ops.n_nodes), np.zeros(ops.gamma2_nodes.size), np.zeros(1))
+    for alpha in (0.0, math.nan, -math.inf):
+        with pytest.raises(ValueError, match="transfer coefficient"):
+            ParabolicStepper(ops, grid, alpha=alpha)
+        with pytest.raises(ValueError, match="transfer coefficient"):
+            _solve_steady(ops, *zeros, alpha)
+    assert ops.systems == {}

@@ -80,19 +80,18 @@ def _digests(name, out_dir):
 def _operator_lines(label, ops):
     arrays = [("mesh.node_coords", ops.mesh.node_coords),
               ("mesh.elements", ops.mesh.elements)]
-    constants = []
     for f in dataclasses.fields(ops):
         value = getattr(ops, f.name)
-        if isinstance(value, float):
-            constants.append(f"operators/{label}/{f.name} = {value!r}")
-        elif hasattr(value, "indptr"):
+        if hasattr(value, "indptr"):
             arrays += [(f"{f.name}.{part}", getattr(value, part))
                        for part in ("indptr", "indices", "data")]
         elif hasattr(value, "dtype"):
             arrays.append((f.name, value))
     lines = [f"{hashlib.sha256(a.tobytes()).hexdigest()}  operators/{label}/{name}:{a.dtype}"
              for name, a in arrays]
-    return lines + constants
+    # by name: the constants may be computed on first read rather than be fields
+    return lines + [f"operators/{label}/{name} = {getattr(ops, name)!r}"
+                    for name in ("lambda0", "lambda1", "trace_norm")]
 
 
 def _operators():
