@@ -92,6 +92,9 @@ def alpha_sweep(ops: DiscreteOperators, spec: ProblemSpec, grid: TimeGrid,
     spec.validate(ops, grid)
     b_ext = np.zeros(ops.n_nodes)
     b_ext[ops.dirichlet_nodes] = spec.boundary_temp
+    # each system the sweep builds is dropped once used (the reference's
+    # before the rows, a row's when the row ends): one factorization at a time
+    kept = set(ops.systems)
 
     if q == OPTIMIZE:
         ref = optimize_boundary(ops, spec, grid, tol=tol, variant="dirichlet")
@@ -101,6 +104,7 @@ def alpha_sweep(ops: DiscreteOperators, spec: ProblemSpec, grid: TimeGrid,
         u_ref = solve_parabolic_dirichlet(ops, spec, q, grid)
         p_ref = solve_adjoint_dirichlet(ops, u_ref, spec.target, grid)
         q_ref = None
+    _release_systems(ops, kept)
 
     rows = []
     for alpha in alphas:
@@ -123,7 +127,13 @@ def alpha_sweep(ops: DiscreteOperators, spec: ProblemSpec, grid: TimeGrid,
         rows.append(SweepRow(alpha=alpha, err_state=err_state, err_adjoint=err_adjoint,
                              err_control=err_control, boundary_mismatch=mismatch,
                              converged=converged))
+        _release_systems(ops, kept)
     return rows
+
+
+def _release_systems(ops, kept):
+    for key in set(ops.systems) - kept:
+        del ops.systems[key]
 
 
 def _require_time_constant(name, rows):

@@ -7,7 +7,10 @@ writes its CSV outputs plus a JSON manifest echoing the config text, the mesh
 hash, the spectral constants the command read (verify reads all three, decay
 lambda0, and trace_norm when forced; the others none) and wall time;
 re-running a command from the manifest (pass the manifest path as --config)
-reproduces byte-identical CSVs.
+reproduces byte-identical CSVs.  optimize also writes result.json, whose
+summary (with the CG cost and residual histories) is the manifest's results.
+All CSVs go through one writer, one precompiled row format per file: floats
+as %.17g, booleans as true/false, a missing value as an empty cell.
 Exit codes: 0 success, 1 failed verify properties, 2 validation errors,
 3 solver non-convergence.
 """
@@ -37,8 +40,6 @@ from .fem_core import (
 )
 from .state_solvers import _solve_parabolic, solve_parabolic_dirichlet, variant_alpha
 
-FMT = "{:.17g}"
-
 COMMANDS = ("solve", "optimize", "lambda", "sweep-alpha", "decay", "verify")
 
 EXIT_OK = 0
@@ -47,43 +48,34 @@ EXIT_VALIDATION = 2
 EXIT_NO_CONVERGENCE = 3
 
 
-def _fmt(x) -> str:
-    if isinstance(x, bool):
-        return "true" if x else "false"
-    if x is None:
-        return ""
-    return FMT.format(float(x))
+def _write_csv(path, header, row_format, rows):
+    """The one CSV writer: the header line, then row_format % row per row.
 
-
-def _write_csv(path, header, rows):
+    Rows are formatted and written one at a time: a whole field's strings
+    (or its Python floats) at once would sit next to the factorization that
+    stays cached on ops.
+    """
+    row_format += "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(header + "\n")
         for row in rows:
-            fh.write(",".join(_fmt(v) if not isinstance(v, str) else v
-                              for v in row) + "\n")
+            fh.write(row_format % row)
+
+
+def _write_trajectory_csv(path, columns, grid, values):
+    # a field or control: "step,time,<columns>" with one row per time level
+    times = grid.times()
+    _write_csv(path, "step,time," + ",".join(columns),
+               ",".join(["%d", "%.17g"] + ["%.17g"] * len(columns)),
+               ((k, times[k], *values[k].tolist()) for k in range(values.shape[0])))
 
 
 def write_field_csv(path, grid, values):
-    # row by row: the state's factorization stays cached on ops meanwhile,
-    # and every row's strings at once would stack on top of it
-    n = values.shape[1]
-    header = "step,time," + ",".join(f"n{i}" for i in range(n))
-    times = grid.times()
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(header + "\n")
-        for k in range(values.shape[0]):
-            fh.write(",".join([str(k), _fmt(times[k])]
-                              + [_fmt(v) for v in values[k]]) + "\n")
+    _write_trajectory_csv(path, [f"n{i}" for i in range(values.shape[1])], grid, values)
 
 
 def write_control_csv(path, grid, ops, values):
-    header = "step,time," + ",".join(f"g2n{i}" for i in ops.gamma2_nodes)
-    times = grid.times()
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(header + "\n")
-        for k in range(values.shape[0]):
-            fh.write(",".join([str(k), _fmt(times[k])]
-                              + [_fmt(v) for v in values[k]]) + "\n")
+    _write_trajectory_csv(path, [f"g2n{i}" for i in ops.gamma2_nodes], grid, values)
 
 
 def write_svg_lines(path, series, title, logy=False, logx=False):
@@ -223,6 +215,8 @@ def _cmd_optimize(problem: Problem, out_dir):
         "optimality_residual": res.optimality_residual,
         "iterations": res.iterations,
         "converged": res.converged,
+        "cost_history": res.cost_history,
+        "residual_history": res.residual_history,
         "files": files,
     }
     with open(os.path.join(out_dir, "result.json"), "w", encoding="utf-8",
@@ -248,8 +242,9 @@ def _cmd_lambda(problem: Problem, out_dir):
     h_opt = coeffs.value(coeffs.lambda_opt)
     path = os.path.join(out_dir, "lambda.csv")
     _write_csv(path, "variant,A,B,C,lambda_opt,H_opt",
-               [[variant, coeffs.quadratic, coeffs.linear, coeffs.constant,
-                 coeffs.lambda_opt, h_opt]])
+               "%s,%.17g,%.17g,%.17g,%.17g,%.17g",
+               [(variant, coeffs.quadratic, coeffs.linear, coeffs.constant,
+                 coeffs.lambda_opt, h_opt)])
     results = {"variant": variant, "A": coeffs.quadratic, "B": coeffs.linear,
                "C": coeffs.constant, "lambda_opt": coeffs.lambda_opt,
                "H_opt": h_opt, "discriminant": coeffs.discriminant}
@@ -267,9 +262,13 @@ def _cmd_sweep_alpha(problem: Problem, out_dir):
     rows = asymptotics.alpha_sweep(problem.ops, problem.spec, problem.grid,
                                    problem.alphas, q=q, tol=problem.opt_tol)
     path = os.path.join(out_dir, "sweep.csv")
+    # err_control is empty for a fixed flux
     _write_csv(path, "alpha,err_state,err_adjoint,err_control,boundary_mismatch,converged",
-               [[r.alpha, r.err_state, r.err_adjoint, r.err_control,
-                 r.boundary_mismatch, r.converged] for r in rows])
+               "%.17g,%.17g,%.17g,%s,%.17g,%s",
+               [(r.alpha, r.err_state, r.err_adjoint,
+                 "" if r.err_control is None else "%.17g" % r.err_control,
+                 r.boundary_mismatch, "true" if r.converged else "false")
+                for r in rows])
     outputs = ["sweep.csv"]
     if problem.plots:
         series = [("err_state", [r.alpha for r in rows], [r.err_state for r in rows]),
@@ -300,8 +299,8 @@ def _cmd_decay(problem: Problem, out_dir):
     else:
         result = asymptotics.decay_study(problem.ops, problem.spec, q, problem.grid)
     path = os.path.join(out_dir, "decay.csv")
-    _write_csv(path, "t,err_H,bound,ratio",
-               [[r.t, r.err_h, r.bound, r.ratio] for r in result.rows])
+    _write_csv(path, "t,err_H,bound,ratio", "%.17g,%.17g,%.17g,%.17g",
+               [(r.t, r.err_h, r.bound, r.ratio) for r in result.rows])
     outputs = ["decay.csv"]
     if problem.plots:
         write_svg_lines(

@@ -14,7 +14,8 @@ goes through one right-endpoint rectangle pairing, _time_pairing.
 The assembled matrices are never modified after assembly.  The spectral
 constants are computed on first read and kept, as are the factorized systems
 the solvers look up (state_solvers); both caches live and die with their
-DiscreteOperators.  The library is single-threaded: an ops is not to be
+DiscreteOperators, except that asymptotics.alpha_sweep drops the systems it
+built.  The library is single-threaded: an ops is not to be
 shared between threads.  Assembly and the eigen-iterations are deterministic.
 """
 

@@ -14,7 +14,10 @@ both.  variant_alpha maps 'dirichlet'/'robin' onto alpha, and each
 
 Every solver gets its _Gamma1Imposition from _imposition, which keeps one
 per system in ops.systems, so each distinct system is factorized once per
-ops.  The cache is per ops and unlocked: the library is single-threaded.
+ops.  asymptotics.alpha_sweep drops each system it builds once used (the
+reference's before the rows, each row's when the row ends), so a sweep
+holds one factorization at a time.  The cache is per ops and unlocked: the
+library is single-threaded.
 """
 
 from __future__ import annotations

@@ -67,6 +67,34 @@ def test_sweep_fixed_control_2d(ops2d, grid):
     assert states[-1] <= states[0] / 10.0
 
 
+@pytest.mark.parametrize("mode", ["fixed", "optimize"])
+def test_sweep_releases_the_systems_it_builds(grid, monkeypatch, mode):
+    # every alpha's factorization kept to the end raised a 96x96 sweep's peak
+    # memory by 42%; the sweep drops what it built, each system once used
+    from parctrl import fem_core, state_solvers
+
+    ops = fem_core.assemble(fem_core.build_interval_mesh(16, 0.0, 1.0, "left"))
+    spec = make_spec(ops, grid)
+    solve_elliptic_dirichlet(ops, spec.source.values[1],
+                             np.zeros(ops.gamma2_nodes.size), spec.boundary_temp)
+    before = set(ops.systems)
+    factorized = []
+    real = state_solvers.spd_solver
+
+    def counting(a_mat):
+        # the sweep's systems held when the next one is factorized
+        factorized.append(set(ops.systems) - before)
+        return real(a_mat)
+
+    monkeypatch.setattr(state_solvers, "spd_solver", counting)
+    q = "optimize" if mode == "optimize" else random_control(
+        np.random.default_rng(103), grid, ops)
+    rows = alpha_sweep(ops, spec, grid, ALPHAS, q=q)
+    assert all(r.converged for r in rows)
+    assert set(ops.systems) == before
+    assert factorized == [set()] * (1 + len(ALPHAS))
+
+
 def test_sweep_validates_alphas(ops1d, grid, spec1d):
     q = BoundaryControl.zeros(grid, ops1d.gamma2_nodes.size)
     with pytest.raises(ValueError):

@@ -2,6 +2,7 @@ import json
 import math
 import os
 
+import numpy as np
 import pytest
 
 from parctrl.cli import main
@@ -113,6 +114,74 @@ def test_optimize_command(cfg_path, tmp_path):
     assert (out / "q_opt.csv").exists()
     assert (out / "u_opt.csv").exists()
     assert (out / "p_opt.csv").exists()
+    # the CG histories: the start, then one entry per iteration
+    costs, resids = res["cost_history"], res["residual_history"]
+    assert len(costs) == len(resids) == res["iterations"] + 1
+    assert all(b <= a for a, b in zip(costs, costs[1:]))
+    assert json.loads((out / "manifest.json").read_text())["results"] == res
+
+
+# the writer's edge values: signed zero, non-finite, subnormal, huge, and
+# decimals that %.17g must not round
+EDGE_VALUES = [-0.0, math.nan, math.inf, -math.inf, 5e-324, 1e308, 0.1, 1 / 3, 10.0]
+
+
+def old_cell(x):
+    # the per-value rule of the writer before one row format per file; the
+    # oracle the written bytes are compared against
+    if isinstance(x, bool):
+        return "true" if x else "false"
+    if x is None:
+        return ""
+    return "{:.17g}".format(float(x))
+
+
+def test_csv_writer_golden_bytes(tmp_path):
+    from types import SimpleNamespace
+
+    from parctrl.cli import _write_csv, write_control_csv, write_field_csv
+    from parctrl.fem_core import TimeGrid
+
+    grid = TimeGrid(t_final=1.0, n_steps=3)
+    n = len(EDGE_VALUES)
+    values = np.array([EDGE_VALUES[k:] + EDGE_VALUES[:k] for k in range(4)])
+    times = grid.times()
+    body = [",".join([str(k), old_cell(times[k])] + [old_cell(v) for v in values[k]])
+            for k in range(4)]
+
+    write_field_csv(str(tmp_path / "u.csv"), grid, values)
+    header = "step,time," + ",".join(f"n{i}" for i in range(n))
+    assert (tmp_path / "u.csv").read_bytes() == "\n".join([header] + body + [""]).encode()
+
+    ops = SimpleNamespace(gamma2_nodes=np.arange(3, 3 + n))
+    write_control_csv(str(tmp_path / "q.csv"), grid, ops, values)
+    header = "step,time," + ",".join(f"g2n{i}" for i in range(3, 3 + n))
+    assert (tmp_path / "q.csv").read_bytes() == "\n".join([header] + body + [""]).encode()
+
+    # fixed-width rows of numpy and of Python floats, as decay.csv and
+    # lambda.csv pass them
+    for row in (tuple(np.float64(v) for v in EDGE_VALUES), tuple(EDGE_VALUES)):
+        _write_csv(str(tmp_path / "r.csv"), "h", ",".join(["%.17g"] * n), [row, row])
+        line = ",".join(old_cell(v) for v in row)
+        assert (tmp_path / "r.csv").read_text() == f"h\n{line}\n{line}\n"
+
+
+def test_sweep_csv_writes_booleans_and_empty_cells(cfg_path, tmp_path, monkeypatch):
+    from parctrl import asymptotics
+
+    rows = [asymptotics.SweepRow(10.0, 0.1, 1 / 3, None, -0.0, True),
+            asymptotics.SweepRow(100.0, 5e-324, math.inf, 0.1, math.nan, False)]
+    monkeypatch.setattr("parctrl.cli.asymptotics.alpha_sweep",
+                        lambda *args, **kwargs: rows)
+    out = tmp_path / "out"
+    # the unconverged row still reaches the CSV, then exits 3
+    assert run("sweep-alpha", cfg_path, out) == 3
+    lines = (out / "sweep.csv").read_text().splitlines()
+    assert lines[1:] == [",".join(old_cell(v) for v in (
+        r.alpha, r.err_state, r.err_adjoint, r.err_control, r.boundary_mismatch,
+        r.converged)) for r in rows]
+    assert lines[1].split(",")[3] == "" and lines[1].endswith(",true")
+    assert lines[2].endswith(",false")
 
 
 def test_solve_robin_variant(tmp_path):

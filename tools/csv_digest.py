@@ -3,7 +3,9 @@
     python tools/csv_digest.py
 
 Runs, into a temporary directory and for configs/benchmark1d.cfg and
-configs/benchmark2d.cfg: solve, sweep-alpha and decay; lambda for each scalar
+configs/benchmark2d.cfg: solve, sweep-alpha and decay; sweep-alpha with
+q = optimize, so the err_control column is filled; decay with g_inf and q_inf
+set, so the forced rows are written; lambda for each scalar
 variant (parabolic, parabolic_robin, elliptic, elliptic_robin), so the steady
 solves are reached too; optimize for each control (boundary, distributed,
 simultaneous) with each variant (dirichlet, robin); and verify.  Prints one
@@ -41,13 +43,23 @@ PLAIN_COMMANDS = ("solve", "sweep-alpha", "decay")
 CONTROLS = ("boundary", "distributed", "simultaneous")
 VARIANTS = ("dirichlet", "robin")
 SCALAR_VARIANTS = ("parabolic", "parabolic_robin", "elliptic", "elliptic_robin")
+# the limits of the shipped configs' own (time-constant) g and q
+FORCED_DECAY = {"g_inf": "constant(1.0)", "q_inf": "constant(0.5)"}
 
 
 def _with_data_keys(text, keys):
-    """Config text with extra "key = value" lines at the top of [data]."""
+    """Config text with each "key = value" set in [data]: a key already there
+    is replaced (the parser rejects a duplicate key), a new one is added at
+    the top of the section."""
     lines = text.splitlines()
     at = lines.index("[data]") + 1
-    extra = [f"{key} = {value}" for key, value in keys.items()]
+    end = next((i for i in range(at, len(lines)) if lines[i].startswith("[")), len(lines))
+    rest = dict(keys)
+    for i in range(at, end):
+        key = lines[i].split("=", 1)[0].strip()
+        if key in rest:
+            lines[i] = f"{key} = {rest.pop(key)}"
+    extra = [f"{key} = {value}" for key, value in rest.items()]
     return "\n".join(lines[:at] + extra + lines[at:]) + "\n"
 
 
@@ -114,6 +126,8 @@ def main():
             with open(cfg_file, encoding="utf-8") as fh:
                 text = fh.read()
             runs = [(command, command, {}) for command in PLAIN_COMMANDS]
+            runs += [("sweep-alpha", "sweep-alpha-optimize", {"q": "optimize"}),
+                     ("decay", "decay-forced", FORCED_DECAY)]
             runs += [("lambda", f"lambda-{variant}", {"variant": variant})
                      for variant in SCALAR_VARIANTS]
             runs += [("optimize", f"optimize-{control}-{variant}",
