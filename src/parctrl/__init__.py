@@ -2,10 +2,10 @@
 
 Library layout:
   fem_core         meshes, P1 assembly, spectral constants, inner products
-  state_solvers    backward-Euler parabolic and elliptic forward solvers; the
-                   one place the transfer coefficient alpha becomes a system
-                   (+inf: exact imposition, finite > 0: Robin transfer)
-  adjoint_solvers  exact discrete adjoints of the state recursions
+  state_solvers    backward-Euler state recursion, its exact discrete adjoint
+                   and the steady solve, one entry each taking the transfer
+                   coefficient alpha (+inf: exact imposition, finite > 0:
+                   Robin transfer); the one place alpha becomes a system
   optimal_control  tracking costs, gradients, and one reduced-space CG driver
                    behind the boundary, distributed and simultaneous optimizers
   scalar_control   closed-form one-parameter controls and comparison checks

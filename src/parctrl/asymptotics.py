@@ -25,13 +25,12 @@ from .fem_core import (
     norm_gamma1_time,
     norm_h1_time,
 )
-from .adjoint_solvers import solve_adjoint_dirichlet, solve_adjoint_robin
 from .optimal_control import optimize_boundary
 from .state_solvers import (
     ProblemSpec,
+    solve_adjoint,
     solve_elliptic_dirichlet,
-    solve_parabolic_dirichlet,
-    solve_parabolic_robin,
+    solve_parabolic,
 )
 
 OPTIMIZE = "optimize"
@@ -101,8 +100,8 @@ def alpha_sweep(ops: DiscreteOperators, spec: ProblemSpec, grid: TimeGrid,
         u_ref, p_ref, q_ref = ref.u_opt, ref.p_opt, ref.q_opt
     else:
         _check_control(grid, ops, q)
-        u_ref = solve_parabolic_dirichlet(ops, spec, q, grid)
-        p_ref = solve_adjoint_dirichlet(ops, u_ref, spec.target, grid)
+        u_ref = solve_parabolic(ops, spec, q, grid)
+        p_ref = solve_adjoint(ops, u_ref, spec.target, grid)
         q_ref = None
     _release_systems(ops, kept)
 
@@ -116,8 +115,8 @@ def alpha_sweep(ops: DiscreteOperators, spec: ProblemSpec, grid: TimeGrid,
             err_control = norm_boundary_time(
                 grid, ops, BoundaryControl(q_a.values - q_ref.values))
         else:
-            u_a = solve_parabolic_robin(ops, spec, q, grid, alpha=alpha)
-            p_a = solve_adjoint_robin(ops, u_a, spec.target, alpha, grid)
+            u_a = solve_parabolic(ops, spec, q, grid, alpha)
+            p_a = solve_adjoint(ops, u_a, spec.target, grid, alpha)
             converged = True
             err_control = None
         err_state = norm_h1_time(grid, ops, TimeField(u_a.values - u_ref.values))
@@ -172,7 +171,7 @@ def decay_study(ops: DiscreteOperators, spec: ProblemSpec, q: BoundaryControl,
                          f"= {grid.dt * lam0:.3f} > 0.1")
     u_inf = solve_elliptic_dirichlet(ops, spec.source.values[1], q.values[1],
                                      spec.boundary_temp)
-    u = solve_parabolic_dirichlet(ops, spec, q, grid)
+    u = solve_parabolic(ops, spec, q, grid)
     times = grid.times()
     errs = _err_series(ops, u.values, u_inf)
     err0 = errs[0]
@@ -210,7 +209,7 @@ def decay_with_forcing(ops: DiscreteOperators, spec: ProblemSpec,
     g_inf = np.asarray(g_inf, dtype=float)
     q_inf = np.asarray(q_inf, dtype=float)
     u_inf = solve_elliptic_dirichlet(ops, g_inf, q_inf, spec.boundary_temp)
-    u = solve_parabolic_dirichlet(ops, spec, q, grid)
+    u = solve_parabolic(ops, spec, q, grid)
     times = grid.times()
     errs = _err_series(ops, u.values, u_inf)
     err0_sq = errs[0] ** 2

@@ -28,7 +28,6 @@ import time
 import numpy as np
 
 from . import asymptotics, optimal_control, scalar_control
-from .adjoint_solvers import _solve_adjoint, trace_gamma2
 from .config import ConfigError, Problem, build_problem, load_config, parse_config_text
 from .fem_core import (
     BoundaryControl,
@@ -38,7 +37,7 @@ from .fem_core import (
     inner_domain_time,
     norm_boundary_time,
 )
-from .state_solvers import _solve_parabolic, solve_parabolic_dirichlet, variant_alpha
+from .state_solvers import solve_adjoint, solve_parabolic, variant_alpha
 
 COMMANDS = ("solve", "optimize", "lambda", "sweep-alpha", "decay", "verify")
 
@@ -169,8 +168,8 @@ def _require(problem, attr, what):
 def _cmd_solve(problem: Problem, out_dir):
     q = problem.q if problem.q is not None else BoundaryControl.zeros(
         problem.grid, problem.ops.gamma2_nodes.size)
-    u = _solve_parabolic(problem.ops, problem.spec, q, problem.grid,
-                         variant_alpha(problem.spec, problem.variant))
+    u = solve_parabolic(problem.ops, problem.spec, q, problem.grid,
+                        variant_alpha(problem.spec, problem.variant))
     path = os.path.join(out_dir, "u.csv")
     write_field_csv(path, problem.grid, u.values)
     return ["u.csv"], {"u_file": "u.csv",
@@ -356,13 +355,12 @@ def _verify_battery(problem: Problem):
 
     q1 = BoundaryControl(rng.standard_normal((grid.n_steps + 1, m)))
     q2 = BoundaryControl(rng.standard_normal((grid.n_steps + 1, m)))
-    u1 = solve_parabolic_dirichlet(ops, spec, q1, grid)
+    u1 = solve_parabolic(ops, spec, q1, grid)
     zero_spec = replace(spec, source=TimeField.zeros(grid, n),
                         boundary_temp=np.zeros(ops.dirichlet_nodes.size),
                         initial_temp=np.zeros(n))
-    du = solve_parabolic_dirichlet(ops, zero_spec,
-                                   BoundaryControl(q2.values - q1.values), grid)
-    u2 = solve_parabolic_dirichlet(ops, spec, q2, grid)
+    du = solve_parabolic(ops, zero_spec, BoundaryControl(q2.values - q1.values), grid)
+    u2 = solve_parabolic(ops, spec, q2, grid)
     gap = np.max(np.abs(u1.values + du.values - u2.values))
     scale = max(np.max(np.abs(u2.values)), 1.0)
     record("solver-superposition", gap <= 1e-11 * scale, gap / scale)
@@ -371,8 +369,7 @@ def _verify_battery(problem: Problem):
     const_spec = replace(spec, source=TimeField.zeros(grid, n),
                          boundary_temp=np.full(ops.dirichlet_nodes.size, 1.5),
                          initial_temp=np.full(n, 1.5))
-    uc = solve_parabolic_dirichlet(ops, const_spec,
-                                   BoundaryControl.zeros(grid, m), grid)
+    uc = solve_parabolic(ops, const_spec, BoundaryControl.zeros(grid, m), grid)
     gap = np.max(np.abs(uc.values - 1.5))
     record("constant-steady-state", gap <= 1e-12, gap)
 
@@ -385,7 +382,7 @@ def _verify_battery(problem: Problem):
     dec_spec = replace(spec, source=TimeField.zeros(grid, n),
                        boundary_temp=np.zeros(ops.dirichlet_nodes.size),
                        initial_temp=bump)
-    ud = solve_parabolic_dirichlet(ops, dec_spec, BoundaryControl.zeros(grid, m), grid)
+    ud = solve_parabolic(ops, dec_spec, BoundaryControl.zeros(grid, m), grid)
     norms = np.sqrt(np.einsum("kj,kj->k", ud.values, (ops.mass @ ud.values.T).T))
     worst = float(np.max(norms[1:] - norms[:-1]))
     record("energy-decay", worst < 0.0, worst)
@@ -400,14 +397,14 @@ def _verify_battery(problem: Problem):
         for _ in range(3):
             q = BoundaryControl(rng.standard_normal((grid.n_steps + 1, m)))
             eta = BoundaryControl(rng.standard_normal((grid.n_steps + 1, m)))
-            u_q = _solve_parabolic(ops, spec, q, grid, alpha)
-            u_eta = _solve_parabolic(ops, spec, eta, grid, alpha)
-            u_0 = _solve_parabolic(ops, spec, BoundaryControl.zeros(grid, m), grid, alpha)
-            p_q = _solve_adjoint(ops, u_q, spec.target, grid, alpha)
+            u_q = solve_parabolic(ops, spec, q, grid, alpha)
+            u_eta = solve_parabolic(ops, spec, eta, grid, alpha)
+            u_0 = solve_parabolic(ops, spec, BoundaryControl.zeros(grid, m), grid, alpha)
+            p_q = solve_adjoint(ops, u_q, spec.target, grid, alpha)
             lhs = inner_domain_time(grid, ops, TimeField(u_eta.values - u_0.values),
                                     TimeField(u_q.values - spec.target.values))
             rhs = -inner_boundary_time(grid, ops, eta,
-                                       BoundaryControl(trace_gamma2(ops, p_q)))
+                                       BoundaryControl(p_q.values[:, ops.gamma2_nodes]))
             worst = max(worst, abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300))
         record(f"adjoint-duality-{variant}", worst <= 1e-10, worst)
 
@@ -433,8 +430,8 @@ def _verify_battery(problem: Problem):
     lhs = ((1 - t) * optimal_control.tracking_cost(ops, spec, q2, grid)
            + t * optimal_control.tracking_cost(ops, spec, q1, grid)
            - optimal_control.tracking_cost(ops, spec, mix, grid))
-    w1 = solve_parabolic_dirichlet(ops, spec, q1, grid)
-    w2 = solve_parabolic_dirichlet(ops, spec, q2, grid)
+    w1 = solve_parabolic(ops, spec, q1, grid)
+    w2 = solve_parabolic(ops, spec, q2, grid)
     dw = TimeField(w2.values - w1.values)
     dq = BoundaryControl(q2.values - q1.values)
     rhs = 0.5 * t * (1 - t) * (inner_domain_time(grid, ops, dw, dw)
@@ -448,8 +445,7 @@ def _verify_battery(problem: Problem):
         grid, np.ones(m))
     u_b, u_q0, u_g = scalar_control.building_blocks(ops, spec, q0, grid, "parabolic")
     lam = 0.6
-    direct = solve_parabolic_dirichlet(ops, spec, BoundaryControl(lam * q0.values),
-                                       grid)
+    direct = solve_parabolic(ops, spec, BoundaryControl(lam * q0.values), grid)
     combo = u_b.values + lam * u_q0.values + u_g.values
     gap = np.max(np.abs(combo - direct.values)) / max(np.max(np.abs(direct.values)), 1.0)
     record("building-block-recombination", gap <= 1e-12, gap)

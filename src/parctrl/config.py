@@ -142,22 +142,15 @@ def _parse_int(cfg, section, key, value):
                           cfg.path, cfg.line_of(section, key)) from None
 
 
-def _read_field_csv(path, grid, n_nodes):
+def _read_csv(path, grid, kind, width):
+    """A 'field' (TimeField) or 'control' (BoundaryControl) trajectory from a
+    CSV in the layout the CLI writes: step, time, then width value columns."""
     rows = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     values = rows[:, 2:]
-    if values.shape != (grid.n_steps + 1, n_nodes):
-        raise ConfigError(f"CSV field {path} has shape {values.shape}, expected "
-                          f"({grid.n_steps + 1}, {n_nodes})", path)
-    return TimeField(values.copy())
-
-
-def _read_control_csv(path, grid, n_gamma2):
-    rows = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    values = rows[:, 2:]
-    if values.shape != (grid.n_steps + 1, n_gamma2):
-        raise ConfigError(f"CSV control {path} has shape {values.shape}, expected "
-                          f"({grid.n_steps + 1}, {n_gamma2})", path)
-    return BoundaryControl(values.copy())
+    if values.shape != (grid.n_steps + 1, width):
+        raise ConfigError(f"CSV {kind} {path} has shape {values.shape}, expected "
+                          f"({grid.n_steps + 1}, {width})", path)
+    return (TimeField if kind == "field" else BoundaryControl)(values.copy())
 
 
 @dataclass
@@ -221,9 +214,9 @@ def _data_entry(cfg, key, kind, ops, grid, required=False):
             raise ConfigError(f"referenced file does not exist: {full}",
                               cfg.path, line)
         if kind == "field":
-            return _read_field_csv(full, grid, ops.n_nodes)
+            return _read_csv(full, grid, kind, ops.n_nodes)
         if kind == "control":
-            return _read_control_csv(full, grid, ops.gamma2_nodes.size)
+            return _read_csv(full, grid, kind, ops.gamma2_nodes.size)
         raise ConfigError(f"key '{key}' does not accept CSV references",
                           cfg.path, line)
     try:

@@ -36,7 +36,7 @@ from .fem_core import (
     _time_pairing,
     lambda_alpha,
 )
-from .state_solvers import ParabolicStepper, ProblemSpec, variant_alpha
+from .state_solvers import ParabolicStepper, ProblemSpec, solve_parabolic, variant_alpha
 
 DEFAULT_MAX_ITER = 500
 _RESTARTS = 3
@@ -70,11 +70,8 @@ def _boundary_sq(grid, ops, rows):
 def tracking_cost(ops: DiscreteOperators, spec: ProblemSpec, q: BoundaryControl,
                   grid: TimeGrid, variant: str = "dirichlet") -> float:
     """Half the squared tracking misfit plus the flux penalty term."""
-    spec.validate(ops, grid)
-    _check_control(grid, ops, q)
-    stepper = ParabolicStepper(ops, grid, alpha=variant_alpha(spec, variant))
-    u = stepper.run(spec.initial_temp, spec.boundary_temp, spec.source.values, q.values)
-    misfit = _domain_sq(grid, ops, u - spec.target.values)
+    u = solve_parabolic(ops, spec, q, grid, variant_alpha(spec, variant))
+    misfit = _domain_sq(grid, ops, u.values - spec.target.values)
     return 0.5 * misfit + 0.5 * spec.flux_penalty * _boundary_sq(grid, ops, q.values)
 
 

@@ -85,20 +85,20 @@ def evaluate(profile: Profile, points: np.ndarray, t: float) -> np.ndarray:
     raise ProfileError(f"unknown profile {profile.name!r}")
 
 
-def field_from_profile(profile: Profile, mesh, grid) -> TimeField:
-    pts = mesh.node_coords
+def _sample(profile: Profile, points, grid, trajectory):
+    # the profile at points per time step, as a TimeField or BoundaryControl
     if not profile.time_dependent:
-        return TimeField.constant_in_time(grid, evaluate(profile, pts, 0.0))
-    rows = [evaluate(profile, pts, t) for t in grid.times()]
-    return TimeField(np.vstack(rows))
+        return trajectory.constant_in_time(grid, evaluate(profile, points, 0.0))
+    return trajectory(np.vstack([evaluate(profile, points, t) for t in grid.times()]))
+
+
+def field_from_profile(profile: Profile, mesh, grid) -> TimeField:
+    return _sample(profile, mesh.node_coords, grid, TimeField)
 
 
 def control_from_profile(profile: Profile, ops, grid) -> BoundaryControl:
-    pts = ops.mesh.node_coords[ops.gamma2_nodes]
-    if not profile.time_dependent:
-        return BoundaryControl.constant_in_time(grid, evaluate(profile, pts, 0.0))
-    rows = [evaluate(profile, pts, t) for t in grid.times()]
-    return BoundaryControl(np.vstack(rows))
+    return _sample(profile, ops.mesh.node_coords[ops.gamma2_nodes], grid,
+                   BoundaryControl)
 
 
 def gamma1_values_from_profile(profile: Profile, ops) -> np.ndarray:

@@ -6,8 +6,8 @@ from three building-block solves (datum only, unit flux only, source only).
 The minimizer is -lin/(2*quad) in closed form, for the parabolic and steady
 problems with either the Dirichlet or the Robin condition on GAMMA1.  Each
 variant name maps to a transfer coefficient through state_solvers.variant_alpha,
-and the solves route through ParabolicStepper or the steady body, whose one
-GAMMA1 helper alone decides how that coefficient imposes the datum.
+and the solves route through ParabolicStepper or solve_elliptic_robin, whose
+one GAMMA1 helper alone decides how that coefficient imposes the datum.
 
 The monotonicity check compares two such solutions nodewise.  It always runs
 on the lumped mass matrix, over the non-obtuse meshes produced by the mesh
@@ -39,7 +39,6 @@ from .optimal_control import _boundary_sq, _domain_sq, tracking_cost
 from .state_solvers import (
     ParabolicStepper,
     ProblemSpec,
-    _solve_steady,
     solve_elliptic_robin,
     variant_alpha,
 )
@@ -204,36 +203,10 @@ def monotonicity_check(ops: DiscreteOperators, spec: ProblemSpec, grid: TimeGrid
         max_violation = float(np.max(u1 - u2))
     else:
         q_row = q0.values[-1]
-        u1 = _solve_steady(ops, g1.values[-1], lam1 * q_row, spec.boundary_temp,
-                           alpha, lumped=True)
-        u2 = _solve_steady(ops, g2.values[-1], lam2 * q_row, upper.boundary_temp,
-                           alpha, lumped=True)
+        u1 = solve_elliptic_robin(ops, g1.values[-1], lam1 * q_row,
+                                  spec.boundary_temp, alpha, lumped=True)
+        u2 = solve_elliptic_robin(ops, g2.values[-1], lam2 * q_row,
+                                  upper.boundary_temp, alpha, lumped=True)
         max_violation = float(np.max(u1 - u2))
     return {"max_violation": max_violation, "holds": max_violation <= 1e-12}
 
-
-def scale_trajectory(ops: DiscreteOperators, spec: ProblemSpec, q0: BoundaryControl,
-                     grid: TimeGrid, horizons) -> list:
-    """Closed-form minimizer as a function of the horizon, for time-constant
-    data; diagnostic only, nothing is asserted about its limit."""
-    for name, arr in (("source", spec.source.values), ("target", spec.target.values),
-                      ("q0", q0.values)):
-        if np.max(np.abs(arr[1:] - arr[1])) != 0.0:
-            raise ValueError(f"scale_trajectory needs time-constant data; {name} varies")
-    out = []
-    for t_final in horizons:
-        n_steps = max(1, round(t_final / grid.dt))
-        g = TimeGrid(t_final=n_steps * grid.dt, n_steps=n_steps)
-        s = ProblemSpec(
-            source=TimeField.constant_in_time(g, spec.source.values[1]),
-            boundary_temp=spec.boundary_temp,
-            initial_temp=spec.initial_temp,
-            target=TimeField.constant_in_time(g, spec.target.values[1]),
-            flux_penalty=spec.flux_penalty,
-            source_penalty=spec.source_penalty,
-            transfer_coeff=spec.transfer_coeff,
-        )
-        qq = BoundaryControl.constant_in_time(g, q0.values[1])
-        coeffs = scalar_optimum(ops, s, qq, g, "parabolic")
-        out.append((g.t_final, coeffs.lambda_opt))
-    return out

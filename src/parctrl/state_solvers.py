@@ -1,16 +1,24 @@
-"""Forward solvers for the mixed heat-conduction problems.
+"""State and adjoint solvers for the mixed heat-conduction problems.
 
 Parabolic problems are discretized by backward Euler: unconditionally stable,
 monotone with lumped mass, and its algebraic transpose is again a backward
 recursion, which is what makes the discrete optimality identities exact.
 Only _Gamma1Imposition turns the transfer coefficient alpha into a system,
-for ParabolicStepper and the steady solve _solve_steady alike: +inf
-eliminates the GAMMA1 rows/columns and lifts the datum; finite alpha > 0
-keeps all nodes and adds alpha * (boundary mass).  The choice only fixes the
-unknown rows, the factorization, the lift and the constant load; the forward
-march, the adjoint march and the steady solve then run one code path for
-both.  variant_alpha maps 'dirichlet'/'robin' onto alpha, and each
-*_dirichlet/*_robin pair delegates to one shared body.
+for ParabolicStepper and the steady solve alike: +inf eliminates the GAMMA1
+rows/columns and lifts the datum (the Dirichlet problem, the limit of the
+Robin family); finite alpha > 0 keeps all nodes and adds
+alpha * (boundary mass).  The choice only fixes the unknown rows, the
+factorization, the lift and the constant load.  So each recursion has one
+entry taking alpha last, default +inf: solve_parabolic, solve_adjoint and
+solve_elliptic_robin (solve_elliptic_dirichlet is its alpha +inf call).
+variant_alpha maps 'dirichlet'/'robin' onto alpha.
+
+The adjoint is the algebraic transpose of the discrete state recursion under
+the right-endpoint rectangle pairing, not a separate discretization of the
+continuous dual problem.  So with states w driven by a control perturbation
+and adjoints p driven by a tracking residual, the pairing identity
+(w, r)_time-domain = -(perturbation, trace p)_time-boundary holds to machine
+precision, and optimizer correctness is testable at solver tolerance.
 
 Every solver gets its _Gamma1Imposition from _imposition, which keeps one
 per system in ops.systems, so each distinct system is factorized once per
@@ -209,10 +217,51 @@ class ParabolicStepper:
         return p
 
 
-def _solve_steady(ops: DiscreteOperators, g, q, b, alpha, lumped: bool = False):
+def variant_alpha(spec: ProblemSpec, variant: str):
+    """Transfer coefficient of a named boundary variant: +inf (exact
+    imposition) for 'dirichlet', spec.transfer_coeff for 'robin'."""
+    if variant == "dirichlet":
+        return math.inf
+    if variant == "robin":
+        return spec.transfer_coeff
+    raise ValueError(f"unknown variant {variant!r}, expected 'dirichlet' or 'robin'")
+
+
+def solve_parabolic(ops: DiscreteOperators, spec: ProblemSpec, q: BoundaryControl,
+                    grid: TimeGrid, alpha=math.inf) -> TimeField:
+    """Backward-Euler state trajectory with flux q, the GAMMA1 datum imposed
+    as alpha says (as in ParabolicStepper).  Pass spec.transfer_coeff for the
+    problem's own Robin coefficient."""
+    spec.validate(ops, grid)
+    _check_control(grid, ops, q)
+    stepper = ParabolicStepper(ops, grid, alpha=alpha)
+    u = stepper.run(spec.initial_temp, spec.boundary_temp,
+                    spec.source.values, q.values)
+    return TimeField(u)
+
+
+def solve_adjoint(ops: DiscreteOperators, u: TimeField, target: TimeField,
+                  grid: TimeGrid, alpha=math.inf) -> TimeField:
+    """Backward recursion with terminal value zero and source u_k - target_k,
+    homogeneous on GAMMA1 as alpha says (as in ParabolicStepper).
+
+    Index alignment: the cost samples steps k = 1..N, so the adjoint source at
+    step k is u_k - target_k and the k = 0 state sample never enters.  Row 0
+    of the result is a homogeneous continuation kept for diagnostics; no
+    formula consumes it.
+    """
+    _check_field(grid, ops, u, "state")
+    _check_field(grid, ops, target, "target")
+    stepper = ParabolicStepper(ops, grid, alpha=alpha)
+    return TimeField(stepper.run_adjoint(u.values - target.values))
+
+
+def solve_elliptic_robin(ops: DiscreteOperators, g: np.ndarray, q: np.ndarray,
+                         b: np.ndarray, alpha=math.inf,
+                         lumped: bool = False) -> np.ndarray:
     """Steady solution: K u = M g - (GAMMA2 load) q with the datum b on GAMMA1,
-    imposed by _Gamma1Imposition as in ParabolicStepper (alpha +inf: exactly;
-    finite alpha > 0: through the transfer term alpha * B1).
+    imposed as alpha says (as in ParabolicStepper): (K + alpha B1) u = rhs for
+    finite alpha > 0, u = b on GAMMA1 for +inf.
 
     lumped selects the lumped boundary masses, which keep the Robin system an
     M-matrix on non-obtuse meshes, as the comparison principle needs.
@@ -236,54 +285,8 @@ def _solve_steady(ops: DiscreteOperators, g, q, b, alpha, lumped: bool = False):
     return u
 
 
-def variant_alpha(spec: ProblemSpec, variant: str):
-    """Transfer coefficient of a named boundary variant: +inf (exact
-    imposition) for 'dirichlet', spec.transfer_coeff for 'robin'."""
-    if variant == "dirichlet":
-        return math.inf
-    if variant == "robin":
-        return spec.transfer_coeff
-    raise ValueError(f"unknown variant {variant!r}, expected 'dirichlet' or 'robin'")
-
-
-def _solve_parabolic(ops: DiscreteOperators, spec: ProblemSpec, q: BoundaryControl,
-                     grid: TimeGrid, alpha) -> TimeField:
-    # shared body of the two parabolic solvers; alpha as in ParabolicStepper
-    spec.validate(ops, grid)
-    _check_control(grid, ops, q)
-    stepper = ParabolicStepper(ops, grid, alpha=alpha)
-    u = stepper.run(spec.initial_temp, spec.boundary_temp,
-                    spec.source.values, q.values)
-    return TimeField(u)
-
-
-def solve_parabolic_dirichlet(ops: DiscreteOperators, spec: ProblemSpec,
-                              q: BoundaryControl, grid: TimeGrid) -> TimeField:
-    """Backward-Euler solution with the temperature datum imposed exactly."""
-    return _solve_parabolic(ops, spec, q, grid, math.inf)
-
-
-def solve_parabolic_robin(ops: DiscreteOperators, spec: ProblemSpec,
-                          q: BoundaryControl, grid: TimeGrid,
-                          alpha: float | None = None) -> TimeField:
-    """Backward-Euler solution with the Robin transfer condition on GAMMA1.
-
-    alpha defaults to spec.transfer_coeff; +inf imposes the datum exactly.
-    """
-    return _solve_parabolic(ops, spec, q, grid,
-                            spec.transfer_coeff if alpha is None else alpha)
-
-
 def solve_elliptic_dirichlet(ops: DiscreteOperators, g: np.ndarray,
                              q: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Steady solution: K u = M g - (GAMMA2 load) q on free nodes, u = b on GAMMA1."""
-    return _solve_steady(ops, g, q, b, math.inf)
-
-
-def solve_elliptic_robin(ops: DiscreteOperators, g: np.ndarray, q: np.ndarray,
-                         b: np.ndarray, alpha: float | None) -> np.ndarray:
-    """Steady solution with the Robin condition: (K + alpha B1) u = rhs.
-
-    alpha +inf (or None) imposes the datum exactly.
-    """
-    return _solve_steady(ops, g, q, b, alpha)
+    """solve_elliptic_robin with alpha +inf: u = b on GAMMA1.  Kept under its
+    own name because perfbench.tracing.ENTRY_POINTS traces it."""
+    return solve_elliptic_robin(ops, g, q, b)

@@ -11,7 +11,6 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from parctrl.adjoint_solvers import solve_adjoint_dirichlet, solve_adjoint_robin, trace_gamma2
 from parctrl.asymptotics import alpha_sweep, decay_study, decay_with_forcing, exp_forcing_quadrature
 from parctrl.cli import main as cli_main
 from parctrl.config import build_problem, load_config
@@ -33,9 +32,9 @@ from parctrl.optimal_control import (
 from parctrl.scalar_control import ALL_VARIANTS, monotonicity_check, scalar_cost, scalar_optimum
 from parctrl.state_solvers import (
     ProblemSpec,
+    solve_adjoint,
     solve_elliptic_dirichlet,
-    solve_parabolic_dirichlet,
-    solve_parabolic_robin,
+    solve_parabolic,
 )
 
 HERE = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -80,13 +79,12 @@ def test_criterion_01_adjoint_duality(bench1d, bench2d):
             m = ops.gamma2_nodes.size
             for variant in ("dirichlet", "robin"):
                 if variant == "dirichlet":
-                    solve = lambda q: solve_parabolic_dirichlet(ops, spec, q, grid)
-                    adjoint = lambda u: solve_adjoint_dirichlet(ops, u, spec.target, grid)
+                    solve = lambda q: solve_parabolic(ops, spec, q, grid)
+                    adjoint = lambda u: solve_adjoint(ops, u, spec.target, grid)
                 else:
-                    solve = lambda q: solve_parabolic_robin(ops, spec, q, grid,
-                                                            alpha=ROBIN_ALPHA)
-                    adjoint = lambda u: solve_adjoint_robin(ops, u, spec.target,
-                                                            ROBIN_ALPHA, grid)
+                    solve = lambda q: solve_parabolic(ops, spec, q, grid, ROBIN_ALPHA)
+                    adjoint = lambda u: solve_adjoint(ops, u, spec.target, grid,
+                                                      ROBIN_ALPHA)
                 u_0 = solve(BoundaryControl.zeros(grid, m))
                 for _ in range(20):
                     q, eta = rand_q(rng, grid, ops), rand_q(rng, grid, ops)
@@ -96,7 +94,7 @@ def test_criterion_01_adjoint_duality(bench1d, bench2d):
                                             TimeField(u_eta.values - u_0.values),
                                             TimeField(u_q.values - spec.target.values))
                     rhs = -inner_boundary_time(grid, ops, eta,
-                                               BoundaryControl(trace_gamma2(ops, p_q)))
+                                               BoundaryControl(p_q.values[:, ops.gamma2_nodes]))
                     assert rel_err(lhs, rhs) < 1e-10
 
 
@@ -144,8 +142,8 @@ def test_criterion_04_convexity_identity(bench1d, bench2d):
                 lhs = ((1 - t) * tracking_cost(ops, spec, q2, grid)
                        + t * tracking_cost(ops, spec, q1, grid)
                        - tracking_cost(ops, spec, mix, grid))
-                u1 = solve_parabolic_dirichlet(ops, spec, q1, grid)
-                u2 = solve_parabolic_dirichlet(ops, spec, q2, grid)
+                u1 = solve_parabolic(ops, spec, q1, grid)
+                u2 = solve_parabolic(ops, spec, q2, grid)
                 du = TimeField(u2.values - u1.values)
                 dq = BoundaryControl(q2.values - q1.values)
                 rhs = 0.5 * t * (1 - t) * (

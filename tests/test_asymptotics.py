@@ -46,10 +46,10 @@ def test_sweep_optimize_trivial_target(ops1d, grid):
     # target the uncontrolled state: the optimal flux is zero for the limit
     # problem, so the control error is the Robin optimum's size and decreasing
     spec = make_spec(ops1d, grid)
-    from parctrl.state_solvers import solve_parabolic_dirichlet
+    from parctrl.state_solvers import solve_parabolic
 
     q0 = BoundaryControl.zeros(grid, ops1d.gamma2_nodes.size)
-    spec.target = solve_parabolic_dirichlet(ops1d, spec, q0, grid)
+    spec.target = solve_parabolic(ops1d, spec, q0, grid)
     ref = optimize_boundary(ops1d, spec, grid, tol=1e-11)
     assert np.max(np.abs(ref.q_opt.values)) == 0.0
     rows = alpha_sweep(ops1d, spec, grid, ALPHAS, q="optimize", tol=1e-11)

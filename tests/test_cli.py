@@ -468,9 +468,6 @@ def test_v_b_boundary_mismatch_rejected(tmp_path, capsys):
 
 def test_distributed_and_simultaneous_commands(tmp_path):
     for control in ("distributed", "simultaneous"):
-        text = SMALL_CFG + f"\n[data]\ncontrol = {control}\n"
-        # appending a second [data] section is a duplicate-key hazard; write
-        # the key into the existing section instead
         text = SMALL_CFG.replace("q0 = constant(1.0)",
                                  f"q0 = constant(1.0)\ncontrol = {control}")
         cfg = tmp_path / f"{control}.cfg"
@@ -481,6 +478,41 @@ def test_distributed_and_simultaneous_commands(tmp_path):
         assert res["converged"] is True
         if control == "simultaneous":
             assert (out / "g_opt.csv").exists() and (out / "q_opt.csv").exists()
+
+
+def test_data_csv_references_round_trip(tmp_path):
+    # a [data] trajectory read back from the CSV the CLI wrote for it keeps
+    # every bit; a CSV of the wrong width is named by the kind it was read as
+    from parctrl.cli import write_control_csv, write_field_csv
+    from parctrl.config import build_problem
+    from parctrl.fem_core import BoundaryControl, TimeField
+
+    small = tmp_path / "small.cfg"
+    small.write_text(SMALL_CFG)
+    problem = build_problem(load_config(str(small)))
+    grid, ops = problem.grid, problem.ops
+    rng = np.random.default_rng(5)
+    g = rng.standard_normal((grid.n_steps + 1, ops.n_nodes))
+    q = rng.standard_normal((grid.n_steps + 1, ops.gamma2_nodes.size))
+    write_field_csv(str(tmp_path / "g.csv"), grid, g)
+    write_control_csv(str(tmp_path / "q.csv"), grid, ops, q)
+
+    def build(g_ref, q_ref):
+        text = (SMALL_CFG.replace("g = constant(1.0)", f"g = csv:{g_ref}")
+                .replace("q = constant(0.5)", f"q = csv:{q_ref}"))
+        cfg = tmp_path / "refs.cfg"
+        cfg.write_text(text)
+        return build_problem(load_config(str(cfg)))
+
+    read = build("g.csv", "q.csv")
+    assert type(read.spec.source) is TimeField
+    assert read.spec.source.values.tobytes() == g.tobytes()
+    assert type(read.q) is BoundaryControl
+    assert read.q.values.tobytes() == q.tobytes()
+    with pytest.raises(ConfigError, match=r"CSV field .*q\.csv has shape"):
+        build("q.csv", "q.csv")
+    with pytest.raises(ConfigError, match=r"CSV control .*g\.csv has shape"):
+        build("g.csv", "g.csv")
 
 
 def test_shipped_benchmark_config_loads():

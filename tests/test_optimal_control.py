@@ -19,7 +19,7 @@ from parctrl.optimal_control import (
     tracking_cost,
     tracking_gradient,
 )
-from parctrl.state_solvers import solve_parabolic_dirichlet, solve_parabolic_robin
+from parctrl.state_solvers import solve_parabolic, variant_alpha
 
 from conftest import make_spec, random_control, random_field, rel_err
 
@@ -30,7 +30,7 @@ def zero_q(ops, grid):
 
 def test_cost_zero_at_perfect_tracking(ops1d, grid):
     spec = make_spec(ops1d, grid)
-    spec.target = solve_parabolic_dirichlet(ops1d, spec, zero_q(ops1d, grid), grid)
+    spec.target = solve_parabolic(ops1d, spec, zero_q(ops1d, grid), grid)
     assert tracking_cost(ops1d, spec, zero_q(ops1d, grid), grid) == 0.0
 
 
@@ -49,7 +49,7 @@ def test_convexity_identity(ops1d, grid, variant):
     # the difference exactly, and is bounded below by the penalty part
     rng = np.random.default_rng(67)
     spec = make_spec(ops1d, grid, flux_penalty=0.9)
-    solver = solve_parabolic_dirichlet if variant == "dirichlet" else solve_parabolic_robin
+    alpha = variant_alpha(spec, variant)
     for _ in range(5):
         q1 = random_control(rng, grid, ops1d)
         q2 = random_control(rng, grid, ops1d)
@@ -58,8 +58,8 @@ def test_convexity_identity(ops1d, grid, variant):
         lhs = ((1 - t) * tracking_cost(ops1d, spec, q2, grid, variant)
                + t * tracking_cost(ops1d, spec, q1, grid, variant)
                - tracking_cost(ops1d, spec, mix, grid, variant))
-        u1 = solver(ops1d, spec, q1, grid)
-        u2 = solver(ops1d, spec, q2, grid)
+        u1 = solve_parabolic(ops1d, spec, q1, grid, alpha)
+        u2 = solve_parabolic(ops1d, spec, q2, grid, alpha)
         du = TimeField(u2.values - u1.values)
         dq = BoundaryControl(q2.values - q1.values)
         rhs = 0.5 * t * (1 - t) * (inner_domain_time(grid, ops1d, du, du)
@@ -89,7 +89,7 @@ def test_gradient_matches_central_difference(ops1d, grid, variant, eps):
 
 def test_gradient_zero_at_global_minimum(ops1d, grid):
     spec = make_spec(ops1d, grid)
-    spec.target = solve_parabolic_dirichlet(ops1d, spec, zero_q(ops1d, grid), grid)
+    spec.target = solve_parabolic(ops1d, spec, zero_q(ops1d, grid), grid)
     grad = tracking_gradient(ops1d, spec, zero_q(ops1d, grid), grid)
     assert norm_boundary_time(grid, ops1d, grad) == 0.0
 
@@ -97,11 +97,8 @@ def test_gradient_zero_at_global_minimum(ops1d, grid):
 @pytest.mark.parametrize("variant", ["dirichlet", "robin"])
 def test_optimize_boundary_trivial_target(ops1d, grid, variant):
     spec = make_spec(ops1d, grid)
-    if variant == "dirichlet":
-        u0 = solve_parabolic_dirichlet(ops1d, spec, zero_q(ops1d, grid), grid)
-    else:
-        u0 = solve_parabolic_robin(ops1d, spec, zero_q(ops1d, grid), grid)
-    spec.target = u0
+    spec.target = solve_parabolic(ops1d, spec, zero_q(ops1d, grid), grid,
+                                  variant_alpha(spec, variant))
     res = optimize_boundary(ops1d, spec, grid, tol=1e-10, variant=variant)
     assert res.converged
     assert np.max(np.abs(res.q_opt.values)) == 0.0
@@ -112,7 +109,7 @@ def test_optimize_boundary_beats_generating_control(ops1d, grid):
     rng = np.random.default_rng(73)
     spec = make_spec(ops1d, grid)
     q_star = random_control(rng, grid, ops1d)
-    spec.target = solve_parabolic_dirichlet(ops1d, spec, q_star, grid)
+    spec.target = solve_parabolic(ops1d, spec, q_star, grid)
     res = optimize_boundary(ops1d, spec, grid, tol=1e-10)
     assert res.converged
     assert res.optimality_residual <= 1e-10
@@ -186,8 +183,7 @@ def test_optimize_distributed_trivial_target(ops1d, grid):
     from dataclasses import replace
 
     zero_g = TimeField.zeros(grid, ops1d.n_nodes)
-    spec.target = solve_parabolic_dirichlet(ops1d, replace(spec, source=zero_g),
-                                            q_fixed, grid)
+    spec.target = solve_parabolic(ops1d, replace(spec, source=zero_g), q_fixed, grid)
     res = optimize_distributed(ops1d, spec, grid, q_fixed, tol=1e-10)
     assert res.converged
     assert np.max(np.abs(res.g_opt.values)) == 0.0
@@ -198,8 +194,8 @@ def test_optimize_simultaneous_trivial_target(ops1d, grid):
 
     spec = make_spec(ops1d, grid)
     zero_g = TimeField.zeros(grid, ops1d.n_nodes)
-    spec.target = solve_parabolic_dirichlet(ops1d, replace(spec, source=zero_g),
-                                            zero_q(ops1d, grid), grid)
+    spec.target = solve_parabolic(ops1d, replace(spec, source=zero_g),
+                                  zero_q(ops1d, grid), grid)
     res = optimize_simultaneous(ops1d, spec, grid, tol=1e-10)
     assert res.converged
     assert np.max(np.abs(res.q_opt.values)) == 0.0
@@ -295,8 +291,8 @@ def test_optimizer_control_variant_matrix(ops1d, grid, control, variant):
     # a fresh forward solve
     g = res.g_opt if res.g_opt is not None else spec.source
     q = res.q_opt if res.q_opt is not None else q_fixed
-    solver = solve_parabolic_dirichlet if variant == "dirichlet" else solve_parabolic_robin
-    u = solver(ops1d, replace(spec, source=g), q, grid)
+    u = solve_parabolic(ops1d, replace(spec, source=g), q, grid,
+                        variant_alpha(spec, variant))
     misfit = TimeField(u.values - spec.target.values)
     fresh = (0.5 * inner_domain_time(grid, ops1d, misfit, misfit)
              + 0.5 * spec.flux_penalty * inner_boundary_time(grid, ops1d, q, q))

@@ -9,9 +9,8 @@ from parctrl.scalar_control import (
     monotonicity_check,
     scalar_cost,
     scalar_optimum,
-    scale_trajectory,
 )
-from parctrl.state_solvers import solve_parabolic_dirichlet
+from parctrl.state_solvers import solve_parabolic
 
 from conftest import make_spec, rel_err
 
@@ -34,7 +33,7 @@ def test_recombination_matches_direct_solve(ops1d, grid):
     u_b, u_q0, u_g = building_blocks(ops1d, spec, q0, grid, "parabolic")
     for lam in (0.0, 1.0, -0.7):
         q = BoundaryControl(lam * q0.values)
-        direct = solve_parabolic_dirichlet(ops1d, spec, q, grid)
+        direct = solve_parabolic(ops1d, spec, q, grid)
         combo = u_b.values + lam * u_q0.values + u_g.values
         scale = max(np.max(np.abs(direct.values)), 1.0)
         assert np.max(np.abs(combo - direct.values)) < 1e-12 * scale
@@ -170,16 +169,6 @@ def test_monotonicity_names_failing_hypothesis(ops1d, grid, spec1d):
     mixed.values[1] = 0.0
     with pytest.raises(ValueError, match="one strict sign"):
         monotonicity_check(ops1d, spec1d, grid, 1.0, 0.0, g, g, mixed, "parabolic")
-
-
-def test_scale_trajectory_runs_and_is_logged(ops1d, grid):
-    spec = make_spec(ops1d, grid, source_value=0.4, bump=0.0)
-    q0 = unit_q0(ops1d, grid)
-    traj = scale_trajectory(ops1d, spec, q0, grid, horizons=(1.0, 2.0, 4.0))
-    assert len(traj) == 3
-    assert all(np.isfinite(lam) for _, lam in traj)
-    # long-horizon behaviour is an open question: record, assert nothing
-    print("scale trajectory:", traj)
 
 
 def test_coefficient_per_horizon_trend_logged(ops1d):

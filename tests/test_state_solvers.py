@@ -14,18 +14,18 @@ from parctrl.fem_core import (
     norm_gamma1_time,
     norm_h1_time,
 )
-from parctrl.adjoint_solvers import _solve_adjoint
 from parctrl.state_solvers import (
     ParabolicStepper,
     ProblemSpec,
-    _solve_steady,
+    solve_adjoint,
     solve_elliptic_dirichlet,
     solve_elliptic_robin,
-    solve_parabolic_dirichlet,
-    solve_parabolic_robin,
+    solve_parabolic,
 )
 
 from conftest import make_spec, random_control, random_field
+
+TRANSFER = 3.0  # constant_spec's transfer coefficient
 
 
 def constant_spec(ops, grid, c):
@@ -35,7 +35,7 @@ def constant_spec(ops, grid, c):
         boundary_temp=np.full(ops.dirichlet_nodes.size, c),
         initial_temp=np.full(n, c),
         target=TimeField.zeros(grid, n),
-        transfer_coeff=3.0,
+        transfer_coeff=TRANSFER,
     )
 
 
@@ -43,18 +43,18 @@ def zero_control(ops, grid):
     return BoundaryControl.zeros(grid, ops.gamma2_nodes.size)
 
 
-@pytest.mark.parametrize("solver", [solve_parabolic_dirichlet, solve_parabolic_robin])
-def test_constants_are_steady_states(ops1d, grid, solver):
+@pytest.mark.parametrize("alpha", [math.inf, TRANSFER], ids=["dirichlet", "robin"])
+def test_constants_are_steady_states(ops1d, grid, alpha):
     spec = constant_spec(ops1d, grid, 2.5)
-    u = solver(ops1d, spec, zero_control(ops1d, grid), grid)
+    u = solve_parabolic(ops1d, spec, zero_control(ops1d, grid), grid, alpha)
     assert np.max(np.abs(u.values - 2.5)) < 1e-12
 
 
 def test_constants_2d(ops2d, grid):
     spec = constant_spec(ops2d, grid, -1.0)
-    u = solve_parabolic_dirichlet(ops2d, spec, zero_control(ops2d, grid), grid)
+    u = solve_parabolic(ops2d, spec, zero_control(ops2d, grid), grid)
     assert np.max(np.abs(u.values + 1.0)) < 1e-12
-    u = solve_parabolic_robin(ops2d, spec, zero_control(ops2d, grid), grid)
+    u = solve_parabolic(ops2d, spec, zero_control(ops2d, grid), grid, spec.transfer_coeff)
     assert np.max(np.abs(u.values + 1.0)) < 1e-12
 
 
@@ -73,7 +73,7 @@ def _manufactured_error(n_cells, n_steps):
         initial_temp=exact[0].copy(),
         target=TimeField.zeros(grid, ops.n_nodes),
     )
-    u = solve_parabolic_dirichlet(ops, spec, zero_control(ops, grid), grid)
+    u = solve_parabolic(ops, spec, zero_control(ops, grid), grid)
     diff = u.values - exact
     err = 0.0
     for k in range(grid.n_steps + 1):
@@ -95,7 +95,7 @@ def test_superposition(ops1d, grid, spec1d):
     spec.boundary_temp = np.full(ops1d.dirichlet_nodes.size, 0.3)
     spec.initial_temp = spec.initial_temp + 0.3
 
-    full = solve_parabolic_dirichlet(ops1d, spec, q, grid)
+    full = solve_parabolic(ops1d, spec, q, grid)
 
     only_b = ProblemSpec(TimeField.zeros(grid, ops1d.n_nodes), spec.boundary_temp,
                          spec.initial_temp, spec.target)
@@ -107,9 +107,9 @@ def test_superposition(ops1d, grid, spec1d):
     only_g_spec = ProblemSpec(spec.source, zero.boundary_temp, zero.initial_temp,
                               spec.target)
 
-    u_b = solve_parabolic_dirichlet(ops1d, only_b, zero_control(ops1d, grid), grid)
-    u_q = solve_parabolic_dirichlet(ops1d, only_q_spec, q, grid)
-    u_g = solve_parabolic_dirichlet(ops1d, only_g_spec, zero_control(ops1d, grid), grid)
+    u_b = solve_parabolic(ops1d, only_b, zero_control(ops1d, grid), grid)
+    u_q = solve_parabolic(ops1d, only_q_spec, q, grid)
+    u_g = solve_parabolic(ops1d, only_g_spec, zero_control(ops1d, grid), grid)
 
     combo = u_b.values + u_q.values + u_g.values
     scale = np.max(np.abs(full.values))
@@ -120,10 +120,10 @@ def test_robin_alpha_consistency(ops1d, grid):
     rng = np.random.default_rng(22)
     spec = make_spec(ops1d, grid)
     q = BoundaryControl(rng.standard_normal((grid.n_steps + 1, ops1d.gamma2_nodes.size)))
-    u_d = solve_parabolic_dirichlet(ops1d, spec, q, grid)
+    u_d = solve_parabolic(ops1d, spec, q, grid)
     errs = []
     for alpha in (10.0, 100.0, 1000.0, 10000.0):
-        u_a = solve_parabolic_robin(ops1d, spec, q, grid, alpha=alpha)
+        u_a = solve_parabolic(ops1d, spec, q, grid, alpha=alpha)
         errs.append(norm_h1_time(grid, ops1d, TimeField(u_a.values - u_d.values)))
     assert all(b < a for a, b in zip(errs, errs[1:]))
 
@@ -136,7 +136,7 @@ def test_robin_boundary_mismatch_bounded(ops1d, grid):
     b_ext[ops1d.dirichlet_nodes] = spec.boundary_temp
     vals = []
     for alpha in (2.0, 10.0, 100.0, 1000.0):
-        u_a = solve_parabolic_robin(ops1d, spec, q, grid, alpha=alpha)
+        u_a = solve_parabolic(ops1d, spec, q, grid, alpha=alpha)
         mismatch = TimeField(u_a.values - b_ext[None, :])
         vals.append(math.sqrt(alpha - 1.0) * norm_gamma1_time(grid, ops1d, mismatch))
     assert max(vals) <= 2.0 * vals[0]
@@ -148,8 +148,8 @@ def test_robin_rejects_bad_alpha(ops1d, grid, spec1d):
     # -inf and nan are not > 0 either; only +inf means exact imposition
     for alpha in (-1.0, 0.0, -math.inf, math.nan):
         with pytest.raises(ValueError, match="transfer coefficient"):
-            solve_parabolic_robin(ops1d, spec1d, zero_control(ops1d, grid), grid,
-                                  alpha=alpha)
+            solve_parabolic(ops1d, spec1d, zero_control(ops1d, grid), grid,
+                            alpha=alpha)
         with pytest.raises(ValueError, match="transfer coefficient"):
             solve_elliptic_robin(ops1d, np.zeros(ops1d.n_nodes),
                                  np.zeros(ops1d.gamma2_nodes.size), np.zeros(1),
@@ -160,8 +160,8 @@ def test_robin_rejects_bad_alpha(ops1d, grid, spec1d):
 
 def test_robin_inf_routes_to_dirichlet(ops1d, grid, spec1d):
     q = zero_control(ops1d, grid)
-    u_inf = solve_parabolic_robin(ops1d, spec1d, q, grid, alpha=math.inf)
-    u_d = solve_parabolic_dirichlet(ops1d, spec1d, q, grid)
+    u_inf = solve_parabolic(ops1d, spec1d, q, grid, alpha=math.inf)
+    u_d = solve_parabolic(ops1d, spec1d, q, grid)
     assert np.array_equal(u_inf.values, u_d.values)
 
 
@@ -245,7 +245,7 @@ def test_elliptic_robin_alpha_trend(ops1d):
 
 def test_discrete_energy_decay(ops1d, grid):
     spec = make_spec(ops1d, grid, source_value=0.0)
-    u = solve_parabolic_dirichlet(ops1d, spec, zero_control(ops1d, grid), grid)
+    u = solve_parabolic(ops1d, spec, zero_control(ops1d, grid), grid)
     norms = [math.sqrt(inner_domain(ops1d, u.values[k], u.values[k]))
              for k in range(grid.n_steps + 1)]
     assert all(b < a for a, b in zip(norms, norms[1:]))
@@ -264,7 +264,7 @@ def test_steady_state_fixed_point(ops1d, grid):
         target=TimeField.zeros(grid, ops1d.n_nodes),
     )
     q = BoundaryControl.constant_in_time(grid, qv)
-    u = solve_parabolic_dirichlet(ops1d, spec, q, grid)
+    u = solve_parabolic(ops1d, spec, q, grid)
     assert np.max(np.abs(u.values - u_inf[None, :])) < 1e-10
 
 
@@ -272,7 +272,7 @@ def test_spec_validation_rejects_mismatched_initial(ops1d, grid, spec1d):
     spec1d.initial_temp = spec1d.initial_temp.copy()
     spec1d.initial_temp[ops1d.dirichlet_nodes] += 0.1
     with pytest.raises(ValueError):
-        solve_parabolic_dirichlet(ops1d, spec1d, zero_control(ops1d, grid), grid)
+        solve_parabolic(ops1d, spec1d, zero_control(ops1d, grid), grid)
 
 
 def _dense_reference(ops, grid, alpha, lumped, initial, b, g, q, s):
@@ -365,7 +365,7 @@ def test_steady_solve_matches_dense_reference(alpha, lumped):
         rhs = rhs + alpha * (b1 @ b_ext)
     u_ref = np.linalg.solve(a_mat, rhs)
 
-    u = _solve_steady(ops, g, q, b, alpha, lumped=lumped)
+    u = solve_elliptic_robin(ops, g, q, b, alpha, lumped=lumped)
     assert np.max(np.abs(u - u_ref)) <= 1e-12 * np.max(np.abs(u_ref))
 
 
@@ -382,12 +382,12 @@ def test_reused_systems_give_the_bits_of_fresh_ones():
     g, q_row = rng.standard_normal(ref.n_nodes), rng.standard_normal(ref.gamma2_nodes.size)
     b = rng.random(ref.dirichlet_nodes.size)
     calls = [
-        lambda ops: solve_parabolic_dirichlet(ops, spec, q, grid).values,
-        lambda ops: solve_parabolic_robin(ops, spec, q, grid).values,
-        lambda ops: _solve_adjoint(ops, u, spec.target, grid, math.inf).values,
-        lambda ops: _solve_adjoint(ops, u, spec.target, grid, 7.5).values,
-        lambda ops: _solve_steady(ops, g, q_row, b, math.inf),
-        lambda ops: _solve_steady(ops, g, q_row, b, 7.5, lumped=True),
+        lambda ops: solve_parabolic(ops, spec, q, grid).values,
+        lambda ops: solve_parabolic(ops, spec, q, grid, spec.transfer_coeff).values,
+        lambda ops: solve_adjoint(ops, u, spec.target, grid, math.inf).values,
+        lambda ops: solve_adjoint(ops, u, spec.target, grid, 7.5).values,
+        lambda ops: solve_elliptic_robin(ops, g, q_row, b, math.inf),
+        lambda ops: solve_elliptic_robin(ops, g, q_row, b, 7.5, lumped=True),
     ]
     fresh = [call(assemble(mesh)).tobytes() for call in calls]
     ops = assemble(mesh)
@@ -414,8 +414,8 @@ def test_each_system_gets_its_own_entry(monkeypatch):
     ParabolicStepper(ops, coarse, alpha=None)
     ParabolicStepper(ops, coarse, alpha=math.inf)  # None is read as inf
     zeros = (np.zeros(ops.n_nodes), np.zeros(ops.gamma2_nodes.size), np.zeros(1))
-    _solve_steady(ops, *zeros, 5.0)
-    _solve_steady(ops, *zeros, 5.0, lumped=True)
+    solve_elliptic_robin(ops, *zeros, 5.0)
+    solve_elliptic_robin(ops, *zeros, 5.0, lumped=True)
     assert set(ops.systems) == {(5.0, False, 0.25), (5.0, True, 0.25),
                                 (5.0, False, 0.125), (6.0, False, 0.25),
                                 (math.inf, False, 0.25), (5.0, False, None),
@@ -431,5 +431,5 @@ def test_bad_alpha_caches_nothing():
         with pytest.raises(ValueError, match="transfer coefficient"):
             ParabolicStepper(ops, grid, alpha=alpha)
         with pytest.raises(ValueError, match="transfer coefficient"):
-            _solve_steady(ops, *zeros, alpha)
+            solve_elliptic_robin(ops, *zeros, alpha)
     assert ops.systems == {}
