@@ -7,8 +7,10 @@ Library layout:
                    coefficient alpha (+inf: exact imposition, finite > 0:
                    Robin transfer); the one place alpha becomes a system
   optimal_control  tracking costs, gradients, and one reduced-space CG driver
-                   behind the boundary, distributed and simultaneous optimizers
-  scalar_control   closed-form one-parameter controls and comparison checks
+                   behind the boundary, distributed and simultaneous optimizers,
+                   each taking alpha as the solvers do
+  scalar_control   closed-form one-parameter controls and comparison checks for
+                   the parabolic or elliptic problem at any alpha
   asymptotics      transfer-coefficient sweeps and long-time decay studies
   cli              batch front end (config files, CSV/JSON/SVG output)
 """

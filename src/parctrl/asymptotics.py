@@ -10,7 +10,7 @@ against the exponential bound built from the discrete coercivity constant.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -96,7 +96,7 @@ def alpha_sweep(ops: DiscreteOperators, spec: ProblemSpec, grid: TimeGrid,
     kept = set(ops.systems)
 
     if q == OPTIMIZE:
-        ref = optimize_boundary(ops, spec, grid, tol=tol, variant="dirichlet")
+        ref = optimize_boundary(ops, spec, grid, tol=tol)
         u_ref, p_ref, q_ref = ref.u_opt, ref.p_opt, ref.q_opt
     else:
         _check_control(grid, ops, q)
@@ -108,8 +108,7 @@ def alpha_sweep(ops: DiscreteOperators, spec: ProblemSpec, grid: TimeGrid,
     rows = []
     for alpha in alphas:
         if q == OPTIMIZE:
-            res = optimize_boundary(ops, replace(spec, transfer_coeff=alpha),
-                                    grid, tol=tol, variant="robin")
+            res = optimize_boundary(ops, spec, grid, tol=tol, alpha=alpha)
             u_a, p_a, q_a = res.u_opt, res.p_opt, res.q_opt
             converged = res.converged
             err_control = norm_boundary_time(

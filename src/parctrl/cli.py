@@ -37,7 +37,7 @@ from .fem_core import (
     inner_domain_time,
     norm_boundary_time,
 )
-from .state_solvers import solve_adjoint, solve_parabolic, variant_alpha
+from .state_solvers import solve_adjoint, solve_parabolic
 
 COMMANDS = ("solve", "optimize", "lambda", "sweep-alpha", "decay", "verify")
 
@@ -165,11 +165,33 @@ def _require(problem, attr, what):
     return value
 
 
+# the [data] variant names each command runs; sweep-alpha and verify run both
+# boundary conditions and do not read the key
+_VARIANTS = {"solve": ("dirichlet", "robin"), "optimize": ("dirichlet", "robin"),
+             "lambda": ("dirichlet", "parabolic", "parabolic_robin", "elliptic",
+                        "elliptic_robin"),
+             "decay": ("dirichlet",)}
+
+
+def _variant(problem, command):
+    """(kind, alpha) that [data] variant names for command: kind 'elliptic'
+    for an elliptic name, else 'parabolic'; alpha the config's [weights]
+    alpha for a name ending in robin, else +inf.  A name the command does not
+    run is a ConfigError at the variant line."""
+    name = problem.variant
+    if name not in _VARIANTS[command]:
+        raise ConfigError(f"{command} runs variant {' | '.join(_VARIANTS[command])}, "
+                          f"got {name!r}", problem.cfg.path,
+                          problem.cfg.line_of("data", "variant"))
+    kind = "elliptic" if name.startswith("elliptic") else "parabolic"
+    return kind, problem.alpha if name.endswith("robin") else math.inf
+
+
 def _cmd_solve(problem: Problem, out_dir):
+    _, alpha = _variant(problem, "solve")
     q = problem.q if problem.q is not None else BoundaryControl.zeros(
         problem.grid, problem.ops.gamma2_nodes.size)
-    u = solve_parabolic(problem.ops, problem.spec, q, problem.grid,
-                        variant_alpha(problem.spec, problem.variant))
+    u = solve_parabolic(problem.ops, problem.spec, q, problem.grid, alpha)
     path = os.path.join(out_dir, "u.csv")
     write_field_csv(path, problem.grid, u.values)
     return ["u.csv"], {"u_file": "u.csv",
@@ -179,19 +201,18 @@ def _cmd_solve(problem: Problem, out_dir):
 
 def _cmd_optimize(problem: Problem, out_dir):
     ops, spec, grid = problem.ops, problem.spec, problem.grid
+    _, alpha = _variant(problem, "optimize")
     if problem.control == "boundary":
         res = optimal_control.optimize_boundary(ops, spec, grid, tol=problem.opt_tol,
-                                                variant=problem.variant)
+                                                alpha=alpha)
     elif problem.control == "distributed":
         q_fixed = problem.q if problem.q is not None else BoundaryControl.zeros(
             grid, ops.gamma2_nodes.size)
         res = optimal_control.optimize_distributed(ops, spec, grid, q_fixed,
-                                                   tol=problem.opt_tol,
-                                                   variant=problem.variant)
+                                                   tol=problem.opt_tol, alpha=alpha)
     else:
         res = optimal_control.optimize_simultaneous(ops, spec, grid,
-                                                    tol=problem.opt_tol,
-                                                    variant=problem.variant)
+                                                    tol=problem.opt_tol, alpha=alpha)
     outputs, files = [], {}
     if res.q_opt is not None:
         write_control_csv(os.path.join(out_dir, "q_opt.csv"), grid, ops,
@@ -230,14 +251,14 @@ def _cmd_optimize(problem: Problem, out_dir):
 
 
 def _cmd_lambda(problem: Problem, out_dir):
-    # the default boundary variant means the default scalar variant; the
-    # library rejects any other name that is not a scalar variant
-    variant = problem.variant if problem.variant != "dirichlet" else "parabolic"
+    kind, alpha = _variant(problem, "lambda")
+    # lambda.csv calls the default variant, dirichlet, by its problem kind
+    variant = problem.variant if problem.variant != "dirichlet" else kind
     q0 = _require(problem, "q0", "q0")
     if np.max(np.abs(q0.values[1:])) == 0.0:
         raise ConfigError("q0 must be nonzero", problem.cfg.path)
     coeffs = scalar_control.scalar_optimum(problem.ops, problem.spec, q0,
-                                           problem.grid, variant)
+                                           problem.grid, kind, alpha)
     h_opt = coeffs.value(coeffs.lambda_opt)
     path = os.path.join(out_dir, "lambda.csv")
     _write_csv(path, "variant,A,B,C,lambda_opt,H_opt",
@@ -284,6 +305,7 @@ def _cmd_sweep_alpha(problem: Problem, out_dir):
 
 
 def _cmd_decay(problem: Problem, out_dir):
+    _variant(problem, "decay")
     q = problem.q
     if q is None:
         raise ConfigError("decay needs 'q' in section [data]", problem.cfg.path)
@@ -387,12 +409,10 @@ def _verify_battery(problem: Problem):
     worst = float(np.max(norms[1:] - norms[:-1]))
     record("energy-decay", worst < 0.0, worst)
 
-    # adjoint duality, both boundary-condition variants; an infinite transfer
-    # coefficient would repeat the Dirichlet check, so Robin then uses 5
-    robin_spec = spec if not math.isinf(spec.transfer_coeff) else replace(
-        spec, transfer_coeff=5.0)
-    for variant in ("dirichlet", "robin"):
-        alpha = variant_alpha(robin_spec, variant)
+    # adjoint duality, both boundary conditions; an infinite config alpha
+    # would repeat the Dirichlet check, so Robin then uses 5
+    robin_alpha = 5.0 if math.isinf(problem.alpha) else problem.alpha
+    for variant, alpha in (("dirichlet", math.inf), ("robin", robin_alpha)):
         worst = 0.0
         for _ in range(3):
             q = BoundaryControl(rng.standard_normal((grid.n_steps + 1, m)))

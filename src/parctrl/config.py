@@ -167,6 +167,7 @@ class Problem:
     g_inf: np.ndarray | None = None
     q_inf: np.ndarray | None = None
     variant: str = "dirichlet"
+    alpha: float = math.inf  # [weights] alpha, which the Robin variants run with
     control: str = "boundary"
     alphas: list = field(default_factory=list)
     opt_tol: float = 1e-10
@@ -293,8 +294,7 @@ def build_problem(cfg: RawConfig) -> Problem:
 
     spec = ProblemSpec(
         source=g, boundary_temp=b, initial_temp=v_b, target=z_d,
-        flux_penalty=flux_penalty, source_penalty=source_penalty,
-        transfer_coeff=alpha)
+        flux_penalty=flux_penalty, source_penalty=source_penalty)
     try:
         spec.validate(ops, grid)
     except ValueError as exc:
@@ -316,5 +316,5 @@ def build_problem(cfg: RawConfig) -> Problem:
         q0=_data_entry(cfg, "q0", "control", ops, grid),
         g_inf=_data_entry(cfg, "g_inf", "spatial_field", ops, grid),
         q_inf=_data_entry(cfg, "q_inf", "spatial_control", ops, grid),
-        variant=variant, control=control, alphas=alphas,
+        variant=variant, alpha=alpha, control=control, alphas=alphas,
         opt_tol=opt_tol, plots=plots, q_mode=q_mode)

@@ -13,7 +13,7 @@ plus one adjoint solve.
 Because the adjoint is the exact transpose of the state recursion, the CG
 residual equals the true cost gradient up to roundoff, and the optimality
 condition (penalty * control - adjoint trace = 0) is certified at solver
-tolerance.
+tolerance.  alpha, default +inf (Dirichlet), goes to the state solvers as is.
 
 All controls are stored as (n_steps+1, .) arrays whose row 0 is inert: it
 enters neither the recursions nor the rectangle-rule inner products.
@@ -36,7 +36,7 @@ from .fem_core import (
     _time_pairing,
     lambda_alpha,
 )
-from .state_solvers import ParabolicStepper, ProblemSpec, solve_parabolic, variant_alpha
+from .state_solvers import ParabolicStepper, ProblemSpec, solve_parabolic
 
 DEFAULT_MAX_ITER = 500
 _RESTARTS = 3
@@ -68,20 +68,20 @@ def _boundary_sq(grid, ops, rows):
 
 
 def tracking_cost(ops: DiscreteOperators, spec: ProblemSpec, q: BoundaryControl,
-                  grid: TimeGrid, variant: str = "dirichlet") -> float:
+                  grid: TimeGrid, alpha=math.inf) -> float:
     """Half the squared tracking misfit plus the flux penalty term."""
-    u = solve_parabolic(ops, spec, q, grid, variant_alpha(spec, variant))
+    u = solve_parabolic(ops, spec, q, grid, alpha)
     misfit = _domain_sq(grid, ops, u.values - spec.target.values)
     return 0.5 * misfit + 0.5 * spec.flux_penalty * _boundary_sq(grid, ops, q.values)
 
 
 def tracking_gradient(ops: DiscreteOperators, spec: ProblemSpec, q: BoundaryControl,
-                      grid: TimeGrid, variant: str = "dirichlet") -> BoundaryControl:
+                      grid: TimeGrid, alpha=math.inf) -> BoundaryControl:
     """Riesz representative of the cost derivative in the flux-boundary
     product: penalty * q minus the adjoint trace, per time step."""
     spec.validate(ops, grid)
     _check_control(grid, ops, q)
-    reduced = _ReducedProblem(ops, spec, grid, variant, g_fixed=spec.source)
+    reduced = _ReducedProblem(ops, spec, grid, alpha, g_fixed=spec.source)
     grad, _ = reduced.grad_at(q.values)
     return BoundaryControl(grad)
 
@@ -95,9 +95,9 @@ class _ReducedProblem:
     the same prefactored stepper.
     """
 
-    def __init__(self, ops, spec, grid, variant, g_fixed=None, q_fixed=None):
+    def __init__(self, ops, spec, grid, alpha, g_fixed=None, q_fixed=None):
         self.ops, self.spec, self.grid = ops, spec, grid
-        self.stepper = ParabolicStepper(ops, grid, alpha=variant_alpha(spec, variant))
+        self.stepper = ParabolicStepper(ops, grid, alpha=alpha)
         self.g_fixed = None if g_fixed is None else g_fixed.values
         self.q_fixed = None if q_fixed is None else q_fixed.values
         self.n_g = ops.n_nodes if g_fixed is None else 0
@@ -209,7 +209,7 @@ def _run_reduced_cg(grad_at, apply_h, inner, x0, tol, max_iter):
     return x, grad, cost, residual, total_it, converged, cost_history, residual_history
 
 
-def _optimize(ops, spec, grid, tol, variant, max_iter, g_fixed=None, q_fixed=None):
+def _optimize(ops, spec, grid, tol, alpha, max_iter, g_fixed=None, q_fixed=None):
     """The one reduced-CG driver: minimize over whichever of (source, flux)
     is not held fixed."""
     if tol <= 0:
@@ -217,7 +217,7 @@ def _optimize(ops, spec, grid, tol, variant, max_iter, g_fixed=None, q_fixed=Non
     spec.validate(ops, grid)
     if q_fixed is not None:
         _check_control(grid, ops, q_fixed)
-    reduced = _ReducedProblem(ops, spec, grid, variant, g_fixed, q_fixed)
+    reduced = _ReducedProblem(ops, spec, grid, alpha, g_fixed, q_fixed)
     x0 = np.zeros((grid.n_steps + 1, reduced.width))
     x, grad, cost, residual, iters, converged, costs, resids = _run_reduced_cg(
         reduced.grad_at, reduced.apply_h, reduced.inner, x0, tol, max_iter)
@@ -232,26 +232,25 @@ def _optimize(ops, spec, grid, tol, variant, max_iter, g_fixed=None, q_fixed=Non
 
 
 def optimize_boundary(ops: DiscreteOperators, spec: ProblemSpec, grid: TimeGrid,
-                      tol: float = 1e-10, variant: str = "dirichlet",
+                      tol: float = 1e-10, alpha=math.inf,
                       max_iter: int = DEFAULT_MAX_ITER) -> OptimResult:
     """Minimize the tracking cost over the boundary flux control."""
-    return _optimize(ops, spec, grid, tol, variant, max_iter, g_fixed=spec.source)
+    return _optimize(ops, spec, grid, tol, alpha, max_iter, g_fixed=spec.source)
 
 
 def optimize_distributed(ops: DiscreteOperators, spec: ProblemSpec, grid: TimeGrid,
-                         q_fixed: BoundaryControl, tol: float = 1e-10,
-                         variant: str = "dirichlet",
+                         q_fixed: BoundaryControl, tol: float = 1e-10, alpha=math.inf,
                          max_iter: int = DEFAULT_MAX_ITER) -> OptimResult:
     """Minimize over the internal energy with the boundary flux held fixed.
 
     The control replaces the problem's source field; the fixed flux
     contributes the constant penalty term included in the reported cost.
     """
-    return _optimize(ops, spec, grid, tol, variant, max_iter, q_fixed=q_fixed)
+    return _optimize(ops, spec, grid, tol, alpha, max_iter, q_fixed=q_fixed)
 
 
 def optimize_simultaneous(ops: DiscreteOperators, spec: ProblemSpec, grid: TimeGrid,
-                          tol: float = 1e-10, variant: str = "dirichlet",
+                          tol: float = 1e-10, alpha=math.inf,
                           max_iter: int = DEFAULT_MAX_ITER) -> OptimResult:
     """Minimize over the internal energy and the boundary flux jointly.
 
@@ -259,33 +258,29 @@ def optimize_simultaneous(ops: DiscreteOperators, spec: ProblemSpec, grid: TimeG
     is (source_penalty * g + adjoint, flux_penalty * q - adjoint trace) and the
     product inner product is the sum of the domain and boundary parts.
     """
-    return _optimize(ops, spec, grid, tol, variant, max_iter)
+    return _optimize(ops, spec, grid, tol, alpha, max_iter)
 
 
 def control_gap_estimate(ops: DiscreteOperators, spec: ProblemSpec, grid: TimeGrid,
                          g_fixed: TimeField, tol: float = 1e-10,
-                         variant: str = "dirichlet") -> dict:
+                         alpha=math.inf) -> dict:
     """Certified a-priori bound on the distance between the boundary-only
     optimal flux (at a fixed internal energy) and the flux component of the
     simultaneous optimum.
 
     The bound is (trace_norm / (coercivity * flux_penalty)) times the misfit
-    between the two optimal states; the Robin variant uses the transfer-form
+    between the two optimal states; finite alpha uses the transfer-form
     coercivity lambda1 * min(1, alpha).
     """
-    sim = optimize_simultaneous(ops, spec, grid, tol=tol, variant=variant)
+    sim = optimize_simultaneous(ops, spec, grid, tol=tol, alpha=alpha)
     spec_b = replace(spec, source=g_fixed)
-    bnd = optimize_boundary(ops, spec_b, grid, tol=tol, variant=variant)
+    bnd = optimize_boundary(ops, spec_b, grid, tol=tol, alpha=alpha)
     if not (sim.converged and bnd.converged):
         raise SolverError("control gap estimate requires both optimizers converged")
 
     diff = BoundaryControl(bnd.q_opt.values - sim.q_opt.values)
     lhs = math.sqrt(_boundary_sq(grid, ops, diff.values))
-    alpha = variant_alpha(spec, variant)
-    if math.isinf(alpha):
-        coercivity = ops.lambda0
-    else:
-        coercivity = lambda_alpha(ops, alpha)
+    coercivity = ops.lambda0 if math.isinf(alpha) else lambda_alpha(ops, alpha)
     state_gap = math.sqrt(_domain_sq(grid, ops, sim.u_opt.values - bnd.u_opt.values))
     rhs = ops.trace_norm / (coercivity * spec.flux_penalty) * state_gap
     j1 = bnd.cost + 0.5 * spec.source_penalty * _domain_sq(grid, ops, g_fixed.values)

@@ -4,10 +4,10 @@ Restricting the flux control to the line {lam * q0} turns the tracking cost
 into a scalar quadratic  quad*lam^2 + lin*lam + const  whose coefficients come
 from three building-block solves (datum only, unit flux only, source only).
 The minimizer is -lin/(2*quad) in closed form, for the parabolic and steady
-problems with either the Dirichlet or the Robin condition on GAMMA1.  Each
-variant name maps to a transfer coefficient through state_solvers.variant_alpha,
-and the solves route through ParabolicStepper or solve_elliptic_robin, whose
-one GAMMA1 helper alone decides how that coefficient imposes the datum.
+problems with either the Dirichlet or the Robin condition on GAMMA1: variant
+"parabolic" (S, S_alpha) or "elliptic" (P, P_alpha), and alpha last, +inf by
+default.  The solves route through ParabolicStepper or solve_elliptic_robin,
+whose one GAMMA1 helper alone decides how alpha imposes the datum.
 
 The monotonicity check compares two such solutions nodewise.  It always runs
 on the lumped mass matrix, over the non-obtuse meshes produced by the mesh
@@ -17,12 +17,13 @@ spuriously, so there is no consistent-mass option.
 
 All spatial quadratures reuse the assembled mass and boundary-mass matrices,
 never pointwise products, so every inner product refers to one discrete
-geometry.  The steady ("elliptic") variants read the terminal-time rows of the
+geometry.  The steady ("elliptic") problems read the terminal-time rows of the
 supplied time-dependent data.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,19 +37,7 @@ from .fem_core import (
     _time_pairing,
 )
 from .optimal_control import _boundary_sq, _domain_sq, tracking_cost
-from .state_solvers import (
-    ParabolicStepper,
-    ProblemSpec,
-    solve_elliptic_robin,
-    variant_alpha,
-)
-
-PARABOLIC_VARIANTS = ("parabolic", "parabolic_robin")
-ELLIPTIC_VARIANTS = ("elliptic", "elliptic_robin")
-ALL_VARIANTS = PARABOLIC_VARIANTS + ELLIPTIC_VARIANTS
-# the boundary variant (see state_solvers.variant_alpha) each variant names
-_BOUNDARY_VARIANT = {"parabolic": "dirichlet", "parabolic_robin": "robin",
-                     "elliptic": "dirichlet", "elliptic_robin": "robin"}
+from .state_solvers import ParabolicStepper, ProblemSpec, solve_elliptic_robin
 
 
 @dataclass(frozen=True)
@@ -72,12 +61,12 @@ class QuadraticCoefficients:
 
 
 def _check_variant(variant):
-    if variant not in ALL_VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}, expected one of {ALL_VARIANTS}")
+    if variant not in ("parabolic", "elliptic"):
+        raise ValueError(f"unknown variant {variant!r}, expected 'parabolic' or 'elliptic'")
 
 
 def building_blocks(ops: DiscreteOperators, spec: ProblemSpec, q0: BoundaryControl,
-                    grid: TimeGrid, variant: str = "parabolic"):
+                    grid: TimeGrid, variant: str = "parabolic", alpha=math.inf):
     """Three decoupled solves: datum only, unit flux direction only, source only.
 
     Their combination  u_b + lam * u_q0 + u_g  reproduces the direct solve with
@@ -87,8 +76,7 @@ def building_blocks(ops: DiscreteOperators, spec: ProblemSpec, q0: BoundaryContr
     _check_variant(variant)
     spec.validate(ops, grid)
     _check_control(grid, ops, q0)
-    alpha = variant_alpha(spec, _BOUNDARY_VARIANT[variant])
-    if variant in PARABOLIC_VARIANTS:
+    if variant == "parabolic":
         if np.max(np.abs(q0.values[1:])) == 0.0:
             raise ValueError("q0 must not be identically zero: the quadratic "
                              "coefficient would vanish")
@@ -113,12 +101,13 @@ def building_blocks(ops: DiscreteOperators, spec: ProblemSpec, q0: BoundaryContr
 
 
 def scalar_optimum(ops: DiscreteOperators, spec: ProblemSpec, q0: BoundaryControl,
-                   grid: TimeGrid, variant: str = "parabolic") -> QuadraticCoefficients:
+                   grid: TimeGrid, variant: str = "parabolic",
+                   alpha=math.inf) -> QuadraticCoefficients:
     """Quadratic coefficients of the restricted cost and its closed-form
     minimizer -linear/(2*quadratic)."""
-    u_b, u_q0, u_g = building_blocks(ops, spec, q0, grid, variant)
+    u_b, u_q0, u_g = building_blocks(ops, spec, q0, grid, variant, alpha)
     weight = spec.flux_penalty
-    if variant in PARABOLIC_VARIANTS:
+    if variant == "parabolic":
         drift = u_b.values + u_g.values - spec.target.values
         quad = (0.5 * weight * _boundary_sq(grid, ops, q0.values)
                 + 0.5 * _domain_sq(grid, ops, u_q0.values))
@@ -139,17 +128,16 @@ def scalar_optimum(ops: DiscreteOperators, spec: ProblemSpec, q0: BoundaryContro
 
 
 def scalar_cost(ops: DiscreteOperators, spec: ProblemSpec, q0: BoundaryControl,
-                grid: TimeGrid, variant: str, lam: float) -> float:
+                grid: TimeGrid, variant: str, lam: float, alpha=math.inf) -> float:
     """Restricted cost evaluated the direct way, by a full solve with flux
     lam * q0.  Serves as the independent check of the coefficient route."""
     _check_variant(variant)
-    if variant in PARABOLIC_VARIANTS:
+    if variant == "parabolic":
         q = BoundaryControl(lam * q0.values)
-        return tracking_cost(ops, spec, q, grid, _BOUNDARY_VARIANT[variant])
+        return tracking_cost(ops, spec, q, grid, alpha)
     g_row = spec.source.values[-1]
     z_row = spec.target.values[-1]
     q_row = lam * q0.values[-1]
-    alpha = variant_alpha(spec, _BOUNDARY_VARIANT[variant])
     u = solve_elliptic_robin(ops, g_row, q_row, spec.boundary_temp, alpha)
     misfit = u - z_row
     return (0.5 * float(misfit @ (ops.mass @ misfit))
@@ -164,14 +152,15 @@ def _require(cond, hypothesis):
 def monotonicity_check(ops: DiscreteOperators, spec: ProblemSpec, grid: TimeGrid,
                        lam1: float, lam2: float, g1: TimeField, g2: TimeField,
                        q0: BoundaryControl, variant: str = "parabolic",
-                       spec_upper: ProblemSpec | None = None) -> dict:
+                       spec_upper: ProblemSpec | None = None,
+                       alpha=math.inf) -> dict:
     """Nodewise comparison of the two restricted solutions.
 
     Hypotheses (checked, and named on failure): q0 of one strict sign on the
     flux boundary with lam2 <= lam1 for positive q0 (lam1 <= lam2 for negative
-    q0), g1 <= g2 nodewise, and for the Robin variant an ordered datum and
-    initial state between spec and spec_upper.  Returns the largest value of
-    (lower solution - upper solution) over all steps and nodes.
+    q0), g1 <= g2 nodewise, and an ordered datum and initial state between
+    spec and spec_upper.  Returns the largest value of (lower solution -
+    upper solution) over all steps and nodes.
     """
     _check_variant(variant)
     spec.validate(ops, grid)
@@ -193,8 +182,7 @@ def monotonicity_check(ops: DiscreteOperators, spec: ProblemSpec, grid: TimeGrid
     _require(np.all(spec.initial_temp <= upper.initial_temp),
              "ordered initial temperatures")
 
-    alpha = variant_alpha(spec, _BOUNDARY_VARIANT[variant])
-    if variant in PARABOLIC_VARIANTS:
+    if variant == "parabolic":
         stepper = ParabolicStepper(ops, grid, alpha=alpha, lumped=True)
         u1 = stepper.run(spec.initial_temp, spec.boundary_temp,
                          g1.values, lam1 * q0.values)

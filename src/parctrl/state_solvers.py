@@ -11,7 +11,7 @@ alpha * (boundary mass).  The choice only fixes the unknown rows, the
 factorization, the lift and the constant load.  So each recursion has one
 entry taking alpha last, default +inf: solve_parabolic, solve_adjoint and
 solve_elliptic_robin (solve_elliptic_dirichlet is its alpha +inf call).
-variant_alpha maps 'dirichlet'/'robin' onto alpha.
+ProblemSpec holds no alpha: one spec poses the Dirichlet and every Robin problem.
 
 The adjoint is the algebraic transpose of the discrete state recursion under
 the right-endpoint rectangle pairing, not a separate discretization of the
@@ -56,7 +56,6 @@ class ProblemSpec:
     target         tracking target as a TimeField
     flux_penalty   weight of the boundary control in the cost (finite, > 0)
     source_penalty weight of the distributed control in the cost (finite, > 0)
-    transfer_coeff Robin heat-transfer coefficient (> 0); +inf means Dirichlet
     """
 
     source: TimeField
@@ -65,7 +64,6 @@ class ProblemSpec:
     target: TimeField
     flux_penalty: float = 1.0
     source_penalty: float = 1.0
-    transfer_coeff: float = math.inf
 
     def validate(self, ops: DiscreteOperators, grid: TimeGrid):
         _check_field(grid, ops, self.source, "source")
@@ -82,8 +80,6 @@ class ProblemSpec:
             raise ValueError(f"flux_penalty must be finite and > 0, got {self.flux_penalty}")
         if not (math.isfinite(self.source_penalty) and self.source_penalty > 0):
             raise ValueError(f"source_penalty must be finite and > 0, got {self.source_penalty}")
-        if not self.transfer_coeff > 0:
-            raise ValueError(f"transfer_coeff must be > 0, got {self.transfer_coeff}")
         mismatch = np.max(np.abs(self.initial_temp[ops.dirichlet_nodes] - self.boundary_temp))
         if mismatch != 0.0:
             raise ValueError(
@@ -145,10 +141,8 @@ def _imposition(ops: DiscreteOperators, alpha, lumped: bool,
                 dt=None) -> _Gamma1Imposition:
     """The _Gamma1Imposition of one system on ops, built on first use and
     kept in ops.systems under (alpha, lumped, dt); dt None is the steady
-    system.  alpha None is read as +inf; any alpha not > 0 raises before
-    anything is cached.
+    system.  Any alpha not > 0 raises before anything is cached.
     """
-    alpha = math.inf if alpha is None else alpha
     if not alpha > 0:
         raise ValueError(f"transfer coefficient must be > 0, got {alpha}")
     key = (alpha, lumped, dt)
@@ -217,21 +211,10 @@ class ParabolicStepper:
         return p
 
 
-def variant_alpha(spec: ProblemSpec, variant: str):
-    """Transfer coefficient of a named boundary variant: +inf (exact
-    imposition) for 'dirichlet', spec.transfer_coeff for 'robin'."""
-    if variant == "dirichlet":
-        return math.inf
-    if variant == "robin":
-        return spec.transfer_coeff
-    raise ValueError(f"unknown variant {variant!r}, expected 'dirichlet' or 'robin'")
-
-
 def solve_parabolic(ops: DiscreteOperators, spec: ProblemSpec, q: BoundaryControl,
                     grid: TimeGrid, alpha=math.inf) -> TimeField:
     """Backward-Euler state trajectory with flux q, the GAMMA1 datum imposed
-    as alpha says (as in ParabolicStepper).  Pass spec.transfer_coeff for the
-    problem's own Robin coefficient."""
+    as alpha says (as in ParabolicStepper)."""
     spec.validate(ops, grid)
     _check_control(grid, ops, q)
     stepper = ParabolicStepper(ops, grid, alpha=alpha)

@@ -27,7 +27,7 @@ def grid():
 
 
 def make_spec(ops, grid, source_value=1.0, target_value=0.25, bump=1.0,
-              flux_penalty=1.0, source_penalty=1.0, alpha=5.0):
+              flux_penalty=1.0, source_penalty=1.0):
     """Small smooth benchmark problem: zero boundary temperature, an interior
     sine bump as initial state, constant source and constant target."""
     x = ops.mesh.node_coords
@@ -44,7 +44,6 @@ def make_spec(ops, grid, source_value=1.0, target_value=0.25, bump=1.0,
         target=TimeField.constant_in_time(grid, np.full(n, target_value)),
         flux_penalty=flux_penalty,
         source_penalty=source_penalty,
-        transfer_coeff=alpha,
     )
 
 

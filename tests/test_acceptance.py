@@ -7,6 +7,7 @@ import math
 import os
 from contextlib import contextmanager
 from dataclasses import replace
+from itertools import product
 
 import numpy as np
 import pytest
@@ -29,7 +30,7 @@ from parctrl.optimal_control import (
     tracking_cost,
     tracking_gradient,
 )
-from parctrl.scalar_control import ALL_VARIANTS, monotonicity_check, scalar_cost, scalar_optimum
+from parctrl.scalar_control import monotonicity_check, scalar_cost, scalar_optimum
 from parctrl.state_solvers import (
     ProblemSpec,
     solve_adjoint,
@@ -185,20 +186,19 @@ def test_criterion_06_control_gap_estimate(bench1d):
 def test_criterion_07_closed_form_scalar_control(bench1d):
     with criterion(7, "closed-form scalar optimum in all four variants"):
         ops, spec, grid = bench1d.ops, bench1d.spec, bench1d.grid
-        spec = replace(spec, transfer_coeff=ROBIN_ALPHA)
         q0 = bench1d.q0
-        for variant in ALL_VARIANTS:
-            coeffs = scalar_optimum(ops, spec, q0, grid, variant)
-            ys = [scalar_cost(ops, spec, q0, grid, variant, lam)
+        for variant, alpha in product(("parabolic", "elliptic"), (math.inf, ROBIN_ALPHA)):
+            coeffs = scalar_optimum(ops, spec, q0, grid, variant, alpha)
+            ys = [scalar_cost(ops, spec, q0, grid, variant, lam, alpha)
                   for lam in (-1.0, 0.0, 1.0)]
             a = 0.5 * (ys[2] + ys[0]) - ys[1]
             b = 0.5 * (ys[2] - ys[0])
             vertex = -b / (2 * a)
             assert rel_err(vertex, coeffs.lambda_opt) < 1e-10, variant
             best = coeffs.lambda_opt
-            h_best = scalar_cost(ops, spec, q0, grid, variant, best)
-            assert h_best <= scalar_cost(ops, spec, q0, grid, variant, best + 0.1)
-            assert h_best <= scalar_cost(ops, spec, q0, grid, variant, best - 0.1)
+            h_best = scalar_cost(ops, spec, q0, grid, variant, best, alpha)
+            assert h_best <= scalar_cost(ops, spec, q0, grid, variant, best + 0.1, alpha)
+            assert h_best <= scalar_cost(ops, spec, q0, grid, variant, best - 0.1, alpha)
             assert coeffs.discriminant < 0.0, variant
 
 
@@ -211,8 +211,7 @@ def test_criterion_08_monotonicity(bench1d, bench2d):
                 source=TimeField.zeros(grid, n),
                 boundary_temp=np.zeros(ops.dirichlet_nodes.size),
                 initial_temp=np.zeros(n),
-                target=TimeField.zeros(grid, n),
-                transfer_coeff=4.0)
+                target=TimeField.zeros(grid, n))
             q0 = BoundaryControl.constant_in_time(
                 grid, np.ones(ops.gamma2_nodes.size))
             g1 = TimeField.zeros(grid, n)
@@ -225,7 +224,7 @@ def test_criterion_08_monotonicity(bench1d, bench2d):
             upper = replace(base, boundary_temp=base.boundary_temp + 0.5,
                             initial_temp=base.initial_temp + 0.5)
             rec = monotonicity_check(ops, base, grid, 1.0, 0.0, g1, g2, q0,
-                                     "parabolic_robin", spec_upper=upper)
+                                     "parabolic", spec_upper=upper, alpha=4.0)
             assert rec["holds"] and rec["max_violation"] <= 1e-12
 
             # negative flux direction with the reversed scale ordering

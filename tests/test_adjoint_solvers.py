@@ -64,7 +64,7 @@ def test_exact_operator_adjointness(ops2d, grid):
     # load-bearing invariant: the homogeneous state map and the adjoint trace
     # map are exact transposes under the discrete pairings
     rng = np.random.default_rng(47)
-    stepper = ParabolicStepper(ops2d, grid, alpha=None)
+    stepper = ParabolicStepper(ops2d, grid, alpha=math.inf)
     m = ops2d.gamma2_nodes.size
     zeros_b = np.zeros(ops2d.dirichlet_nodes.size)
     for _ in range(5):

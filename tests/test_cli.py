@@ -185,12 +185,18 @@ def test_sweep_csv_writes_booleans_and_empty_cells(cfg_path, tmp_path, monkeypat
 
 
 def test_solve_robin_variant(tmp_path):
-    text = SMALL_CFG.replace("q0 = constant(1.0)", "q0 = constant(1.0)\nvariant = robin")
+    # variant = robin runs with the config's alpha, which changes the state
+    text = (SMALL_CFG.replace("q0 = constant(1.0)", "q0 = constant(1.0)\nvariant = robin")
+            .replace("alpha = 5.0", "alpha = 2.5"))
     cfg = tmp_path / "robin.cfg"
     cfg.write_text(text)
     out = tmp_path / "out"
     assert run("solve", str(cfg), out) == 0
     assert json.loads((out / "manifest.json").read_text())["command"] == "solve"
+    dirichlet = tmp_path / "dirichlet.cfg"
+    dirichlet.write_text(text.replace("variant = robin", "variant = dirichlet"))
+    assert run("solve", str(dirichlet), tmp_path / "out_d") == 0
+    assert (out / "u.csv").read_bytes() != (tmp_path / "out_d" / "u.csv").read_bytes()
 
 
 def test_lambda_command(cfg_path, tmp_path):
@@ -347,10 +353,11 @@ def test_bad_keys_fail_before_assembly(tmp_path, capsys, monkeypatch, key, value
     assert key in err and f"bad.cfg:{at + 1}:" in err
 
 
-def small_2d_problem():
+def small_2d_problem(alpha="5.0"):
     from parctrl.config import build_problem
 
     text = SMALL_CFG.replace("dim = 1\ncells = 32\n", "dim = 2\nnx = 6\nny = 5\n")
+    text = text.replace("alpha = 5.0", f"alpha = {alpha}")
     return build_problem(parse_config_text(text.replace("steps = 20", "steps = 8")))
 
 
@@ -375,9 +382,12 @@ def test_verify_battery_stays_sparse(monkeypatch):
     assert checks and all(c["passed"] for c in checks)
 
 
-def test_verify_battery_factorizes_each_system_once(monkeypatch):
+@pytest.mark.parametrize("alpha,robin", [("5.0", 5.0), ("2.5", 2.5), ("inf", 5.0)],
+                         ids=["5.0", "2.5", "inf"])
+def test_verify_battery_factorizes_each_system_once(monkeypatch, alpha, robin):
     # the battery runs dozens of solves on two systems: exact imposition and
-    # Robin with the configured alpha, both consistent mass, one dt
+    # Robin with the configured alpha (5 when that is inf), both consistent
+    # mass, one dt
     from parctrl import state_solvers
     from parctrl.cli import _verify_battery
 
@@ -389,22 +399,40 @@ def test_verify_battery_factorizes_each_system_once(monkeypatch):
         return real(a_mat)
 
     monkeypatch.setattr(state_solvers, "spd_solver", counting)
-    problem = small_2d_problem()
+    problem = small_2d_problem(alpha)
     checks = _verify_battery(problem)
     assert checks and all(c["passed"] for c in checks)
     dt = problem.grid.dt
-    assert set(problem.ops.systems) == {(math.inf, False, dt), (5.0, False, dt)}
+    assert set(problem.ops.systems) == {(math.inf, False, dt), (robin, False, dt)}
     assert len(factorized) == len(problem.ops.systems)
 
 
 @pytest.mark.parametrize("command", ["solve", "optimize", "lambda"])
 def test_unknown_variant_exits_2(tmp_path, capsys, command):
     text = SMALL_CFG.replace("q0 = constant(1.0)", "q0 = constant(1.0)\nvariant = neumann")
+    line = text.splitlines().index("variant = neumann") + 1
     bad = tmp_path / "bad.cfg"
     bad.write_text(text)
     assert run(command, str(bad), tmp_path / "out") == 2
     err = capsys.readouterr().err
-    assert "bad.cfg" in err and "'neumann'" in err
+    assert f"bad.cfg:{line}:" in err and "'neumann'" in err
+
+
+@pytest.mark.parametrize("command,variant", [("solve", "elliptic"),
+                                             ("optimize", "parabolic_robin"),
+                                             ("lambda", "robin"),
+                                             ("decay", "robin"),
+                                             ("decay", "parabolic")])
+def test_variant_a_command_does_not_run_exits_2(tmp_path, capsys, command, variant):
+    # a valid name is still an error for a command that does not run it; decay
+    # runs only the Dirichlet problem, so it must not ignore a Robin variant
+    text = SMALL_CFG.replace("q0 = constant(1.0)", f"q0 = constant(1.0)\nvariant = {variant}")
+    line = text.splitlines().index(f"variant = {variant}") + 1
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(text)
+    assert run(command, str(bad), tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert f"bad.cfg:{line}:" in err and f"'{variant}'" in err
 
 
 def test_manifest_rerun_reproduces_csv_bytes(cfg_path, tmp_path):

@@ -19,7 +19,7 @@ from parctrl.optimal_control import (
     tracking_cost,
     tracking_gradient,
 )
-from parctrl.state_solvers import solve_parabolic, variant_alpha
+from parctrl.state_solvers import solve_parabolic
 
 from conftest import make_spec, random_control, random_field, rel_err
 
@@ -43,21 +43,20 @@ def test_cost_dominates_penalty_term(ops1d, grid):
         assert j >= 0.5 * 0.7 * inner_boundary_time(grid, ops1d, q, q)
 
 
-@pytest.mark.parametrize("variant", ["dirichlet", "robin"])
-def test_convexity_identity(ops1d, grid, variant):
+@pytest.mark.parametrize("alpha", [math.inf, 5.0], ids=["dirichlet", "robin"])
+def test_convexity_identity(ops1d, grid, alpha):
     # the convex-combination defect of the cost equals the quadratic form of
     # the difference exactly, and is bounded below by the penalty part
     rng = np.random.default_rng(67)
     spec = make_spec(ops1d, grid, flux_penalty=0.9)
-    alpha = variant_alpha(spec, variant)
     for _ in range(5):
         q1 = random_control(rng, grid, ops1d)
         q2 = random_control(rng, grid, ops1d)
         t = rng.uniform(0.05, 0.95)
         mix = BoundaryControl((1 - t) * q2.values + t * q1.values)
-        lhs = ((1 - t) * tracking_cost(ops1d, spec, q2, grid, variant)
-               + t * tracking_cost(ops1d, spec, q1, grid, variant)
-               - tracking_cost(ops1d, spec, mix, grid, variant))
+        lhs = ((1 - t) * tracking_cost(ops1d, spec, q2, grid, alpha)
+               + t * tracking_cost(ops1d, spec, q1, grid, alpha)
+               - tracking_cost(ops1d, spec, mix, grid, alpha))
         u1 = solve_parabolic(ops1d, spec, q1, grid, alpha)
         u2 = solve_parabolic(ops1d, spec, q2, grid, alpha)
         du = TimeField(u2.values - u1.values)
@@ -69,20 +68,20 @@ def test_convexity_identity(ops1d, grid, variant):
         assert lhs >= strict - 1e-12 * max(abs(lhs), 1.0)
 
 
-@pytest.mark.parametrize("variant", ["dirichlet", "robin"])
+@pytest.mark.parametrize("alpha", [math.inf, 5.0], ids=["dirichlet", "robin"])
 @pytest.mark.parametrize("eps", [1e-2, 1e-4])
-def test_gradient_matches_central_difference(ops1d, grid, variant, eps):
+def test_gradient_matches_central_difference(ops1d, grid, alpha, eps):
     # the cost is quadratic, so central differences are exact up to roundoff
     rng = np.random.default_rng(71)
     spec = make_spec(ops1d, grid)
     q = random_control(rng, grid, ops1d)
-    grad = tracking_gradient(ops1d, spec, q, grid, variant)
+    grad = tracking_gradient(ops1d, spec, q, grid, alpha)
     for _ in range(3):
         eta = random_control(rng, grid, ops1d)
         plus = BoundaryControl(q.values + eps * eta.values)
         minus = BoundaryControl(q.values - eps * eta.values)
-        fd = (tracking_cost(ops1d, spec, plus, grid, variant)
-              - tracking_cost(ops1d, spec, minus, grid, variant)) / (2 * eps)
+        fd = (tracking_cost(ops1d, spec, plus, grid, alpha)
+              - tracking_cost(ops1d, spec, minus, grid, alpha)) / (2 * eps)
         pairing = inner_boundary_time(grid, ops1d, grad, eta)
         assert rel_err(fd, pairing) < 1e-9
 
@@ -94,12 +93,11 @@ def test_gradient_zero_at_global_minimum(ops1d, grid):
     assert norm_boundary_time(grid, ops1d, grad) == 0.0
 
 
-@pytest.mark.parametrize("variant", ["dirichlet", "robin"])
-def test_optimize_boundary_trivial_target(ops1d, grid, variant):
+@pytest.mark.parametrize("alpha", [math.inf, 5.0], ids=["dirichlet", "robin"])
+def test_optimize_boundary_trivial_target(ops1d, grid, alpha):
     spec = make_spec(ops1d, grid)
-    spec.target = solve_parabolic(ops1d, spec, zero_q(ops1d, grid), grid,
-                                  variant_alpha(spec, variant))
-    res = optimize_boundary(ops1d, spec, grid, tol=1e-10, variant=variant)
+    spec.target = solve_parabolic(ops1d, spec, zero_q(ops1d, grid), grid, alpha)
+    res = optimize_boundary(ops1d, spec, grid, tol=1e-10, alpha=alpha)
     assert res.converged
     assert np.max(np.abs(res.q_opt.values)) == 0.0
     assert res.cost == 0.0
@@ -139,11 +137,11 @@ def test_optimize_boundary_certificates(ops1d, grid):
 
 
 def test_optimize_boundary_robin_variant(ops1d, grid):
-    spec = make_spec(ops1d, grid, alpha=5.0)
-    res = optimize_boundary(ops1d, spec, grid, tol=1e-10, variant="robin")
+    spec = make_spec(ops1d, grid)
+    res = optimize_boundary(ops1d, spec, grid, tol=1e-10, alpha=5.0)
     assert res.converged
     assert res.optimality_residual <= 1e-10
-    grad = tracking_gradient(ops1d, spec, res.q_opt, grid, "robin")
+    grad = tracking_gradient(ops1d, spec, res.q_opt, grid, 5.0)
     assert norm_boundary_time(grid, ops1d, grad) <= 1e-10
 
 
@@ -226,17 +224,17 @@ def test_simultaneous_sandwich_and_fixed_point(ops1d, grid):
     assert gap_q <= 10 * tol * max(1.0, norm_boundary_time(grid, ops1d, sim.q_opt))
 
 
-@pytest.mark.parametrize("variant,alpha", [("dirichlet", 5.0), ("robin", 5.0),
-                                           ("robin", 0.5)])
-def test_control_gap_estimate_holds(ops1d, grid, variant, alpha):
+@pytest.mark.parametrize("alpha", [math.inf, 5.0, 0.5],
+                         ids=["dirichlet", "robin-5.0", "robin-0.5"])
+def test_control_gap_estimate_holds(ops1d, grid, alpha):
     # alpha below one exercises the scaled coercivity constant of the
     # transfer form
     rng = np.random.default_rng(89)
-    spec = make_spec(ops1d, grid, alpha=alpha)
+    spec = make_spec(ops1d, grid)
     for _ in range(3):
         g_fixed = random_field(rng, grid, ops1d, scale=0.5)
         rec = control_gap_estimate(ops1d, spec, grid, g_fixed, tol=1e-11,
-                                   variant=variant)
+                                   alpha=alpha)
         assert rec["holds"]
         assert rec["lhs"] <= rec["rhs"] * (1 + 1e-9)
 
@@ -266,24 +264,23 @@ def test_optimize_rejects_bad_tol(ops1d, grid, spec1d):
         optimize_boundary(ops1d, spec1d, grid, tol=0.0)
 
 
-def _optimize_with(control, ops, spec, grid, variant, q_fixed):
+def _optimize_with(control, ops, spec, grid, alpha, q_fixed):
     if control == "boundary":
-        return optimize_boundary(ops, spec, grid, tol=1e-10, variant=variant)
+        return optimize_boundary(ops, spec, grid, tol=1e-10, alpha=alpha)
     if control == "distributed":
-        return optimize_distributed(ops, spec, grid, q_fixed, tol=1e-10,
-                                    variant=variant)
-    return optimize_simultaneous(ops, spec, grid, tol=1e-10, variant=variant)
+        return optimize_distributed(ops, spec, grid, q_fixed, tol=1e-10, alpha=alpha)
+    return optimize_simultaneous(ops, spec, grid, tol=1e-10, alpha=alpha)
 
 
-@pytest.mark.parametrize("variant", ["dirichlet", "robin"])
+@pytest.mark.parametrize("alpha", [math.inf, 5.0], ids=["dirichlet", "robin"])
 @pytest.mark.parametrize("control", ["boundary", "distributed", "simultaneous"])
-def test_optimizer_control_variant_matrix(ops1d, grid, control, variant):
+def test_optimizer_control_variant_matrix(ops1d, grid, control, alpha):
     from dataclasses import replace
 
     rng = np.random.default_rng(89)
-    spec = make_spec(ops1d, grid, alpha=5.0)
+    spec = make_spec(ops1d, grid)
     q_fixed = random_control(rng, grid, ops1d, scale=0.5)
-    res = _optimize_with(control, ops1d, spec, grid, variant, q_fixed)
+    res = _optimize_with(control, ops1d, spec, grid, alpha, q_fixed)
     assert res.converged
     assert res.optimality_residual <= 1e-10
 
@@ -291,25 +288,10 @@ def test_optimizer_control_variant_matrix(ops1d, grid, control, variant):
     # a fresh forward solve
     g = res.g_opt if res.g_opt is not None else spec.source
     q = res.q_opt if res.q_opt is not None else q_fixed
-    u = solve_parabolic(ops1d, replace(spec, source=g), q, grid,
-                        variant_alpha(spec, variant))
+    u = solve_parabolic(ops1d, replace(spec, source=g), q, grid, alpha)
     misfit = TimeField(u.values - spec.target.values)
     fresh = (0.5 * inner_domain_time(grid, ops1d, misfit, misfit)
              + 0.5 * spec.flux_penalty * inner_boundary_time(grid, ops1d, q, q))
     if res.g_opt is not None:
         fresh += 0.5 * spec.source_penalty * inner_domain_time(grid, ops1d, g, g)
     assert rel_err(res.cost, fresh) < 1e-9
-
-    # an infinite transfer coefficient is the Dirichlet problem, bit for bit
-    spec_inf = replace(spec, transfer_coeff=math.inf)
-    robin = _optimize_with(control, ops1d, spec_inf, grid, "robin", q_fixed)
-    dirichlet = _optimize_with(control, ops1d, spec_inf, grid, "dirichlet", q_fixed)
-    for name in ("u_opt", "p_opt", "g_opt", "q_opt"):
-        a, b = getattr(robin, name), getattr(dirichlet, name)
-        assert (a is None) == (b is None)
-        if a is not None:
-            assert a.values.tobytes() == b.values.tobytes()
-    assert robin.cost == dirichlet.cost
-
-    with pytest.raises(ValueError, match="'neumann'"):
-        _optimize_with(control, ops1d, spec, grid, "neumann", q_fixed)

@@ -1,10 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
 from parctrl.fem_core import BoundaryControl, TimeField
 from parctrl.optimal_control import optimize_boundary
 from parctrl.scalar_control import (
-    ALL_VARIANTS,
     building_blocks,
     monotonicity_check,
     scalar_cost,
@@ -13,6 +14,19 @@ from parctrl.scalar_control import (
 from parctrl.state_solvers import solve_parabolic
 
 from conftest import make_spec, rel_err
+
+
+def problems(robin_alpha):
+    # (variant, alpha) of S, S_alpha, P and P_alpha
+    return [("parabolic", math.inf), ("parabolic", robin_alpha),
+            ("elliptic", math.inf), ("elliptic", robin_alpha)]
+
+
+def over_problems(robin_alpha):
+    # parametrized over the four problems, with their config names as ids
+    return pytest.mark.parametrize(
+        "variant,alpha", problems(robin_alpha),
+        ids=["parabolic", "parabolic_robin", "elliptic", "elliptic_robin"])
 
 
 def unit_q0(ops, grid, value=1.0):
@@ -49,9 +63,9 @@ def test_flux_block_scales_linearly(ops1d, grid, spec1d):
 
 def test_zero_direction_rejected(ops1d, grid, spec1d):
     q0 = BoundaryControl.zeros(grid, ops1d.gamma2_nodes.size)
-    for variant in ALL_VARIANTS:
+    for variant, alpha in problems(5.0):
         with pytest.raises(ValueError):
-            building_blocks(ops1d, spec1d, q0, grid, variant)
+            building_blocks(ops1d, spec1d, q0, grid, variant, alpha)
 
 
 def test_matched_target_gives_zero_minimizer(ops1d, grid):
@@ -64,12 +78,13 @@ def test_matched_target_gives_zero_minimizer(ops1d, grid):
     assert abs(coeffs.lambda_opt) < 1e-13
 
 
-@pytest.mark.parametrize("variant", ALL_VARIANTS)
-def test_three_point_fit_matches_closed_form(ops1d, grid, variant):
-    spec = make_spec(ops1d, grid, alpha=3.0)
+@over_problems(3.0)
+def test_three_point_fit_matches_closed_form(ops1d, grid, variant, alpha):
+    spec = make_spec(ops1d, grid)
     q0 = unit_q0(ops1d, grid)
-    coeffs = scalar_optimum(ops1d, spec, q0, grid, variant)
-    ys = [scalar_cost(ops1d, spec, q0, grid, variant, lam) for lam in (-1.0, 0.0, 1.0)]
+    coeffs = scalar_optimum(ops1d, spec, q0, grid, variant, alpha)
+    ys = [scalar_cost(ops1d, spec, q0, grid, variant, lam, alpha)
+          for lam in (-1.0, 0.0, 1.0)]
     vertex = fit_vertex(*ys)
     assert rel_err(vertex, coeffs.lambda_opt) < 1e-10
     # the quadratic evaluated through the coefficients matches the solves too
@@ -77,15 +92,15 @@ def test_three_point_fit_matches_closed_form(ops1d, grid, variant):
         assert rel_err(coeffs.value(lam), y) < 1e-10
 
 
-@pytest.mark.parametrize("variant", ALL_VARIANTS)
-def test_minimality_and_discriminant(ops1d, grid, variant):
-    spec = make_spec(ops1d, grid, alpha=3.0)
+@over_problems(3.0)
+def test_minimality_and_discriminant(ops1d, grid, variant, alpha):
+    spec = make_spec(ops1d, grid)
     q0 = unit_q0(ops1d, grid)
-    coeffs = scalar_optimum(ops1d, spec, q0, grid, variant)
+    coeffs = scalar_optimum(ops1d, spec, q0, grid, variant, alpha)
     best = coeffs.lambda_opt
-    h_best = scalar_cost(ops1d, spec, q0, grid, variant, best)
-    assert h_best <= scalar_cost(ops1d, spec, q0, grid, variant, best + 0.1)
-    assert h_best <= scalar_cost(ops1d, spec, q0, grid, variant, best - 0.1)
+    h_best = scalar_cost(ops1d, spec, q0, grid, variant, best, alpha)
+    assert h_best <= scalar_cost(ops1d, spec, q0, grid, variant, best + 0.1, alpha)
+    assert h_best <= scalar_cost(ops1d, spec, q0, grid, variant, best - 0.1, alpha)
     assert coeffs.discriminant < 0.0
 
 
@@ -116,24 +131,26 @@ def test_monotonicity_identical_inputs(ops1d, grid, spec1d):
     assert rec["max_violation"] <= 1e-14
 
 
-@pytest.mark.parametrize("variant", ALL_VARIANTS)
-def test_monotonicity_ordered_data(ops1d, grid, variant):
-    spec = make_spec(ops1d, grid, source_value=0.0, alpha=2.0)
+@over_problems(2.0)
+def test_monotonicity_ordered_data(ops1d, grid, variant, alpha):
+    spec = make_spec(ops1d, grid, source_value=0.0)
     q0 = unit_q0(ops1d, grid)
     g1 = TimeField.zeros(grid, ops1d.n_nodes)
     g2 = TimeField.constant_in_time(grid, np.ones(ops1d.n_nodes))
-    rec = monotonicity_check(ops1d, spec, grid, 1.0, 0.0, g1, g2, q0, variant)
+    rec = monotonicity_check(ops1d, spec, grid, 1.0, 0.0, g1, g2, q0, variant,
+                             alpha=alpha)
     assert rec["holds"], rec
 
 
 def test_monotonicity_2d_lumped(ops2d, grid):
-    spec = make_spec(ops2d, grid, source_value=0.0, alpha=50.0)
+    spec = make_spec(ops2d, grid, source_value=0.0)
     q0 = unit_q0(ops2d, grid)
     g1 = TimeField.zeros(grid, ops2d.n_nodes)
     g2 = TimeField.constant_in_time(grid, np.ones(ops2d.n_nodes))
-    for variant in ("parabolic", "parabolic_robin"):
-        rec = monotonicity_check(ops2d, spec, grid, 0.5, -0.5, g1, g2, q0, variant)
-        assert rec["holds"], (variant, rec)
+    for alpha in (math.inf, 50.0):
+        rec = monotonicity_check(ops2d, spec, grid, 0.5, -0.5, g1, g2, q0,
+                                 "parabolic", alpha=alpha)
+        assert rec["holds"], (alpha, rec)
 
 
 def test_monotonicity_sign_reversed_direction(ops1d, grid):
@@ -146,14 +163,14 @@ def test_monotonicity_sign_reversed_direction(ops1d, grid):
 
 
 def test_monotonicity_robin_ordered_boundary_data(ops1d, grid):
-    spec_lo = make_spec(ops1d, grid, source_value=0.0, alpha=4.0)
-    spec_hi = make_spec(ops1d, grid, source_value=0.0, alpha=4.0)
+    spec_lo = make_spec(ops1d, grid, source_value=0.0)
+    spec_hi = make_spec(ops1d, grid, source_value=0.0)
     spec_hi.boundary_temp = spec_hi.boundary_temp + 0.5
     spec_hi.initial_temp = spec_hi.initial_temp + 0.5
     q0 = unit_q0(ops1d, grid)
     g = TimeField.zeros(grid, ops1d.n_nodes)
     rec = monotonicity_check(ops1d, spec_lo, grid, 1.0, 0.0, g, g, q0,
-                             "parabolic_robin", spec_upper=spec_hi)
+                             "parabolic", spec_upper=spec_hi, alpha=4.0)
     assert rec["holds"]
 
 

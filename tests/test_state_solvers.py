@@ -25,7 +25,7 @@ from parctrl.state_solvers import (
 
 from conftest import make_spec, random_control, random_field
 
-TRANSFER = 3.0  # constant_spec's transfer coefficient
+TRANSFER = 3.0  # the Robin coefficient of the constant-state tests
 
 
 def constant_spec(ops, grid, c):
@@ -35,7 +35,6 @@ def constant_spec(ops, grid, c):
         boundary_temp=np.full(ops.dirichlet_nodes.size, c),
         initial_temp=np.full(n, c),
         target=TimeField.zeros(grid, n),
-        transfer_coeff=TRANSFER,
     )
 
 
@@ -54,7 +53,7 @@ def test_constants_2d(ops2d, grid):
     spec = constant_spec(ops2d, grid, -1.0)
     u = solve_parabolic(ops2d, spec, zero_control(ops2d, grid), grid)
     assert np.max(np.abs(u.values + 1.0)) < 1e-12
-    u = solve_parabolic(ops2d, spec, zero_control(ops2d, grid), grid, spec.transfer_coeff)
+    u = solve_parabolic(ops2d, spec, zero_control(ops2d, grid), grid, TRANSFER)
     assert np.max(np.abs(u.values + 1.0)) < 1e-12
 
 
@@ -143,8 +142,6 @@ def test_robin_boundary_mismatch_bounded(ops1d, grid):
 
 
 def test_robin_rejects_bad_alpha(ops1d, grid, spec1d):
-    from dataclasses import replace
-
     # -inf and nan are not > 0 either; only +inf means exact imposition
     for alpha in (-1.0, 0.0, -math.inf, math.nan):
         with pytest.raises(ValueError, match="transfer coefficient"):
@@ -154,8 +151,6 @@ def test_robin_rejects_bad_alpha(ops1d, grid, spec1d):
             solve_elliptic_robin(ops1d, np.zeros(ops1d.n_nodes),
                                  np.zeros(ops1d.gamma2_nodes.size), np.zeros(1),
                                  alpha=alpha)
-        with pytest.raises(ValueError, match="transfer_coeff"):
-            replace(spec1d, transfer_coeff=alpha).validate(ops1d, grid)
 
 
 def test_robin_inf_routes_to_dirichlet(ops1d, grid, spec1d):
@@ -286,7 +281,7 @@ def _dense_reference(ops, grid, alpha, lumped, initial, b, g, q, s):
     n, d, dt = ops.n_nodes, ops.dirichlet_nodes, grid.dt
     b_ext = np.zeros(n)
     b_ext[d] = b
-    if alpha is None:
+    if math.isinf(alpha):
         a_mat = mass + dt * ops.stiffness.toarray()
         a_mat[d, :] = 0.0
         a_mat[d, d] = 1.0
@@ -296,7 +291,7 @@ def _dense_reference(ops, grid, alpha, lumped, initial, b, g, q, s):
         const = dt * alpha * (b1 @ b_ext)
 
     def solve(rhs, fixed):
-        if alpha is None:
+        if math.isinf(alpha):
             rhs = rhs.copy()
             rhs[d] = fixed
         return np.linalg.solve(a_mat, rhs)
@@ -315,7 +310,7 @@ def _dense_reference(ops, grid, alpha, lumped, initial, b, g, q, s):
 
 
 @pytest.mark.parametrize("lumped", [False, True], ids=["consistent", "lumped"])
-@pytest.mark.parametrize("alpha", [None, 7.5], ids=["elimination", "robin"])
+@pytest.mark.parametrize("alpha", [math.inf, 7.5], ids=["elimination", "robin"])
 def test_stepper_matches_dense_reference(alpha, lumped):
     # nonzero datum, source, flux and adjoint source on a small 2D mesh
     ops = assemble(fem_core.build_rect_mesh(5, 4, {"left", "bottom"}))
@@ -375,7 +370,7 @@ def test_reused_systems_give_the_bits_of_fresh_ones():
     mesh = fem_core.build_rect_mesh(5, 4, {"left", "bottom"})
     grid = TimeGrid(t_final=0.5, n_steps=6)
     ref = assemble(mesh)
-    spec = make_spec(ref, grid, alpha=7.5)
+    spec = make_spec(ref, grid)
     rng = np.random.default_rng(13)
     q = random_control(rng, grid, ref)
     u = random_field(rng, grid, ref)
@@ -383,7 +378,7 @@ def test_reused_systems_give_the_bits_of_fresh_ones():
     b = rng.random(ref.dirichlet_nodes.size)
     calls = [
         lambda ops: solve_parabolic(ops, spec, q, grid).values,
-        lambda ops: solve_parabolic(ops, spec, q, grid, spec.transfer_coeff).values,
+        lambda ops: solve_parabolic(ops, spec, q, grid, 7.5).values,
         lambda ops: solve_adjoint(ops, u, spec.target, grid, math.inf).values,
         lambda ops: solve_adjoint(ops, u, spec.target, grid, 7.5).values,
         lambda ops: solve_elliptic_robin(ops, g, q_row, b, math.inf),
@@ -411,8 +406,7 @@ def test_each_system_gets_its_own_entry(monkeypatch):
     ParabolicStepper(ops, coarse, alpha=5.0, lumped=True)
     ParabolicStepper(ops, fine, alpha=5.0)
     ParabolicStepper(ops, coarse, alpha=6.0)
-    ParabolicStepper(ops, coarse, alpha=None)
-    ParabolicStepper(ops, coarse, alpha=math.inf)  # None is read as inf
+    ParabolicStepper(ops, coarse, alpha=math.inf)
     zeros = (np.zeros(ops.n_nodes), np.zeros(ops.gamma2_nodes.size), np.zeros(1))
     solve_elliptic_robin(ops, *zeros, 5.0)
     solve_elliptic_robin(ops, *zeros, 5.0, lumped=True)

@@ -8,11 +8,17 @@ q = optimize, so the err_control column is filled; decay with g_inf and q_inf
 set, so the forced rows are written; lambda for each scalar
 variant (parabolic, parabolic_robin, elliptic, elliptic_robin), so the steady
 solves are reached too; optimize for each control (boundary, distributed,
-simultaneous) with each variant (dirichlet, robin); and verify.  Prints one
+simultaneous) with each variant (dirichlet, robin); and verify.  Then, with
+[weights] alpha = 2.5, under alpha-2.5/: solve with variant = robin, optimize
+boundary/robin, lambda parabolic_robin and elliptic_robin, and verify; and
+with alpha = inf, under alpha-inf/: verify.  The shipped alpha = 5.0 is also
+verify's stand-in for an infinite alpha, so these runs are what tell the
+config's alpha from that stand-in and from inf.  Prints one
 "sha256  <name>" line per CSV and per run's mesh.json, named
 <config>/<run>/<file>, then "<hash>  <config>/<run>/manifest.json:mesh.hash"
-with the mesh hash the run's manifest records, followed by each config's
-verify lines.  Last come the assembled operators of both configs and of a
+with the mesh hash the run's manifest records, followed by each verify run's
+lines, prefixed "<config>:" for the shipped alpha and "<config>/<run>:" for
+the others.  Last come the assembled operators of both configs and of a
 150x150 rectangle mesh with GAMMA1 on the left edge, the size of the
 solve-2d-150 benchmark: one "sha256  operators/<mesh>/<field>.<part>:<dtype>"
 line per array (the mesh's node_coords and elements, each sparse matrix's
@@ -45,22 +51,34 @@ VARIANTS = ("dirichlet", "robin")
 SCALAR_VARIANTS = ("parabolic", "parabolic_robin", "elliptic", "elliptic_robin")
 # the limits of the shipped configs' own (time-constant) g and q
 FORCED_DECAY = {"g_inf": "constant(1.0)", "q_inf": "constant(0.5)"}
+# [weights] alpha -> the runs at it, as (command, run name, [data] keys)
+ALPHA_RUNS = {
+    "2.5": [("solve", "solve-robin", {"variant": "robin"}),
+            ("optimize", "optimize-boundary-robin",
+             {"control": "boundary", "variant": "robin"}),
+            ("lambda", "lambda-parabolic_robin", {"variant": "parabolic_robin"}),
+            ("lambda", "lambda-elliptic_robin", {"variant": "elliptic_robin"}),
+            ("verify", "verify", {})],
+    "inf": [("verify", "verify", {})],
+}
 
 
-def _with_data_keys(text, keys):
-    """Config text with each "key = value" set in [data]: a key already there
-    is replaced (the parser rejects a duplicate key), a new one is added at
-    the top of the section."""
+def _with_keys(text, sections):
+    """Config text with each "key = value" of sections[section] set in that
+    section: a key already there is replaced (the parser rejects a duplicate
+    key), a new one is added at the top of the section."""
     lines = text.splitlines()
-    at = lines.index("[data]") + 1
-    end = next((i for i in range(at, len(lines)) if lines[i].startswith("[")), len(lines))
-    rest = dict(keys)
-    for i in range(at, end):
-        key = lines[i].split("=", 1)[0].strip()
-        if key in rest:
-            lines[i] = f"{key} = {rest.pop(key)}"
-    extra = [f"{key} = {value}" for key, value in rest.items()]
-    return "\n".join(lines[:at] + extra + lines[at:]) + "\n"
+    for section, keys in sections.items():
+        at = lines.index(f"[{section}]") + 1
+        end = next((i for i in range(at, len(lines)) if lines[i].startswith("[")),
+                   len(lines))
+        rest = dict(keys)
+        for i in range(at, end):
+            key = lines[i].split("=", 1)[0].strip()
+            if key in rest:
+                lines[i] = f"{key} = {rest.pop(key)}"
+        lines[at:at] = [f"{key} = {value}" for key, value in rest.items()]
+    return "\n".join(lines) + "\n"
 
 
 def _run(command, config_path, out_dir):
@@ -126,25 +144,30 @@ def main():
             with open(cfg_file, encoding="utf-8") as fh:
                 text = fh.read()
             runs = [(command, command, {}) for command in PLAIN_COMMANDS]
-            runs += [("sweep-alpha", "sweep-alpha-optimize", {"q": "optimize"}),
-                     ("decay", "decay-forced", FORCED_DECAY)]
-            runs += [("lambda", f"lambda-{variant}", {"variant": variant})
+            runs += [("sweep-alpha", "sweep-alpha-optimize", {"data": {"q": "optimize"}}),
+                     ("decay", "decay-forced", {"data": FORCED_DECAY})]
+            runs += [("lambda", f"lambda-{variant}", {"data": {"variant": variant}})
                      for variant in SCALAR_VARIANTS]
             runs += [("optimize", f"optimize-{control}-{variant}",
-                      {"control": control, "variant": variant})
+                      {"data": {"control": control, "variant": variant}})
                      for control in CONTROLS for variant in VARIANTS]
             runs.append(("verify", "verify", {}))
+            runs += [(command, f"alpha-{alpha}/{name}",
+                      {"data": keys, "weights": {"alpha": alpha}})
+                     for alpha, alpha_runs in ALPHA_RUNS.items()
+                     for command, name, keys in alpha_runs]
             for command, name, keys in runs:
                 run_dir = os.path.join(tmp, cfg, name)
                 os.makedirs(run_dir)
                 config_path = os.path.join(run_dir, "run.cfg")
                 with open(config_path, "w", encoding="utf-8") as fh:
-                    fh.write(_with_data_keys(text, keys))
+                    fh.write(_with_keys(text, keys))
                 out_dir = os.path.join(run_dir, "out")
                 stdout = _run(command, config_path, out_dir)
                 digests += _digests(f"{cfg}/{name}", out_dir)
                 if command == "verify":
-                    verify_lines += [f"{cfg}: {line}" for line in stdout.splitlines()]
+                    label = cfg if name == "verify" else f"{cfg}/{name}"
+                    verify_lines += [f"{label}: {line}" for line in stdout.splitlines()]
     print("\n".join(digests + verify_lines + _operators()))
 
 
