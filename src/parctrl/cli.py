@@ -165,30 +165,36 @@ def _require(problem, attr, what):
     return value
 
 
-# the [data] variant names each command runs; sweep-alpha and verify run both
-# boundary conditions and do not read the key
+# the [data] variant names each command runs; sweep-alpha and verify run
+# both boundary conditions and take any name another command runs
 _VARIANTS = {"solve": ("dirichlet", "robin"), "optimize": ("dirichlet", "robin"),
              "lambda": ("dirichlet", "parabolic", "parabolic_robin", "elliptic",
                         "elliptic_robin"),
              "decay": ("dirichlet",)}
+_VARIANTS["sweep-alpha"] = _VARIANTS["verify"] = tuple(
+    dict.fromkeys(name for names in _VARIANTS.values() for name in names))
 
 
-def _variant(problem, command):
-    """(kind, alpha) that [data] variant names for command: kind 'elliptic'
-    for an elliptic name, else 'parabolic'; alpha the config's [weights]
-    alpha for a name ending in robin, else +inf.  A name the command does not
-    run is a ConfigError at the variant line."""
-    name = problem.variant
+def _check_variant(cfg, command):
+    """A [data] variant name that command does not run is a ConfigError at
+    the variant line, raised before any operator is assembled."""
+    name = cfg.get("data", "variant", "dirichlet")
     if name not in _VARIANTS[command]:
-        raise ConfigError(f"{command} runs variant {' | '.join(_VARIANTS[command])}, "
-                          f"got {name!r}", problem.cfg.path,
-                          problem.cfg.line_of("data", "variant"))
+        raise ConfigError(f"{command} takes variant {' | '.join(_VARIANTS[command])}, "
+                          f"got {name!r}", cfg.path, cfg.line_of("data", "variant"))
+
+
+def _variant(problem):
+    """(kind, alpha) that [data] variant names: kind 'elliptic' for an
+    elliptic name, else 'parabolic'; alpha the config's [weights] alpha for
+    a name ending in robin, else +inf."""
+    name = problem.variant
     kind = "elliptic" if name.startswith("elliptic") else "parabolic"
     return kind, problem.alpha if name.endswith("robin") else math.inf
 
 
 def _cmd_solve(problem: Problem, out_dir):
-    _, alpha = _variant(problem, "solve")
+    _, alpha = _variant(problem)
     q = problem.q if problem.q is not None else BoundaryControl.zeros(
         problem.grid, problem.ops.gamma2_nodes.size)
     u = solve_parabolic(problem.ops, problem.spec, q, problem.grid, alpha)
@@ -201,7 +207,7 @@ def _cmd_solve(problem: Problem, out_dir):
 
 def _cmd_optimize(problem: Problem, out_dir):
     ops, spec, grid = problem.ops, problem.spec, problem.grid
-    _, alpha = _variant(problem, "optimize")
+    _, alpha = _variant(problem)
     if problem.control == "boundary":
         res = optimal_control.optimize_boundary(ops, spec, grid, tol=problem.opt_tol,
                                                 alpha=alpha)
@@ -251,7 +257,7 @@ def _cmd_optimize(problem: Problem, out_dir):
 
 
 def _cmd_lambda(problem: Problem, out_dir):
-    kind, alpha = _variant(problem, "lambda")
+    kind, alpha = _variant(problem)
     # lambda.csv calls the default variant, dirichlet, by its problem kind
     variant = problem.variant if problem.variant != "dirichlet" else kind
     q0 = _require(problem, "q0", "q0")
@@ -305,7 +311,6 @@ def _cmd_sweep_alpha(problem: Problem, out_dir):
 
 
 def _cmd_decay(problem: Problem, out_dir):
-    _variant(problem, "decay")
     q = problem.q
     if q is None:
         raise ConfigError("decay needs 'q' in section [data]", problem.cfg.path)
@@ -489,7 +494,7 @@ def _cmd_verify(problem: Problem, out_dir):
     return [], results
 
 
-def _load_problem(config_path: str) -> Problem:
+def _load_config(config_path: str):
     if config_path.endswith(".json"):
         try:
             with open(config_path, "r", encoding="utf-8") as fh:
@@ -498,10 +503,8 @@ def _load_problem(config_path: str) -> Problem:
             raise ConfigError(f"cannot read manifest: {exc}", config_path) from exc
         if "config_text" not in manifest:
             raise ConfigError("manifest carries no config_text", config_path)
-        cfg = parse_config_text(manifest["config_text"], config_path)
-    else:
-        cfg = load_config(config_path)
-    return build_problem(cfg)
+        return parse_config_text(manifest["config_text"], config_path)
+    return load_config(config_path)
 
 
 _DISPATCH = {
@@ -526,7 +529,9 @@ def main(argv=None) -> int:
 
     t0 = time.perf_counter()
     try:
-        problem = _load_problem(args.config)
+        cfg = _load_config(args.config)
+        _check_variant(cfg, args.command)
+        problem = build_problem(cfg)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

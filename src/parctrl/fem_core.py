@@ -5,11 +5,13 @@ temperature datum, GAMMA2 the flux control), assembly of the stiffness, mass
 and boundary-mass matrices (each one batched scatter, _scatter, of local
 matrices computed for all cells at once), the discrete coercivity and trace
 constants via one pencil power iteration (inverse iteration for the smallest
-eigenvalue), the sparse direct SPD factorization every linear solve uses,
-and the discrete inner products used by every other module.  Trajectories
-are (N+1)-row arrays (TimeField; BoundaryControl is the same type over the
-GAMMA2 nodes) whose row 0 is inert, and every time integral of two of them
-goes through one right-endpoint rectangle pairing, _time_pairing.
+eigenvalue), the one SPD factorization that every linear solve and every
+power iteration uses (spd_solver: banded Cholesky after a reverse
+Cuthill-McKee ordering), and the discrete inner products used by every
+other module.  Trajectories are (N+1)-row arrays (TimeField;
+BoundaryControl is the same type over the GAMMA2 nodes) whose row 0 is
+inert, and every time integral of two of them goes through one
+right-endpoint rectangle pairing, _time_pairing.
 
 The assembled matrices are never modified after assembly.  The spectral
 constants are computed on first read and kept, as are the factorized systems
@@ -26,7 +28,8 @@ from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+from scipy.linalg.lapack import dpbtrf, dpbtrs
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 GAMMA1 = "gamma1"
 GAMMA2 = "gamma2"
@@ -346,7 +349,7 @@ def _pencil_eig(a_mat, b_mat, largest, tol=EIG_TOL, max_iter=EIG_MAX_ITER):
     and its Rayleigh quotient is the estimate.
     """
     factorized, applied = (b_mat, a_mat) if largest else (a_mat, b_mat)
-    solve = spla.factorized(factorized.tocsc())
+    solve = spd_solver(factorized)
     # deterministic start, not orthogonal to the slowly varying principal modes
     n = b_mat.shape[0]
     x = np.ones(n) + 1e-3 * np.linspace(0.0, 1.0, n)
@@ -400,13 +403,39 @@ def lambda_alpha(ops: DiscreteOperators, alpha: float) -> float:
 
 
 def spd_solver(a_mat: sp.spmatrix):
-    """Return a deterministic solve callable for an SPD matrix: its sparse
-    direct factorization, at every size.
+    """Return a deterministic solve callable for an SPD matrix: its banded
+    Cholesky factor after a reverse Cuthill-McKee ordering, at every size.
 
-    With a fill-reducing ordering, fill for 2D P1 matrices grows
-    near-linearly (George, SIAM J. Numer. Anal. 1973).
+    RCM (Cuthill & McKee, ACM 1969) numbers the unknowns so that every
+    nonzero lies within kd of the diagonal; on a rectangle mesh kd is about
+    the node count of the shorter side.  LAPACK dpbtrf factors the permuted
+    upper band, (kd+1) x n, in place, and each solve is one dpbtrs, so one
+    factor serves every right-hand side and, being symmetric, a recursion
+    and its transpose alike.  The band grows like n^1.5 on square meshes.
+    Only the upper band is read, so a matrix that is not exactly symmetric
+    raises SolverError, as does one that is not positive definite.
     """
-    return spla.factorized(a_mat.tocsc())
+    a = sp.csr_matrix(a_mat)
+    if (a != a.T).nnz:
+        raise SolverError("matrix is not exactly symmetric")
+    perm = reverse_cuthill_mckee(a, symmetric_mode=True)
+    upper = sp.triu(a[perm][:, perm], format="coo")
+    kd = int(np.max(upper.col - upper.row, initial=0))
+    # entry (i, j) goes to row kd + i - j of column j, duplicates summed;
+    # Fortran order lets dpbtrf factor this array itself, not a copy
+    band = np.zeros((kd + 1, a.shape[0]), order="F")
+    np.add.at(band, (kd + upper.row - upper.col, upper.col), upper.data)
+    factor, info = dpbtrf(band, lower=0, overwrite_ab=1)
+    if info != 0:
+        raise SolverError(f"matrix is not positive definite (leading minor {info})")
+
+    def solve(b):
+        x, _ = dpbtrs(factor, np.asarray(b, dtype=float)[perm], lower=0, overwrite_b=1)
+        out = np.empty_like(x)
+        out[perm] = x
+        return out
+
+    return solve
 
 
 # ---------------------------------------------------------------------------

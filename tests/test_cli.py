@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from parctrl.cli import main
+from parctrl.cli import COMMANDS, main
 from parctrl.config import ConfigError, load_config, parse_config_text
 
 SMALL_CFG = """\
@@ -407,8 +407,21 @@ def test_verify_battery_factorizes_each_system_once(monkeypatch, alpha, robin):
     assert len(factorized) == len(problem.ops.systems)
 
 
-@pytest.mark.parametrize("command", ["solve", "optimize", "lambda"])
-def test_unknown_variant_exits_2(tmp_path, capsys, command):
+def count_assembly(monkeypatch):
+    # the list of meshes assemble is called on, while the real call runs
+    from parctrl import config
+
+    meshes = []
+    real = config.assemble
+    monkeypatch.setattr(config, "assemble", lambda mesh: meshes.append(mesh) or real(mesh))
+    return meshes
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_unknown_variant_exits_2(tmp_path, capsys, monkeypatch, command):
+    # sweep-alpha and verify run both boundary conditions, but a name no
+    # command runs is still an error; every command rejects it before assembly
+    assembled = count_assembly(monkeypatch)
     text = SMALL_CFG.replace("q0 = constant(1.0)", "q0 = constant(1.0)\nvariant = neumann")
     line = text.splitlines().index("variant = neumann") + 1
     bad = tmp_path / "bad.cfg"
@@ -416,6 +429,7 @@ def test_unknown_variant_exits_2(tmp_path, capsys, command):
     assert run(command, str(bad), tmp_path / "out") == 2
     err = capsys.readouterr().err
     assert f"bad.cfg:{line}:" in err and "'neumann'" in err
+    assert assembled == []
 
 
 @pytest.mark.parametrize("command,variant", [("solve", "elliptic"),
@@ -423,9 +437,11 @@ def test_unknown_variant_exits_2(tmp_path, capsys, command):
                                              ("lambda", "robin"),
                                              ("decay", "robin"),
                                              ("decay", "parabolic")])
-def test_variant_a_command_does_not_run_exits_2(tmp_path, capsys, command, variant):
+def test_variant_a_command_does_not_run_exits_2(tmp_path, capsys, monkeypatch, command,
+                                                variant):
     # a valid name is still an error for a command that does not run it; decay
     # runs only the Dirichlet problem, so it must not ignore a Robin variant
+    assembled = count_assembly(monkeypatch)
     text = SMALL_CFG.replace("q0 = constant(1.0)", f"q0 = constant(1.0)\nvariant = {variant}")
     line = text.splitlines().index(f"variant = {variant}") + 1
     bad = tmp_path / "bad.cfg"
@@ -433,6 +449,7 @@ def test_variant_a_command_does_not_run_exits_2(tmp_path, capsys, command, varia
     assert run(command, str(bad), tmp_path / "out") == 2
     err = capsys.readouterr().err
     assert f"bad.cfg:{line}:" in err and f"'{variant}'" in err
+    assert assembled == []
 
 
 def test_manifest_rerun_reproduces_csv_bytes(cfg_path, tmp_path):

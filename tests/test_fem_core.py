@@ -224,6 +224,84 @@ def test_solve_spd_2d_residual_contract(ops2d):
     assert np.linalg.norm(A @ x - rhs) <= 1e-12 * np.linalg.norm(rhs)
 
 
+def captured_bands(monkeypatch):
+    # the band arrays spd_solver hands to dpbtrf, and what dpbtrf returned
+    calls = []
+    real = fem_core.dpbtrf
+
+    def capturing(ab, **kwargs):
+        factor, info = real(ab, **kwargs)
+        calls.append((ab, factor))
+        return factor, info
+
+    monkeypatch.setattr(fem_core, "dpbtrf", capturing)
+    return calls
+
+
+@pytest.mark.parametrize("mesh", [build_interval_mesh(16, 0.0, 1.0, "left"),
+                                  build_rect_mesh(8, 8, {"left"}),
+                                  build_rect_mesh(7, 3, {"left", "bottom"})],
+                         ids=["1d", "2d-square", "2d-7x3-left-bottom"])
+def test_spd_solver_agrees_with_dense_solve_on_every_system(monkeypatch, mesh):
+    # every system _Gamma1Imposition builds: elimination and Robin, lumped
+    # and consistent mass, steady and one backward-Euler step
+    from parctrl import state_solvers
+
+    ops = assemble(mesh)
+    systems = []
+    monkeypatch.setattr(state_solvers, "spd_solver",
+                        lambda a_mat: systems.append(a_mat) or spd_solver(a_mat))
+    for alpha in (np.inf, 5.0):
+        for lumped in (False, True):
+            for dt in (None, 0.01):
+                state_solvers._Gamma1Imposition(ops, alpha, lumped, dt)
+    assert len(systems) == 8
+    rng = np.random.default_rng(11)
+    for a_mat in systems:
+        rhs = rng.standard_normal(a_mat.shape[0])
+        x = spd_solver(a_mat)(rhs)
+        dense = np.linalg.solve(a_mat.toarray(), rhs)
+        for y in (x, dense):
+            assert np.linalg.norm(a_mat @ y - rhs) <= 1e-12 * np.linalg.norm(rhs)
+        assert np.linalg.norm(x - dense) <= 1e-12 * np.linalg.norm(dense)
+
+
+def test_spd_solver_rejects_indefinite_and_unsymmetric():
+    indefinite = sp.diags([1.0, -2.0, 3.0], format="csr")
+    with pytest.raises(fem_core.SolverError, match="positive definite"):
+        spd_solver(indefinite)
+    # only the upper band is read, so an unsymmetric matrix would be solved
+    # as another, symmetric one
+    unsymmetric = sp.csr_matrix(np.array([[4.0, 1.0, 0.0],
+                                          [0.0, 4.0, 1.0],
+                                          [0.0, 1.0, 4.0]]))
+    with pytest.raises(fem_core.SolverError, match="symmetric"):
+        spd_solver(unsymmetric)
+
+
+def test_spd_solver_band_follows_the_short_side(monkeypatch):
+    # natural numbering of a 40 x 3 rectangle puts neighbours 42 apart;
+    # reverse Cuthill-McKee numbers across the 4-node short side
+    bands = captured_bands(monkeypatch)
+    ops = assemble(build_rect_mesh(40, 3, {"left"}))
+    a_mat = ops.v_matrix()
+    solve = spd_solver(a_mat)
+    (band, factor), = bands
+    assert band.shape[0] - 1 <= 5 and band.shape[1] == ops.n_nodes
+    # Fortran order: dpbtrf factors the band in place rather than a copy
+    assert factor is band
+    rhs = np.ones(ops.n_nodes)
+    assert np.linalg.norm(a_mat @ solve(rhs) - rhs) <= 1e-12 * np.linalg.norm(rhs)
+
+
+def test_spd_solver_diagonal_has_zero_band(monkeypatch):
+    bands = captured_bands(monkeypatch)
+    b = np.arange(1.0, 6.0)
+    assert np.array_equal(spd_solver(sp.eye(5, format="csr"))(b), b)
+    (band, _), = bands
+    assert band.shape == (1, 5)
+
+
 def test_inner_products_basics(ops1d, grid):
     ones = np.ones(ops1d.n_nodes)
     assert np.isclose(inner_domain(ops1d, ones, ones), 1.0)

@@ -1,6 +1,7 @@
 """Digest every CSV the CLI writes on the shipped configs.
 
     python tools/csv_digest.py
+    python tools/csv_digest.py --compare <other checkout>
 
 Runs, into a temporary directory and for configs/benchmark1d.cfg and
 configs/benchmark2d.cfg: solve, sweep-alpha and decay; sweep-alpha with
@@ -31,13 +32,27 @@ after, and diff.
 
 The CLI runs in subprocesses; the operators are assembled in this process.
 Either way the package comes from the src/ directory next to this script.
+
+--compare is the check of a declared value change.  It makes the same runs,
+on this tree's configs, with this tree's package and with the package in
+<other checkout>/src, and prints one line per file: "identical", or for a
+CSV "max|d| <x> / max|value| <y> = <relative change>, <rows> rows in both"
+(or which row count, column count or text cell differs), for mesh.json
+"identical" or "differs", and for result.json "iterations <here> vs
+<other>", each followed by <config>/<run>/<file>.  Then come each verify
+run's lines from both trees, prefixed "here " and "other", and a summary
+with the CSV count and the largest relative change.  It exits 1 when a CSV
+differs in shape or text, a mesh.json differs or an iteration count does.
+The operators are not compared.
 """
 
 from __future__ import annotations
 
+import argparse
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -81,9 +96,9 @@ def _with_keys(text, sections):
     return "\n".join(lines) + "\n"
 
 
-def _run(command, config_path, out_dir):
+def _run(root, command, config_path, out_dir):
     env = dict(os.environ)
-    src = os.path.join(ROOT, "src")
+    src = os.path.join(root, "src")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "parctrl.cli", command, "--config", config_path,
@@ -92,6 +107,41 @@ def _run(command, config_path, out_dir):
     if proc.returncode != 0:
         sys.exit(f"{command} on {config_path} exited {proc.returncode}:\n{proc.stderr}")
     return proc.stdout
+
+
+def _run_all(root, tmp):
+    """Run every run with the package under root/src, into tmp.  Returns one
+    (run label, verify label or None, output directory, stdout) per run."""
+    done = []
+    for cfg in CONFIGS:
+        with open(os.path.join(ROOT, "configs", cfg + ".cfg"), encoding="utf-8") as fh:
+            text = fh.read()
+        runs = [(command, command, {}) for command in PLAIN_COMMANDS]
+        runs += [("sweep-alpha", "sweep-alpha-optimize", {"data": {"q": "optimize"}}),
+                 ("decay", "decay-forced", {"data": FORCED_DECAY})]
+        runs += [("lambda", f"lambda-{variant}", {"data": {"variant": variant}})
+                 for variant in SCALAR_VARIANTS]
+        runs += [("optimize", f"optimize-{control}-{variant}",
+                  {"data": {"control": control, "variant": variant}})
+                 for control in CONTROLS for variant in VARIANTS]
+        runs.append(("verify", "verify", {}))
+        runs += [(command, f"alpha-{alpha}/{name}",
+                  {"data": keys, "weights": {"alpha": alpha}})
+                 for alpha, alpha_runs in ALPHA_RUNS.items()
+                 for command, name, keys in alpha_runs]
+        for command, name, keys in runs:
+            run_dir = os.path.join(tmp, cfg, name)
+            os.makedirs(run_dir)
+            config_path = os.path.join(run_dir, "run.cfg")
+            with open(config_path, "w", encoding="utf-8") as fh:
+                fh.write(_with_keys(text, keys))
+            out_dir = os.path.join(run_dir, "out")
+            stdout = _run(root, command, config_path, out_dir)
+            verify = None
+            if command == "verify":
+                verify = cfg if name == "verify" else f"{cfg}/{name}"
+            done.append((f"{cfg}/{name}", verify, out_dir, stdout))
+    return done
 
 
 def _digests(name, out_dir):
@@ -136,40 +186,106 @@ def _operators():
     return lines + _operator_lines("rect150-left", assemble(build_rect_mesh(150, 150, {LEFT})))
 
 
+def _csv_change(path, other_path):
+    """(text, relative change) of one CSV against its other-tree copy: text
+    "identical", or max |delta| / max |value| over the numeric cells with
+    the row count; rows, columns or text cells that differ are named, with
+    relative change inf."""
+    with open(path, encoding="utf-8") as fh:
+        rows = fh.read().splitlines()
+    with open(other_path, encoding="utf-8") as fh:
+        other_rows = fh.read().splitlines()
+    if rows == other_rows:
+        return "identical", 0.0
+    if len(rows) != len(other_rows):
+        return f"row counts differ: {len(rows)} vs {len(other_rows)}", math.inf
+    delta = scale = 0.0
+    for k, (row, other_row) in enumerate(zip(rows, other_rows)):
+        cells, other_cells = row.split(","), other_row.split(",")
+        if len(cells) != len(other_cells):
+            return f"column counts differ in row {k}", math.inf
+        for a, b in zip(cells, other_cells):
+            try:
+                x, y = float(a), float(b)
+            except ValueError:
+                if a == b:
+                    continue
+                return f"text differs in row {k}: {a!r} vs {b!r}", math.inf
+            if a != b and not (math.isfinite(x) and math.isfinite(y)):
+                return f"non-finite value differs in row {k}: {a} vs {b}", math.inf
+            if math.isfinite(x):
+                delta = max(delta, abs(x - y))
+                scale = max(scale, abs(x), abs(y))
+    rel = delta / scale if scale else (0.0 if delta == 0.0 else math.inf)
+    return (f"max|d| {delta:.3e} / max|value| {scale:.3e} = {rel:.3e}, "
+            f"{len(rows)} rows in both"), rel
+
+
+def compare(other):
+    """Run every run in this tree and in the checkout at other, on this
+    tree's configs, and print how each CSV, mesh.json and result.json
+    iteration count differs, then both trees' verify lines.  Returns 1 when
+    a CSV's shape or text, a mesh.json or an iteration count differs."""
+    other = os.path.abspath(other)
+    if not os.path.isdir(os.path.join(other, "src", "parctrl")):
+        sys.exit(f"{other} has no src/parctrl")
+    lines, verify_lines = [], []
+    worst, worst_name, changed, broken = 0.0, None, 0, 0
+    with tempfile.TemporaryDirectory() as tmp:
+        here = _run_all(ROOT, os.path.join(tmp, "here"))
+        there = _run_all(other, os.path.join(tmp, "other"))
+        for (label, verify, out_dir, stdout), (*_, other_dir, other_stdout) in zip(here, there):
+            for fname in sorted(os.listdir(out_dir)):
+                path = os.path.join(out_dir, fname)
+                other_path = os.path.join(other_dir, fname)
+                name = f"{label}/{fname}"
+                if fname.endswith(".csv"):
+                    text, rel = _csv_change(path, other_path)
+                    changed += rel > 0.0
+                    broken += math.isinf(rel)
+                    if rel > worst:
+                        worst, worst_name = rel, name
+                elif fname == "mesh.json":
+                    with open(path, "rb") as fh, open(other_path, "rb") as other_fh:
+                        same = fh.read() == other_fh.read()
+                    text = "identical" if same else "differs"
+                    broken += not same
+                elif fname == "result.json":
+                    with open(path, encoding="utf-8") as fh, \
+                            open(other_path, encoding="utf-8") as other_fh:
+                        its = json.load(fh)["iterations"], json.load(other_fh)["iterations"]
+                    text = f"iterations {its[0]} vs {its[1]}"
+                    broken += its[0] != its[1]
+                else:
+                    continue
+                lines.append(f"{text}  {name}")
+            if verify is not None:
+                verify_lines += [f"here  {verify}: {line}" for line in stdout.splitlines()]
+                verify_lines += [f"other {verify}: {line}" for line in other_stdout.splitlines()]
+    n_csv = sum(line.endswith(".csv") for line in lines)
+    summary = f"{n_csv} CSVs: {n_csv - changed} identical, {changed} changed"
+    if worst_name is not None:
+        summary += f"; largest relative change {worst:.3e} in {worst_name}"
+    print("\n".join(lines + verify_lines + [summary]))
+    return 1 if broken else 0
+
+
 def main():
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--compare", metavar="CHECKOUT",
+                        help="compare every run's outputs with another checkout's")
+    args = parser.parse_args()
+    if args.compare is not None:
+        return compare(args.compare)
     digests, verify_lines = [], []
     with tempfile.TemporaryDirectory() as tmp:
-        for cfg in CONFIGS:
-            cfg_file = os.path.join(ROOT, "configs", cfg + ".cfg")
-            with open(cfg_file, encoding="utf-8") as fh:
-                text = fh.read()
-            runs = [(command, command, {}) for command in PLAIN_COMMANDS]
-            runs += [("sweep-alpha", "sweep-alpha-optimize", {"data": {"q": "optimize"}}),
-                     ("decay", "decay-forced", {"data": FORCED_DECAY})]
-            runs += [("lambda", f"lambda-{variant}", {"data": {"variant": variant}})
-                     for variant in SCALAR_VARIANTS]
-            runs += [("optimize", f"optimize-{control}-{variant}",
-                      {"data": {"control": control, "variant": variant}})
-                     for control in CONTROLS for variant in VARIANTS]
-            runs.append(("verify", "verify", {}))
-            runs += [(command, f"alpha-{alpha}/{name}",
-                      {"data": keys, "weights": {"alpha": alpha}})
-                     for alpha, alpha_runs in ALPHA_RUNS.items()
-                     for command, name, keys in alpha_runs]
-            for command, name, keys in runs:
-                run_dir = os.path.join(tmp, cfg, name)
-                os.makedirs(run_dir)
-                config_path = os.path.join(run_dir, "run.cfg")
-                with open(config_path, "w", encoding="utf-8") as fh:
-                    fh.write(_with_keys(text, keys))
-                out_dir = os.path.join(run_dir, "out")
-                stdout = _run(command, config_path, out_dir)
-                digests += _digests(f"{cfg}/{name}", out_dir)
-                if command == "verify":
-                    label = cfg if name == "verify" else f"{cfg}/{name}"
-                    verify_lines += [f"{label}: {line}" for line in stdout.splitlines()]
+        for label, verify, out_dir, stdout in _run_all(ROOT, tmp):
+            digests += _digests(label, out_dir)
+            if verify is not None:
+                verify_lines += [f"{verify}: {line}" for line in stdout.splitlines()]
     print("\n".join(digests + verify_lines + _operators()))
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())
