@@ -13,34 +13,39 @@ Library layout:
                    the parabolic or elliptic problem at any alpha
   asymptotics      transfer-coefficient sweeps and long-time decay studies
   cli              batch front end (config files, CSV/JSON/SVG output)
+
+The names below are re-exported lazily (PEP 562): ``import parctrl`` loads
+neither numpy nor scipy, so the CLI module is the first to run when
+``python -m parctrl.cli`` or the ``parctrl`` script starts, and it sets the
+OpenBLAS thread count before the BLAS loads (see cli).  Library callers
+choose the thread count for their own process.
 """
 
-from .fem_core import (
-    GAMMA1,
-    GAMMA2,
-    BoundaryControl,
-    DiscreteOperators,
-    Mesh,
-    TimeField,
-    TimeGrid,
-    assemble,
-    build_interval_mesh,
-    build_rect_mesh,
-)
-from .state_solvers import ProblemSpec
+import importlib
 
-__all__ = [
-    "GAMMA1",
-    "GAMMA2",
-    "BoundaryControl",
-    "DiscreteOperators",
-    "Mesh",
-    "TimeField",
-    "TimeGrid",
-    "ProblemSpec",
-    "assemble",
-    "build_interval_mesh",
-    "build_rect_mesh",
-]
+# public name -> the submodule that defines it
+_EXPORTS = {
+    "GAMMA1": "fem_core",
+    "GAMMA2": "fem_core",
+    "BoundaryControl": "fem_core",
+    "DiscreteOperators": "fem_core",
+    "Mesh": "fem_core",
+    "TimeField": "fem_core",
+    "TimeGrid": "fem_core",
+    "ProblemSpec": "state_solvers",
+    "assemble": "fem_core",
+    "build_interval_mesh": "fem_core",
+    "build_rect_mesh": "fem_core",
+}
+
+__all__ = list(_EXPORTS)
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_EXPORTS[name]}", __name__), name)
+    globals()[name] = value
+    return value

@@ -13,6 +13,14 @@ All CSVs go through one writer, one precompiled row format per file: floats
 as %.17g, booleans as true/false, a missing value as an empty cell.
 Exit codes: 0 success, 1 failed verify properties, 2 validation errors,
 3 solver non-convergence.
+
+BLAS threads: the CLI runs OpenBLAS on one thread unless the environment
+sets OPENBLAS_NUM_THREADS or OMP_NUM_THREADS, in which case that setting
+wins.  OpenBLAS reads the variable when numpy and scipy load it, so this
+module sets OPENBLAS_NUM_THREADS=1 before importing either; the package
+__init__ re-exports lazily, so every CLI entry point gets here first.  The
+manifest's blas_threads holds both variables as they stood once this module
+was imported, and whether the CLI or the environment set them.
 """
 
 from __future__ import annotations
@@ -25,11 +33,27 @@ import os
 import sys
 import time
 
-import numpy as np
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+if any(os.environ.get(var) for var in _BLAS_THREAD_VARS):
+    _blas_set_by = "environment"
+else:
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    _blas_set_by = "cli"
+_BLAS_THREADS = {**{var: os.environ.get(var) for var in _BLAS_THREAD_VARS},
+                 "set_by": _blas_set_by}
 
-from . import asymptotics, optimal_control, scalar_control
-from .config import ConfigError, Problem, build_problem, load_config, parse_config_text
-from .fem_core import (
+# numpy, and scipy through the package modules, load OpenBLAS from here on
+import numpy as np  # noqa: E402
+
+from . import asymptotics, optimal_control, scalar_control  # noqa: E402
+from .config import (  # noqa: E402
+    ConfigError,
+    Problem,
+    build_problem,
+    load_config,
+    parse_config_text,
+)
+from .fem_core import (  # noqa: E402
     BoundaryControl,
     SolverError,
     TimeField,
@@ -37,7 +61,7 @@ from .fem_core import (
     inner_domain_time,
     norm_boundary_time,
 )
-from .state_solvers import solve_adjoint, solve_parabolic
+from .state_solvers import solve_adjoint, solve_parabolic  # noqa: E402
 
 COMMANDS = ("solve", "optimize", "lambda", "sweep-alpha", "decay", "verify")
 
@@ -146,6 +170,7 @@ def _write_manifest(out_dir, command, problem, outputs, results, wall_time):
         },
         "grid": {"t_final": problem.grid.t_final, "steps": problem.grid.n_steps},
         "constants": problem.ops.constants_read(),
+        "blas_threads": _BLAS_THREADS,
         "outputs": outputs,
         "results": results,
         "wall_time_s": wall_time,

@@ -134,22 +134,44 @@ def _parse_positive(cfg, section, key, default):
     return value
 
 
-def _parse_int(cfg, section, key, value):
+def _parse_int(cfg, section, key, minimum=None):
+    """The required integer key, at least minimum when one is given."""
+    value = cfg.require(section, key)
     try:
-        return int(value)
+        number = int(value)
     except ValueError:
         raise ConfigError(f"key '{key}' must be an integer, got {value!r}",
                           cfg.path, cfg.line_of(section, key)) from None
+    if minimum is not None and number < minimum:
+        raise ConfigError(f"key '{key}' must be >= {minimum}, got {number}",
+                          cfg.path, cfg.line_of(section, key))
+    return number
+
+
+_BOOLEANS = {"true": True, "false": False, "1": True, "0": False,
+             "yes": True, "no": False}
+
+
+def _parse_bool(cfg, section, key, default):
+    value = cfg.get(section, key, default)
+    if value.lower() not in _BOOLEANS:
+        raise ConfigError(f"key '{key}' must be one of {', '.join(_BOOLEANS)}, "
+                          f"got {value!r}", cfg.path, cfg.line_of(section, key))
+    return _BOOLEANS[value.lower()]
 
 
 def _read_csv(path, grid, kind, width):
     """A 'field' (TimeField) or 'control' (BoundaryControl) trajectory from a
-    CSV in the layout the CLI writes: step, time, then width value columns."""
-    rows = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    CSV in the layout the CLI writes: step, time, then width value columns.
+    A file that cannot be read as one raises ValueError."""
+    try:
+        rows = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    except (OSError, ValueError) as exc:
+        raise ValueError(f"cannot read CSV {kind} {path}: {exc}") from exc
     values = rows[:, 2:]
     if values.shape != (grid.n_steps + 1, width):
-        raise ConfigError(f"CSV {kind} {path} has shape {values.shape}, expected "
-                          f"({grid.n_steps + 1}, {width})", path)
+        raise ValueError(f"CSV {kind} {path} has shape {values.shape}, expected "
+                         f"({grid.n_steps + 1}, {width})")
     return (TimeField if kind == "field" else BoundaryControl)(values.copy())
 
 
@@ -176,19 +198,21 @@ class Problem:
 
 
 def _build_mesh(cfg: RawConfig):
-    dim = _parse_int(cfg, "mesh", "dim", cfg.require("mesh", "dim"))
+    dim = _parse_int(cfg, "mesh", "dim")
     gamma1 = cfg.require("mesh", "gamma1")
     sides = [s.strip() for s in gamma1.split(",") if s.strip()]
+    # sizes are checked at their own lines; what the builders reject after
+    # that is a bad side name, cited at the gamma1 line
     try:
         if dim == 1:
-            cells = _parse_int(cfg, "mesh", "cells", cfg.require("mesh", "cells"))
+            cells = _parse_int(cfg, "mesh", "cells", minimum=2)
             if len(sides) != 1:
                 raise ConfigError("1D gamma1 must be a single side (left or right)",
                                   cfg.path, cfg.line_of("mesh", "gamma1"))
             return build_interval_mesh(cells, 0.0, 1.0, sides[0])
         if dim == 2:
-            nx = _parse_int(cfg, "mesh", "nx", cfg.require("mesh", "nx"))
-            ny = _parse_int(cfg, "mesh", "ny", cfg.require("mesh", "ny"))
+            nx = _parse_int(cfg, "mesh", "nx", minimum=2)
+            ny = _parse_int(cfg, "mesh", "ny", minimum=2)
             return build_rect_mesh(nx, ny, set(sides))
     except ValueError as exc:
         if isinstance(exc, ConfigError):
@@ -214,12 +238,14 @@ def _data_entry(cfg, key, kind, ops, grid, required=False):
         if not os.path.exists(full):
             raise ConfigError(f"referenced file does not exist: {full}",
                               cfg.path, line)
-        if kind == "field":
-            return _read_csv(full, grid, kind, ops.n_nodes)
-        if kind == "control":
-            return _read_csv(full, grid, kind, ops.gamma2_nodes.size)
-        raise ConfigError(f"key '{key}' does not accept CSV references",
-                          cfg.path, line)
+        if kind not in ("field", "control"):
+            raise ConfigError(f"key '{key}' does not accept CSV references",
+                              cfg.path, line)
+        width = ops.n_nodes if kind == "field" else ops.gamma2_nodes.size
+        try:
+            return _read_csv(full, grid, kind, width)
+        except ValueError as exc:
+            raise ConfigError(str(exc), cfg.path, line) from exc
     try:
         profile = parse_profile(value)
     except ProfileError as exc:
@@ -241,10 +267,7 @@ def build_problem(cfg: RawConfig) -> Problem:
     mesh = _build_mesh(cfg)
     # every key that does not need the operators is checked before assembly
     t_final = _parse_float(cfg, "grid", "t_final", cfg.require("grid", "t_final"))
-    steps = _parse_int(cfg, "grid", "steps", cfg.require("grid", "steps"))
-    if steps < 1:
-        raise ConfigError(f"key 'steps' must be >= 1, got {steps}", cfg.path,
-                          cfg.line_of("grid", "steps"))
+    steps = _parse_int(cfg, "grid", "steps", minimum=1)
     try:
         grid = TimeGrid(t_final=t_final, n_steps=steps)
     except ValueError as exc:
@@ -275,6 +298,7 @@ def build_problem(cfg: RawConfig) -> Problem:
         raise ConfigError(f"control must be boundary, distributed or simultaneous, "
                           f"got {control!r}", cfg.path, cfg.line_of("data", "control"))
     opt_tol = _parse_positive(cfg, "tolerances", "opt_tol", "1e-10")
+    plots = _parse_bool(cfg, "output", "plots", "false")
 
     ops = assemble(mesh)
     g = _data_entry(cfg, "g", "field", ops, grid, required=True)
@@ -301,7 +325,6 @@ def build_problem(cfg: RawConfig) -> Problem:
         raise ConfigError(str(exc), cfg.path) from exc
 
     variant = cfg.get("data", "variant", "dirichlet")
-    plots = cfg.get("output", "plots", "false").lower() in ("true", "1", "yes")
 
     q_mode = "fixed"
     q_ctrl = None

@@ -332,7 +332,7 @@ def test_non_finite_values_are_rejected(tmp_path, capsys, key, value):
                                        ("steps", "0"), ("steps", "-3"),
                                        ("opt_tol", "-1"), ("opt_tol", "nan"),
                                        ("flux_penalty", "0"), ("alphas", "10, 5"),
-                                       ("control", "nowhere")])
+                                       ("control", "nowhere"), ("plots", "ture")])
 def test_bad_keys_fail_before_assembly(tmp_path, capsys, monkeypatch, key, value):
     # keys that need no operators are checked before assembly, which on a
     # large mesh costs seconds
@@ -501,6 +501,48 @@ def test_config_parser_diagnostics():
         parse_config_text("dim = 1\n", "p.cfg")
     with pytest.raises(ConfigError, match="duplicate"):
         parse_config_text("[mesh]\ndim = 1\ndim = 2\n", "p.cfg")
+
+
+@pytest.mark.parametrize("mesh,key,line", [("dim = 1\ncells = 0", "cells", 3),
+                                           ("dim = 2\nnx = 1\nny = 4", "nx", 3),
+                                           ("dim = 2\nnx = 4\nny = 1", "ny", 4)],
+                         ids=["cells", "nx", "ny"])
+def test_mesh_size_error_cites_its_own_line(tmp_path, capsys, mesh, key, line):
+    # a mesh size below 2 is cited at its own line, not at gamma1's
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(SMALL_CFG.replace("dim = 1\ncells = 32", mesh))
+    assert run("solve", str(bad), tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert f"bad.cfg:{line}: key '{key}' must be >= 2" in err
+
+
+def test_malformed_csv_reference_cites_the_key(cfg_path, tmp_path, capsys):
+    # a CSV the CLI wrote, with one cell that is not a number, fails at the
+    # line of the key that references it
+    out = tmp_path / "out"
+    assert run("optimize", cfg_path, out) == 0
+    rows = (out / "q_opt.csv").read_text().splitlines()
+    cells = rows[3].split(",")
+    cells[2] = "abc"
+    rows[3] = ",".join(cells)
+    (tmp_path / "bad.csv").write_text("\n".join(rows) + "\n")
+    text = SMALL_CFG.replace("q = constant(0.5)", "q = csv:bad.csv")
+    line = text.splitlines().index("q = csv:bad.csv") + 1
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(text)
+    assert run("solve", str(bad), tmp_path / "out2") == 2
+    err = capsys.readouterr().err
+    assert f"bad.cfg:{line}: cannot read CSV control" in err and "'abc'" in err
+
+
+@pytest.mark.parametrize("value,written", [("TRUE", True), ("0", False)])
+def test_plots_takes_booleans_in_any_case(tmp_path, value, written):
+    # a value that is not one of these is rejected (test_bad_keys_fail_before_assembly)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(SMALL_CFG.replace("plots = true", f"plots = {value}"))
+    out = tmp_path / "out"
+    assert run("decay", str(cfg), out) == 0
+    assert (out / "decay.svg").exists() is written
 
 
 def test_v_b_boundary_mismatch_rejected(tmp_path, capsys):

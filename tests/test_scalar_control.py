@@ -188,23 +188,22 @@ def test_monotonicity_names_failing_hypothesis(ops1d, grid, spec1d):
         monotonicity_check(ops1d, spec1d, grid, 1.0, 0.0, g, g, mixed, "parabolic")
 
 
-def test_coefficient_per_horizon_trend_logged(ops1d):
-    # diagnostic only: for time-constant data the per-unit-time transient
-    # coefficients drift toward the steady ones as the horizon grows
+def test_coefficient_per_horizon_gaps_shrink(ops1d):
+    # for time-constant data the per-unit-time transient coefficients tend to
+    # the steady ones as the horizon T grows: doubling T leaves at most 0.6
+    # of each gap (measured 0.50-0.56 for the quadratic, 0.22-0.50 for the
+    # linear coefficient, tending to the 1/T rate's 0.5)
     from parctrl.fem_core import TimeGrid
 
-    spec_ell = None
-    rows = []
+    gaps = []
     for t_final in (1.0, 2.0, 4.0, 8.0):
         grid = TimeGrid(t_final=t_final, n_steps=int(40 * t_final))
         spec = make_spec(ops1d, grid, source_value=0.4, bump=0.0)
         q0 = unit_q0(ops1d, grid)
         c_par = scalar_optimum(ops1d, spec, q0, grid, "parabolic")
         c_ell = scalar_optimum(ops1d, spec, q0, grid, "elliptic")
-        rows.append((t_final, c_par.quadratic / t_final, c_ell.quadratic,
-                     c_par.linear / t_final, c_ell.linear))
-        spec_ell = c_ell
-    print("per-horizon coefficient trend (quad/T vs steady, lin/T vs steady):")
-    for row in rows:
-        print("  T={:g}: {:.6f} vs {:.6f}, {:.6f} vs {:.6f}".format(*row))
-    assert spec_ell is not None  # trend is logged, never asserted
+        gaps.append((abs(c_par.quadratic / t_final - c_ell.quadratic),
+                     abs(c_par.linear / t_final - c_ell.linear)))
+    for (quad, lin), (quad2, lin2) in zip(gaps, gaps[1:]):
+        assert quad2 <= 0.6 * quad
+        assert lin2 <= 0.6 * lin
