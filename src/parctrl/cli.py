@@ -18,9 +18,10 @@ BLAS threads: the CLI runs OpenBLAS on one thread unless the environment
 sets OPENBLAS_NUM_THREADS or OMP_NUM_THREADS, in which case that setting
 wins.  OpenBLAS reads the variable when numpy and scipy load it, so this
 module sets OPENBLAS_NUM_THREADS=1 before importing either; the package
-__init__ re-exports lazily, so every CLI entry point gets here first.  The
-manifest's blas_threads holds both variables as they stood once this module
-was imported, and whether the CLI or the environment set them.
+__init__ re-exports lazily, so every CLI entry point gets here first.  Once
+numpy is loaded it sets nothing.  The manifest's blas_threads holds both
+variables as they stood once this module was imported, and set_by: "cli",
+"environment", or "none" when numpy was loaded first.
 """
 
 from __future__ import annotations
@@ -36,6 +37,8 @@ import time
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
 if any(os.environ.get(var) for var in _BLAS_THREAD_VARS):
     _blas_set_by = "environment"
+elif "numpy" in sys.modules:  # too late: numpy has loaded OpenBLAS
+    _blas_set_by = "none"
 else:
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
     _blas_set_by = "cli"
@@ -444,12 +447,12 @@ def _verify_battery(problem: Problem):
     robin_alpha = 5.0 if math.isinf(problem.alpha) else problem.alpha
     for variant, alpha in (("dirichlet", math.inf), ("robin", robin_alpha)):
         worst = 0.0
+        u_0 = solve_parabolic(ops, spec, BoundaryControl.zeros(grid, m), grid, alpha)
         for _ in range(3):
             q = BoundaryControl(rng.standard_normal((grid.n_steps + 1, m)))
             eta = BoundaryControl(rng.standard_normal((grid.n_steps + 1, m)))
             u_q = solve_parabolic(ops, spec, q, grid, alpha)
             u_eta = solve_parabolic(ops, spec, eta, grid, alpha)
-            u_0 = solve_parabolic(ops, spec, BoundaryControl.zeros(grid, m), grid, alpha)
             p_q = solve_adjoint(ops, u_q, spec.target, grid, alpha)
             lhs = inner_domain_time(grid, ops, TimeField(u_eta.values - u_0.values),
                                     TimeField(u_q.values - spec.target.values))

@@ -30,13 +30,7 @@ from .fem_core import (
     build_interval_mesh,
     build_rect_mesh,
 )
-from .profiles import (
-    ProfileError,
-    control_from_profile,
-    field_from_profile,
-    gamma1_values_from_profile,
-    parse_profile,
-)
+from .profiles import ProfileError, parse_profile, sample
 from .state_solvers import ProblemSpec
 
 KNOWN_KEYS = {
@@ -160,10 +154,11 @@ def _parse_bool(cfg, section, key, default):
     return _BOOLEANS[value.lower()]
 
 
-def _read_csv(path, grid, kind, width):
-    """A 'field' (TimeField) or 'control' (BoundaryControl) trajectory from a
+def _read_csv(path, grid, trajectory, width):
+    """A trajectory of type trajectory (TimeField or BoundaryControl) from a
     CSV in the layout the CLI writes: step, time, then width value columns.
     A file that cannot be read as one raises ValueError."""
+    kind = "control" if trajectory is BoundaryControl else "field"
     try:
         rows = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     except (OSError, ValueError) as exc:
@@ -172,7 +167,7 @@ def _read_csv(path, grid, kind, width):
     if values.shape != (grid.n_steps + 1, width):
         raise ValueError(f"CSV {kind} {path} has shape {values.shape}, expected "
                          f"({grid.n_steps + 1}, {width})")
-    return (TimeField if kind == "field" else BoundaryControl)(values.copy())
+    return trajectory(values.copy())
 
 
 @dataclass
@@ -199,6 +194,11 @@ class Problem:
 
 def _build_mesh(cfg: RawConfig):
     dim = _parse_int(cfg, "mesh", "dim")
+    # a size key of the other dimension would be accepted and then ignored
+    for key in {1: ("nx", "ny"), 2: ("cells",)}.get(dim, ()):
+        if cfg.get("mesh", key) is not None:
+            raise ConfigError(f"key '{key}' does not apply to a {dim}D mesh",
+                              cfg.path, cfg.line_of("mesh", key))
     gamma1 = cfg.require("mesh", "gamma1")
     sides = [s.strip() for s in gamma1.split(",") if s.strip()]
     # sizes are checked at their own lines; what the builders reject after
@@ -222,8 +222,10 @@ def _build_mesh(cfg: RawConfig):
                       cfg.line_of("mesh", "dim"))
 
 
-def _data_entry(cfg, key, kind, ops, grid, required=False):
-    """kind: 'field' | 'control' | 'gamma1' | 'spatial_field' | 'spatial_control'."""
+def _data_entry(cfg, key, ops, grid, nodes, trajectory=None, required=False):
+    """The [data] entry key on the mesh nodes selected by nodes: a trajectory
+    of type trajectory (TimeField or BoundaryControl), from a profile or a
+    CSV reference, or with trajectory None the profile's row at t = 0."""
     value = cfg.get("data", key)
     if value is None:
         if required:
@@ -231,6 +233,7 @@ def _data_entry(cfg, key, kind, ops, grid, required=False):
                               cfg.path)
         return None
     line = cfg.line_of("data", key)
+    points = ops.mesh.node_coords[nodes]
     if value.startswith("csv:"):
         rel = value[len("csv:"):].strip()
         base = os.path.dirname(os.path.abspath(cfg.path)) if cfg.path != "<config>" else "."
@@ -238,29 +241,18 @@ def _data_entry(cfg, key, kind, ops, grid, required=False):
         if not os.path.exists(full):
             raise ConfigError(f"referenced file does not exist: {full}",
                               cfg.path, line)
-        if kind not in ("field", "control"):
+        if trajectory is None:
             raise ConfigError(f"key '{key}' does not accept CSV references",
                               cfg.path, line)
-        width = ops.n_nodes if kind == "field" else ops.gamma2_nodes.size
         try:
-            return _read_csv(full, grid, kind, width)
+            return _read_csv(full, grid, trajectory, len(points))
         except ValueError as exc:
             raise ConfigError(str(exc), cfg.path, line) from exc
     try:
         profile = parse_profile(value)
     except ProfileError as exc:
         raise ConfigError(str(exc), cfg.path, line) from exc
-    if kind == "field":
-        return field_from_profile(profile, ops.mesh, grid)
-    if kind == "control":
-        return control_from_profile(profile, ops, grid)
-    if kind == "gamma1":
-        return gamma1_values_from_profile(profile, ops)
-    if kind == "spatial_field":
-        return field_from_profile(profile, ops.mesh, grid).values[0].copy()
-    if kind == "spatial_control":
-        return control_from_profile(profile, ops, grid).values[0].copy()
-    raise ConfigError(f"internal: unknown data kind {kind!r}", cfg.path, line)
+    return sample(profile, points, grid, trajectory)
 
 
 def build_problem(cfg: RawConfig) -> Problem:
@@ -301,10 +293,11 @@ def build_problem(cfg: RawConfig) -> Problem:
     plots = _parse_bool(cfg, "output", "plots", "false")
 
     ops = assemble(mesh)
-    g = _data_entry(cfg, "g", "field", ops, grid, required=True)
-    z_d = _data_entry(cfg, "z_d", "field", ops, grid, required=True)
-    b = _data_entry(cfg, "b", "gamma1", ops, grid, required=True)
-    v_b_field = _data_entry(cfg, "v_b", "field", ops, grid, required=True)
+    every, gamma1, gamma2 = slice(None), ops.dirichlet_nodes, ops.gamma2_nodes
+    g = _data_entry(cfg, "g", ops, grid, every, TimeField, required=True)
+    z_d = _data_entry(cfg, "z_d", ops, grid, every, TimeField, required=True)
+    b = _data_entry(cfg, "b", ops, grid, gamma1, required=True)
+    v_b_field = _data_entry(cfg, "v_b", ops, grid, every, TimeField, required=True)
     v_b = v_b_field.values[0].copy()
     # profiles evaluate trig at boundary points with roundoff; snap when the
     # mismatch is clearly numerical noise, reject otherwise
@@ -331,13 +324,13 @@ def build_problem(cfg: RawConfig) -> Problem:
     if cfg.get("data", "q") == "optimize":
         q_mode = "optimize"
     else:
-        q_ctrl = _data_entry(cfg, "q", "control", ops, grid)
+        q_ctrl = _data_entry(cfg, "q", ops, grid, gamma2, BoundaryControl)
 
     return Problem(
         mesh=mesh, ops=ops, grid=grid, spec=spec, cfg=cfg,
         q=q_ctrl,
-        q0=_data_entry(cfg, "q0", "control", ops, grid),
-        g_inf=_data_entry(cfg, "g_inf", "spatial_field", ops, grid),
-        q_inf=_data_entry(cfg, "q_inf", "spatial_control", ops, grid),
+        q0=_data_entry(cfg, "q0", ops, grid, gamma2, BoundaryControl),
+        g_inf=_data_entry(cfg, "g_inf", ops, grid, every),
+        q_inf=_data_entry(cfg, "q_inf", ops, grid, gamma2),
         variant=variant, alpha=alpha, control=control, alphas=alphas,
         opt_tol=opt_tol, plots=plots, q_mode=q_mode)

@@ -7,6 +7,7 @@ A profile is "name(p1,p2,...)" evaluated on node coordinates and time:
   exp-decay(c,a,r)   c + a * exp(-r t), spatially uniform
   ramp(a)            a * x (first coordinate), time-constant
 
+sample evaluates one on any points, at t = 0 or per time step into a trajectory.
 The registry stays closed on purpose: configs carry no expression language,
 and anything not expressible here comes in as a CSV reference instead.
 """
@@ -17,8 +18,6 @@ import re
 from dataclasses import dataclass
 
 import numpy as np
-
-from .fem_core import BoundaryControl, TimeField
 
 PROFILE_ARITY = {
     "constant": 1,
@@ -42,9 +41,6 @@ class Profile:
     @property
     def time_dependent(self) -> bool:
         return self.name == "exp-decay"
-
-    def __str__(self):
-        return f"{self.name}({','.join(repr(p) for p in self.params)})"
 
 
 def parse_profile(text: str) -> Profile:
@@ -85,22 +81,12 @@ def evaluate(profile: Profile, points: np.ndarray, t: float) -> np.ndarray:
     raise ProfileError(f"unknown profile {profile.name!r}")
 
 
-def _sample(profile: Profile, points, grid, trajectory):
-    # the profile at points per time step, as a TimeField or BoundaryControl
+def sample(profile: Profile, points, grid, trajectory=None):
+    """The profile at points: its one row at t = 0 when trajectory is None,
+    else a trajectory of that type (TimeField, BoundaryControl) with one row
+    per time step of grid."""
+    if trajectory is None:
+        return evaluate(profile, points, 0.0)
     if not profile.time_dependent:
         return trajectory.constant_in_time(grid, evaluate(profile, points, 0.0))
     return trajectory(np.vstack([evaluate(profile, points, t) for t in grid.times()]))
-
-
-def field_from_profile(profile: Profile, mesh, grid) -> TimeField:
-    return _sample(profile, mesh.node_coords, grid, TimeField)
-
-
-def control_from_profile(profile: Profile, ops, grid) -> BoundaryControl:
-    return _sample(profile, ops.mesh.node_coords[ops.gamma2_nodes], grid,
-                   BoundaryControl)
-
-
-def gamma1_values_from_profile(profile: Profile, ops) -> np.ndarray:
-    pts = ops.mesh.node_coords[ops.dirichlet_nodes]
-    return evaluate(profile, pts, 0.0)

@@ -6,8 +6,10 @@ from three building-block solves (datum only, unit flux only, source only).
 The minimizer is -lin/(2*quad) in closed form, for the parabolic and steady
 problems with either the Dirichlet or the Robin condition on GAMMA1: variant
 "parabolic" (S, S_alpha) or "elliptic" (P, P_alpha), and alpha last, +inf by
-default.  The solves route through ParabolicStepper or solve_elliptic_robin,
-whose one GAMMA1 helper alone decides how alpha imposes the datum.
+default.  One private seam, _problem, reads the variant; each public
+function is one body over its rows, solve and inner product.  The solves route
+through ParabolicStepper or solve_elliptic_robin, whose one GAMMA1 helper
+alone decides how alpha imposes the datum.
 
 The monotonicity check compares two such solutions nodewise.  It always runs
 on the lumped mass matrix, over the non-obtuse meshes produced by the mesh
@@ -23,6 +25,7 @@ supplied time-dependent data.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -36,7 +39,6 @@ from .fem_core import (
     _check_control,
     _time_pairing,
 )
-from .optimal_control import _boundary_sq, _domain_sq, tracking_cost
 from .state_solvers import ParabolicStepper, ProblemSpec, solve_elliptic_robin
 
 
@@ -60,9 +62,27 @@ class QuadraticCoefficients:
         return self.quadratic * lam * lam + self.linear * lam + self.constant
 
 
-def _check_variant(variant):
-    if variant not in ("parabolic", "elliptic"):
-        raise ValueError(f"unknown variant {variant!r}, expected 'parabolic' or 'elliptic'")
+def _problem(ops, grid, variant, alpha, lumped=False):
+    """(rows, solve, pair) of one problem.  rows picks the data rows it reads
+    from an (N+1)-row trajectory (all, or the terminal one); solve(initial, b,
+    g, q) maps such rows, None for zero data, to the state; pair(mat, a, b) is
+    its inner product.  The stepper is built on the first solve, after every
+    check of the caller."""
+    if variant == "parabolic":
+        stepper = functools.cache(
+            lambda: ParabolicStepper(ops, grid, alpha=alpha, lumped=lumped))
+        return ((lambda values: values),
+                (lambda *data: stepper().run(*data)),
+                (lambda mat, a, b: grid.dt * _time_pairing(mat, a, b)))
+    if variant == "elliptic":
+        sizes = (ops.n_nodes, ops.gamma2_nodes.size, ops.dirichlet_nodes.size)
+
+        def solve(initial, b, g, q):
+            g, q, b = (np.zeros(n) if x is None else x for x, n in zip((g, q, b), sizes))
+            return solve_elliptic_robin(ops, g, q, b, alpha, lumped=lumped)
+        return ((lambda values: values[-1]), solve,
+                (lambda mat, a, b: float(a @ (mat @ b))))
+    raise ValueError(f"unknown variant {variant!r}, expected 'parabolic' or 'elliptic'")
 
 
 def building_blocks(ops: DiscreteOperators, spec: ProblemSpec, q0: BoundaryControl,
@@ -71,33 +91,21 @@ def building_blocks(ops: DiscreteOperators, spec: ProblemSpec, q0: BoundaryContr
 
     Their combination  u_b + lam * u_q0 + u_g  reproduces the direct solve with
     flux lam * q0 to solver precision, which is what makes the scalar
-    coefficients below exact.
+    coefficients below exact.  Parabolic blocks come back as TimeFields,
+    steady ones as nodal vectors.
     """
-    _check_variant(variant)
+    rows, solve, pair = _problem(ops, grid, variant, alpha)
     spec.validate(ops, grid)
     _check_control(grid, ops, q0)
-    if variant == "parabolic":
-        if np.max(np.abs(q0.values[1:])) == 0.0:
-            raise ValueError("q0 must not be identically zero: the quadratic "
-                             "coefficient would vanish")
-        stepper = ParabolicStepper(ops, grid, alpha=alpha)
-        u_b = stepper.run(spec.initial_temp, spec.boundary_temp, None, None)
-        u_q0 = stepper.run(np.zeros(ops.n_nodes), None, None, q0.values)
-        u_g = stepper.run(np.zeros(ops.n_nodes), None, spec.source.values, None)
-        return TimeField(u_b), TimeField(u_q0), TimeField(u_g)
-
-    g_row = spec.source.values[-1]
-    q_row = q0.values[-1]
-    if np.max(np.abs(q_row)) == 0.0:
+    q_rows = rows(q0.values)
+    if pair(ops.bmass_gamma2_sub, q_rows, q_rows) == 0.0:
         raise ValueError("q0 must not be identically zero: the quadratic "
                          "coefficient would vanish")
-    zeros_g = np.zeros(ops.n_nodes)
-    zeros_q = np.zeros(ops.gamma2_nodes.size)
-    zeros_b = np.zeros(ops.dirichlet_nodes.size)
-    u_b = solve_elliptic_robin(ops, zeros_g, zeros_q, spec.boundary_temp, alpha)
-    u_q0 = solve_elliptic_robin(ops, zeros_g, q_row, zeros_b, alpha)
-    u_g = solve_elliptic_robin(ops, g_row, zeros_q, zeros_b, alpha)
-    return u_b, u_q0, u_g
+    zeros = np.zeros(ops.n_nodes)
+    blocks = (solve(spec.initial_temp, spec.boundary_temp, None, None),
+              solve(zeros, None, None, q_rows),
+              solve(zeros, None, rows(spec.source.values), None))
+    return tuple(TimeField(u) if u.ndim == 2 else u for u in blocks)
 
 
 def scalar_optimum(ops: DiscreteOperators, spec: ProblemSpec, q0: BoundaryControl,
@@ -105,22 +113,15 @@ def scalar_optimum(ops: DiscreteOperators, spec: ProblemSpec, q0: BoundaryContro
                    alpha=math.inf) -> QuadraticCoefficients:
     """Quadratic coefficients of the restricted cost and its closed-form
     minimizer -linear/(2*quadratic)."""
-    u_b, u_q0, u_g = building_blocks(ops, spec, q0, grid, variant, alpha)
-    weight = spec.flux_penalty
-    if variant == "parabolic":
-        drift = u_b.values + u_g.values - spec.target.values
-        quad = (0.5 * weight * _boundary_sq(grid, ops, q0.values)
-                + 0.5 * _domain_sq(grid, ops, u_q0.values))
-        lin = grid.dt * _time_pairing(ops.mass, u_q0.values, drift)
-        const = 0.5 * _domain_sq(grid, ops, drift)
-    else:
-        z_row = spec.target.values[-1]
-        q_row = q0.values[-1]
-        drift = u_b + u_g - z_row
-        quad = (0.5 * weight * float(q_row @ (ops.bmass_gamma2_sub @ q_row))
-                + 0.5 * float(u_q0 @ (ops.mass @ u_q0)))
-        lin = float(u_q0 @ (ops.mass @ drift))
-        const = 0.5 * float(drift @ (ops.mass @ drift))
+    rows, _, pair = _problem(ops, grid, variant, alpha)
+    u_b, u_q0, u_g = (getattr(u, "values", u)
+                      for u in building_blocks(ops, spec, q0, grid, variant, alpha))
+    q_rows = rows(q0.values)
+    drift = u_b + u_g - rows(spec.target.values)
+    quad = (0.5 * spec.flux_penalty * pair(ops.bmass_gamma2_sub, q_rows, q_rows)
+            + 0.5 * pair(ops.mass, u_q0, u_q0))
+    lin = pair(ops.mass, u_q0, drift)
+    const = 0.5 * pair(ops.mass, drift, drift)
     if quad <= 0.0:
         raise RuntimeError("internal error: the quadratic coefficient must be "
                            "positive for a nonzero q0")
@@ -129,19 +130,16 @@ def scalar_optimum(ops: DiscreteOperators, spec: ProblemSpec, q0: BoundaryContro
 
 def scalar_cost(ops: DiscreteOperators, spec: ProblemSpec, q0: BoundaryControl,
                 grid: TimeGrid, variant: str, lam: float, alpha=math.inf) -> float:
-    """Restricted cost evaluated the direct way, by a full solve with flux
+    """Restricted cost evaluated the direct way, by one full solve with flux
     lam * q0.  Serves as the independent check of the coefficient route."""
-    _check_variant(variant)
-    if variant == "parabolic":
-        q = BoundaryControl(lam * q0.values)
-        return tracking_cost(ops, spec, q, grid, alpha)
-    g_row = spec.source.values[-1]
-    z_row = spec.target.values[-1]
-    q_row = lam * q0.values[-1]
-    u = solve_elliptic_robin(ops, g_row, q_row, spec.boundary_temp, alpha)
-    misfit = u - z_row
-    return (0.5 * float(misfit @ (ops.mass @ misfit))
-            + 0.5 * spec.flux_penalty * float(q_row @ (ops.bmass_gamma2_sub @ q_row)))
+    rows, solve, pair = _problem(ops, grid, variant, alpha)
+    spec.validate(ops, grid)
+    _check_control(grid, ops, q0)
+    q = lam * rows(q0.values)
+    u = solve(spec.initial_temp, spec.boundary_temp, rows(spec.source.values), q)
+    misfit = u - rows(spec.target.values)
+    return (0.5 * pair(ops.mass, misfit, misfit)
+            + 0.5 * spec.flux_penalty * pair(ops.bmass_gamma2_sub, q, q))
 
 
 def _require(cond, hypothesis):
@@ -162,7 +160,7 @@ def monotonicity_check(ops: DiscreteOperators, spec: ProblemSpec, grid: TimeGrid
     spec and spec_upper.  Returns the largest value of (lower solution -
     upper solution) over all steps and nodes.
     """
-    _check_variant(variant)
+    rows, solve, _ = _problem(ops, grid, variant, alpha, lumped=True)
     spec.validate(ops, grid)
     upper = spec_upper if spec_upper is not None else spec
     upper.validate(ops, grid)
@@ -182,19 +180,9 @@ def monotonicity_check(ops: DiscreteOperators, spec: ProblemSpec, grid: TimeGrid
     _require(np.all(spec.initial_temp <= upper.initial_temp),
              "ordered initial temperatures")
 
-    if variant == "parabolic":
-        stepper = ParabolicStepper(ops, grid, alpha=alpha, lumped=True)
-        u1 = stepper.run(spec.initial_temp, spec.boundary_temp,
-                         g1.values, lam1 * q0.values)
-        u2 = stepper.run(upper.initial_temp, upper.boundary_temp,
-                         g2.values, lam2 * q0.values)
-        max_violation = float(np.max(u1 - u2))
-    else:
-        q_row = q0.values[-1]
-        u1 = solve_elliptic_robin(ops, g1.values[-1], lam1 * q_row,
-                                  spec.boundary_temp, alpha, lumped=True)
-        u2 = solve_elliptic_robin(ops, g2.values[-1], lam2 * q_row,
-                                  upper.boundary_temp, alpha, lumped=True)
-        max_violation = float(np.max(u1 - u2))
+    q_rows = rows(q0.values)
+    u1 = solve(spec.initial_temp, spec.boundary_temp, rows(g1.values), lam1 * q_rows)
+    u2 = solve(upper.initial_temp, upper.boundary_temp, rows(g2.values), lam2 * q_rows)
+    max_violation = float(np.max(u1 - u2))
     return {"max_violation": max_violation, "holds": max_violation <= 1e-12}
 

@@ -91,3 +91,22 @@ def test_manifest_records_the_thread_setting(solve_runs):
 def test_solve_bytes_do_not_depend_on_thread_count(solve_runs):
     default = (solve_runs["default"] / "u.csv").read_bytes()
     assert default == (solve_runs["two"] / "u.csv").read_bytes()
+
+
+def test_cli_imported_after_numpy_sets_nothing(tmp_path):
+    # numpy has started its OpenBLAS pool by then: the CLI leaves the
+    # environment, which children inherit, alone and records that it did
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(CFG_2D.replace("nx = 40\nny = 40", "nx = 4\nny = 4"))
+    out = tmp_path / "out"
+    script = f"""
+import os
+import numpy, parctrl.cli
+assert "OPENBLAS_NUM_THREADS" not in os.environ
+assert parctrl.cli.main(["solve", "--config", {str(cfg)!r}, "--out", {str(out)!r}]) == 0
+assert "OPENBLAS_NUM_THREADS" not in os.environ
+"""
+    subprocess.run([sys.executable, "-c", script], env=child_env(), check=True)
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["blas_threads"] == {"OPENBLAS_NUM_THREADS": None,
+                                        "OMP_NUM_THREADS": None, "set_by": "none"}

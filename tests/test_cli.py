@@ -516,6 +516,68 @@ def test_mesh_size_error_cites_its_own_line(tmp_path, capsys, mesh, key, line):
     assert f"bad.cfg:{line}: key '{key}' must be >= 2" in err
 
 
+@pytest.mark.parametrize("mesh,key,line", [("dim = 1\ncells = 32\nnx = 0", "nx", 4),
+                                           ("dim = 2\nnx = 4\nny = 4\ncells = -3",
+                                            "cells", 5)],
+                         ids=["nx-in-1d", "cells-in-2d"])
+def test_mesh_key_of_the_other_dimension_rejected(tmp_path, capsys, mesh, key, line):
+    # a size key the mesh of this dim does not read is not silently ignored
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(SMALL_CFG.replace("dim = 1\ncells = 32", mesh))
+    assert run("solve", str(bad), tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert f"bad.cfg:{line}: key '{key}' does not apply to a" in err
+
+
+def build_with(tmp_path, text):
+    from parctrl.config import build_problem
+
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    return build_problem(load_config(str(cfg)))
+
+
+def test_exp_decay_source_is_sampled_per_step(tmp_path):
+    problem = build_with(tmp_path, SMALL_CFG.replace(
+        "g = constant(1.0)", "g = exp-decay(1,0.5,2)\ng_inf = exp-decay(1,0.5,2)"))
+    t = problem.grid.times()
+    rows = problem.spec.source.values
+    assert rows.shape == (t.size, problem.ops.n_nodes)
+    for k, t_k in enumerate(t):
+        np.testing.assert_allclose(rows[k], 1.0 + 0.5 * math.exp(-2.0 * t_k),
+                                   rtol=1e-15, atol=0.0)
+    # a spatial datum is the profile's row at t = 0
+    assert problem.g_inf.shape == (problem.ops.n_nodes,)
+    assert np.array_equal(problem.g_inf, rows[0])
+    assert np.all(problem.g_inf == 1.5)
+
+
+def test_ramp_flux_is_sampled_on_gamma2(tmp_path):
+    text = SMALL_CFG.replace("dim = 1\ncells = 32\n", "dim = 2\nnx = 6\nny = 5\n")
+    problem = build_with(tmp_path, text.replace("q = constant(0.5)", "q = ramp(0.5)"))
+    ops = problem.ops
+    x = ops.mesh.node_coords[ops.gamma2_nodes, 0]
+    assert np.unique(x).size > 1
+    assert problem.q.values.shape == (problem.grid.n_steps + 1, ops.gamma2_nodes.size)
+    for row in problem.q.values:
+        assert np.array_equal(row, 0.5 * x)
+
+
+@pytest.mark.parametrize("key,old", [("b", "b = constant(0.0)"),
+                                     ("g_inf", "q0 = constant(1.0)")])
+def test_spatial_keys_reject_csv_references(tmp_path, capsys, key, old):
+    # b and g_inf are one nodal row each; a CSV holds a trajectory
+    (tmp_path / "data.csv").write_text("step,time,n0\n0,0,1\n")
+    new = f"{key} = csv:data.csv" if key == "b" else f"{old}\n{key} = csv:data.csv"
+    text = SMALL_CFG.replace(old, new)
+    line = text.splitlines().index(f"{key} = csv:data.csv") + 1
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(text)
+    assert run("solve", str(bad), tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert f"bad.cfg:{line}: key '{key}' does not accept CSV references" in err
+
+
 def test_malformed_csv_reference_cites_the_key(cfg_path, tmp_path, capsys):
     # a CSV the CLI wrote, with one cell that is not a number, fails at the
     # line of the key that references it

@@ -1,10 +1,12 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from parctrl import fem_core
 from parctrl.fem_core import BoundaryControl, TimeField
-from parctrl.optimal_control import optimize_boundary
+from parctrl.optimal_control import optimize_boundary, tracking_cost
 from parctrl.scalar_control import (
     building_blocks,
     monotonicity_check,
@@ -66,6 +68,67 @@ def test_zero_direction_rejected(ops1d, grid, spec1d):
     for variant, alpha in problems(5.0):
         with pytest.raises(ValueError):
             building_blocks(ops1d, spec1d, q0, grid, variant, alpha)
+
+
+def bad_inputs(ops, grid):
+    # (spec, q0) pairs that validation rejects: a target with 3 rows where
+    # N+1 are due together with an initial state off the GAMMA1 datum, and a
+    # 4-row q0
+    spec = make_spec(ops, grid)
+    initial = spec.initial_temp.copy()
+    initial[ops.dirichlet_nodes] = 1.0
+    short_target = replace(spec, target=TimeField(spec.target.values[:3]),
+                           initial_temp=initial)
+    q0 = unit_q0(ops, grid)
+    return [(short_target, q0), (spec, BoundaryControl(q0.values[:4]))]
+
+
+@pytest.mark.parametrize("variant", ["parabolic", "elliptic"])
+def test_both_kinds_validate_their_input(ops1d, grid, variant):
+    # the steady scalar_cost used to read only the terminal rows and return
+    # a cost for these inputs
+    for spec, q0 in bad_inputs(ops1d, grid):
+        with pytest.raises(ValueError):
+            scalar_cost(ops1d, spec, q0, grid, variant, 0.5)
+        with pytest.raises(ValueError):
+            scalar_optimum(ops1d, spec, q0, grid, variant)
+        with pytest.raises(ValueError):
+            building_blocks(ops1d, spec, q0, grid, variant)
+
+
+@pytest.mark.parametrize("function", ["building_blocks", "scalar_optimum",
+                                      "scalar_cost", "monotonicity_check"])
+def test_checks_come_before_any_factorization(grid, function):
+    # an unknown variant is named before the input is validated, and invalid
+    # input raises before any system is factorized
+    ops = fem_core.assemble(fem_core.build_interval_mesh(16, 0.0, 1.0, "left"))
+    spec, q0 = bad_inputs(ops, grid)[0]
+    g = TimeField.zeros(grid, ops.n_nodes)
+    calls = {
+        "building_blocks": lambda v: building_blocks(ops, spec, q0, grid, v),
+        "scalar_optimum": lambda v: scalar_optimum(ops, spec, q0, grid, v),
+        "scalar_cost": lambda v: scalar_cost(ops, spec, q0, grid, v, 0.5),
+        "monotonicity_check": lambda v: monotonicity_check(
+            ops, spec, grid, 1.0, 0.0, g, g, q0, v),
+    }
+    with pytest.raises(ValueError, match="unknown variant 'steady'"):
+        calls[function]("steady")
+    for variant in ("parabolic", "elliptic"):
+        with pytest.raises(ValueError, match="target has shape"):
+            calls[function](variant)
+    assert ops.systems == {}
+
+
+@pytest.mark.parametrize("alpha", [math.inf, 5.0])
+def test_parabolic_scalar_cost_is_the_tracking_cost(ops1d, grid, spec1d, alpha):
+    # the direct route is the tracking cost of the full solve, bit for bit
+    rng = np.random.default_rng(11)
+    q0 = BoundaryControl(rng.standard_normal((grid.n_steps + 1,
+                                              ops1d.gamma2_nodes.size)))
+    for lam in (-0.4, 1.3):
+        direct = tracking_cost(ops1d, spec1d, BoundaryControl(lam * q0.values),
+                               grid, alpha)
+        assert scalar_cost(ops1d, spec1d, q0, grid, "parabolic", lam, alpha) == direct
 
 
 def test_matched_target_gives_zero_minimizer(ops1d, grid):

@@ -6,7 +6,10 @@
 Runs, into a temporary directory and for configs/benchmark1d.cfg and
 configs/benchmark2d.cfg: solve, sweep-alpha and decay; sweep-alpha with
 q = optimize, so the err_control column is filled; decay with g_inf and q_inf
-set, so the forced rows are written; lambda for each scalar
+set, so the forced rows are written; solve and forced decay with
+g = exp-decay(...) and q = ramp(...), so a time-dependent and a non-constant
+boundary profile are sampled; solve with v_b = csv: the u.csv of the plain
+solve run, so a CSV reference is read; lambda for each scalar
 variant (parabolic, parabolic_robin, elliptic, elliptic_robin), so the steady
 solves are reached too; optimize for each control (boundary, distributed,
 simultaneous) with each variant (dirichlet, robin); and verify.  Then, with
@@ -66,6 +69,9 @@ VARIANTS = ("dirichlet", "robin")
 SCALAR_VARIANTS = ("parabolic", "parabolic_robin", "elliptic", "elliptic_robin")
 # the limits of the shipped configs' own (time-constant) g and q
 FORCED_DECAY = {"g_inf": "constant(1.0)", "q_inf": "constant(0.5)"}
+# a time-dependent source and a non-constant flux, with their limits
+PROFILES = {"g": "exp-decay(1.0,0.5,2.0)", "q": "ramp(0.5)"}
+PROFILE_LIMITS = {"g_inf": "constant(1.0)", "q_inf": "ramp(0.5)"}
 # [weights] alpha -> the runs at it, as (command, run name, [data] keys)
 ALPHA_RUNS = {
     "2.5": [("solve", "solve-robin", {"variant": "robin"}),
@@ -118,7 +124,12 @@ def _run_all(root, tmp):
             text = fh.read()
         runs = [(command, command, {}) for command in PLAIN_COMMANDS]
         runs += [("sweep-alpha", "sweep-alpha-optimize", {"data": {"q": "optimize"}}),
-                 ("decay", "decay-forced", {"data": FORCED_DECAY})]
+                 ("decay", "decay-forced", {"data": FORCED_DECAY}),
+                 ("solve", "solve-profiles", {"data": PROFILES}),
+                 ("decay", "decay-profiles-forced",
+                  {"data": {**PROFILES, **PROFILE_LIMITS}}),
+                 # relative to this run's config: the plain solve run's output
+                 ("solve", "solve-csv-v_b", {"data": {"v_b": "csv:../solve/out/u.csv"}})]
         runs += [("lambda", f"lambda-{variant}", {"data": {"variant": variant}})
                  for variant in SCALAR_VARIANTS]
         runs += [("optimize", f"optimize-{control}-{variant}",
