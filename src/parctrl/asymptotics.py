@@ -2,9 +2,11 @@
 
 Transfer-coefficient sweeps quantify how the Robin solutions approach the
 Dirichlet ones as the coefficient grows, either at a fixed flux or with a full
-optimization per coefficient.  Decay studies march a time-constant (or
+optimization per coefficient; one local solve serves the alpha = +inf
+reference and every row.  Decay studies march a time-constant (or
 asymptotically constant) problem and compare the distance to the steady state
-against the exponential bound built from the discrete coercivity constant.
+against the exponential bound built from the discrete coercivity constant;
+both share one march-and-distance helper and differ only in their bound.
 """
 
 from __future__ import annotations
@@ -67,8 +69,11 @@ class DecayResult:
 
 def check_alphas(alphas) -> list:
     """The sweep's coefficients as floats; ValueError naming the offending
-    entry unless each is finite and > 1 and they strictly increase."""
+    entry unless there is at least one, each is finite and > 1 and they
+    strictly increase."""
     alphas = [float(a) for a in alphas]
+    if not alphas:
+        raise ValueError("alphas must list at least one coefficient")
     for a in alphas:
         if not (math.isfinite(a) and a > 1.0):
             raise ValueError(f"alphas must be finite and exceed 1 (the boundary-"
@@ -79,59 +84,49 @@ def check_alphas(alphas) -> list:
 
 
 def alpha_sweep(ops: DiscreteOperators, spec: ProblemSpec, grid: TimeGrid,
-                alphas, q="optimize", tol: float = 1e-10) -> list:
+                alphas, q=OPTIMIZE, tol: float = 1e-10) -> list:
     """Robin-to-Dirichlet gap per transfer coefficient.
 
-    q is either a fixed BoundaryControl (state and adjoint gaps only) or the
-    string "optimize" (one boundary optimization per coefficient, controls
-    compared too).  A non-converged optimization flags its row and the sweep
-    continues.
+    q is either a fixed BoundaryControl (state and adjoint gaps only) or
+    OPTIMIZE (one boundary optimization per coefficient, controls compared
+    too).  A row counts as converged when its optimization and that of the
+    alpha = +inf reference both did; a row that did not is flagged and the
+    sweep continues.
     """
     alphas = check_alphas(alphas)
     spec.validate(ops, grid)
     b_ext = np.zeros(ops.n_nodes)
     b_ext[ops.dirichlet_nodes] = spec.boundary_temp
-    # each system the sweep builds is dropped once used (the reference's
-    # before the rows, a row's when the row ends): one factorization at a time
+    # each system the sweep builds is dropped once its limit is computed:
+    # one factorization at a time
     kept = set(ops.systems)
 
-    if q == OPTIMIZE:
-        ref = optimize_boundary(ops, spec, grid, tol=tol)
-        u_ref, p_ref, q_ref = ref.u_opt, ref.p_opt, ref.q_opt
-    else:
-        _check_control(grid, ops, q)
-        u_ref = solve_parabolic(ops, spec, q, grid)
-        p_ref = solve_adjoint(ops, u_ref, spec.target, grid)
-        q_ref = None
-    _release_systems(ops, kept)
-
-    rows = []
-    for alpha in alphas:
+    def limit(alpha):
+        # (state, adjoint, control or None, converged) at alpha
         if q == OPTIMIZE:
             res = optimize_boundary(ops, spec, grid, tol=tol, alpha=alpha)
-            u_a, p_a, q_a = res.u_opt, res.p_opt, res.q_opt
-            converged = res.converged
-            err_control = norm_boundary_time(
-                grid, ops, BoundaryControl(q_a.values - q_ref.values))
+            out = res.u_opt, res.p_opt, res.q_opt, res.converged
         else:
-            u_a = solve_parabolic(ops, spec, q, grid, alpha)
-            p_a = solve_adjoint(ops, u_a, spec.target, grid, alpha)
-            converged = True
-            err_control = None
+            u = solve_parabolic(ops, spec, q, grid, alpha)
+            out = u, solve_adjoint(ops, u, spec.target, grid, alpha), None, True
+        for key in set(ops.systems) - kept:
+            del ops.systems[key]
+        return out
+
+    u_ref, p_ref, q_ref, ref_converged = limit(math.inf)
+    rows = []
+    for alpha in alphas:
+        u_a, p_a, q_a, converged = limit(alpha)
+        err_control = None if q_a is None else norm_boundary_time(
+            grid, ops, BoundaryControl(q_a.values - q_ref.values))
         err_state = norm_h1_time(grid, ops, TimeField(u_a.values - u_ref.values))
         err_adjoint = norm_h1_time(grid, ops, TimeField(p_a.values - p_ref.values))
         mismatch = math.sqrt(alpha - 1.0) * norm_gamma1_time(
             grid, ops, TimeField(u_a.values - b_ext[None, :]))
         rows.append(SweepRow(alpha=alpha, err_state=err_state, err_adjoint=err_adjoint,
                              err_control=err_control, boundary_mismatch=mismatch,
-                             converged=converged))
-        _release_systems(ops, kept)
+                             converged=converged and ref_converged))
     return rows
-
-
-def _release_systems(ops, kept):
-    for key in set(ops.systems) - kept:
-        del ops.systems[key]
 
 
 def _require_time_constant(name, rows):
@@ -139,8 +134,15 @@ def _require_time_constant(name, rows):
         raise ValueError(f"decay study needs time-constant data; {name} varies in time")
 
 
-def _err_series(ops, u_values, u_inf):
-    diff = u_values - u_inf[None, :]
+def _distances_to_steady(ops, spec, q, grid, g_inf, q_inf):
+    """M-norm distance of the Dirichlet march with flux q to the steady state
+    of (g_inf, q_inf), per time level; ValueError when dt * coercivity > 0.1."""
+    lam0 = ops.lambda0
+    if grid.dt * lam0 > 0.1:
+        raise ValueError(f"grid too coarse for the decay bound: dt * coercivity "
+                         f"= {grid.dt * lam0:.3f} > 0.1")
+    u_inf = solve_elliptic_dirichlet(ops, g_inf, q_inf, spec.boundary_temp)
+    diff = solve_parabolic(ops, spec, q, grid).values - u_inf[None, :]
     return np.sqrt(np.maximum(
         np.einsum("kj,kj->k", diff, (ops.mass @ diff.T).T), 0.0))
 
@@ -164,15 +166,9 @@ def decay_study(ops: DiscreteOperators, spec: ProblemSpec, q: BoundaryControl,
     _check_control(grid, ops, q)
     _require_time_constant("the source", spec.source.values)
     _require_time_constant("the flux", q.values)
+    errs = _distances_to_steady(ops, spec, q, grid, spec.source.values[1], q.values[1])
     lam0 = ops.lambda0
-    if grid.dt * lam0 > 0.1:
-        raise ValueError(f"grid too coarse for the decay bound: dt * coercivity "
-                         f"= {grid.dt * lam0:.3f} > 0.1")
-    u_inf = solve_elliptic_dirichlet(ops, spec.source.values[1], q.values[1],
-                                     spec.boundary_temp)
-    u = solve_parabolic(ops, spec, q, grid)
     times = grid.times()
-    errs = _err_series(ops, u.values, u_inf)
     err0 = errs[0]
     rows = []
     for t, e in zip(times, errs):
@@ -202,15 +198,10 @@ def decay_with_forcing(ops: DiscreteOperators, spec: ProblemSpec,
     if grid.t_final * lam0 > 500.0:
         raise ValueError("horizon too long: coercivity * t_final must stay "
                          "below 500 to keep the weighted integrals finite")
-    if grid.dt * lam0 > 0.1:
-        raise ValueError(f"grid too coarse for the decay bound: dt * coercivity "
-                         f"= {grid.dt * lam0:.3f} > 0.1")
     g_inf = np.asarray(g_inf, dtype=float)
     q_inf = np.asarray(q_inf, dtype=float)
-    u_inf = solve_elliptic_dirichlet(ops, g_inf, q_inf, spec.boundary_temp)
-    u = solve_parabolic(ops, spec, q, grid)
+    errs = _distances_to_steady(ops, spec, q, grid, g_inf, q_inf)
     times = grid.times()
-    errs = _err_series(ops, u.values, u_inf)
     err0_sq = errs[0] ** 2
     tr_sq = ops.trace_norm ** 2
 

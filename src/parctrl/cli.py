@@ -2,7 +2,11 @@
 
     parctrl <command> --config <path> [--out <dir>]
 
-Commands: solve | optimize | lambda | sweep-alpha | decay | verify.  Every run
+Commands: solve | optimize | lambda | sweep-alpha | decay | verify.  One
+table, _COMMANDS, gives each its runner, the [data] variant names it runs and
+the keys it reads that have no default; both are checked before the mesh is
+assembled.  solve, decay and distributed optimize read [data] q as a fixed
+flux (zeros when absent); q = optimize is read by sweep-alpha only.  Every run
 writes its CSV outputs plus a JSON manifest echoing the config text, the mesh
 hash, the spectral constants the command read (verify reads all three, decay
 lambda0, and trace_norm when forced; the others none) and wall time;
@@ -33,6 +37,7 @@ import math
 import os
 import sys
 import time
+from dataclasses import replace
 
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
 if any(os.environ.get(var) for var in _BLAS_THREAD_VARS):
@@ -65,8 +70,6 @@ from .fem_core import (  # noqa: E402
     norm_boundary_time,
 )
 from .state_solvers import solve_adjoint, solve_parabolic  # noqa: E402
-
-COMMANDS = ("solve", "optimize", "lambda", "sweep-alpha", "decay", "verify")
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -185,31 +188,17 @@ def _write_manifest(out_dir, command, problem, outputs, results, wall_time):
     return path
 
 
-def _require(problem, attr, what):
-    value = getattr(problem, attr)
-    if value is None:
-        raise ConfigError(f"this command needs '{what}' in section [data]",
-                          problem.cfg.path)
-    return value
-
-
-# the [data] variant names each command runs; sweep-alpha and verify run
-# both boundary conditions and take any name another command runs
-_VARIANTS = {"solve": ("dirichlet", "robin"), "optimize": ("dirichlet", "robin"),
-             "lambda": ("dirichlet", "parabolic", "parabolic_robin", "elliptic",
-                        "elliptic_robin"),
-             "decay": ("dirichlet",)}
-_VARIANTS["sweep-alpha"] = _VARIANTS["verify"] = tuple(
-    dict.fromkeys(name for names in _VARIANTS.values() for name in names))
-
-
-def _check_variant(cfg, command):
-    """A [data] variant name that command does not run is a ConfigError at
-    the variant line, raised before any operator is assembled."""
+def _check_command(cfg, command):
+    """Before any operator is assembled: a [data] variant name that command
+    does not run is a ConfigError at the variant line, and each key it reads
+    that has no default must be present."""
+    _, variants, required = _COMMANDS[command]
     name = cfg.get("data", "variant", "dirichlet")
-    if name not in _VARIANTS[command]:
-        raise ConfigError(f"{command} takes variant {' | '.join(_VARIANTS[command])}, "
+    if name not in variants:
+        raise ConfigError(f"{command} takes variant {' | '.join(variants)}, "
                           f"got {name!r}", cfg.path, cfg.line_of("data", "variant"))
+    for section, key in required:
+        cfg.require(section, key)
 
 
 def _variant(problem):
@@ -221,13 +210,23 @@ def _variant(problem):
     return kind, problem.alpha if name.endswith("robin") else math.inf
 
 
+def _fixed_flux(problem):
+    """[data] q as a fixed flux, zeros when absent; q = optimize is a
+    ConfigError at its line."""
+    q = problem.q
+    if q is None:
+        return BoundaryControl.zeros(problem.grid, problem.ops.gamma2_nodes.size)
+    if q == asymptotics.OPTIMIZE:
+        raise ConfigError("q = optimize is read by sweep-alpha only",
+                          problem.cfg.path, problem.cfg.line_of("data", "q"))
+    return q
+
+
 def _cmd_solve(problem: Problem, out_dir):
     _, alpha = _variant(problem)
-    q = problem.q if problem.q is not None else BoundaryControl.zeros(
-        problem.grid, problem.ops.gamma2_nodes.size)
-    u = solve_parabolic(problem.ops, problem.spec, q, problem.grid, alpha)
-    path = os.path.join(out_dir, "u.csv")
-    write_field_csv(path, problem.grid, u.values)
+    u = solve_parabolic(problem.ops, problem.spec, _fixed_flux(problem),
+                        problem.grid, alpha)
+    write_field_csv(os.path.join(out_dir, "u.csv"), problem.grid, u.values)
     return ["u.csv"], {"u_file": "u.csv",
                        "final_max": float(np.max(u.values[-1])),
                        "final_min": float(np.min(u.values[-1]))}
@@ -240,9 +239,7 @@ def _cmd_optimize(problem: Problem, out_dir):
         res = optimal_control.optimize_boundary(ops, spec, grid, tol=problem.opt_tol,
                                                 alpha=alpha)
     elif problem.control == "distributed":
-        q_fixed = problem.q if problem.q is not None else BoundaryControl.zeros(
-            grid, ops.gamma2_nodes.size)
-        res = optimal_control.optimize_distributed(ops, spec, grid, q_fixed,
+        res = optimal_control.optimize_distributed(ops, spec, grid, _fixed_flux(problem),
                                                    tol=problem.opt_tol, alpha=alpha)
     else:
         res = optimal_control.optimize_simultaneous(ops, spec, grid,
@@ -288,10 +285,9 @@ def _cmd_lambda(problem: Problem, out_dir):
     kind, alpha = _variant(problem)
     # lambda.csv calls the default variant, dirichlet, by its problem kind
     variant = problem.variant if problem.variant != "dirichlet" else kind
-    q0 = _require(problem, "q0", "q0")
-    if np.max(np.abs(q0.values[1:])) == 0.0:
+    if np.max(np.abs(problem.q0.values[1:])) == 0.0:
         raise ConfigError("q0 must be nonzero", problem.cfg.path)
-    coeffs = scalar_control.scalar_optimum(problem.ops, problem.spec, q0,
+    coeffs = scalar_control.scalar_optimum(problem.ops, problem.spec, problem.q0,
                                            problem.grid, kind, alpha)
     h_opt = coeffs.value(coeffs.lambda_opt)
     path = os.path.join(out_dir, "lambda.csv")
@@ -306,15 +302,8 @@ def _cmd_lambda(problem: Problem, out_dir):
 
 
 def _cmd_sweep_alpha(problem: Problem, out_dir):
-    if not problem.alphas:
-        raise ConfigError("sweep-alpha needs 'alphas' in section [weights]",
-                          problem.cfg.path)
-    q = "optimize" if problem.q_mode == "optimize" else problem.q
-    if q is None:
-        raise ConfigError("sweep-alpha needs 'q' in section [data] (a profile "
-                          "or the word optimize)", problem.cfg.path)
     rows = asymptotics.alpha_sweep(problem.ops, problem.spec, problem.grid,
-                                   problem.alphas, q=q, tol=problem.opt_tol)
+                                   problem.alphas, q=problem.q, tol=problem.opt_tol)
     path = os.path.join(out_dir, "sweep.csv")
     # err_control is empty for a fixed flux
     _write_csv(path, "alpha,err_state,err_adjoint,err_control,boundary_mismatch,converged",
@@ -339,9 +328,7 @@ def _cmd_sweep_alpha(problem: Problem, out_dir):
 
 
 def _cmd_decay(problem: Problem, out_dir):
-    q = problem.q
-    if q is None:
-        raise ConfigError("decay needs 'q' in section [data]", problem.cfg.path)
+    q = _fixed_flux(problem)
     forced = problem.g_inf is not None or problem.q_inf is not None
     if forced and (problem.g_inf is None or problem.q_inf is None):
         raise ConfigError("forced decay needs both g_inf and q_inf",
@@ -379,12 +366,25 @@ def _verify_battery(problem: Problem):
         checks.append({"name": name, "passed": bool(passed), "detail": float(detail)})
 
     n, m = ops.n_nodes, ops.gamma2_nodes.size
+    zero_q = BoundaryControl.zeros(grid, m)
+
+    def draw():
+        # the next random control
+        return BoundaryControl(rng.standard_normal((grid.n_steps + 1, m)))
+
+    def rel(a, b):
+        return abs(a - b) / max(abs(a), abs(b), 1e-300)
+
+    def unforced(datum, initial, q=zero_q):
+        # the state with no source, a constant GAMMA1 datum and flux q
+        bare = replace(spec, source=TimeField.zeros(grid, n), initial_temp=initial,
+                       boundary_temp=np.full(ops.dirichlet_nodes.size, datum))
+        return solve_parabolic(ops, bare, q, grid)
 
     # symmetry of the four inner products
     u, v = rng.standard_normal(n), rng.standard_normal(n)
     s1 = abs(float(u @ (ops.mass @ v)) - float(v @ (ops.mass @ u)))
-    Q = BoundaryControl(rng.standard_normal((grid.n_steps + 1, m)))
-    R = BoundaryControl(rng.standard_normal((grid.n_steps + 1, m)))
+    Q, R = draw(), draw()
     s2 = abs(inner_boundary_time(grid, ops, Q, R) - inner_boundary_time(grid, ops, R, Q))
     record("inner-product-symmetry", max(s1, s2) <= 1e-12, max(s1, s2))
 
@@ -406,25 +406,16 @@ def _verify_battery(problem: Problem):
     record("spectral-certificates", worst >= -1e-12, worst)
 
     # superposition of the forward solver
-    from dataclasses import replace
-
-    q1 = BoundaryControl(rng.standard_normal((grid.n_steps + 1, m)))
-    q2 = BoundaryControl(rng.standard_normal((grid.n_steps + 1, m)))
+    q1, q2 = draw(), draw()
     u1 = solve_parabolic(ops, spec, q1, grid)
-    zero_spec = replace(spec, source=TimeField.zeros(grid, n),
-                        boundary_temp=np.zeros(ops.dirichlet_nodes.size),
-                        initial_temp=np.zeros(n))
-    du = solve_parabolic(ops, zero_spec, BoundaryControl(q2.values - q1.values), grid)
+    du = unforced(0.0, np.zeros(n), BoundaryControl(q2.values - q1.values))
     u2 = solve_parabolic(ops, spec, q2, grid)
     gap = np.max(np.abs(u1.values + du.values - u2.values))
     scale = max(np.max(np.abs(u2.values)), 1.0)
     record("solver-superposition", gap <= 1e-11 * scale, gap / scale)
 
     # constants are steady states
-    const_spec = replace(spec, source=TimeField.zeros(grid, n),
-                         boundary_temp=np.full(ops.dirichlet_nodes.size, 1.5),
-                         initial_temp=np.full(n, 1.5))
-    uc = solve_parabolic(ops, const_spec, BoundaryControl.zeros(grid, m), grid)
+    uc = unforced(1.5, np.full(n, 1.5))
     gap = np.max(np.abs(uc.values - 1.5))
     record("constant-steady-state", gap <= 1e-12, gap)
 
@@ -434,10 +425,7 @@ def _verify_battery(problem: Problem):
     for d in range(ops.mesh.dim):
         bump = bump * np.sin(np.pi * x[:, d])
     bump[ops.dirichlet_nodes] = 0.0
-    dec_spec = replace(spec, source=TimeField.zeros(grid, n),
-                       boundary_temp=np.zeros(ops.dirichlet_nodes.size),
-                       initial_temp=bump)
-    ud = solve_parabolic(ops, dec_spec, BoundaryControl.zeros(grid, m), grid)
+    ud = unforced(0.0, bump)
     norms = np.sqrt(np.einsum("kj,kj->k", ud.values, (ops.mass @ ud.values.T).T))
     worst = float(np.max(norms[1:] - norms[:-1]))
     record("energy-decay", worst < 0.0, worst)
@@ -447,10 +435,9 @@ def _verify_battery(problem: Problem):
     robin_alpha = 5.0 if math.isinf(problem.alpha) else problem.alpha
     for variant, alpha in (("dirichlet", math.inf), ("robin", robin_alpha)):
         worst = 0.0
-        u_0 = solve_parabolic(ops, spec, BoundaryControl.zeros(grid, m), grid, alpha)
+        u_0 = solve_parabolic(ops, spec, zero_q, grid, alpha)
         for _ in range(3):
-            q = BoundaryControl(rng.standard_normal((grid.n_steps + 1, m)))
-            eta = BoundaryControl(rng.standard_normal((grid.n_steps + 1, m)))
+            q, eta = draw(), draw()
             u_q = solve_parabolic(ops, spec, q, grid, alpha)
             u_eta = solve_parabolic(ops, spec, eta, grid, alpha)
             p_q = solve_adjoint(ops, u_q, spec.target, grid, alpha)
@@ -458,26 +445,24 @@ def _verify_battery(problem: Problem):
                                     TimeField(u_q.values - spec.target.values))
             rhs = -inner_boundary_time(grid, ops, eta,
                                        BoundaryControl(p_q.values[:, ops.gamma2_nodes]))
-            worst = max(worst, abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300))
+            worst = max(worst, rel(lhs, rhs))
         record(f"adjoint-duality-{variant}", worst <= 1e-10, worst)
 
     # central differences of the quadratic cost
-    q = BoundaryControl(rng.standard_normal((grid.n_steps + 1, m)))
+    q = draw()
     grad = optimal_control.tracking_gradient(ops, spec, q, grid)
     worst = 0.0
     for eps in (1e-2, 1e-4):
-        eta = BoundaryControl(rng.standard_normal((grid.n_steps + 1, m)))
+        eta = draw()
         plus = BoundaryControl(q.values + eps * eta.values)
         minus = BoundaryControl(q.values - eps * eta.values)
         fd = (optimal_control.tracking_cost(ops, spec, plus, grid)
               - optimal_control.tracking_cost(ops, spec, minus, grid)) / (2 * eps)
-        pairing = inner_boundary_time(grid, ops, grad, eta)
-        worst = max(worst, abs(fd - pairing) / max(abs(fd), abs(pairing), 1e-300))
+        worst = max(worst, rel(fd, inner_boundary_time(grid, ops, grad, eta)))
     record("gradient-central-difference", worst <= 1e-9, worst)
 
     # convexity identity
-    q1 = BoundaryControl(rng.standard_normal((grid.n_steps + 1, m)))
-    q2 = BoundaryControl(rng.standard_normal((grid.n_steps + 1, m)))
+    q1, q2 = draw(), draw()
     t = 0.37
     mix = BoundaryControl((1 - t) * q2.values + t * q1.values)
     lhs = ((1 - t) * optimal_control.tracking_cost(ops, spec, q2, grid)
@@ -490,7 +475,7 @@ def _verify_battery(problem: Problem):
     rhs = 0.5 * t * (1 - t) * (inner_domain_time(grid, ops, dw, dw)
                                + spec.flux_penalty
                                * inner_boundary_time(grid, ops, dq, dq))
-    worst = abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300)
+    worst = rel(lhs, rhs)
     record("convexity-identity", worst <= 1e-10, worst)
 
     # building-block recombination
@@ -535,14 +520,21 @@ def _load_config(config_path: str):
     return load_config(config_path)
 
 
-_DISPATCH = {
-    "solve": _cmd_solve,
-    "optimize": _cmd_optimize,
-    "lambda": _cmd_lambda,
-    "sweep-alpha": _cmd_sweep_alpha,
-    "decay": _cmd_decay,
-    "verify": _cmd_verify,
+# command -> (runner, the [data] variant names it runs, the (section, key)
+# pairs it reads that have no default); sweep-alpha and verify run both
+# boundary conditions and take any name another command runs
+_BOUNDARY = ("dirichlet", "robin")
+_SCALAR = ("dirichlet", "parabolic", "parabolic_robin", "elliptic", "elliptic_robin")
+_ANY = _BOUNDARY + _SCALAR[1:]
+_COMMANDS = {
+    "solve": (_cmd_solve, _BOUNDARY, ()),
+    "optimize": (_cmd_optimize, _BOUNDARY, ()),
+    "lambda": (_cmd_lambda, _SCALAR, (("data", "q0"),)),
+    "sweep-alpha": (_cmd_sweep_alpha, _ANY, (("weights", "alphas"), ("data", "q"))),
+    "decay": (_cmd_decay, ("dirichlet",), (("data", "q"),)),
+    "verify": (_cmd_verify, _ANY, ()),
 }
+COMMANDS = tuple(_COMMANDS)
 
 
 def main(argv=None) -> int:
@@ -558,7 +550,7 @@ def main(argv=None) -> int:
     t0 = time.perf_counter()
     try:
         cfg = _load_config(args.config)
-        _check_variant(cfg, args.command)
+        _check_command(cfg, args.command)
         problem = build_problem(cfg)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -566,7 +558,7 @@ def main(argv=None) -> int:
 
     os.makedirs(args.out, exist_ok=True)
     try:
-        outputs, results = _DISPATCH[args.command](problem, args.out)
+        outputs, results = _COMMANDS[args.command][0](problem, args.out)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

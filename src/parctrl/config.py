@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .asymptotics import check_alphas
+from .asymptotics import OPTIMIZE, check_alphas
 from .fem_core import (
     BoundaryControl,
     TimeField,
@@ -179,7 +179,7 @@ class Problem:
     grid: TimeGrid
     spec: ProblemSpec
     cfg: RawConfig
-    q: BoundaryControl | None = None
+    q: BoundaryControl | str | None = None  # or OPTIMIZE, which sweep-alpha reads
     q0: BoundaryControl | None = None
     g_inf: np.ndarray | None = None
     q_inf: np.ndarray | None = None
@@ -189,7 +189,6 @@ class Problem:
     alphas: list = field(default_factory=list)
     opt_tol: float = 1e-10
     plots: bool = False
-    q_mode: str = "fixed"  # "optimize" runs one optimization per sweep row
 
 
 def _build_mesh(cfg: RawConfig):
@@ -317,20 +316,13 @@ def build_problem(cfg: RawConfig) -> Problem:
     except ValueError as exc:
         raise ConfigError(str(exc), cfg.path) from exc
 
-    variant = cfg.get("data", "variant", "dirichlet")
-
-    q_mode = "fixed"
-    q_ctrl = None
-    if cfg.get("data", "q") == "optimize":
-        q_mode = "optimize"
-    else:
-        q_ctrl = _data_entry(cfg, "q", ops, grid, gamma2, BoundaryControl)
-
+    q = cfg.get("data", "q")
     return Problem(
         mesh=mesh, ops=ops, grid=grid, spec=spec, cfg=cfg,
-        q=q_ctrl,
+        q=OPTIMIZE if q == OPTIMIZE else _data_entry(cfg, "q", ops, grid, gamma2,
+                                                     BoundaryControl),
         q0=_data_entry(cfg, "q0", ops, grid, gamma2, BoundaryControl),
         g_inf=_data_entry(cfg, "g_inf", ops, grid, every),
         q_inf=_data_entry(cfg, "q_inf", ops, grid, gamma2),
-        variant=variant, alpha=alpha, control=control, alphas=alphas,
-        opt_tol=opt_tol, plots=plots, q_mode=q_mode)
+        variant=cfg.get("data", "variant", "dirichlet"), alpha=alpha, control=control,
+        alphas=alphas, opt_tol=opt_tol, plots=plots)

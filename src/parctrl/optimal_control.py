@@ -3,13 +3,14 @@
 The boundary, distributed and simultaneous problems are strictly convex
 linear-quadratic programs over the control alone; the state is eliminated by
 one forward solve per evaluation.  They differ only in which of (source, flux)
-is held fixed, so the three optimizers are thin calls into one driver
-(_optimize over a _ReducedProblem) that owns the Gram inner product, the
-gradient and Hessian applications and the result packing.  The normal
-equations are solved by conjugate gradients in the control-space inner
-product (Hinze, Pinnau, Ulbrich & Ulbrich, Optimization with PDE Constraints,
-2009); every operator application costs exactly one homogeneous state solve
-plus one adjoint solve.
+is held fixed, so the three optimizers are thin calls into one driver,
+_optimize: a _ReducedProblem owns the Gram inner product and the gradient
+and Hessian applications, and _optimize runs the one restarted CG loop over
+it and packs the result.  The normal equations are solved by conjugate
+gradients in the control-space inner product (Hinze, Pinnau, Ulbrich &
+Ulbrich, Optimization with PDE Constraints, 2009); every operator
+application costs exactly one homogeneous state solve plus one adjoint
+solve.
 Because the adjoint is the exact transpose of the state recursion, the CG
 residual equals the true cost gradient up to roundoff, and the optimality
 condition (penalty * control - adjoint trace = 0) is certified at solver
@@ -156,71 +157,51 @@ class _ReducedProblem:
         return self._riesz(gv, qv, self.stepper.run_adjoint(w))
 
 
-def _cg_quadratic(apply_h, x, residual, inner, threshold, max_iter, cost_now):
-    """CG on H x = b for SPD H, warm-started at x with residual = b - Hx.
-
-    Tracks the exact cost trajectory through the line-search identity
-    cost_{k+1} = cost_k - alpha_k <r_k, r_k> / 2.
-    """
-    costs, resids = [], []
-    rr = inner(residual, residual)
-    p = residual.copy()
-    it = 0
-    while math.sqrt(rr) > threshold and it < max_iter:
-        hp = apply_h(p)
-        php = inner(p, hp)
-        if php <= 0.0:
-            raise SolverError("CG lost positivity: the reduced Hessian is not SPD")
-        alpha = rr / php
-        x = x + alpha * p
-        residual = residual - alpha * hp
-        cost_now = cost_now - 0.5 * alpha * rr
-        rr_new = inner(residual, residual)
-        costs.append(cost_now)
-        resids.append(math.sqrt(rr_new))
-        p = residual + (rr_new / rr) * p
-        rr = rr_new
-        it += 1
-    return x, it, costs, resids
-
-
-def _run_reduced_cg(grad_at, apply_h, inner, x0, tol, max_iter):
-    """Outer loop: CG with true-gradient restarts until the certified
-    optimality residual passes tol * max(1, initial residual)."""
-    x = x0
-    grad, cost = grad_at(x)
-    res0 = math.sqrt(inner(grad, grad))
-    threshold = tol * max(1.0, res0)
-    cost_history = [cost]
-    residual_history = [res0]
-    total_it = 0
-    residual = res0
-    for _ in range(_RESTARTS):
-        if residual <= threshold or total_it >= max_iter:
-            break
-        x, it, costs, resids = _cg_quadratic(
-            apply_h, x, -grad, inner, threshold, max_iter - total_it, cost)
-        total_it += it
-        cost_history.extend(costs)
-        residual_history.extend(resids)
-        grad, cost = grad_at(x)  # certified residual, fresh solves
-        residual = math.sqrt(inner(grad, grad))
-    converged = residual <= threshold
-    return x, grad, cost, residual, total_it, converged, cost_history, residual_history
-
-
 def _optimize(ops, spec, grid, tol, alpha, max_iter, g_fixed=None, q_fixed=None):
     """The one reduced-CG driver: minimize over whichever of (source, flux)
-    is not held fixed."""
+    is not held fixed.
+
+    CG on the normal equations H x = -grad(0), restarted from the true
+    gradient of fresh solves up to _RESTARTS times, until that certified
+    residual passes tol * max(1, initial residual).  Between restarts the
+    cost follows the line-search identity cost_{k+1} = cost_k - a_k <r_k, r_k> / 2.
+    """
     if tol <= 0:
         raise ValueError(f"tol must be > 0, got {tol}")
     spec.validate(ops, grid)
     if q_fixed is not None:
         _check_control(grid, ops, q_fixed)
     reduced = _ReducedProblem(ops, spec, grid, alpha, g_fixed, q_fixed)
-    x0 = np.zeros((grid.n_steps + 1, reduced.width))
-    x, grad, cost, residual, iters, converged, costs, resids = _run_reduced_cg(
-        reduced.grad_at, reduced.apply_h, reduced.inner, x0, tol, max_iter)
+    inner = reduced.inner
+    x = np.zeros((grid.n_steps + 1, reduced.width))
+    grad, cost = reduced.grad_at(x)
+    residual = math.sqrt(inner(grad, grad))
+    threshold = tol * max(1.0, residual)
+    costs, resids = [cost], [residual]
+    iters = 0
+    for _ in range(_RESTARTS):
+        if residual <= threshold or iters >= max_iter:
+            break
+        r = -grad  # warm start at x: the residual of H x = b is -grad
+        d = r.copy()
+        rr = inner(r, r)
+        while math.sqrt(rr) > threshold and iters < max_iter:
+            hd = reduced.apply_h(d)
+            dhd = inner(d, hd)
+            if dhd <= 0.0:
+                raise SolverError("CG lost positivity: the reduced Hessian is not SPD")
+            step = rr / dhd
+            x = x + step * d
+            r = r - step * hd
+            cost = cost - 0.5 * step * rr
+            rr_new = inner(r, r)
+            costs.append(cost)
+            resids.append(math.sqrt(rr_new))
+            d = r + (rr_new / rr) * d
+            rr = rr_new
+            iters += 1
+        grad, cost = reduced.grad_at(x)  # certified residual, fresh solves
+        residual = math.sqrt(inner(grad, grad))
     gv, qv = reduced.free_parts(x)
     return OptimResult(
         g_opt=None if gv is None else TimeField(gv.copy()),
@@ -228,7 +209,7 @@ def _optimize(ops, spec, grid, tol, alpha, max_iter, g_fixed=None, q_fixed=None)
         u_opt=TimeField(reduced.state["u"]),
         p_opt=TimeField(reduced.state["p"]),
         cost=cost, optimality_residual=residual, iterations=iters,
-        converged=converged, cost_history=costs, residual_history=resids)
+        converged=residual <= threshold, cost_history=costs, residual_history=resids)
 
 
 def optimize_boundary(ops: DiscreteOperators, spec: ProblemSpec, grid: TimeGrid,

@@ -452,6 +452,76 @@ def test_variant_a_command_does_not_run_exits_2(tmp_path, capsys, monkeypatch, c
     assert assembled == []
 
 
+@pytest.mark.parametrize("command,removed,key,section", [
+    ("lambda", "q0 = constant(1.0)\n", "q0", "data"),
+    ("sweep-alpha", "alphas = 10, 100, 1000, 10000\n", "alphas", "weights"),
+    ("sweep-alpha", "q = constant(0.5)\n", "q", "data"),
+    ("decay", "q = constant(0.5)\n", "q", "data"),
+], ids=["lambda-q0", "sweep-alpha-alphas", "sweep-alpha-q", "decay-q"])
+def test_required_keys_are_checked_before_assembly(tmp_path, capsys, monkeypatch,
+                                                   command, removed, key, section):
+    assembled = count_assembly(monkeypatch)
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(SMALL_CFG.replace(removed, ""))
+    assert run(command, str(bad), tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert f"'{key}'" in err and f"[{section}]" in err
+    assert assembled == []
+
+
+def test_empty_alphas_exits_2_at_its_line(tmp_path, capsys, monkeypatch):
+    # present but empty: a sweep of no rows is an error, not a header-only CSV
+    assembled = count_assembly(monkeypatch)
+    text = SMALL_CFG.replace("alphas = 10, 100, 1000, 10000", "alphas =")
+    line = text.splitlines().index("alphas =") + 1
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(text)
+    assert run("sweep-alpha", str(bad), tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert f"bad.cfg:{line}: key 'alphas'" in err
+    assert assembled == []
+    assert not (tmp_path / "out" / "sweep.csv").exists()
+
+
+@pytest.mark.parametrize("command,extra", [("solve", ""), ("decay", ""),
+                                           ("optimize", "\ncontrol = distributed")],
+                         ids=["solve", "decay", "optimize-distributed"])
+def test_q_optimize_is_read_by_sweep_alpha_only(tmp_path, capsys, command, extra):
+    # the commands that read q as a fixed flux must not run it as a zero flux
+    text = SMALL_CFG.replace("q = constant(0.5)", "q = optimize" + extra)
+    line = text.splitlines().index("q = optimize") + 1
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(text)
+    assert run(command, str(bad), tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert f"bad.cfg:{line}: q = optimize is read by sweep-alpha only" in err
+
+
+def test_sweep_row_needs_the_reference_converged(tmp_path, monkeypatch):
+    # the alpha = inf optimization is capped at one iteration; each row's own
+    # optimization converges, yet every row is compared with an unconverged
+    # reference, so none counts as converged and sweep-alpha exits 3
+    from parctrl import asymptotics
+
+    real = asymptotics.optimize_boundary
+    results = []
+
+    def capped(*args, alpha=math.inf, **kwargs):
+        if math.isinf(alpha):
+            kwargs["max_iter"] = 1
+        results.append(real(*args, alpha=alpha, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(asymptotics, "optimize_boundary", capped)
+    cfg = tmp_path / "opt.cfg"
+    cfg.write_text(SMALL_CFG.replace("q = constant(0.5)", "q = optimize"))
+    out = tmp_path / "out"
+    assert run("sweep-alpha", str(cfg), out) == 3
+    assert [r.converged for r in results] == [False, True, True, True, True]
+    lines = (out / "sweep.csv").read_text().splitlines()
+    assert len(lines) == 5 and all(line.endswith(",false") for line in lines[1:])
+
+
 def test_manifest_rerun_reproduces_csv_bytes(cfg_path, tmp_path):
     out1 = tmp_path / "out1"
     assert run("sweep-alpha", cfg_path, out1) == 0

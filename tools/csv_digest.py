@@ -4,9 +4,10 @@
     python tools/csv_digest.py --compare <other checkout>
 
 Runs, into a temporary directory and for configs/benchmark1d.cfg and
-configs/benchmark2d.cfg: solve, sweep-alpha and decay; sweep-alpha with
-q = optimize, so the err_control column is filled; decay with g_inf and q_inf
-set, so the forced rows are written; solve and forced decay with
+configs/benchmark2d.cfg: solve, sweep-alpha and decay; lambda with no
+variant key, so lambda.csv calls the default variant parabolic; sweep-alpha
+with q = optimize, so the err_control column is filled; decay with g_inf and
+q_inf set, so the forced rows are written; solve and forced decay with
 g = exp-decay(...) and q = ramp(...), so a time-dependent and a non-constant
 boundary profile are sampled; solve with v_b = csv: the u.csv of the plain
 solve run, so a CSV reference is read; lambda for each scalar
@@ -63,7 +64,7 @@ import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CONFIGS = ("benchmark1d", "benchmark2d")
-PLAIN_COMMANDS = ("solve", "sweep-alpha", "decay")
+PLAIN_COMMANDS = ("solve", "sweep-alpha", "decay", "lambda")
 CONTROLS = ("boundary", "distributed", "simultaneous")
 VARIANTS = ("dirichlet", "robin")
 SCALAR_VARIANTS = ("parabolic", "parabolic_robin", "elliptic", "elliptic_robin")
