@@ -220,11 +220,28 @@ def test_lambda_command_elliptic_variant(tmp_path):
 
 def test_lambda_rejects_zero_direction(cfg_path, tmp_path, capsys):
     text = SMALL_CFG.replace("q0 = constant(1.0)", "q0 = constant(0.0)")
+    line = text.splitlines().index("q0 = constant(0.0)") + 1
     bad = tmp_path / "bad.cfg"
     bad.write_text(text)
     out = tmp_path / "out"
     assert run("lambda", str(bad), out) == 2
-    assert "q0 must be nonzero" in capsys.readouterr().err
+    assert f"bad.cfg:{line}: q0 must be nonzero" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["g_inf", "q_inf"])
+def test_forced_decay_needs_both_limits_before_assembly(tmp_path, capsys, monkeypatch,
+                                                        key):
+    # one limit without the other cites the line of the one that is set
+    assembled = count_assembly(monkeypatch)
+    entry = f"{key} = constant(1.0)"
+    text = SMALL_CFG.replace("q0 = constant(1.0)", f"q0 = constant(1.0)\n{entry}")
+    line = text.splitlines().index(entry) + 1
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(text)
+    assert run("decay", str(bad), tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert f"bad.cfg:{line}: forced decay needs both g_inf and q_inf" in err
+    assert assembled == []
 
 
 def test_sweep_command_fixed_q(cfg_path, tmp_path):
@@ -407,6 +424,31 @@ def test_verify_battery_factorizes_each_system_once(monkeypatch, alpha, robin):
     assert len(factorized) == len(problem.ops.systems)
 
 
+def test_verify_battery_memory_is_bounded():
+    # one property's arrays live at a time and the 1000 certificate vectors
+    # are drawn in blocks, so the battery's traced peak stays below one
+    # (1000, n) array; the spectral constants are read first, outside it
+    import tracemalloc
+
+    from parctrl.cli import _verify_battery
+
+    problem = small_2d_problem()
+    ops = problem.ops
+    ops.lambda0, ops.lambda1, ops.trace_norm
+    tracemalloc.start()
+    try:
+        checks = _verify_battery(problem)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1000 * ops.n_nodes * 8
+    assert [c["name"] for c in checks] == [
+        "inner-product-symmetry", "spectral-certificates", "solver-superposition",
+        "constant-steady-state", "energy-decay", "adjoint-duality-dirichlet",
+        "adjoint-duality-robin", "gradient-central-difference", "convexity-identity",
+        "building-block-recombination", "optimality-certificate"]
+
+
 def count_assembly(monkeypatch):
     # the list of meshes assemble is called on, while the real call runs
     from parctrl import config
@@ -486,8 +528,11 @@ def test_empty_alphas_exits_2_at_its_line(tmp_path, capsys, monkeypatch):
 @pytest.mark.parametrize("command,extra", [("solve", ""), ("decay", ""),
                                            ("optimize", "\ncontrol = distributed")],
                          ids=["solve", "decay", "optimize-distributed"])
-def test_q_optimize_is_read_by_sweep_alpha_only(tmp_path, capsys, command, extra):
-    # the commands that read q as a fixed flux must not run it as a zero flux
+def test_q_optimize_is_read_by_sweep_alpha_only(tmp_path, capsys, monkeypatch, command,
+                                                extra):
+    # the commands that read q as a fixed flux must not run it as a zero flux,
+    # and reject it before assembly
+    assembled = count_assembly(monkeypatch)
     text = SMALL_CFG.replace("q = constant(0.5)", "q = optimize" + extra)
     line = text.splitlines().index("q = optimize") + 1
     bad = tmp_path / "bad.cfg"
@@ -495,6 +540,7 @@ def test_q_optimize_is_read_by_sweep_alpha_only(tmp_path, capsys, command, extra
     assert run(command, str(bad), tmp_path / "out") == 2
     err = capsys.readouterr().err
     assert f"bad.cfg:{line}: q = optimize is read by sweep-alpha only" in err
+    assert assembled == []
 
 
 def test_sweep_row_needs_the_reference_converged(tmp_path, monkeypatch):

@@ -22,17 +22,19 @@ config's alpha from that stand-in and from inf.  Prints one
 "sha256  <name>" line per CSV and per run's mesh.json, named
 <config>/<run>/<file>, then "<hash>  <config>/<run>/manifest.json:mesh.hash"
 with the mesh hash the run's manifest records, followed by each verify run's
-lines, prefixed "<config>:" for the shipped alpha and "<config>/<run>:" for
-the others.  Last come the assembled operators of both configs and of a
-150x150 rectangle mesh with GAMMA1 on the left edge, the size of the
-solve-2d-150 benchmark: one "sha256  operators/<mesh>/<field>.<part>:<dtype>"
-line per array (the mesh's node_coords and elements, each sparse matrix's
-indptr, indices and data, the node index sets), then "repr" lines of lambda0,
-lambda1 and trace_norm.  Nothing printed depends on the temporary directory
-or on wall time, so the output of two checkouts is equal exactly when their
-CSVs, mesh files, mesh hashes, verify results and operators are, bit for
-bit.  Use it as the byte-identity check of a refactor: run it before and
-after, and diff.
+lines: its standard output, which rounds each detail to %.3e, then one
+"manifest <property> passed=<bool> detail=<repr>" line per property of its
+manifest's results, exact to the bit; all prefixed "<config>:" for the
+shipped alpha and "<config>/<run>:" for the others.  Last come the assembled
+operators of both configs and of a 150x150 rectangle mesh with GAMMA1 on the
+left edge, the size of the solve-2d-150 benchmark: one
+"sha256  operators/<mesh>/<field>.<part>:<dtype>" line per array (the mesh's
+node_coords and elements, each sparse matrix's indptr, indices and data, the
+node index sets), then "repr" lines of lambda0, lambda1 and trace_norm.
+Nothing printed depends on the temporary directory or on wall time, so the
+output of two checkouts is equal exactly when their CSVs, mesh files, mesh
+hashes, verify results and operators are, bit for bit.  Use it as the
+byte-identity check of a refactor: run it before and after, and diff.
 
 The CLI runs in subprocesses; the operators are assembled in this process.
 Either way the package comes from the src/ directory next to this script.
@@ -44,10 +46,11 @@ CSV "max|d| <x> / max|value| <y> = <relative change>, <rows> rows in both"
 (or which row count, column count or text cell differs), for mesh.json
 "identical" or "differs", and for result.json "iterations <here> vs
 <other>", each followed by <config>/<run>/<file>.  Then come each verify
-run's lines from both trees, prefixed "here " and "other", and a summary
-with the CSV count and the largest relative change.  It exits 1 when a CSV
-differs in shape or text, a mesh.json differs or an iteration count does.
-The operators are not compared.
+run's lines (standard output and manifest properties) from both trees,
+prefixed "here " and "other", and a summary with the CSV count and the
+largest relative change.  It exits 1 when a CSV differs in shape or text, a
+mesh.json differs or an iteration count does.  The operators are not
+compared.
 """
 
 from __future__ import annotations
@@ -169,6 +172,16 @@ def _digests(name, out_dir):
     return lines
 
 
+def _verify_lines(out_dir, stdout):
+    """A verify run's standard output lines, then one line per property of
+    its manifest with the repr of its detail, which stdout rounds."""
+    with open(os.path.join(out_dir, "manifest.json"), encoding="utf-8") as fh:
+        properties = json.load(fh)["results"]["properties"]
+    return stdout.splitlines() + [
+        f"manifest {p['name']} passed={p['passed']} detail={p['detail']!r}"
+        for p in properties]
+
+
 def _operator_lines(label, ops):
     arrays = [("mesh.node_coords", ops.mesh.node_coords),
               ("mesh.elements", ops.mesh.elements)]
@@ -272,8 +285,10 @@ def compare(other):
                     continue
                 lines.append(f"{text}  {name}")
             if verify is not None:
-                verify_lines += [f"here  {verify}: {line}" for line in stdout.splitlines()]
-                verify_lines += [f"other {verify}: {line}" for line in other_stdout.splitlines()]
+                verify_lines += [f"here  {verify}: {line}"
+                                 for line in _verify_lines(out_dir, stdout)]
+                verify_lines += [f"other {verify}: {line}"
+                                 for line in _verify_lines(other_dir, other_stdout)]
     n_csv = sum(line.endswith(".csv") for line in lines)
     summary = f"{n_csv} CSVs: {n_csv - changed} identical, {changed} changed"
     if worst_name is not None:
@@ -294,7 +309,8 @@ def main():
         for label, verify, out_dir, stdout in _run_all(ROOT, tmp):
             digests += _digests(label, out_dir)
             if verify is not None:
-                verify_lines += [f"{verify}: {line}" for line in stdout.splitlines()]
+                verify_lines += [f"{verify}: {line}"
+                                 for line in _verify_lines(out_dir, stdout)]
     print("\n".join(digests + verify_lines + _operators()))
     return 0
 
