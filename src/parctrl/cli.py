@@ -9,8 +9,9 @@ assembled.  solve, decay and distributed optimize read [data] q as a fixed
 flux (zeros when absent); q = optimize is read by sweep-alpha only, and is
 rejected at its line before assembly everywhere else q is read, as is decay's
 g_inf without q_inf or the reverse.  verify runs each property of its battery
-in its own function, so only one property's arrays are live at a time, and
-checks the spectral constants on 1000 random vectors drawn 50 at a time.
+in its own function, on its own random stream, so only one property's arrays
+are live at a time, and checks the spectral constants on 1000 random vectors
+drawn 50 at a time.
 Every run writes its CSV outputs plus a JSON manifest echoing the config text,
 the mesh hash, the spectral constants the command read (verify reads all
 three, decay lambda0, and trace_norm when forced; the others none) and wall
@@ -30,6 +31,15 @@ __init__ re-exports lazily, so every CLI entry point gets here first.  Once
 numpy is loaded it sets nothing.  The manifest's blas_threads holds both
 variables as they stood once this module was imported, and set_by: "cli",
 "environment", or "none" when numpy was loaded first.
+
+Processes: verify's properties and optimize's CSV files are independent
+tasks, and _run_tasks runs them on one forked process per CPU this process
+may use (os.sched_getaffinity), each claiming the next task from one pipe.
+verify first computes what the library caches on first use (the spectral
+constants, the two stepper systems), and optimize forks once the optimizer
+has finished, so no worker computes anything twice.  The library itself
+stays single-process.  The manifest's workers is the number of processes the
+command ran on: 1 for solve, lambda, sweep-alpha and decay, and with one CPU.
 """
 
 from __future__ import annotations
@@ -39,8 +49,10 @@ import hashlib
 import json
 import math
 import os
+import pickle
 import sys
 import time
+import traceback
 from dataclasses import replace
 
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
@@ -73,7 +85,7 @@ from .fem_core import (  # noqa: E402
     inner_domain_time,
     norm_boundary_time,
 )
-from .state_solvers import solve_adjoint, solve_parabolic  # noqa: E402
+from .state_solvers import ParabolicStepper, solve_adjoint, solve_parabolic  # noqa: E402
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -109,6 +121,91 @@ def write_field_csv(path, grid, values):
 
 def write_control_csv(path, grid, ops, values):
     _write_trajectory_csv(path, [f"g2n{i}" for i in ops.gamma2_nodes], grid, values)
+
+
+def _worker_count(n_tasks):
+    """How many processes _run_tasks runs n_tasks on: one per CPU this
+    process may run on, and no more than there are tasks."""
+    return min(len(os.sched_getaffinity(0)), n_tasks)
+
+
+def _run_tasks(tasks, order):
+    """Run the zero-argument callables in tasks on _worker_count processes
+    and return their results in task order.
+
+    Fork-join: the parent writes order, a permutation of the task indices
+    (costliest first), into a pipe one byte per index, forks one child per
+    further worker, and then the parent and every child claim one index at a
+    time from that pipe until it is empty.  A child sends its results back
+    pickled through a pipe of its own and always leaves through os._exit; it
+    stops claiming once its parent has gone.  With one CPU or one task no
+    child is forked and the parent runs every task.  The children see what
+    the parent built before the call, copy-on-write, so a caller computes
+    what is cached on first use before calling.  A task that raises empties
+    the queue, so every process stops after its current task; the parent
+    reaps every child before anything leaves, and a child's exception is
+    re-raised in the parent with its type, arguments and attributes.
+    """
+    claims, fill = os.pipe()
+    os.write(fill, bytes(order))
+    os.close(fill)
+    parent = os.getpid()
+    children, results, failure = [], {}, None
+    try:
+        for _ in range(_worker_count(len(tasks)) - 1):
+            read_end, write_end = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                os.close(read_end)
+                _worker(tasks, claims, write_end, parent)
+            os.close(write_end)
+            children.append((pid, read_end))
+        while index := os.read(claims, 1):
+            results[index[0]] = tasks[index[0]]()
+    finally:
+        while os.read(claims, 4096):
+            pass
+        os.close(claims)
+        for pid, read_end in children:
+            with os.fdopen(read_end, "rb") as fh:
+                payload = fh.read()
+            os.waitpid(pid, 0)
+            if payload:
+                done, raised = pickle.loads(payload)
+                results.update(done)
+                failure = failure or raised
+    if failure is not None:
+        cls, args, attrs, trace = failure
+        # unpickling would call cls(*args): a ConfigError would anchor twice
+        exc = cls.__new__(cls, *args)
+        exc.__dict__.update(attrs)
+        exc.add_note(f"raised in a worker process:\n{trace}")
+        raise exc
+    missing = [i for i in range(len(tasks)) if i not in results]
+    if missing:
+        raise RuntimeError(f"a worker process exited without the results of tasks {missing}")
+    return [results[i] for i in range(len(tasks))]
+
+
+def _worker(tasks, claims, out, parent):
+    """A forked child of _run_tasks: claim and run tasks, send
+    ({index: result}, failure or None) to the parent through out, and leave
+    through os._exit, so that it never returns into the caller."""
+    status = 1
+    try:
+        done, failure = {}, None
+        while os.getppid() == parent and (index := os.read(claims, 1)):
+            try:
+                done[index[0]] = tasks[index[0]]()
+            except Exception as exc:
+                while os.read(claims, 4096):
+                    pass
+                failure = (type(exc), exc.args, vars(exc), traceback.format_exc())
+        with os.fdopen(out, "wb") as fh:
+            fh.write(pickle.dumps((done, failure)))
+        status = 0
+    finally:
+        os._exit(status)
 
 
 def write_svg_lines(path, series, title, logy=False, logx=False):
@@ -162,7 +259,7 @@ def write_svg_lines(path, series, title, logy=False, logx=False):
         fh.write("\n".join(parts) + "\n")
 
 
-def _write_manifest(out_dir, command, problem, outputs, results, wall_time):
+def _write_manifest(out_dir, command, problem, outputs, results, workers, wall_time):
     # serialized once: mesh.json holds this text and the manifest its hash
     mesh_text = json.dumps(problem.mesh.to_json_dict(), sort_keys=True)
     with open(os.path.join(out_dir, "mesh.json"), "w", encoding="utf-8",
@@ -181,6 +278,7 @@ def _write_manifest(out_dir, command, problem, outputs, results, wall_time):
         "grid": {"t_final": problem.grid.t_final, "steps": problem.grid.n_steps},
         "constants": problem.ops.constants_read(),
         "blas_threads": _BLAS_THREADS,
+        "workers": workers,
         "outputs": outputs,
         "results": results,
         "wall_time_s": wall_time,
@@ -240,7 +338,7 @@ def _cmd_solve(problem: Problem, out_dir):
     write_field_csv(os.path.join(out_dir, "u.csv"), problem.grid, u.values)
     return ["u.csv"], {"u_file": "u.csv",
                        "final_max": float(np.max(u.values[-1])),
-                       "final_min": float(np.min(u.values[-1]))}
+                       "final_min": float(np.min(u.values[-1]))}, 1
 
 
 def _cmd_optimize(problem: Problem, out_dir):
@@ -255,20 +353,22 @@ def _cmd_optimize(problem: Problem, out_dir):
     else:
         res = optimal_control.optimize_simultaneous(ops, spec, grid,
                                                     tol=problem.opt_tol, alpha=alpha)
-    outputs, files = [], {}
-    if res.q_opt is not None:
-        write_control_csv(os.path.join(out_dir, "q_opt.csv"), grid, ops,
-                          res.q_opt.values)
-        outputs.append("q_opt.csv")
-        files["q_opt"] = "q_opt.csv"
-    if res.g_opt is not None:
-        write_field_csv(os.path.join(out_dir, "g_opt.csv"), grid, res.g_opt.values)
-        outputs.append("g_opt.csv")
-        files["g_opt"] = "g_opt.csv"
-    write_field_csv(os.path.join(out_dir, "u_opt.csv"), grid, res.u_opt.values)
-    write_field_csv(os.path.join(out_dir, "p_opt.csv"), grid, res.p_opt.values)
-    outputs += ["u_opt.csv", "p_opt.csv"]
-    files["u_opt"], files["p_opt"] = "u_opt.csv", "p_opt.csv"
+    # one task per CSV; a field has a column per node and q_opt one per
+    # GAMMA2 node, so the fields are claimed first
+    names = [name for name in ("q_opt", "g_opt", "u_opt", "p_opt")
+             if getattr(res, name) is not None]
+    files = {name: f"{name}.csv" for name in names}
+
+    def write(name):
+        path, values = os.path.join(out_dir, files[name]), getattr(res, name).values
+        if name == "q_opt":
+            write_control_csv(path, grid, ops, values)
+        else:
+            write_field_csv(path, grid, values)
+
+    _run_tasks([lambda name=name: write(name) for name in names],
+               sorted(range(len(names)), key=lambda i: names[i] == "q_opt"))
+    outputs = list(files.values())
 
     summary = {
         "control": problem.control,
@@ -289,7 +389,7 @@ def _cmd_optimize(problem: Problem, out_dir):
     if not res.converged:
         raise SolverError(f"optimizer did not converge within the iteration cap "
                           f"(residual {res.optimality_residual:.3e})")
-    return outputs, summary
+    return outputs, summary, _worker_count(len(names))
 
 
 def _cmd_lambda(problem: Problem, out_dir):
@@ -310,7 +410,7 @@ def _cmd_lambda(problem: Problem, out_dir):
     results = {"variant": variant, "A": coeffs.quadratic, "B": coeffs.linear,
                "C": coeffs.constant, "lambda_opt": coeffs.lambda_opt,
                "H_opt": h_opt, "discriminant": coeffs.discriminant}
-    return ["lambda.csv"], results
+    return ["lambda.csv"], results, 1
 
 
 def _cmd_sweep_alpha(problem: Problem, out_dir):
@@ -336,7 +436,7 @@ def _cmd_sweep_alpha(problem: Problem, out_dir):
         outputs.append("sweep.svg")
     if any(not r.converged for r in rows):
         raise SolverError("one or more sweep rows did not converge")
-    return outputs, {"rows": len(rows)}
+    return outputs, {"rows": len(rows)}, 1
 
 
 def _cmd_decay(problem: Problem, out_dir):
@@ -362,7 +462,7 @@ def _cmd_decay(problem: Problem, out_dir):
         outputs.append("decay.svg")
     return outputs, {"fitted_rate": result.fitted_rate,
                      "coercivity": result.coercivity,
-                     "forced": forced}
+                     "forced": forced}, 1
 
 
 # spectral-certificates checks this many random vectors, drawn and checked a
@@ -373,15 +473,16 @@ _CERTIFICATE_BLOCK = 50
 
 def _verify_battery(problem: Problem):
     """Cross-module property suite on the configured problem; each entry is
-    (name, passed, worst observed value).  Each property is its own function
-    returning (passed, value), run in table order on one random stream, so
-    what one property builds is freed before the next runs."""
+    (name, passed, worst observed value), in table order.  Each property is
+    its own function returning (passed, value) from its own random stream,
+    np.random.default_rng((2024, its table index)), so what one property
+    builds is freed before the next runs, and its value does not depend on
+    the process that ran it: _run_tasks runs the table, last entry first."""
     ops, spec, grid = problem.ops, problem.spec, problem.grid
-    rng = np.random.default_rng(2024)
     n, m = ops.n_nodes, ops.gamma2_nodes.size
     zero_q = BoundaryControl.zeros(grid, m)
 
-    def draw():
+    def draw(rng):
         # the next random control
         return BoundaryControl(rng.standard_normal((grid.n_steps + 1, m)))
 
@@ -394,15 +495,15 @@ def _verify_battery(problem: Problem):
                        boundary_temp=np.full(ops.dirichlet_nodes.size, datum))
         return solve_parabolic(ops, bare, q, grid)
 
-    def inner_product_symmetry():
+    def inner_product_symmetry(rng):
         u, v = rng.standard_normal(n), rng.standard_normal(n)
         s1 = abs(float(u @ (ops.mass @ v)) - float(v @ (ops.mass @ u)))
-        Q, R = draw(), draw()
+        Q, R = draw(rng), draw(rng)
         s2 = abs(inner_boundary_time(grid, ops, Q, R)
                  - inner_boundary_time(grid, ops, R, Q))
         return max(s1, s2) <= 1e-12, max(s1, s2)
 
-    def spectral_certificates():
+    def spectral_certificates(rng):
         # lambda0, lambda1 and trace_norm bound the forms of random vectors.
         # The forms stay sparse, since a dense n x n copy would cost O(n^2)
         # memory; a block is one C-contiguous (n, block) array, which
@@ -426,9 +527,9 @@ def _verify_battery(problem: Problem):
         worst = np.min(slacks) / max(vq_max, 1.0)
         return worst >= -1e-12, worst
 
-    def solver_superposition():
+    def solver_superposition(rng):
         # of the forward solver in the flux
-        q1, q2 = draw(), draw()
+        q1, q2 = draw(rng), draw(rng)
         u1 = solve_parabolic(ops, spec, q1, grid)
         du = unforced(0.0, np.zeros(n), BoundaryControl(q2.values - q1.values))
         u2 = solve_parabolic(ops, spec, q2, grid)
@@ -436,12 +537,12 @@ def _verify_battery(problem: Problem):
         scale = max(np.max(np.abs(u2.values)), 1.0)
         return gap <= 1e-11 * scale, gap / scale
 
-    def constant_steady_state():
+    def constant_steady_state(rng):
         uc = unforced(1.5, np.full(n, 1.5))
         gap = np.max(np.abs(uc.values - 1.5))
         return gap <= 1e-12, gap
 
-    def energy_decay():
+    def energy_decay(rng):
         # strict energy decay of the homogeneous problem
         x = ops.mesh.node_coords
         bump = np.ones(n)
@@ -453,11 +554,11 @@ def _verify_battery(problem: Problem):
         worst = float(np.max(norms[1:] - norms[:-1]))
         return worst < 0.0, worst
 
-    def adjoint_duality(alpha):
+    def adjoint_duality(rng, alpha):
         worst = 0.0
         u_0 = solve_parabolic(ops, spec, zero_q, grid, alpha)
         for _ in range(3):
-            q, eta = draw(), draw()
+            q, eta = draw(rng), draw(rng)
             u_q = solve_parabolic(ops, spec, q, grid, alpha)
             u_eta = solve_parabolic(ops, spec, eta, grid, alpha)
             p_q = solve_adjoint(ops, u_q, spec.target, grid, alpha)
@@ -468,13 +569,13 @@ def _verify_battery(problem: Problem):
             worst = max(worst, rel(lhs, rhs))
         return worst <= 1e-10, worst
 
-    def gradient_central_difference():
+    def gradient_central_difference(rng):
         # central differences of the quadratic cost
-        q = draw()
+        q = draw(rng)
         grad = optimal_control.tracking_gradient(ops, spec, q, grid)
         worst = 0.0
         for eps in (1e-2, 1e-4):
-            eta = draw()
+            eta = draw(rng)
             plus = BoundaryControl(q.values + eps * eta.values)
             minus = BoundaryControl(q.values - eps * eta.values)
             fd = (optimal_control.tracking_cost(ops, spec, plus, grid)
@@ -482,8 +583,8 @@ def _verify_battery(problem: Problem):
             worst = max(worst, rel(fd, inner_boundary_time(grid, ops, grad, eta)))
         return worst <= 1e-9, worst
 
-    def convexity_identity():
-        q1, q2 = draw(), draw()
+    def convexity_identity(rng):
+        q1, q2 = draw(rng), draw(rng)
         t = 0.37
         mix = BoundaryControl((1 - t) * q2.values + t * q1.values)
         lhs = ((1 - t) * optimal_control.tracking_cost(ops, spec, q2, grid)
@@ -499,7 +600,7 @@ def _verify_battery(problem: Problem):
         worst = rel(lhs, rhs)
         return worst <= 1e-10, worst
 
-    def building_block_recombination():
+    def building_block_recombination(rng):
         q0 = problem.q0 if problem.q0 is not None else BoundaryControl.constant_in_time(
             grid, np.ones(m))
         u_b, u_q0, u_g = scalar_control.building_blocks(ops, spec, q0, grid, "parabolic")
@@ -510,7 +611,7 @@ def _verify_battery(problem: Problem):
                / max(np.max(np.abs(direct.values)), 1.0))
         return gap <= 1e-12, gap
 
-    def optimality_certificate():
+    def optimality_certificate(rng):
         # the boundary optimizer's independently recomputed gradient
         # satisfies the relative stopping rule
         res = optimal_control.optimize_boundary(ops, spec, grid, tol=problem.opt_tol)
@@ -528,25 +629,32 @@ def _verify_battery(problem: Problem):
         ("solver-superposition", solver_superposition),
         ("constant-steady-state", constant_steady_state),
         ("energy-decay", energy_decay),
-        ("adjoint-duality-dirichlet", lambda: adjoint_duality(math.inf)),
-        ("adjoint-duality-robin", lambda: adjoint_duality(robin_alpha)),
+        ("adjoint-duality-dirichlet", lambda rng: adjoint_duality(rng, math.inf)),
+        ("adjoint-duality-robin", lambda rng: adjoint_duality(rng, robin_alpha)),
         ("gradient-central-difference", gradient_central_difference),
         ("convexity-identity", convexity_identity),
         ("building-block-recombination", building_block_recombination),
         ("optimality-certificate", optimality_certificate),
     )
-    checks = []
-    for name, prop in properties:
-        passed, detail = prop()
-        checks.append({"name": name, "passed": bool(passed), "detail": float(detail)})
-    return checks
+    # computed once, before any worker is forked: the three constants (which
+    # the manifest then lists) and the two stepper systems every march uses
+    ops.lambda0, ops.lambda1, ops.trace_norm
+    for alpha in (math.inf, robin_alpha):
+        ParabolicStepper(ops, grid, alpha)
+    tasks = [lambda i=i, prop=prop: prop(np.random.default_rng((2024, i)))
+             for i, (_, prop) in enumerate(properties)]
+    # claimed from the end: the optimizer and the marching properties
+    # cost most, the first entries least
+    outcomes = _run_tasks(tasks, reversed(range(len(tasks))))
+    return [{"name": name, "passed": bool(passed), "detail": float(detail)}
+            for (name, _), (passed, detail) in zip(properties, outcomes)]
 
 
 def _cmd_verify(problem: Problem, out_dir):
     checks = _verify_battery(problem)
     results = {"properties": checks,
                "all_passed": all(c["passed"] for c in checks)}
-    return [], results
+    return [], results, _worker_count(len(checks))
 
 
 def _load_config(config_path: str):
@@ -598,9 +706,14 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 
-    os.makedirs(args.out, exist_ok=True)
     try:
-        outputs, results = _COMMANDS[args.command][0](problem, args.out)
+        os.makedirs(args.out, exist_ok=True)
+    except OSError as exc:
+        print(f"error: cannot create output directory {args.out}: "
+              f"{exc.strerror or exc}", file=sys.stderr)
+        return EXIT_VALIDATION
+    try:
+        outputs, results, workers = _COMMANDS[args.command][0](problem, args.out)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
@@ -612,7 +725,7 @@ def main(argv=None) -> int:
         return EXIT_NO_CONVERGENCE
 
     wall = time.perf_counter() - t0
-    _write_manifest(args.out, args.command, problem, outputs, results, wall)
+    _write_manifest(args.out, args.command, problem, outputs, results, workers, wall)
 
     if args.command == "verify":
         for c in results["properties"]:

@@ -18,7 +18,9 @@ constants are computed on first read and kept, as are the factorized systems
 the solvers look up (state_solvers); both caches live and die with their
 DiscreteOperators, except that asymptotics.alpha_sweep drops the systems it
 built.  The library is single-threaded: an ops is not to be
-shared between threads.  Assembly and the eigen-iterations are deterministic.
+shared between threads.  The CLI forks worker processes for verify and
+optimize only after it has computed these caches, so every worker reads the
+parent's copy and none computes them again.  Assembly and the eigen-iterations are deterministic.
 The BLAS under numpy and scipy may run its own threads: the CLI pins OpenBLAS
 to one unless the environment sets a count (see cli), and a library caller
 chooses for its own process.

@@ -25,7 +25,9 @@ per system in ops.systems, so each distinct system is factorized once per
 ops.  asymptotics.alpha_sweep drops each system it builds once used (the
 reference's before the rows, each row's when the row ends), so a sweep
 holds one factorization at a time.  The cache is per ops and unlocked: the
-library is single-threaded.  Only the BLAS inside a factorization or solve
+library is single-threaded.  The CLI forks worker processes (verify,
+optimize) only after it has filled the cache, so the workers share the
+parent's factors and factorize nothing.  Only the BLAS inside a factorization or solve
 may thread; the CLI runs it on one thread unless the environment sets a
 count, and a library caller chooses for its own process.
 """

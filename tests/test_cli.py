@@ -61,6 +61,7 @@ def test_solve_command(cfg_path, tmp_path):
     assert manifest["command"] == "solve"
     # the spectral constants are computed on first read, and solve reads none
     assert manifest["constants"] == {}
+    assert manifest["workers"] == 1
 
 
 FORCED = "q0 = constant(1.0)\ng_inf = constant(1.0)\nq_inf = constant(0.5)"
@@ -281,6 +282,9 @@ def test_verify_command(cfg_path, tmp_path, capsys):
     manifest = json.loads((out / "manifest.json").read_text())
     props = manifest["results"]["properties"]
     assert props and all(p["passed"] for p in props)
+    assert manifest["workers"] == min(len(os.sched_getaffinity(0)), len(props))
+    # the manifest, workers and all, re-runs as a config
+    assert run("verify", str(out / "manifest.json"), tmp_path / "again") == 0
 
 
 def test_verify_failure_exits_1(cfg_path, tmp_path, capsys, monkeypatch):
@@ -424,14 +428,16 @@ def test_verify_battery_factorizes_each_system_once(monkeypatch, alpha, robin):
     assert len(factorized) == len(problem.ops.systems)
 
 
-def test_verify_battery_memory_is_bounded():
+def test_verify_battery_memory_is_bounded(monkeypatch):
     # one property's arrays live at a time and the 1000 certificate vectors
     # are drawn in blocks, so the battery's traced peak stays below one
-    # (1000, n) array; the spectral constants are read first, outside it
+    # (1000, n) array; the spectral constants are read first, outside it.
+    # tracemalloc sees this process only, so the battery runs on one CPU
     import tracemalloc
 
     from parctrl.cli import _verify_battery
 
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     problem = small_2d_problem()
     ops = problem.ops
     ops.lambda0, ops.lambda1, ops.trace_norm
@@ -788,3 +794,158 @@ def test_shipped_benchmark_config_loads():
     problem = build_problem(cfg)
     assert problem.ops.n_nodes == 257
     assert problem.grid.n_steps == 200
+
+
+TWO_CPUS = pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2,
+                              reason="a worker is forked only on two or more CPUs")
+
+
+@TWO_CPUS
+@pytest.mark.parametrize("error,code", [("SolverError", 3), ("ValueError", 2)])
+def test_a_worker_error_keeps_its_exit_code(cfg_path, tmp_path, capsys, monkeypatch,
+                                            error, code):
+    # a property that raises in a forked worker exits as it would in the
+    # parent, with its message, and every worker is reaped when main returns
+    import time
+
+    from parctrl import cli
+
+    raised = {"SolverError": cli.SolverError, "ValueError": ValueError}[error]
+    parent, real = os.getpid(), cli.solve_parabolic
+
+    def in_a_worker_only(*args, **kwargs):
+        if os.getpid() != parent:
+            raise raised("no convergence in a worker")
+        time.sleep(0.05)  # leaves tasks for the worker to claim
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "solve_parabolic", in_a_worker_only)
+    assert run("verify", cfg_path, tmp_path / "out") == code
+    err = capsys.readouterr().err
+    assert "no convergence in a worker" in err and "Traceback" not in err
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@TWO_CPUS
+def test_a_worker_exception_keeps_its_type_message_and_attributes():
+    # unpickling would call ConfigError(message) and anchor the message twice
+    import time
+
+    from parctrl.cli import _run_tasks
+
+    parent = os.getpid()
+
+    def task():
+        if os.getpid() != parent:
+            raise ConfigError("bad value", "run.cfg", 7)
+        time.sleep(0.2)
+
+    with pytest.raises(ConfigError) as caught:
+        _run_tasks([task] * 3, range(3))
+    assert str(caught.value) == "run.cfg:7: bad value"
+    assert (caught.value.path, caught.value.line) == ("run.cfg", 7)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_run_tasks_reaps_its_workers_when_a_parent_task_raises():
+    import time
+
+    from parctrl.cli import _run_tasks
+
+    parent = os.getpid()
+
+    def task():
+        if os.getpid() == parent:
+            raise KeyError("raised in the parent")
+        time.sleep(0.2)
+
+    with pytest.raises(KeyError):
+        _run_tasks([task] * 4, range(4))
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("dim", ["1d", "2d"])
+def test_verify_battery_is_the_same_on_one_cpu(monkeypatch, dim):
+    # each property draws from its own stream, so which process ran it
+    # changes no name, flag or detail bit
+    from parctrl.cli import _verify_battery
+    from parctrl.config import build_problem
+
+    def battery():
+        problem = (small_2d_problem() if dim == "2d"
+                   else build_problem(parse_config_text(SMALL_CFG)))
+        return [(c["name"], c["passed"], c["detail"].hex()) for c in _verify_battery(problem)]
+
+    on_all = battery()
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    assert battery() == on_all
+    assert all(passed for _, passed, _ in on_all)
+
+
+def pinned_to_one_cpu():
+    # runs in the child before it starts: only that process is pinned
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+
+
+@pytest.mark.parametrize("control,variant", [("boundary", "dirichlet"),
+                                             ("simultaneous", "robin")])
+def test_optimize_csvs_are_the_same_pinned_to_one_cpu(tmp_path, control, variant):
+    import subprocess
+    import sys
+
+    import parctrl
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(parctrl.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    text = SMALL_CFG.replace("dim = 1\ncells = 32\n", "dim = 2\nnx = 6\nny = 5\n")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text.replace("q0 = constant(1.0)", f"q0 = constant(1.0)\n"
+                                f"control = {control}\nvariant = {variant}"))
+    outs = {"all": tmp_path / "all", "one": tmp_path / "one"}
+    for label, preexec in (("all", None), ("one", pinned_to_one_cpu)):
+        subprocess.run([sys.executable, "-m", "parctrl.cli", "optimize", "--config",
+                        str(cfg), "--out", str(outs[label])],
+                       env=env, check=True, capture_output=True, preexec_fn=preexec)
+    names = sorted(p.name for p in outs["all"].glob("*.csv"))
+    assert names == sorted(p.name for p in outs["one"].glob("*.csv"))
+    assert len(names) == (4 if control == "simultaneous" else 3)
+    for name in names + ["result.json", "mesh.json"]:
+        assert (outs["all"] / name).read_bytes() == (outs["one"] / name).read_bytes(), name
+    workers = {label: json.loads((out / "manifest.json").read_text())["workers"]
+               for label, out in outs.items()}
+    assert workers == {"all": min(len(os.sched_getaffinity(0)), len(names)), "one": 1}
+
+
+@pytest.mark.parametrize("below", [False, True], ids=["file", "below-a-file"])
+def test_an_out_that_cannot_be_created_exits_2(cfg_path, tmp_path, capsys, below):
+    taken = tmp_path / "taken"
+    taken.write_text("a file\n")
+    out = taken / "out" if below else taken
+    reason = "Not a directory" if below else "File exists"
+    assert run("solve", cfg_path, out) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: cannot create output directory {out}: {reason}\n"
+
+
+def test_verify_battery_computes_the_cached_values_before_forking(monkeypatch):
+    # a worker that computed a constant or factorized a system would do it
+    # again in every process, and the parent's manifest would miss the constant
+    from parctrl import cli
+
+    problem = small_2d_problem()
+    real, seen = cli._run_tasks, {}
+
+    def check_caches(tasks, order):
+        seen["constants"] = sorted(problem.ops.constants_read())
+        seen["systems"] = set(problem.ops.systems)
+        return real(tasks, order)
+
+    monkeypatch.setattr(cli, "_run_tasks", check_caches)
+    cli._verify_battery(problem)
+    dt = problem.grid.dt
+    assert seen == {"constants": ["lambda0", "lambda1", "trace_norm"],
+                    "systems": {(math.inf, False, dt), (5.0, False, dt)}}

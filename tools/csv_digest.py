@@ -31,7 +31,11 @@ left edge, the size of the solve-2d-150 benchmark: one
 "sha256  operators/<mesh>/<field>.<part>:<dtype>" line per array (the mesh's
 node_coords and elements, each sparse matrix's indptr, indices and data, the
 node index sets), then "repr" lines of lambda0, lambda1 and trace_norm.
-Nothing printed depends on the temporary directory or on wall time, so the
+Each verify and optimize run, the commands that fork worker processes, is
+made a second time with the CLI pinned to one CPU, so that it forks none;
+a digest or verify line that differs between the two goes to standard error
+and the exit status is 1.  Nothing printed depends on the temporary
+directory, on wall time or on the CPU count, so the
 output of two checkouts is equal exactly when their CSVs, mesh files, mesh
 hashes, verify results and operators are, bit for bit.  Use it as the
 byte-identity check of a refactor: run it before and after, and diff.
@@ -49,7 +53,8 @@ CSV "max|d| <x> / max|value| <y> = <relative change>, <rows> rows in both"
 run's lines (standard output and manifest properties) from both trees,
 prefixed "here " and "other", and a summary with the CSV count and the
 largest relative change.  It exits 1 when a CSV differs in shape or text, a
-mesh.json differs or an iteration count does.  The operators are not
+mesh.json differs or an iteration count does, or when a pinned run of either
+tree differs from its unpinned run.  The operators are not
 compared.
 """
 
@@ -106,23 +111,32 @@ def _with_keys(text, sections):
     return "\n".join(lines) + "\n"
 
 
-def _run(root, command, config_path, out_dir):
+def _one_cpu():
+    # runs in the CLI's process before it starts: one CPU, so it forks no worker
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+
+
+def _run(root, command, config_path, out_dir, pinned=False):
     env = dict(os.environ)
     src = os.path.join(root, "src")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "parctrl.cli", command, "--config", config_path,
          "--out", out_dir],
-        env=env, capture_output=True, text=True)
+        env=env, capture_output=True, text=True, preexec_fn=_one_cpu if pinned else None)
     if proc.returncode != 0:
         sys.exit(f"{command} on {config_path} exited {proc.returncode}:\n{proc.stderr}")
     return proc.stdout
 
 
 def _run_all(root, tmp):
-    """Run every run with the package under root/src, into tmp.  Returns one
-    (run label, verify label or None, output directory, stdout) per run."""
-    done = []
+    """Run every run with the package under root/src, into tmp, and each
+    verify and optimize run (the commands that fork workers) once more
+    pinned to one CPU.  Returns one (run label, verify label or None, output
+    directory, stdout) per unpinned run, and the digest lines on which a
+    pinned run differs from its unpinned run, as "<line>  vs pinned
+    <line>"."""
+    done, differing = [], []
     for cfg in CONFIGS:
         with open(os.path.join(ROOT, "configs", cfg + ".cfg"), encoding="utf-8") as fh:
             text = fh.read()
@@ -155,8 +169,29 @@ def _run_all(root, tmp):
             verify = None
             if command == "verify":
                 verify = cfg if name == "verify" else f"{cfg}/{name}"
-            done.append((f"{cfg}/{name}", verify, out_dir, stdout))
-    return done
+            label = f"{cfg}/{name}"
+            done.append((label, verify, out_dir, stdout))
+            if command in ("verify", "optimize"):
+                pinned_dir = os.path.join(run_dir, "out-1cpu")
+                pinned_stdout = _run(root, command, config_path, pinned_dir, pinned=True)
+                lines = _run_lines(label, verify, out_dir, stdout)
+                pinned = _run_lines(label, verify, pinned_dir, pinned_stdout)
+                differing += [f"{a}  vs pinned  {b}" for a, b in zip(lines, pinned) if a != b]
+                if len(lines) != len(pinned):
+                    differing.append(f"{label}: {len(lines)} lines vs pinned {len(pinned)}")
+    return done, differing
+
+
+def _run_lines(label, verify, out_dir, stdout):
+    # what the digest prints of one run: its files, and its verify lines
+    return _digests(label, out_dir) + (_verify_lines(out_dir, stdout) if verify else [])
+
+
+def _report_pinned(differing):
+    """Print the pinned-run differences to standard error; 1 if any."""
+    for line in differing:
+        print(f"pinned to one CPU, differs: {line}", file=sys.stderr)
+    return 1 if differing else 0
 
 
 def _digests(name, out_dir):
@@ -257,8 +292,8 @@ def compare(other):
     lines, verify_lines = [], []
     worst, worst_name, changed, broken = 0.0, None, 0, 0
     with tempfile.TemporaryDirectory() as tmp:
-        here = _run_all(ROOT, os.path.join(tmp, "here"))
-        there = _run_all(other, os.path.join(tmp, "other"))
+        here, differing = _run_all(ROOT, os.path.join(tmp, "here"))
+        there, other_differing = _run_all(other, os.path.join(tmp, "other"))
         for (label, verify, out_dir, stdout), (*_, other_dir, other_stdout) in zip(here, there):
             for fname in sorted(os.listdir(out_dir)):
                 path = os.path.join(out_dir, fname)
@@ -294,7 +329,8 @@ def compare(other):
     if worst_name is not None:
         summary += f"; largest relative change {worst:.3e} in {worst_name}"
     print("\n".join(lines + verify_lines + [summary]))
-    return 1 if broken else 0
+    pinned = _report_pinned(differing + [f"other {line}" for line in other_differing])
+    return 1 if broken else pinned
 
 
 def main():
@@ -306,13 +342,14 @@ def main():
         return compare(args.compare)
     digests, verify_lines = [], []
     with tempfile.TemporaryDirectory() as tmp:
-        for label, verify, out_dir, stdout in _run_all(ROOT, tmp):
+        done, differing = _run_all(ROOT, tmp)
+        for label, verify, out_dir, stdout in done:
             digests += _digests(label, out_dir)
             if verify is not None:
                 verify_lines += [f"{verify}: {line}"
                                  for line in _verify_lines(out_dir, stdout)]
     print("\n".join(digests + verify_lines + _operators()))
-    return 0
+    return _report_pinned(differing)
 
 
 if __name__ == "__main__":
