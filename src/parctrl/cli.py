@@ -259,12 +259,35 @@ def write_svg_lines(path, series, title, logy=False, logx=False):
         fh.write("\n".join(parts) + "\n")
 
 
+_MESH_JSON_ROWS = 4096  # rows of elements or node_coords serialized at a time
+
+
+def _mesh_json_pieces(mesh):
+    """The text of json.dumps(mesh.to_json_dict(), sort_keys=True) in pieces:
+    elements and node_coords go a block of rows at a time, so neither is
+    ever a whole Python list or string."""
+    facets = [[list(f), t] for f, t in mesh.boundary_facets]
+    yield f'{{"boundary_facets": {json.dumps(facets)}, "dim": {json.dumps(mesh.dim)}'
+    for key in ("elements", "node_coords"):
+        rows = getattr(mesh, key)
+        yield f', "{key}": ['
+        for start in range(0, rows.shape[0], _MESH_JSON_ROWS):
+            text = json.dumps(rows[start:start + _MESH_JSON_ROWS].tolist())[1:-1]
+            yield text if start == 0 else ", " + text
+        yield "]"
+    yield "}"
+
+
 def _write_manifest(out_dir, command, problem, outputs, results, workers, wall_time):
-    # serialized once: mesh.json holds this text and the manifest its hash
-    mesh_text = json.dumps(problem.mesh.to_json_dict(), sort_keys=True)
+    # serialized once, in pieces: mesh.json holds this text and the manifest
+    # its hash
+    mesh_hash = hashlib.sha256()
     with open(os.path.join(out_dir, "mesh.json"), "w", encoding="utf-8",
               newline="\n") as fh:
-        fh.write(mesh_text + "\n")
+        for piece in _mesh_json_pieces(problem.mesh):
+            fh.write(piece)
+            mesh_hash.update(piece.encode())
+        fh.write("\n")
     manifest = {
         "command": command,
         "config_path": problem.cfg.path,
@@ -272,7 +295,7 @@ def _write_manifest(out_dir, command, problem, outputs, results, workers, wall_t
         "mesh": {
             "dim": problem.mesh.dim,
             "n_nodes": problem.mesh.n_nodes,
-            "hash": hashlib.sha256(mesh_text.encode()).hexdigest(),
+            "hash": mesh_hash.hexdigest(),
             "file": "mesh.json",
         },
         "grid": {"t_final": problem.grid.t_final, "steps": problem.grid.n_steps},

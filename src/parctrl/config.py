@@ -296,8 +296,11 @@ def build_problem(cfg: RawConfig) -> Problem:
     g = _data_entry(cfg, "g", ops, grid, every, TimeField, required=True)
     z_d = _data_entry(cfg, "z_d", ops, grid, every, TimeField, required=True)
     b = _data_entry(cfg, "b", ops, grid, gamma1, required=True)
-    v_b_field = _data_entry(cfg, "v_b", ops, grid, every, TimeField, required=True)
-    v_b = v_b_field.values[0].copy()
+    # v_b is read at t = 0 only: a CSV reference's row 0, a profile sampled there
+    if cfg.get("data", "v_b", "").startswith("csv:"):
+        v_b = _data_entry(cfg, "v_b", ops, grid, every, TimeField).values[0].copy()
+    else:
+        v_b = _data_entry(cfg, "v_b", ops, grid, every, required=True)
     # profiles evaluate trig at boundary points with roundoff; snap when the
     # mismatch is clearly numerical noise, reject otherwise
     gap = np.abs(v_b[ops.dirichlet_nodes] - b)

@@ -94,6 +94,14 @@ class _ReducedProblem:
     control vector stacks them columnwise per time step, source first.  Every
     gradient or Hessian application costs one state and one adjoint march on
     the same prefactored stepper.
+
+    Each application holds only the (N+1)-row arrays it reads again.
+    grad_at holds the state u, the misfit u - target until the cost is summed
+    and the adjoint marched, the whole adjoint p (p_opt.csv keeps its row 0)
+    and the gradient; u and p stay in state.  apply_h holds the homogeneous
+    state w until its adjoint is marched, then that adjoint and the result;
+    with the source fixed, the adjoint march keeps only the GAMMA2 columns
+    the flux block reads.
     """
 
     def __init__(self, ops, spec, grid, alpha, g_fixed=None, q_fixed=None):
@@ -121,15 +129,19 @@ class _ReducedProblem:
             parts.append(_time_pairing(ops.bmass_gamma2_sub, a[:, n_g:], b[:, n_g:]))
         return self.grid.dt * float(sum(parts))
 
-    def _riesz(self, gv, qv, p):
+    def _riesz(self, gv, qv, p, p_is_trace=False):
         # penalty * control plus the adjoint (source) or minus its GAMMA2
-        # trace (flux), per free part; row 0 is inert
-        blocks = []
+        # trace (flux), per free part, each block written in place into one
+        # array; p_is_trace says p holds the GAMMA2 columns only; row 0 is inert
+        out = np.empty((self.grid.n_steps + 1, self.width))
         if gv is not None:
-            blocks.append(self.spec.source_penalty * gv + p)
+            block = out[:, :self.n_g]
+            np.multiply(self.spec.source_penalty, gv, out=block)
+            block += p
         if qv is not None:
-            blocks.append(self.spec.flux_penalty * qv - p[:, self.ops.gamma2_nodes])
-        out = np.hstack(blocks)
+            block = out[:, self.n_g:]
+            np.multiply(self.spec.flux_penalty, qv, out=block)
+            block -= p if p_is_trace else p[:, self.ops.gamma2_nodes]
         out[0] = 0.0
         return out
 
@@ -139,11 +151,13 @@ class _ReducedProblem:
         gv, qv = self.free_parts(x)
         g_all = self.g_fixed if gv is None else gv
         q_all = self.q_fixed if qv is None else qv
-        target = spec.target.values
         u = self.stepper.run(spec.initial_temp, spec.boundary_temp, g_all, q_all)
-        p = self.stepper.run_adjoint(u - target)
-        self.state["u"], self.state["p"] = u, p
-        cost = 0.5 * _domain_sq(grid, ops, u - target)
+        self.state["u"] = u
+        misfit = u - spec.target.values
+        cost = 0.5 * _domain_sq(grid, ops, misfit)
+        p = self.stepper.run_adjoint(misfit)
+        del misfit
+        self.state["p"] = p
         if gv is not None:
             cost = cost + 0.5 * spec.source_penalty * _domain_sq(grid, ops, gv)
         # a fixed flux still carries its (constant) penalty term
@@ -154,7 +168,11 @@ class _ReducedProblem:
         """Reduced Hessian times x: homogeneous state, then its adjoint."""
         gv, qv = self.free_parts(x)
         w = self.stepper.run(np.zeros(self.ops.n_nodes), None, gv, qv)
-        return self._riesz(gv, qv, self.stepper.run_adjoint(w))
+        # with the source fixed, only the adjoint's GAMMA2 trace is read
+        trace_only = gv is None
+        p = self.stepper.run_adjoint(w, self.ops.gamma2_nodes if trace_only else None)
+        del w
+        return self._riesz(gv, qv, p, trace_only)
 
 
 def _optimize(ops, spec, grid, tol, alpha, max_iter, g_fixed=None, q_fixed=None):
@@ -165,6 +183,20 @@ def _optimize(ops, spec, grid, tol, alpha, max_iter, g_fixed=None, q_fixed=None)
     gradient of fresh solves up to _RESTARTS times, until that certified
     residual passes tol * max(1, initial residual).  Between restarts the
     cost follows the line-search identity cost_{k+1} = cost_k - a_k <r_k, r_k> / 2.
+
+    x, r, d and hd are updated in place, with the same bits as the textbook
+    updates.  Besides the problem's data, with T an (N+1, n) trajectory and
+    C a control (source columns, GAMMA2 columns or both), the live arrays are
+      during a CG iteration  x, r and d (3 C); inside apply_h w and its
+                             adjoint (T each; the adjoint only a GAMMA2
+                             trace with the source fixed), then the adjoint
+                             and the new hd (C), which is dropped once r is
+                             updated; the gradient and the kept u and p are
+                             dropped when CG starts;
+      during certification   x (C), u and the misfit (T each) until the
+                             adjoint p (T) is marched, then u, p and the new
+                             gradient (C); r and d are dropped first.
+    The inner products add two T-sized temporaries while they sum.
     """
     if tol <= 0:
         raise ValueError(f"tol must be > 0, got {tol}")
@@ -182,7 +214,9 @@ def _optimize(ops, spec, grid, tol, alpha, max_iter, g_fixed=None, q_fixed=None)
     for _ in range(_RESTARTS):
         if residual <= threshold or iters >= max_iter:
             break
-        r = -grad  # warm start at x: the residual of H x = b is -grad
+        # warm start at x: the residual of H x = b is -grad
+        r, grad = np.negative(grad, out=grad), None
+        reduced.state.clear()
         d = r.copy()
         rr = inner(r, r)
         while math.sqrt(rr) > threshold and iters < max_iter:
@@ -191,15 +225,19 @@ def _optimize(ops, spec, grid, tol, alpha, max_iter, g_fixed=None, q_fixed=None)
             if dhd <= 0.0:
                 raise SolverError("CG lost positivity: the reduced Hessian is not SPD")
             step = rr / dhd
-            x = x + step * d
-            r = r - step * hd
+            x += step * d
+            hd *= step
+            r -= hd
+            hd = None  # freed before the next apply_h: less heap to fragment
             cost = cost - 0.5 * step * rr
             rr_new = inner(r, r)
             costs.append(cost)
             resids.append(math.sqrt(rr_new))
-            d = r + (rr_new / rr) * d
+            d *= rr_new / rr
+            d += r
             rr = rr_new
             iters += 1
+        r = d = None
         grad, cost = reduced.grad_at(x)  # certified residual, fresh solves
         residual = math.sqrt(inner(grad, grad))
     gv, qv = reduced.free_parts(x)

@@ -194,24 +194,29 @@ class ParabolicStepper:
             u[k, rows] = solve(rhs[rows] - lift)
         return u
 
-    def run_adjoint(self, source_values: np.ndarray) -> np.ndarray:
+    def run_adjoint(self, source_values: np.ndarray, columns=None) -> np.ndarray:
         """March the transposed recursion backward from a zero terminal value.
 
-        source_values[k] drives step k for k = 1..N; row 0 is ignored.  The
-        returned row 0 is the homogeneous continuation of the recursion, kept
-        for diagnostics only.
+        source_values[k] drives step k for k = 1..N; row 0 is ignored.  With
+        columns None the whole (N+1, n) trajectory is returned, and its row 0
+        is the homogeneous continuation of the recursion, kept for
+        diagnostics only.  With an index array, only those columns of rows
+        1..N are kept, bit for bit as in the whole march, and row 0 is left
+        zero.
         """
         ops, grid = self.ops, self.grid
         n, dt = ops.n_nodes, grid.dt
         nsteps = grid.n_steps
-        p = np.zeros((nsteps + 1, n))
-        p_next = np.zeros(n)
+        keep = slice(None) if columns is None else columns
+        p = np.zeros((nsteps + 1, n if columns is None else len(columns)))
+        p_k = np.zeros(n)  # the whole adjoint at step k, zero off rows
         rows, solve = self._gamma1.rows, self._gamma1.solve
         for k in range(nsteps, 0, -1):
-            rhs = self.mass @ p_next + dt * (self.mass @ source_values[k])
-            p[k, rows] = solve(rhs[rows])
-            p_next = p[k]
-        p[0, rows] = solve((self.mass @ p[1])[rows])
+            rhs = self.mass @ p_k + dt * (self.mass @ source_values[k])
+            p_k[rows] = solve(rhs[rows])
+            p[k] = p_k[keep]
+        if columns is None:
+            p[0, rows] = solve((self.mass @ p_k)[rows])
         return p
 
 

@@ -134,3 +134,20 @@ def test_grid_mismatch_rejected(ops1d, grid, spec1d):
     u = TimeField.zeros(other, ops1d.n_nodes)
     with pytest.raises(ValueError):
         solve_adjoint(ops1d, u, spec1d.target, grid)
+
+
+@pytest.mark.parametrize("lumped", [False, True], ids=["consistent", "lumped"])
+@pytest.mark.parametrize("alpha", [math.inf, 5.0], ids=["dirichlet", "robin"])
+def test_trace_only_march_matches_the_whole_march(ops2d, grid, alpha, lumped):
+    # the GAMMA2-only adjoint that a flux Hessian application reads: rows
+    # 1..N are the whole march's GAMMA2 columns bit for bit; row 0 is not
+    # marched and stays zero
+    rng = np.random.default_rng(67)
+    stepper = ParabolicStepper(ops2d, grid, alpha=alpha, lumped=lumped)
+    source = random_field(rng, grid, ops2d).values
+    whole = stepper.run_adjoint(source)
+    trace = stepper.run_adjoint(source, ops2d.gamma2_nodes)
+    assert trace.shape == (grid.n_steps + 1, ops2d.gamma2_nodes.size)
+    assert np.array_equal(trace[1:], whole[1:, ops2d.gamma2_nodes])
+    assert np.max(np.abs(whole[1:, ops2d.gamma2_nodes])) > 0.0
+    assert not trace[0].any()

@@ -614,6 +614,27 @@ def test_mesh_json_written(cfg_path, tmp_path):
     assert mesh["dim"] == 1 and len(mesh["node_coords"]) == 33
 
 
+def test_mesh_json_streamed_in_chunks_is_the_whole_dump(tmp_path):
+    # more element and node rows than one chunk: the streamed text and the
+    # manifest hash are those of the whole mesh serialized at once
+    import hashlib
+
+    from parctrl import cli
+    from parctrl.fem_core import build_rect_mesh
+
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(SMALL_CFG.replace("dim = 1\ncells = 32\n", "dim = 2\nnx = 70\nny = 70\n")
+                   .replace("steps = 20", "steps = 2"))
+    out = tmp_path / "out"
+    assert run("solve", str(cfg), out) == 0
+    mesh = build_rect_mesh(70, 70, {"left"})
+    assert min(mesh.elements.shape[0], mesh.n_nodes) > cli._MESH_JSON_ROWS
+    text = json.dumps(mesh.to_json_dict(), sort_keys=True)
+    assert (out / "mesh.json").read_text() == text + "\n"
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["mesh"]["hash"] == hashlib.sha256(text.encode()).hexdigest()
+
+
 def test_config_parser_diagnostics():
     with pytest.raises(ConfigError, match="unknown section"):
         parse_config_text("[bogus]\nx = 1\n", "p.cfg")
@@ -735,6 +756,34 @@ def test_v_b_boundary_mismatch_rejected(tmp_path, capsys):
     bad.write_text(text)
     assert run("solve", str(bad), tmp_path / "out") == 2
     assert "v_b disagrees" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("profile, b", [("sine-bump(1.0)", "constant(0.0)"),
+                                        ("exp-decay(0.5,0.25,3.0)", "constant(0.75)")])
+def test_v_b_is_read_at_t0(tmp_path, profile, b):
+    # a profile is sampled at t = 0 only, bit for bit its trajectory's row 0;
+    # a CSV reference is still read whole, and its row 0 kept
+    from parctrl.cli import write_field_csv
+    from parctrl.config import build_problem
+    from parctrl.fem_core import TimeField
+    from parctrl.profiles import parse_profile, sample
+
+    def build(v_b):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(SMALL_CFG.replace("v_b = sine-bump(1.0)", f"v_b = {v_b}")
+                       .replace("b = constant(0.0)", f"b = {b}"))
+        return build_problem(load_config(str(cfg)))
+
+    problem = build(profile)
+    grid, ops = problem.grid, problem.ops
+    row0 = sample(parse_profile(profile), ops.mesh.node_coords, grid, TimeField).values[0]
+    row0[ops.dirichlet_nodes] = problem.spec.boundary_temp
+    assert problem.spec.initial_temp.tobytes() == row0.tobytes()
+
+    field = np.random.default_rng(7).standard_normal((grid.n_steps + 1, ops.n_nodes))
+    field[0, ops.dirichlet_nodes] = problem.spec.boundary_temp
+    write_field_csv(str(tmp_path / "v_b.csv"), grid, field)
+    assert build("csv:v_b.csv").spec.initial_temp.tobytes() == field[0].tobytes()
 
 
 def test_distributed_and_simultaneous_commands(tmp_path):

@@ -295,3 +295,33 @@ def test_optimizer_control_variant_matrix(ops1d, grid, control, alpha):
     if res.g_opt is not None:
         fresh += 0.5 * spec.source_penalty * inner_domain_time(grid, ops1d, g, g)
     assert rel_err(res.cost, fresh) < 1e-9
+
+
+@pytest.mark.parametrize("control, alpha, bound", [
+    ("simultaneous", 5.0, 10.0),
+    ("boundary", math.inf, 5.5),
+])
+def test_optimizer_memory_is_bounded_in_trajectories(control, alpha, bound):
+    # many steps on few nodes, so the (N+1)-row arrays dominate the traced
+    # peak.  Besides the problem's data, CG holds x, r, d and hd, and each
+    # application its state and adjoint (only a GAMMA2 trace when the source
+    # is fixed); an extra gradient, kept state or dropped-too-late temporary
+    # crosses the bound (12.8 and 6.5 arrays before the trajectories were cut)
+    import tracemalloc
+
+    from parctrl import fem_core
+    from parctrl.fem_core import TimeGrid
+    from parctrl.state_solvers import ParabolicStepper
+
+    ops = fem_core.assemble(fem_core.build_rect_mesh(10, 10, {"left"}))
+    grid = TimeGrid(t_final=1.0, n_steps=300)
+    spec = make_spec(ops, grid)
+    ParabolicStepper(ops, grid, alpha=alpha)  # the factorization, outside the trace
+    tracemalloc.start()
+    try:
+        res = _optimize_with(control, ops, spec, grid, alpha, None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.converged
+    assert peak < bound * (grid.n_steps + 1) * ops.n_nodes * 8
