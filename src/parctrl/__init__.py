@@ -27,10 +27,8 @@ import importlib
 _EXPORTS = {
     "GAMMA1": "fem_core",
     "GAMMA2": "fem_core",
-    "BoundaryControl": "fem_core",
     "DiscreteOperators": "fem_core",
     "Mesh": "fem_core",
-    "TimeField": "fem_core",
     "TimeGrid": "fem_core",
     "ProblemSpec": "state_solvers",
     "assemble": "fem_core",

@@ -78,9 +78,7 @@ from .config import (  # noqa: E402
     parse_config_text,
 )
 from .fem_core import (  # noqa: E402
-    BoundaryControl,
     SolverError,
-    TimeField,
     inner_boundary_time,
     inner_domain_time,
     norm_boundary_time,
@@ -143,8 +141,8 @@ def _run_tasks(tasks, order):
     the parent built before the call, copy-on-write, so a caller computes
     what is cached on first use before calling.  A task that raises empties
     the queue, so every process stops after its current task; the parent
-    reaps every child before anything leaves, and a child's exception is
-    re-raised in the parent with its type, arguments and attributes.
+    reaps every child before anything leaves, and raises a child's exception
+    as received, unpickled with a note holding the child's traceback.
     """
     claims, fill = os.pipe()
     os.write(fill, bytes(order))
@@ -175,12 +173,7 @@ def _run_tasks(tasks, order):
                 results.update(done)
                 failure = failure or raised
     if failure is not None:
-        cls, args, attrs, trace = failure
-        # unpickling would call cls(*args): a ConfigError would anchor twice
-        exc = cls.__new__(cls, *args)
-        exc.__dict__.update(attrs)
-        exc.add_note(f"raised in a worker process:\n{trace}")
-        raise exc
+        raise failure
     missing = [i for i in range(len(tasks)) if i not in results]
     if missing:
         raise RuntimeError(f"a worker process exited without the results of tasks {missing}")
@@ -189,8 +182,9 @@ def _run_tasks(tasks, order):
 
 def _worker(tasks, claims, out, parent):
     """A forked child of _run_tasks: claim and run tasks, send
-    ({index: result}, failure or None) to the parent through out, and leave
-    through os._exit, so that it never returns into the caller."""
+    ({index: result}, the exception raised or None) to the parent through
+    out, and leave through os._exit, so that it never returns into the
+    caller."""
     status = 1
     try:
         done, failure = {}, None
@@ -200,7 +194,8 @@ def _worker(tasks, claims, out, parent):
             except Exception as exc:
                 while os.read(claims, 4096):
                     pass
-                failure = (type(exc), exc.args, vars(exc), traceback.format_exc())
+                exc.add_note(f"raised in a worker process:\n{traceback.format_exc()}")
+                failure = exc
         with os.fdopen(out, "wb") as fh:
             fh.write(pickle.dumps((done, failure)))
         status = 0
@@ -350,7 +345,7 @@ def _fixed_flux(problem):
     """[data] q as a fixed flux, zeros when absent (_check_command rejects
     q = optimize wherever this is read)."""
     if problem.q is None:
-        return BoundaryControl.zeros(problem.grid, problem.ops.gamma2_nodes.size)
+        return np.zeros((problem.grid.n_steps + 1, problem.ops.gamma2_nodes.size))
     return problem.q
 
 
@@ -358,10 +353,10 @@ def _cmd_solve(problem: Problem, out_dir):
     _, alpha = _variant(problem)
     u = solve_parabolic(problem.ops, problem.spec, _fixed_flux(problem),
                         problem.grid, alpha)
-    write_field_csv(os.path.join(out_dir, "u.csv"), problem.grid, u.values)
+    write_field_csv(os.path.join(out_dir, "u.csv"), problem.grid, u)
     return ["u.csv"], {"u_file": "u.csv",
-                       "final_max": float(np.max(u.values[-1])),
-                       "final_min": float(np.min(u.values[-1]))}, 1
+                       "final_max": float(np.max(u[-1])),
+                       "final_min": float(np.min(u[-1]))}, 1
 
 
 def _cmd_optimize(problem: Problem, out_dir):
@@ -383,7 +378,7 @@ def _cmd_optimize(problem: Problem, out_dir):
     files = {name: f"{name}.csv" for name in names}
 
     def write(name):
-        path, values = os.path.join(out_dir, files[name]), getattr(res, name).values
+        path, values = os.path.join(out_dir, files[name]), getattr(res, name)
         if name == "q_opt":
             write_control_csv(path, grid, ops, values)
         else:
@@ -419,7 +414,7 @@ def _cmd_lambda(problem: Problem, out_dir):
     kind, alpha = _variant(problem)
     # lambda.csv calls the default variant, dirichlet, by its problem kind
     variant = problem.variant if problem.variant != "dirichlet" else kind
-    if np.max(np.abs(problem.q0.values[1:])) == 0.0:
+    if np.max(np.abs(problem.q0[1:])) == 0.0:
         raise ConfigError("q0 must be nonzero", problem.cfg.path,
                           problem.cfg.line_of("data", "q0"))
     coeffs = scalar_control.scalar_optimum(problem.ops, problem.spec, problem.q0,
@@ -503,18 +498,18 @@ def _verify_battery(problem: Problem):
     the process that ran it: _run_tasks runs the table, last entry first."""
     ops, spec, grid = problem.ops, problem.spec, problem.grid
     n, m = ops.n_nodes, ops.gamma2_nodes.size
-    zero_q = BoundaryControl.zeros(grid, m)
+    zero_q = np.zeros((grid.n_steps + 1, m))
 
     def draw(rng):
         # the next random control
-        return BoundaryControl(rng.standard_normal((grid.n_steps + 1, m)))
+        return rng.standard_normal((grid.n_steps + 1, m))
 
     def rel(a, b):
         return abs(a - b) / max(abs(a), abs(b), 1e-300)
 
     def unforced(datum, initial, q=zero_q):
         # the state with no source, a constant GAMMA1 datum and flux q
-        bare = replace(spec, source=TimeField.zeros(grid, n), initial_temp=initial,
+        bare = replace(spec, source=np.zeros((grid.n_steps + 1, n)), initial_temp=initial,
                        boundary_temp=np.full(ops.dirichlet_nodes.size, datum))
         return solve_parabolic(ops, bare, q, grid)
 
@@ -554,15 +549,15 @@ def _verify_battery(problem: Problem):
         # of the forward solver in the flux
         q1, q2 = draw(rng), draw(rng)
         u1 = solve_parabolic(ops, spec, q1, grid)
-        du = unforced(0.0, np.zeros(n), BoundaryControl(q2.values - q1.values))
+        du = unforced(0.0, np.zeros(n), q2 - q1)
         u2 = solve_parabolic(ops, spec, q2, grid)
-        gap = np.max(np.abs(u1.values + du.values - u2.values))
-        scale = max(np.max(np.abs(u2.values)), 1.0)
+        gap = np.max(np.abs(u1 + du - u2))
+        scale = max(np.max(np.abs(u2)), 1.0)
         return gap <= 1e-11 * scale, gap / scale
 
     def constant_steady_state(rng):
         uc = unforced(1.5, np.full(n, 1.5))
-        gap = np.max(np.abs(uc.values - 1.5))
+        gap = np.max(np.abs(uc - 1.5))
         return gap <= 1e-12, gap
 
     def energy_decay(rng):
@@ -573,7 +568,7 @@ def _verify_battery(problem: Problem):
             bump = bump * np.sin(np.pi * x[:, d])
         bump[ops.dirichlet_nodes] = 0.0
         ud = unforced(0.0, bump)
-        norms = np.sqrt(np.einsum("kj,kj->k", ud.values, (ops.mass @ ud.values.T).T))
+        norms = np.sqrt(np.einsum("kj,kj->k", ud, (ops.mass @ ud.T).T))
         worst = float(np.max(norms[1:] - norms[:-1]))
         return worst < 0.0, worst
 
@@ -585,10 +580,8 @@ def _verify_battery(problem: Problem):
             u_q = solve_parabolic(ops, spec, q, grid, alpha)
             u_eta = solve_parabolic(ops, spec, eta, grid, alpha)
             p_q = solve_adjoint(ops, u_q, spec.target, grid, alpha)
-            lhs = inner_domain_time(grid, ops, TimeField(u_eta.values - u_0.values),
-                                    TimeField(u_q.values - spec.target.values))
-            rhs = -inner_boundary_time(grid, ops, eta,
-                                       BoundaryControl(p_q.values[:, ops.gamma2_nodes]))
+            lhs = inner_domain_time(grid, ops, u_eta - u_0, u_q - spec.target)
+            rhs = -inner_boundary_time(grid, ops, eta, p_q[:, ops.gamma2_nodes])
             worst = max(worst, rel(lhs, rhs))
         return worst <= 1e-10, worst
 
@@ -599,24 +592,21 @@ def _verify_battery(problem: Problem):
         worst = 0.0
         for eps in (1e-2, 1e-4):
             eta = draw(rng)
-            plus = BoundaryControl(q.values + eps * eta.values)
-            minus = BoundaryControl(q.values - eps * eta.values)
-            fd = (optimal_control.tracking_cost(ops, spec, plus, grid)
-                  - optimal_control.tracking_cost(ops, spec, minus, grid)) / (2 * eps)
+            fd = (optimal_control.tracking_cost(ops, spec, q + eps * eta, grid)
+                  - optimal_control.tracking_cost(ops, spec, q - eps * eta, grid)) / (2 * eps)
             worst = max(worst, rel(fd, inner_boundary_time(grid, ops, grad, eta)))
         return worst <= 1e-9, worst
 
     def convexity_identity(rng):
         q1, q2 = draw(rng), draw(rng)
         t = 0.37
-        mix = BoundaryControl((1 - t) * q2.values + t * q1.values)
+        mix = (1 - t) * q2 + t * q1
         lhs = ((1 - t) * optimal_control.tracking_cost(ops, spec, q2, grid)
                + t * optimal_control.tracking_cost(ops, spec, q1, grid)
                - optimal_control.tracking_cost(ops, spec, mix, grid))
         w1 = solve_parabolic(ops, spec, q1, grid)
         w2 = solve_parabolic(ops, spec, q2, grid)
-        dw = TimeField(w2.values - w1.values)
-        dq = BoundaryControl(q2.values - q1.values)
+        dw, dq = w2 - w1, q2 - q1
         rhs = 0.5 * t * (1 - t) * (inner_domain_time(grid, ops, dw, dw)
                                    + spec.flux_penalty
                                    * inner_boundary_time(grid, ops, dq, dq))
@@ -624,14 +614,12 @@ def _verify_battery(problem: Problem):
         return worst <= 1e-10, worst
 
     def building_block_recombination(rng):
-        q0 = problem.q0 if problem.q0 is not None else BoundaryControl.constant_in_time(
-            grid, np.ones(m))
+        q0 = problem.q0 if problem.q0 is not None else np.ones((grid.n_steps + 1, m))
         u_b, u_q0, u_g = scalar_control.building_blocks(ops, spec, q0, grid, "parabolic")
         lam = 0.6
-        direct = solve_parabolic(ops, spec, BoundaryControl(lam * q0.values), grid)
-        combo = u_b.values + lam * u_q0.values + u_g.values
-        gap = (np.max(np.abs(combo - direct.values))
-               / max(np.max(np.abs(direct.values)), 1.0))
+        direct = solve_parabolic(ops, spec, lam * q0, grid)
+        combo = u_b + lam * u_q0 + u_g
+        gap = np.max(np.abs(combo - direct)) / max(np.max(np.abs(direct)), 1.0)
         return gap <= 1e-12, gap
 
     def optimality_certificate(rng):

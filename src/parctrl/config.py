@@ -22,14 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .asymptotics import OPTIMIZE, check_alphas
-from .fem_core import (
-    BoundaryControl,
-    TimeField,
-    TimeGrid,
-    assemble,
-    build_interval_mesh,
-    build_rect_mesh,
-)
+from .fem_core import TimeGrid, assemble, build_interval_mesh, build_rect_mesh
 from .profiles import ProfileError, parse_profile, sample
 from .state_solvers import ProblemSpec
 
@@ -44,13 +37,19 @@ KNOWN_KEYS = {
 
 
 class ConfigError(ValueError):
-    """Validation failure with a file/line anchor when one is known."""
+    """Validation failure with a file/line anchor when one is known.  It
+    pickles as its unanchored message, path and line (and its notes), so it
+    crosses a process boundary as itself."""
 
     def __init__(self, message, path="<config>", line=None):
+        self.message = message
         self.path = path
         self.line = line
         anchor = f"{path}:{line}: " if line is not None else f"{path}: "
         super().__init__(anchor + message)
+
+    def __reduce__(self):
+        return type(self), (self.message, self.path, self.line), self.__dict__
 
 
 @dataclass
@@ -154,11 +153,10 @@ def _parse_bool(cfg, section, key, default):
     return _BOOLEANS[value.lower()]
 
 
-def _read_csv(path, grid, trajectory, width):
-    """A trajectory of type trajectory (TimeField or BoundaryControl) from a
-    CSV in the layout the CLI writes: step, time, then width value columns.
-    A file that cannot be read as one raises ValueError."""
-    kind = "control" if trajectory is BoundaryControl else "field"
+def _read_csv(path, grid, kind, width):
+    """The (N+1, width) trajectory in a CSV in the layout the CLI writes:
+    step, time, then width value columns.  A file that cannot be read as one
+    raises ValueError naming it a CSV kind ("field" or "control")."""
     try:
         rows = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     except (OSError, ValueError) as exc:
@@ -167,7 +165,7 @@ def _read_csv(path, grid, trajectory, width):
     if values.shape != (grid.n_steps + 1, width):
         raise ValueError(f"CSV {kind} {path} has shape {values.shape}, expected "
                          f"({grid.n_steps + 1}, {width})")
-    return trajectory(values.copy())
+    return values.copy()
 
 
 @dataclass
@@ -179,8 +177,8 @@ class Problem:
     grid: TimeGrid
     spec: ProblemSpec
     cfg: RawConfig
-    q: BoundaryControl | str | None = None  # or OPTIMIZE, which sweep-alpha reads
-    q0: BoundaryControl | None = None
+    q: np.ndarray | str | None = None  # or OPTIMIZE, which sweep-alpha reads
+    q0: np.ndarray | None = None
     g_inf: np.ndarray | None = None
     q_inf: np.ndarray | None = None
     variant: str = "dirichlet"
@@ -221,18 +219,20 @@ def _build_mesh(cfg: RawConfig):
                       cfg.line_of("mesh", "dim"))
 
 
-def _data_entry(cfg, key, ops, grid, nodes, trajectory=None, required=False):
-    """The [data] entry key on the mesh nodes selected by nodes: a trajectory
-    of type trajectory (TimeField or BoundaryControl), from a profile or a
-    CSV reference, or with trajectory None the profile's row at t = 0."""
+def _data_entry(cfg, key, grid, kind=None, required=False):
+    """The [data] entry key, checked without the operators: its presence,
+    its profile and its CSV path raise ConfigError here.  Returns a function
+    of the sampling points that gives its values there (None when absent):
+    with kind None the profile's row at t = 0, with kind "field" or
+    "control" the (N+1)-row trajectory, from a profile or a CSV reference,
+    which may raise ConfigError when read."""
     value = cfg.get("data", key)
     if value is None:
         if required:
             raise ConfigError(f"missing required key '{key}' in section [data]",
                               cfg.path)
-        return None
+        return lambda points: None
     line = cfg.line_of("data", key)
-    points = ops.mesh.node_coords[nodes]
     if value.startswith("csv:"):
         rel = value[len("csv:"):].strip()
         base = os.path.dirname(os.path.abspath(cfg.path)) if cfg.path != "<config>" else "."
@@ -240,18 +240,21 @@ def _data_entry(cfg, key, ops, grid, nodes, trajectory=None, required=False):
         if not os.path.exists(full):
             raise ConfigError(f"referenced file does not exist: {full}",
                               cfg.path, line)
-        if trajectory is None:
+        if kind is None:
             raise ConfigError(f"key '{key}' does not accept CSV references",
                               cfg.path, line)
-        try:
-            return _read_csv(full, grid, trajectory, len(points))
-        except ValueError as exc:
-            raise ConfigError(str(exc), cfg.path, line) from exc
+
+        def read(points):
+            try:
+                return _read_csv(full, grid, kind, len(points))
+            except ValueError as exc:
+                raise ConfigError(str(exc), cfg.path, line) from exc
+        return read
     try:
         profile = parse_profile(value)
     except ProfileError as exc:
         raise ConfigError(str(exc), cfg.path, line) from exc
-    return sample(profile, points, grid, trajectory)
+    return lambda points: sample(profile, points, grid, kind is not None)
 
 
 def build_problem(cfg: RawConfig) -> Problem:
@@ -290,17 +293,25 @@ def build_problem(cfg: RawConfig) -> Problem:
                           f"got {control!r}", cfg.path, cfg.line_of("data", "control"))
     opt_tol = _parse_positive(cfg, "tolerances", "opt_tol", "1e-10")
     plots = _parse_bool(cfg, "output", "plots", "false")
+    # so is each [data] entry; they are sampled once the nodes are known
+    optimize_q = cfg.get("data", "q") == OPTIMIZE
+    # v_b is read at t = 0 only: a CSV reference's row 0, a profile sampled there
+    v_b_csv = cfg.get("data", "v_b", "").startswith("csv:")
+    data = {key: _data_entry(cfg, key, grid, kind, required)
+            for key, kind, required in (
+                ("g", "field", True), ("z_d", "field", True), ("b", None, True),
+                ("v_b", "field" if v_b_csv else None, True),
+                ("q", "control", False), ("q0", "control", False),
+                ("g_inf", None, False), ("q_inf", None, False))
+            if not (key == "q" and optimize_q)}
 
     ops = assemble(mesh)
-    every, gamma1, gamma2 = slice(None), ops.dirichlet_nodes, ops.gamma2_nodes
-    g = _data_entry(cfg, "g", ops, grid, every, TimeField, required=True)
-    z_d = _data_entry(cfg, "z_d", ops, grid, every, TimeField, required=True)
-    b = _data_entry(cfg, "b", ops, grid, gamma1, required=True)
-    # v_b is read at t = 0 only: a CSV reference's row 0, a profile sampled there
-    if cfg.get("data", "v_b", "").startswith("csv:"):
-        v_b = _data_entry(cfg, "v_b", ops, grid, every, TimeField).values[0].copy()
-    else:
-        v_b = _data_entry(cfg, "v_b", ops, grid, every, required=True)
+    every = ops.mesh.node_coords
+    gamma1, gamma2 = every[ops.dirichlet_nodes], every[ops.gamma2_nodes]
+    g, z_d, b = data["g"](every), data["z_d"](every), data["b"](gamma1)
+    v_b = data["v_b"](every)
+    if v_b_csv:
+        v_b = v_b[0].copy()
     # profiles evaluate trig at boundary points with roundoff; snap when the
     # mismatch is clearly numerical noise, reject otherwise
     gap = np.abs(v_b[ops.dirichlet_nodes] - b)
@@ -319,13 +330,9 @@ def build_problem(cfg: RawConfig) -> Problem:
     except ValueError as exc:
         raise ConfigError(str(exc), cfg.path) from exc
 
-    q = cfg.get("data", "q")
     return Problem(
         mesh=mesh, ops=ops, grid=grid, spec=spec, cfg=cfg,
-        q=OPTIMIZE if q == OPTIMIZE else _data_entry(cfg, "q", ops, grid, gamma2,
-                                                     BoundaryControl),
-        q0=_data_entry(cfg, "q0", ops, grid, gamma2, BoundaryControl),
-        g_inf=_data_entry(cfg, "g_inf", ops, grid, every),
-        q_inf=_data_entry(cfg, "q_inf", ops, grid, gamma2),
+        q=OPTIMIZE if optimize_q else data["q"](gamma2), q0=data["q0"](gamma2),
+        g_inf=data["g_inf"](every), q_inf=data["q_inf"](gamma2),
         variant=cfg.get("data", "variant", "dirichlet"), alpha=alpha, control=control,
         alphas=alphas, opt_tol=opt_tol, plots=plots)

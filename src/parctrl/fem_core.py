@@ -8,14 +8,17 @@ constants via one pencil power iteration (inverse iteration for the smallest
 eigenvalue), the one SPD factorization that every linear solve and every
 power iteration uses (spd_solver: banded Cholesky after a reverse
 Cuthill-McKee ordering), and the discrete inner products used by every
-other module.  Trajectories are (N+1)-row arrays (TimeField;
-BoundaryControl is the same type over the GAMMA2 nodes) whose row 0 is
-inert, and every time integral of two of them goes through one
-right-endpoint rectangle pairing, _time_pairing.
+other module.  A trajectory is a plain float ndarray with one row per time
+level, (N+1, n) over the nodes (a field: state, adjoint, source, target) or
+(N+1, |GAMMA2|) over the GAMMA2 nodes (a flux control); row 0 is inert.
+Every shape is checked by one _check_shape, and every time integral of two
+trajectories goes through one right-endpoint rectangle pairing,
+_time_pairing.
 
 The assembled matrices are never modified after assembly.  The spectral
 constants are computed on first read and kept, as are the factorized systems
-the solvers look up (state_solvers); both caches live and die with their
+the solvers look up (state_solvers, where each system's one object picks its
+lumped or consistent matrices); both caches live and die with their
 DiscreteOperators, except that asymptotics.alpha_sweep drops the systems it
 built.  The library is single-threaded: an ops is not to be
 shared between threads.  The CLI forks worker processes for verify and
@@ -77,33 +80,6 @@ class TimeGrid:
 
     def times(self) -> np.ndarray:
         return np.linspace(0.0, self.t_final, self.n_steps + 1)
-
-
-@dataclass
-class TimeField:
-    """Nodal coefficients per time step, shape (n_steps+1, n_nodes).
-
-    Row k holds the field at t_k = k*dt.  Under the right-endpoint rectangle
-    rule row 0 never enters a time integral.
-    """
-
-    values: np.ndarray
-
-    @classmethod
-    def zeros(cls, grid: TimeGrid, n_nodes: int) -> "TimeField":
-        return cls(np.zeros((grid.n_steps + 1, n_nodes)))
-
-    @classmethod
-    def constant_in_time(cls, grid: TimeGrid, nodal: np.ndarray) -> "TimeField":
-        return cls(np.tile(np.asarray(nodal, dtype=float), (grid.n_steps + 1, 1)))
-
-    def copy(self) -> "TimeField":
-        return type(self)(self.values.copy())
-
-
-class BoundaryControl(TimeField):
-    """Flux values on the GAMMA2 nodes per time step, shape (n_steps+1, m):
-    the same (N+1)-row trajectory as TimeField, over the GAMMA2 nodes."""
 
 
 @dataclass
@@ -454,63 +430,64 @@ def _time_pairing(mat, a: np.ndarray, b: np.ndarray) -> float:
     return float(np.sum(a[1:] * (mat @ b[1:].T).T))
 
 
+def _check_shape(name, array, shape):
+    """array as a float ndarray; ValueError naming it unless its shape is
+    shape.  The one shape check of every trajectory and nodal argument."""
+    array = np.asarray(array, dtype=float)
+    if array.shape != shape:
+        raise ValueError(f"{name} has shape {array.shape}, expected {shape}")
+    return array
+
+
 def inner_domain(ops: DiscreteOperators, u: np.ndarray, v: np.ndarray) -> float:
-    u, v = np.asarray(u), np.asarray(v)
-    if u.shape != (ops.n_nodes,) or v.shape != (ops.n_nodes,):
-        raise ValueError(f"expected nodal vectors of length {ops.n_nodes}")
+    u = _check_shape("u", u, (ops.n_nodes,))
+    v = _check_shape("v", v, (ops.n_nodes,))
     return float(u @ (ops.mass @ v))
 
 
 def inner_boundary(ops: DiscreteOperators, q: np.ndarray, r: np.ndarray) -> float:
-    q, r = np.asarray(q), np.asarray(r)
-    m = ops.gamma2_nodes.size
-    if q.shape != (m,) or r.shape != (m,):
-        raise ValueError(f"expected flux-boundary vectors of length {m}")
+    q = _check_shape("q", q, (ops.gamma2_nodes.size,))
+    r = _check_shape("r", r, (ops.gamma2_nodes.size,))
     return float(q @ (ops.bmass_gamma2_sub @ r))
 
 
-def _check_field(grid, ops, tf: TimeField, name="field"):
-    want = (grid.n_steps + 1, ops.n_nodes)
-    if tf.values.shape != want:
-        raise ValueError(f"{name} has shape {tf.values.shape}, expected {want}")
+def _check_field(grid, ops, u, name="field"):
+    _check_shape(name, u, (grid.n_steps + 1, ops.n_nodes))
 
 
-def _check_control(grid, ops, bc: BoundaryControl, name="control"):
-    want = (grid.n_steps + 1, ops.gamma2_nodes.size)
-    if bc.values.shape != want:
-        raise ValueError(f"{name} has shape {bc.values.shape}, expected {want}")
+def _check_control(grid, ops, q, name="control"):
+    _check_shape(name, q, (grid.n_steps + 1, ops.gamma2_nodes.size))
 
 
 def inner_domain_time(grid: TimeGrid, ops: DiscreteOperators,
-                      u: TimeField, v: TimeField) -> float:
+                      u: np.ndarray, v: np.ndarray) -> float:
     _check_field(grid, ops, u)
     _check_field(grid, ops, v)
-    return grid.dt * _time_pairing(ops.mass, u.values, v.values)
+    return grid.dt * _time_pairing(ops.mass, u, v)
 
 
 def inner_boundary_time(grid: TimeGrid, ops: DiscreteOperators,
-                        q: BoundaryControl, r: BoundaryControl) -> float:
+                        q: np.ndarray, r: np.ndarray) -> float:
     _check_control(grid, ops, q)
     _check_control(grid, ops, r)
-    return grid.dt * _time_pairing(ops.bmass_gamma2_sub, q.values, r.values)
+    return grid.dt * _time_pairing(ops.bmass_gamma2_sub, q, r)
 
 
-def norm_domain_time(grid, ops, u: TimeField) -> float:
+def norm_domain_time(grid, ops, u: np.ndarray) -> float:
     return float(np.sqrt(max(inner_domain_time(grid, ops, u, u), 0.0)))
 
 
-def norm_boundary_time(grid, ops, q: BoundaryControl) -> float:
+def norm_boundary_time(grid, ops, q: np.ndarray) -> float:
     return float(np.sqrt(max(inner_boundary_time(grid, ops, q, q), 0.0)))
 
 
-def norm_h1_time(grid, ops, u: TimeField) -> float:
+def norm_h1_time(grid, ops, u: np.ndarray) -> float:
     """L2-in-time H1-in-space norm: sum_k dt * u_k (K+M) u_k, square-rooted."""
     _check_field(grid, ops, u)
-    return float(np.sqrt(max(grid.dt * _time_pairing(ops.v_matrix(), u.values, u.values), 0.0)))
+    return float(np.sqrt(max(grid.dt * _time_pairing(ops.v_matrix(), u, u), 0.0)))
 
 
-def norm_gamma1_time(grid, ops, u: TimeField) -> float:
+def norm_gamma1_time(grid, ops, u: np.ndarray) -> float:
     """L2-in-time L2(GAMMA1)-in-space norm of a full nodal field."""
     _check_field(grid, ops, u)
-    return float(np.sqrt(max(grid.dt * _time_pairing(ops.bmass_gamma1, u.values, u.values),
-                             0.0)))
+    return float(np.sqrt(max(grid.dt * _time_pairing(ops.bmass_gamma1, u, u), 0.0)))

@@ -28,13 +28,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .fem_core import (
-    BoundaryControl,
     DiscreteOperators,
     SolverError,
-    TimeField,
     TimeGrid,
     _check_control,
     _time_pairing,
+    inner_boundary_time,
+    inner_domain_time,
     lambda_alpha,
 )
 from .state_solvers import ParabolicStepper, ProblemSpec, solve_parabolic
@@ -47,44 +47,36 @@ _RESTARTS = 3
 class OptimResult:
     """Converged (or best-effort) solution of one control problem."""
 
-    u_opt: TimeField
-    p_opt: TimeField
+    u_opt: np.ndarray
+    p_opt: np.ndarray
     cost: float
     optimality_residual: float
     iterations: int
     converged: bool
-    q_opt: BoundaryControl | None = None
-    g_opt: TimeField | None = None
+    q_opt: np.ndarray | None = None
+    g_opt: np.ndarray | None = None
     cost_history: list = None
     residual_history: list = None
 
 
-def _domain_sq(grid, ops, rows):
-    # sum_k dt * rows_k M rows_k over k = 1..N
-    return grid.dt * _time_pairing(ops.mass, rows, rows)
-
-
-def _boundary_sq(grid, ops, rows):
-    return grid.dt * _time_pairing(ops.bmass_gamma2_sub, rows, rows)
-
-
-def tracking_cost(ops: DiscreteOperators, spec: ProblemSpec, q: BoundaryControl,
+def tracking_cost(ops: DiscreteOperators, spec: ProblemSpec, q: np.ndarray,
                   grid: TimeGrid, alpha=math.inf) -> float:
     """Half the squared tracking misfit plus the flux penalty term."""
-    u = solve_parabolic(ops, spec, q, grid, alpha)
-    misfit = _domain_sq(grid, ops, u.values - spec.target.values)
-    return 0.5 * misfit + 0.5 * spec.flux_penalty * _boundary_sq(grid, ops, q.values)
+    misfit = solve_parabolic(ops, spec, q, grid, alpha)
+    misfit -= spec.target
+    return (0.5 * inner_domain_time(grid, ops, misfit, misfit)
+            + 0.5 * spec.flux_penalty * inner_boundary_time(grid, ops, q, q))
 
 
-def tracking_gradient(ops: DiscreteOperators, spec: ProblemSpec, q: BoundaryControl,
-                      grid: TimeGrid, alpha=math.inf) -> BoundaryControl:
+def tracking_gradient(ops: DiscreteOperators, spec: ProblemSpec, q: np.ndarray,
+                      grid: TimeGrid, alpha=math.inf) -> np.ndarray:
     """Riesz representative of the cost derivative in the flux-boundary
     product: penalty * q minus the adjoint trace, per time step."""
     spec.validate(ops, grid)
     _check_control(grid, ops, q)
     reduced = _ReducedProblem(ops, spec, grid, alpha, g_fixed=spec.source)
-    grad, _ = reduced.grad_at(q.values)
-    return BoundaryControl(grad)
+    grad, _ = reduced.grad_at(q)
+    return grad
 
 
 class _ReducedProblem:
@@ -107,8 +99,7 @@ class _ReducedProblem:
     def __init__(self, ops, spec, grid, alpha, g_fixed=None, q_fixed=None):
         self.ops, self.spec, self.grid = ops, spec, grid
         self.stepper = ParabolicStepper(ops, grid, alpha=alpha)
-        self.g_fixed = None if g_fixed is None else g_fixed.values
-        self.q_fixed = None if q_fixed is None else q_fixed.values
+        self.g_fixed, self.q_fixed = g_fixed, q_fixed
         self.n_g = ops.n_nodes if g_fixed is None else 0
         self.width = self.n_g + (ops.gamma2_nodes.size if q_fixed is None else 0)
         self.state = {}  # u and p of the latest grad_at
@@ -153,15 +144,15 @@ class _ReducedProblem:
         q_all = self.q_fixed if qv is None else qv
         u = self.stepper.run(spec.initial_temp, spec.boundary_temp, g_all, q_all)
         self.state["u"] = u
-        misfit = u - spec.target.values
-        cost = 0.5 * _domain_sq(grid, ops, misfit)
+        misfit = u - spec.target
+        cost = 0.5 * inner_domain_time(grid, ops, misfit, misfit)
         p = self.stepper.run_adjoint(misfit)
         del misfit
         self.state["p"] = p
         if gv is not None:
-            cost = cost + 0.5 * spec.source_penalty * _domain_sq(grid, ops, gv)
+            cost = cost + 0.5 * spec.source_penalty * inner_domain_time(grid, ops, gv, gv)
         # a fixed flux still carries its (constant) penalty term
-        cost = cost + 0.5 * spec.flux_penalty * _boundary_sq(grid, ops, q_all)
+        cost = cost + 0.5 * spec.flux_penalty * inner_boundary_time(grid, ops, q_all, q_all)
         return self._riesz(gv, qv, p), cost
 
     def apply_h(self, x):
@@ -242,10 +233,9 @@ def _optimize(ops, spec, grid, tol, alpha, max_iter, g_fixed=None, q_fixed=None)
         residual = math.sqrt(inner(grad, grad))
     gv, qv = reduced.free_parts(x)
     return OptimResult(
-        g_opt=None if gv is None else TimeField(gv.copy()),
-        q_opt=None if qv is None else BoundaryControl(qv.copy()),
-        u_opt=TimeField(reduced.state["u"]),
-        p_opt=TimeField(reduced.state["p"]),
+        g_opt=None if gv is None else gv.copy(),
+        q_opt=None if qv is None else qv.copy(),
+        u_opt=reduced.state["u"], p_opt=reduced.state["p"],
         cost=cost, optimality_residual=residual, iterations=iters,
         converged=residual <= threshold, cost_history=costs, residual_history=resids)
 
@@ -258,7 +248,7 @@ def optimize_boundary(ops: DiscreteOperators, spec: ProblemSpec, grid: TimeGrid,
 
 
 def optimize_distributed(ops: DiscreteOperators, spec: ProblemSpec, grid: TimeGrid,
-                         q_fixed: BoundaryControl, tol: float = 1e-10, alpha=math.inf,
+                         q_fixed: np.ndarray, tol: float = 1e-10, alpha=math.inf,
                          max_iter: int = DEFAULT_MAX_ITER) -> OptimResult:
     """Minimize over the internal energy with the boundary flux held fixed.
 
@@ -281,7 +271,7 @@ def optimize_simultaneous(ops: DiscreteOperators, spec: ProblemSpec, grid: TimeG
 
 
 def control_gap_estimate(ops: DiscreteOperators, spec: ProblemSpec, grid: TimeGrid,
-                         g_fixed: TimeField, tol: float = 1e-10,
+                         g_fixed: np.ndarray, tol: float = 1e-10,
                          alpha=math.inf) -> dict:
     """Certified a-priori bound on the distance between the boundary-only
     optimal flux (at a fixed internal energy) and the flux component of the
@@ -297,12 +287,12 @@ def control_gap_estimate(ops: DiscreteOperators, spec: ProblemSpec, grid: TimeGr
     if not (sim.converged and bnd.converged):
         raise SolverError("control gap estimate requires both optimizers converged")
 
-    diff = BoundaryControl(bnd.q_opt.values - sim.q_opt.values)
-    lhs = math.sqrt(_boundary_sq(grid, ops, diff.values))
+    dq, du = bnd.q_opt - sim.q_opt, sim.u_opt - bnd.u_opt
+    lhs = math.sqrt(inner_boundary_time(grid, ops, dq, dq))
     coercivity = ops.lambda0 if math.isinf(alpha) else lambda_alpha(ops, alpha)
-    state_gap = math.sqrt(_domain_sq(grid, ops, sim.u_opt.values - bnd.u_opt.values))
+    state_gap = math.sqrt(inner_domain_time(grid, ops, du, du))
     rhs = ops.trace_norm / (coercivity * spec.flux_penalty) * state_gap
-    j1 = bnd.cost + 0.5 * spec.source_penalty * _domain_sq(grid, ops, g_fixed.values)
+    j1 = bnd.cost + 0.5 * spec.source_penalty * inner_domain_time(grid, ops, g_fixed, g_fixed)
     return {
         "lhs": lhs,
         "rhs": rhs,

@@ -81,12 +81,11 @@ def evaluate(profile: Profile, points: np.ndarray, t: float) -> np.ndarray:
     raise ProfileError(f"unknown profile {profile.name!r}")
 
 
-def sample(profile: Profile, points, grid, trajectory=None):
-    """The profile at points: its one row at t = 0 when trajectory is None,
-    else a trajectory of that type (TimeField, BoundaryControl) with one row
-    per time step of grid."""
-    if trajectory is None:
+def sample(profile: Profile, points, grid, trajectory=False):
+    """The profile at points: its one row at t = 0, or with trajectory the
+    (N+1)-row array with one row per time level of grid."""
+    if not trajectory:
         return evaluate(profile, points, 0.0)
     if not profile.time_dependent:
-        return trajectory.constant_in_time(grid, evaluate(profile, points, 0.0))
-    return trajectory(np.vstack([evaluate(profile, points, t) for t in grid.times()]))
+        return np.tile(evaluate(profile, points, 0.0), (grid.n_steps + 1, 1))
+    return np.vstack([evaluate(profile, points, t) for t in grid.times()])

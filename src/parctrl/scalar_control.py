@@ -31,14 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fem_core import (
-    BoundaryControl,
-    DiscreteOperators,
-    TimeField,
-    TimeGrid,
-    _check_control,
-    _time_pairing,
-)
+from .fem_core import DiscreteOperators, TimeGrid, _check_control, _time_pairing
 from .state_solvers import ParabolicStepper, ProblemSpec, solve_elliptic_robin
 
 
@@ -85,39 +78,37 @@ def _problem(ops, grid, variant, alpha, lumped=False):
     raise ValueError(f"unknown variant {variant!r}, expected 'parabolic' or 'elliptic'")
 
 
-def building_blocks(ops: DiscreteOperators, spec: ProblemSpec, q0: BoundaryControl,
+def building_blocks(ops: DiscreteOperators, spec: ProblemSpec, q0: np.ndarray,
                     grid: TimeGrid, variant: str = "parabolic", alpha=math.inf):
     """Three decoupled solves: datum only, unit flux direction only, source only.
 
     Their combination  u_b + lam * u_q0 + u_g  reproduces the direct solve with
     flux lam * q0 to solver precision, which is what makes the scalar
-    coefficients below exact.  Parabolic blocks come back as TimeFields,
-    steady ones as nodal vectors.
+    coefficients below exact.  Parabolic blocks come back as (N+1, n)
+    trajectories, steady ones as nodal vectors.
     """
     rows, solve, pair = _problem(ops, grid, variant, alpha)
     spec.validate(ops, grid)
     _check_control(grid, ops, q0)
-    q_rows = rows(q0.values)
+    q_rows = rows(q0)
     if pair(ops.bmass_gamma2_sub, q_rows, q_rows) == 0.0:
         raise ValueError("q0 must not be identically zero: the quadratic "
                          "coefficient would vanish")
     zeros = np.zeros(ops.n_nodes)
-    blocks = (solve(spec.initial_temp, spec.boundary_temp, None, None),
-              solve(zeros, None, None, q_rows),
-              solve(zeros, None, rows(spec.source.values), None))
-    return tuple(TimeField(u) if u.ndim == 2 else u for u in blocks)
+    return (solve(spec.initial_temp, spec.boundary_temp, None, None),
+            solve(zeros, None, None, q_rows),
+            solve(zeros, None, rows(spec.source), None))
 
 
-def scalar_optimum(ops: DiscreteOperators, spec: ProblemSpec, q0: BoundaryControl,
+def scalar_optimum(ops: DiscreteOperators, spec: ProblemSpec, q0: np.ndarray,
                    grid: TimeGrid, variant: str = "parabolic",
                    alpha=math.inf) -> QuadraticCoefficients:
     """Quadratic coefficients of the restricted cost and its closed-form
     minimizer -linear/(2*quadratic)."""
     rows, _, pair = _problem(ops, grid, variant, alpha)
-    u_b, u_q0, u_g = (getattr(u, "values", u)
-                      for u in building_blocks(ops, spec, q0, grid, variant, alpha))
-    q_rows = rows(q0.values)
-    drift = u_b + u_g - rows(spec.target.values)
+    u_b, u_q0, u_g = building_blocks(ops, spec, q0, grid, variant, alpha)
+    q_rows = rows(q0)
+    drift = u_b + u_g - rows(spec.target)
     quad = (0.5 * spec.flux_penalty * pair(ops.bmass_gamma2_sub, q_rows, q_rows)
             + 0.5 * pair(ops.mass, u_q0, u_q0))
     lin = pair(ops.mass, u_q0, drift)
@@ -128,16 +119,16 @@ def scalar_optimum(ops: DiscreteOperators, spec: ProblemSpec, q0: BoundaryContro
     return QuadraticCoefficients(quadratic=quad, linear=lin, constant=const)
 
 
-def scalar_cost(ops: DiscreteOperators, spec: ProblemSpec, q0: BoundaryControl,
+def scalar_cost(ops: DiscreteOperators, spec: ProblemSpec, q0: np.ndarray,
                 grid: TimeGrid, variant: str, lam: float, alpha=math.inf) -> float:
     """Restricted cost evaluated the direct way, by one full solve with flux
     lam * q0.  Serves as the independent check of the coefficient route."""
     rows, solve, pair = _problem(ops, grid, variant, alpha)
     spec.validate(ops, grid)
     _check_control(grid, ops, q0)
-    q = lam * rows(q0.values)
-    u = solve(spec.initial_temp, spec.boundary_temp, rows(spec.source.values), q)
-    misfit = u - rows(spec.target.values)
+    q = lam * rows(q0)
+    u = solve(spec.initial_temp, spec.boundary_temp, rows(spec.source), q)
+    misfit = u - rows(spec.target)
     return (0.5 * pair(ops.mass, misfit, misfit)
             + 0.5 * spec.flux_penalty * pair(ops.bmass_gamma2_sub, q, q))
 
@@ -148,8 +139,8 @@ def _require(cond, hypothesis):
 
 
 def monotonicity_check(ops: DiscreteOperators, spec: ProblemSpec, grid: TimeGrid,
-                       lam1: float, lam2: float, g1: TimeField, g2: TimeField,
-                       q0: BoundaryControl, variant: str = "parabolic",
+                       lam1: float, lam2: float, g1: np.ndarray, g2: np.ndarray,
+                       q0: np.ndarray, variant: str = "parabolic",
                        spec_upper: ProblemSpec | None = None,
                        alpha=math.inf) -> dict:
     """Nodewise comparison of the two restricted solutions.
@@ -166,7 +157,7 @@ def monotonicity_check(ops: DiscreteOperators, spec: ProblemSpec, grid: TimeGrid
     upper.validate(ops, grid)
     _check_control(grid, ops, q0)
 
-    q_used = q0.values[1:]
+    q_used = q0[1:]
     if np.all(q_used > 0.0):
         _require(lam2 <= lam1, "lam2 <= lam1 is required when q0 > 0")
     elif np.all(q_used < 0.0):
@@ -174,15 +165,15 @@ def monotonicity_check(ops: DiscreteOperators, spec: ProblemSpec, grid: TimeGrid
     else:
         raise ValueError("monotonicity hypothesis violated: q0 must be of one "
                          "strict sign on the flux boundary")
-    _require(np.all(g1.values[1:] <= g2.values[1:]), "g1 <= g2 nodewise")
+    _require(np.all(g1[1:] <= g2[1:]), "g1 <= g2 nodewise")
     _require(np.all(spec.boundary_temp <= upper.boundary_temp),
              "ordered boundary temperatures")
     _require(np.all(spec.initial_temp <= upper.initial_temp),
              "ordered initial temperatures")
 
-    q_rows = rows(q0.values)
-    u1 = solve(spec.initial_temp, spec.boundary_temp, rows(g1.values), lam1 * q_rows)
-    u2 = solve(upper.initial_temp, upper.boundary_temp, rows(g2.values), lam2 * q_rows)
+    q_rows = rows(q0)
+    u1 = solve(spec.initial_temp, spec.boundary_temp, rows(g1), lam1 * q_rows)
+    u2 = solve(upper.initial_temp, upper.boundary_temp, rows(g2), lam2 * q_rows)
     max_violation = float(np.max(u1 - u2))
     return {"max_violation": max_violation, "holds": max_violation <= 1e-12}
 

@@ -12,6 +12,12 @@ factorization, the lift and the constant load.  So each recursion has one
 entry taking alpha last, default +inf: solve_parabolic, solve_adjoint and
 solve_elliptic_robin (solve_elliptic_dirichlet is its alpha +inf call).
 ProblemSpec holds no alpha: one spec poses the Dirichlet and every Robin problem.
+The same object alone picks its system's lumped or consistent matrices: the
+mass and the GAMMA1 and GAMMA2 boundary masses.  ParabolicStepper reads
+the mass and the GAMMA2 load from it, and so does the steady solve for its
+flux load (its source term keeps the consistent mass).  Every state,
+adjoint, source, target and control is a plain (N+1)-row ndarray (see
+fem_core).
 
 The adjoint is the algebraic transpose of the discrete state recursion under
 the right-endpoint rectangle pairing, not a separate discretization of the
@@ -40,12 +46,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fem_core import (
-    BoundaryControl,
     DiscreteOperators,
-    TimeField,
     TimeGrid,
     _check_control,
     _check_field,
+    _check_shape,
     spd_solver,
 )
 
@@ -54,32 +59,26 @@ from .fem_core import (
 class ProblemSpec:
     """Data of one control problem instance.
 
-    source         internal energy g as a TimeField
+    source         internal energy g, an (N+1, n) trajectory
     boundary_temp  temperature datum on the GAMMA1 nodes
     initial_temp   initial nodal temperature; must equal boundary_temp on GAMMA1
-    target         tracking target as a TimeField
+    target         tracking target, an (N+1, n) trajectory
     flux_penalty   weight of the boundary control in the cost (finite, > 0)
     source_penalty weight of the distributed control in the cost (finite, > 0)
     """
 
-    source: TimeField
+    source: np.ndarray
     boundary_temp: np.ndarray
     initial_temp: np.ndarray
-    target: TimeField
+    target: np.ndarray
     flux_penalty: float = 1.0
     source_penalty: float = 1.0
 
     def validate(self, ops: DiscreteOperators, grid: TimeGrid):
         _check_field(grid, ops, self.source, "source")
         _check_field(grid, ops, self.target, "target")
-        if self.boundary_temp.shape != (ops.dirichlet_nodes.size,):
-            raise ValueError(
-                f"boundary_temp has shape {self.boundary_temp.shape}, "
-                f"expected ({ops.dirichlet_nodes.size},)")
-        if self.initial_temp.shape != (ops.n_nodes,):
-            raise ValueError(
-                f"initial_temp has shape {self.initial_temp.shape}, "
-                f"expected ({ops.n_nodes},)")
+        _check_shape("boundary_temp", self.boundary_temp, (ops.dirichlet_nodes.size,))
+        _check_shape("initial_temp", self.initial_temp, (ops.n_nodes,))
         if not (math.isfinite(self.flux_penalty) and self.flux_penalty > 0):
             raise ValueError(f"flux_penalty must be finite and > 0, got {self.flux_penalty}")
         if not (math.isfinite(self.source_penalty) and self.source_penalty > 0):
@@ -90,21 +89,17 @@ class ProblemSpec:
                 f"initial_temp disagrees with boundary_temp on GAMMA1 (max {mismatch:.3e})")
 
 
-def _gamma2_load(ops, lumped):
-    # n x |GAMMA2| block mapping control values to the nodal load
-    b2 = ops.bmass_gamma2_lumped if lumped else ops.bmass_gamma2
-    return b2[:, ops.gamma2_nodes].tocsr()
-
-
 class _Gamma1Imposition:
-    """How the GAMMA1 datum enters one linear system: its unknown rows, its
-    factorization, and the datum's lift and load.
+    """One linear system: how the GAMMA1 datum enters it (its unknown rows,
+    its factorization, the datum's lift and load) and the matrices it is
+    built from, which it alone picks, lumped or consistent as one flag says.
 
     alpha +inf eliminates the GAMMA1 rows and columns; finite alpha > 0
-    keeps all nodes and adds alpha * B1, the lumped or consistent GAMMA1
-    boundary mass.  The matrix is M + dt * (K [+ alpha B1]) for a
-    backward-Euler step, M lumped or consistent, and K [+ alpha B1] when
-    steady (dt None).
+    keeps all nodes and adds alpha * B1, the GAMMA1 boundary mass.  The
+    matrix is M + dt * (K [+ alpha B1]) for a backward-Euler step and
+    K [+ alpha B1] when steady (dt None).  mass is M and load_gamma2 the
+    n x |GAMMA2| block of the GAMMA2 boundary mass that maps flux values to
+    the nodal load.
     """
 
     def __init__(self, ops: DiscreteOperators, alpha, lumped: bool, dt=None):
@@ -112,10 +107,12 @@ class _Gamma1Imposition:
         self.n_nodes, self.dirichlet_nodes = ops.n_nodes, ops.dirichlet_nodes
         self.alpha = alpha
         self.dt = 1.0 if dt is None else dt
-        mass = ops.mass_lumped if lumped else ops.mass
+        self.mass = ops.mass_lumped if lumped else ops.mass
+        b2 = ops.bmass_gamma2_lumped if lumped else ops.bmass_gamma2
+        self.load_gamma2 = b2[:, ops.gamma2_nodes].tocsr()
 
         def volume(spatial):
-            return spatial if dt is None else mass + dt * spatial
+            return spatial if dt is None else self.mass + dt * spatial
 
         if math.isinf(alpha):
             a_full = volume(ops.stiffness).tocsr()
@@ -168,8 +165,6 @@ class ParabolicStepper:
         self.grid = grid
         self.alpha = self._gamma1.alpha
         self.lumped = lumped
-        self.mass = ops.mass_lumped if lumped else ops.mass
-        self.load_gamma2 = _gamma2_load(ops, lumped)
 
     def run(self, initial, boundary_temp=None, source_values=None,
             flux_values=None) -> np.ndarray:
@@ -185,12 +180,13 @@ class ParabolicStepper:
         u[1:, ops.dirichlet_nodes] = b
         lift, load = self._gamma1.lift_and_load(b)
         rows, solve = self._gamma1.rows, self._gamma1.solve
+        mass, load_gamma2 = self._gamma1.mass, self._gamma1.load_gamma2
         for k in range(1, nsteps + 1):
-            rhs = self.mass @ u[k - 1] + load
+            rhs = mass @ u[k - 1] + load
             if source_values is not None:
-                rhs = rhs + dt * (self.mass @ source_values[k])
+                rhs = rhs + dt * (mass @ source_values[k])
             if flux_values is not None:
-                rhs = rhs - dt * (self.load_gamma2 @ flux_values[k])
+                rhs = rhs - dt * (load_gamma2 @ flux_values[k])
             u[k, rows] = solve(rhs[rows] - lift)
         return u
 
@@ -210,30 +206,28 @@ class ParabolicStepper:
         keep = slice(None) if columns is None else columns
         p = np.zeros((nsteps + 1, n if columns is None else len(columns)))
         p_k = np.zeros(n)  # the whole adjoint at step k, zero off rows
-        rows, solve = self._gamma1.rows, self._gamma1.solve
+        rows, solve, mass = self._gamma1.rows, self._gamma1.solve, self._gamma1.mass
         for k in range(nsteps, 0, -1):
-            rhs = self.mass @ p_k + dt * (self.mass @ source_values[k])
+            rhs = mass @ p_k + dt * (mass @ source_values[k])
             p_k[rows] = solve(rhs[rows])
             p[k] = p_k[keep]
         if columns is None:
-            p[0, rows] = solve((self.mass @ p_k)[rows])
+            p[0, rows] = solve((mass @ p_k)[rows])
         return p
 
 
-def solve_parabolic(ops: DiscreteOperators, spec: ProblemSpec, q: BoundaryControl,
-                    grid: TimeGrid, alpha=math.inf) -> TimeField:
+def solve_parabolic(ops: DiscreteOperators, spec: ProblemSpec, q: np.ndarray,
+                    grid: TimeGrid, alpha=math.inf) -> np.ndarray:
     """Backward-Euler state trajectory with flux q, the GAMMA1 datum imposed
     as alpha says (as in ParabolicStepper)."""
     spec.validate(ops, grid)
     _check_control(grid, ops, q)
     stepper = ParabolicStepper(ops, grid, alpha=alpha)
-    u = stepper.run(spec.initial_temp, spec.boundary_temp,
-                    spec.source.values, q.values)
-    return TimeField(u)
+    return stepper.run(spec.initial_temp, spec.boundary_temp, spec.source, q)
 
 
-def solve_adjoint(ops: DiscreteOperators, u: TimeField, target: TimeField,
-                  grid: TimeGrid, alpha=math.inf) -> TimeField:
+def solve_adjoint(ops: DiscreteOperators, u: np.ndarray, target: np.ndarray,
+                  grid: TimeGrid, alpha=math.inf) -> np.ndarray:
     """Backward recursion with terminal value zero and source u_k - target_k,
     homogeneous on GAMMA1 as alpha says (as in ParabolicStepper).
 
@@ -245,7 +239,7 @@ def solve_adjoint(ops: DiscreteOperators, u: TimeField, target: TimeField,
     _check_field(grid, ops, u, "state")
     _check_field(grid, ops, target, "target")
     stepper = ParabolicStepper(ops, grid, alpha=alpha)
-    return TimeField(stepper.run_adjoint(u.values - target.values))
+    return stepper.run_adjoint(u - target)
 
 
 def solve_elliptic_robin(ops: DiscreteOperators, g: np.ndarray, q: np.ndarray,
@@ -256,19 +250,14 @@ def solve_elliptic_robin(ops: DiscreteOperators, g: np.ndarray, q: np.ndarray,
     finite alpha > 0, u = b on GAMMA1 for +inf.
 
     lumped selects the lumped boundary masses, which keep the Robin system an
-    M-matrix on non-obtuse meshes, as the comparison principle needs.
+    M-matrix on non-obtuse meshes, as the comparison principle needs; the
+    source term always uses the consistent mass.
     """
-    g = np.asarray(g, dtype=float)
-    q = np.asarray(q, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if g.shape != (ops.n_nodes,):
-        raise ValueError(f"g has shape {g.shape}, expected ({ops.n_nodes},)")
-    if q.shape != (ops.gamma2_nodes.size,):
-        raise ValueError(f"q has shape {q.shape}, expected ({ops.gamma2_nodes.size},)")
-    if b.shape != (ops.dirichlet_nodes.size,):
-        raise ValueError(f"b has shape {b.shape}, expected ({ops.dirichlet_nodes.size},)")
+    g = _check_shape("g", g, (ops.n_nodes,))
+    q = _check_shape("q", q, (ops.gamma2_nodes.size,))
+    b = _check_shape("b", b, (ops.dirichlet_nodes.size,))
     gamma1 = _imposition(ops, alpha, lumped)
-    rhs = ops.mass @ g - _gamma2_load(ops, lumped) @ q
+    rhs = ops.mass @ g - gamma1.load_gamma2 @ q
     u = np.empty(ops.n_nodes)
     # elimination keeps the datum on GAMMA1; Robin overwrites these entries
     u[ops.dirichlet_nodes] = b

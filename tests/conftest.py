@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from parctrl import fem_core
-from parctrl.fem_core import TimeField, TimeGrid, BoundaryControl
+from parctrl.fem_core import TimeGrid
 from parctrl.state_solvers import ProblemSpec
 
 
@@ -38,10 +38,10 @@ def make_spec(ops, grid, source_value=1.0, target_value=0.25, bump=1.0,
     v0[ops.dirichlet_nodes] = 0.0
     n = ops.n_nodes
     return ProblemSpec(
-        source=TimeField.constant_in_time(grid, np.full(n, source_value)),
+        source=np.full((grid.n_steps + 1, n), source_value),
         boundary_temp=np.zeros(ops.dirichlet_nodes.size),
         initial_temp=v0,
-        target=TimeField.constant_in_time(grid, np.full(n, target_value)),
+        target=np.full((grid.n_steps + 1, n), target_value),
         flux_penalty=flux_penalty,
         source_penalty=source_penalty,
     )
@@ -53,14 +53,14 @@ def spec1d(ops1d, grid):
 
 
 def random_control(rng, grid, ops, scale=1.0):
-    q = BoundaryControl.zeros(grid, ops.gamma2_nodes.size)
-    q.values[1:] = scale * rng.standard_normal(q.values[1:].shape)
+    q = np.zeros((grid.n_steps + 1, ops.gamma2_nodes.size))
+    q[1:] = scale * rng.standard_normal(q[1:].shape)
     return q
 
 
 def random_field(rng, grid, ops, scale=1.0):
-    f = TimeField.zeros(grid, ops.n_nodes)
-    f.values[1:] = scale * rng.standard_normal(f.values[1:].shape)
+    f = np.zeros((grid.n_steps + 1, ops.n_nodes))
+    f[1:] = scale * rng.standard_normal(f[1:].shape)
     return f
 
 

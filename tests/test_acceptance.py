@@ -16,8 +16,6 @@ from parctrl.asymptotics import alpha_sweep, decay_study, decay_with_forcing, ex
 from parctrl.cli import main as cli_main
 from parctrl.config import build_problem, load_config
 from parctrl.fem_core import (
-    BoundaryControl,
-    TimeField,
     TimeGrid,
     inner_boundary_time,
     inner_domain_time,
@@ -67,8 +65,8 @@ def rel_err(a, b):
 
 
 def rand_q(rng, grid, ops, scale=1.0):
-    q = BoundaryControl.zeros(grid, ops.gamma2_nodes.size)
-    q.values[1:] = scale * rng.standard_normal(q.values[1:].shape)
+    q = np.zeros((grid.n_steps + 1, ops.gamma2_nodes.size))
+    q[1:] = scale * rng.standard_normal(q[1:].shape)
     return q
 
 
@@ -86,16 +84,13 @@ def test_criterion_01_adjoint_duality(bench1d, bench2d):
                     solve = lambda q: solve_parabolic(ops, spec, q, grid, ROBIN_ALPHA)
                     adjoint = lambda u: solve_adjoint(ops, u, spec.target, grid,
                                                       ROBIN_ALPHA)
-                u_0 = solve(BoundaryControl.zeros(grid, m))
+                u_0 = solve(np.zeros((grid.n_steps + 1, m)))
                 for _ in range(20):
                     q, eta = rand_q(rng, grid, ops), rand_q(rng, grid, ops)
                     u_q, u_eta = solve(q), solve(eta)
                     p_q = adjoint(u_q)
-                    lhs = inner_domain_time(grid, ops,
-                                            TimeField(u_eta.values - u_0.values),
-                                            TimeField(u_q.values - spec.target.values))
-                    rhs = -inner_boundary_time(grid, ops, eta,
-                                               BoundaryControl(p_q.values[:, ops.gamma2_nodes]))
+                    lhs = inner_domain_time(grid, ops, u_eta - u_0, u_q - spec.target)
+                    rhs = -inner_boundary_time(grid, ops, eta, p_q[:, ops.gamma2_nodes])
                     assert rel_err(lhs, rhs) < 1e-10
 
 
@@ -110,8 +105,8 @@ def test_criterion_02_gradient_exactness(bench1d, bench2d):
                 eta = rand_q(rng, grid, ops)
                 pairing = inner_boundary_time(grid, ops, grad, eta)
                 for eps in (1e-2, 1e-4):
-                    plus = BoundaryControl(q.values + eps * eta.values)
-                    minus = BoundaryControl(q.values - eps * eta.values)
+                    plus = q + eps * eta
+                    minus = q - eps * eta
                     fd = (tracking_cost(ops, spec, plus, grid)
                           - tracking_cost(ops, spec, minus, grid)) / (2 * eps)
                     assert rel_err(fd, pairing) < 1e-9
@@ -139,14 +134,14 @@ def test_criterion_04_convexity_identity(bench1d, bench2d):
             for _ in range(20):
                 q1, q2 = rand_q(rng, grid, ops), rand_q(rng, grid, ops)
                 t = rng.uniform(0.05, 0.95)
-                mix = BoundaryControl((1 - t) * q2.values + t * q1.values)
+                mix = (1 - t) * q2 + t * q1
                 lhs = ((1 - t) * tracking_cost(ops, spec, q2, grid)
                        + t * tracking_cost(ops, spec, q1, grid)
                        - tracking_cost(ops, spec, mix, grid))
                 u1 = solve_parabolic(ops, spec, q1, grid)
                 u2 = solve_parabolic(ops, spec, q2, grid)
-                du = TimeField(u2.values - u1.values)
-                dq = BoundaryControl(q2.values - q1.values)
+                du = u2 - u1
+                dq = q2 - q1
                 rhs = 0.5 * t * (1 - t) * (
                     inner_domain_time(grid, ops, du, du)
                     + weight * inner_boundary_time(grid, ops, dq, dq))
@@ -172,8 +167,8 @@ def test_criterion_06_control_gap_estimate(bench1d):
         ops, spec, grid = bench1d.ops, bench1d.spec, bench1d.grid
         rng = np.random.default_rng(1006)
         for _ in range(5):
-            g_fixed = TimeField.zeros(grid, ops.n_nodes)
-            g_fixed.values[1:] = 0.5 * rng.standard_normal(g_fixed.values[1:].shape)
+            g_fixed = np.zeros((grid.n_steps + 1, ops.n_nodes))
+            g_fixed[1:] = 0.5 * rng.standard_normal(g_fixed[1:].shape)
             rec = control_gap_estimate(ops, spec, grid, g_fixed, tol=1e-11)
             assert rec["holds"]
             # sandwich: joint optimum cost below the fixed-energy cost
@@ -208,14 +203,13 @@ def test_criterion_08_monotonicity(bench1d, bench2d):
             ops, grid = problem.ops, problem.grid
             n = ops.n_nodes
             base = ProblemSpec(
-                source=TimeField.zeros(grid, n),
+                source=np.zeros((grid.n_steps + 1, n)),
                 boundary_temp=np.zeros(ops.dirichlet_nodes.size),
                 initial_temp=np.zeros(n),
-                target=TimeField.zeros(grid, n))
-            q0 = BoundaryControl.constant_in_time(
-                grid, np.ones(ops.gamma2_nodes.size))
-            g1 = TimeField.zeros(grid, n)
-            g2 = TimeField.constant_in_time(grid, np.ones(n))
+                target=np.zeros((grid.n_steps + 1, n)))
+            q0 = np.ones((grid.n_steps + 1, ops.gamma2_nodes.size))
+            g1 = np.zeros((grid.n_steps + 1, n))
+            g2 = np.ones((grid.n_steps + 1, n))
             rec = monotonicity_check(ops, base, grid, 1.0, 0.0, g1, g2, q0,
                                      "parabolic")
             assert rec["holds"] and rec["max_violation"] <= 1e-12
@@ -228,8 +222,7 @@ def test_criterion_08_monotonicity(bench1d, bench2d):
             assert rec["holds"] and rec["max_violation"] <= 1e-12
 
             # negative flux direction with the reversed scale ordering
-            q0_neg = BoundaryControl.constant_in_time(
-                grid, -np.ones(ops.gamma2_nodes.size))
+            q0_neg = -np.ones((grid.n_steps + 1, ops.gamma2_nodes.size))
             rec = monotonicity_check(ops, base, grid, 0.0, 1.0, g1, g2, q0_neg,
                                      "parabolic")
             assert rec["holds"] and rec["max_violation"] <= 1e-12
@@ -248,10 +241,10 @@ def _decay_problem(ops, start_offset=True):
         v0 = v0 + np.sin(np.pi * x)
         v0[ops.dirichlet_nodes] = b
     spec = ProblemSpec(
-        source=TimeField.constant_in_time(grid, g_row),
+        source=np.tile(g_row, (grid.n_steps + 1, 1)),
         boundary_temp=b, initial_temp=v0,
-        target=TimeField.zeros(grid, ops.n_nodes))
-    return grid, spec, BoundaryControl.constant_in_time(grid, q_row)
+        target=np.zeros((grid.n_steps + 1, ops.n_nodes)))
+    return grid, spec, np.tile(q_row, (grid.n_steps + 1, 1))
 
 
 def test_criterion_09_exponential_decay(bench1d):
@@ -262,13 +255,13 @@ def test_criterion_09_exponential_decay(bench1d):
         assert all(r.err_h <= 1.05 * r.bound for r in result.rows)
         assert result.fitted_rate >= result.coercivity / 2.0
 
-        g_inf = spec.source.values[1].copy()
+        g_inf = spec.source[1].copy()
         times = grid.times()
-        forced_spec = replace(spec, source=TimeField(
+        forced_spec = replace(spec, source=(
             g_inf[None, :] + np.exp(-times)[:, None] * np.ones(ops.n_nodes)[None, :]))
         assert ops.lambda0 < 2.0
         forced = decay_with_forcing(ops, forced_spec, q, grid,
-                                    g_inf=g_inf, q_inf=q.values[1])
+                                    g_inf=g_inf, q_inf=q[1])
         assert all(r.err_h ** 2 <= 1.05 * r.bound ** 2 for r in forced.rows)
 
 

@@ -4,8 +4,6 @@ import numpy as np
 import pytest
 
 from parctrl.fem_core import (
-    BoundaryControl,
-    TimeField,
     inner_boundary_time,
     inner_domain_time,
     norm_domain_time,
@@ -19,9 +17,9 @@ from conftest import make_spec, random_control, random_field, rel_err
 def test_zero_source_gives_zero_adjoint(ops1d, grid, spec1d):
     u = spec1d.target.copy()  # state identical to the target
     p = solve_adjoint(ops1d, u, spec1d.target, grid)
-    assert np.max(np.abs(p.values)) == 0.0
+    assert np.max(np.abs(p)) == 0.0
     p = solve_adjoint(ops1d, u, spec1d.target, grid, 5.0)
-    assert np.max(np.abs(p.values)) == 0.0
+    assert np.max(np.abs(p)) == 0.0
 
 
 def test_terminal_value_zero_enters_last_step(ops1d, grid):
@@ -33,10 +31,10 @@ def test_terminal_value_zero_enters_last_step(ops1d, grid):
     p = solve_adjoint(ops1d, u, z, grid)
     f = ops1d.free_nodes
     a_mat = (ops1d.mass + grid.dt * ops1d.stiffness).tocsr()
-    lhs = (a_mat @ p.values[grid.n_steps])[f]
-    rhs = grid.dt * (ops1d.mass @ (u.values[grid.n_steps] - z.values[grid.n_steps]))[f]
+    lhs = (a_mat @ p[grid.n_steps])[f]
+    rhs = grid.dt * (ops1d.mass @ (u[grid.n_steps] - z[grid.n_steps]))[f]
     assert np.max(np.abs(lhs - rhs)) < 1e-12 * max(np.max(np.abs(rhs)), 1.0)
-    assert np.max(np.abs(p.values[:, ops1d.dirichlet_nodes])) == 0.0
+    assert np.max(np.abs(p[:, ops1d.dirichlet_nodes])) == 0.0
 
 
 @pytest.mark.parametrize("alpha", [math.inf, 5.0], ids=["dirichlet", "robin"])
@@ -50,13 +48,12 @@ def test_duality_identity(ops1d, grid, alpha):
         eta = random_control(rng, grid, ops1d)
         u_q = solve_parabolic(ops1d, spec, q, grid, alpha)
         u_eta = solve_parabolic(ops1d, spec, eta, grid, alpha)
-        u_0 = solve_parabolic(ops1d, spec, BoundaryControl.zeros(grid, 1), grid, alpha)
+        u_0 = solve_parabolic(ops1d, spec, np.zeros((grid.n_steps + 1, 1)), grid, alpha)
         p_q = solve_adjoint(ops1d, u_q, spec.target, grid, alpha)
-        c_eta = TimeField(u_eta.values - u_0.values)
-        resid = TimeField(u_q.values - spec.target.values)
+        c_eta = u_eta - u_0
+        resid = u_q - spec.target
         lhs = inner_domain_time(grid, ops1d, c_eta, resid)
-        rhs = -inner_boundary_time(grid, ops1d, eta,
-                                   BoundaryControl(p_q.values[:, ops1d.gamma2_nodes]))
+        rhs = -inner_boundary_time(grid, ops1d, eta, p_q[:, ops1d.gamma2_nodes])
         assert rel_err(lhs, rhs) < 1e-10
 
 
@@ -70,11 +67,10 @@ def test_exact_operator_adjointness(ops2d, grid):
     for _ in range(5):
         q = random_control(rng, grid, ops2d)
         r = random_field(rng, grid, ops2d)
-        w = stepper.run(np.zeros(ops2d.n_nodes), zeros_b, None, q.values)
-        p = stepper.run_adjoint(r.values)
-        lhs = inner_domain_time(grid, ops2d, TimeField(w), r)
-        rhs = -inner_boundary_time(grid, ops2d, q,
-                                   BoundaryControl(p[:, ops2d.gamma2_nodes]))
+        w = stepper.run(np.zeros(ops2d.n_nodes), zeros_b, None, q)
+        p = stepper.run_adjoint(r)
+        lhs = inner_domain_time(grid, ops2d, w, r)
+        rhs = -inner_boundary_time(grid, ops2d, q, p[:, ops2d.gamma2_nodes])
         assert rel_err(lhs, rhs) < 1e-11
 
 
@@ -88,8 +84,8 @@ def test_adjoint_stability_bound(ops1d, grid):
         u2 = random_field(rng, grid, ops1d)
         p1 = solve_adjoint(ops1d, u1, z, grid)
         p2 = solve_adjoint(ops1d, u2, z, grid)
-        lhs = norm_h1_time(grid, ops1d, TimeField(p1.values - p2.values))
-        rhs = norm_domain_time(grid, ops1d, TimeField(u1.values - u2.values))
+        lhs = norm_h1_time(grid, ops1d, p1 - p2)
+        rhs = norm_domain_time(grid, ops1d, u1 - u2)
         assert lhs <= (1.0 / ops1d.lambda0) * rhs * (1.0 + 1e-9)
 
 
@@ -103,7 +99,7 @@ def test_adjoint_alpha_convergence(ops1d, grid):
     for alpha in (10.0, 100.0, 1000.0, 10000.0):
         u_a = solve_parabolic(ops1d, spec, q, grid, alpha)
         p_a = solve_adjoint(ops1d, u_a, spec.target, grid, alpha)
-        errs.append(norm_h1_time(grid, ops1d, TimeField(p_a.values - p_d.values)))
+        errs.append(norm_h1_time(grid, ops1d, p_a - p_d))
     assert all(b < a for a, b in zip(errs, errs[1:]))
 
 
@@ -116,8 +112,8 @@ def test_row_zero_is_homogeneous_continuation(ops1d, grid):
     p = solve_adjoint(ops1d, u, z, grid)
     f = ops1d.free_nodes
     a_mat = (ops1d.mass + grid.dt * ops1d.stiffness).tocsr()
-    lhs = (a_mat @ p.values[0])[f]
-    rhs = (ops1d.mass @ p.values[1])[f]
+    lhs = (a_mat @ p[0])[f]
+    rhs = (ops1d.mass @ p[1])[f]
     assert np.max(np.abs(lhs - rhs)) < 1e-12 * max(np.max(np.abs(rhs)), 1e-300)
 
 
@@ -131,7 +127,7 @@ def test_grid_mismatch_rejected(ops1d, grid, spec1d):
     from parctrl.fem_core import TimeGrid
 
     other = TimeGrid(t_final=1.0, n_steps=grid.n_steps + 1)
-    u = TimeField.zeros(other, ops1d.n_nodes)
+    u = np.zeros((other.n_steps + 1, ops1d.n_nodes))
     with pytest.raises(ValueError):
         solve_adjoint(ops1d, u, spec1d.target, grid)
 
@@ -144,7 +140,7 @@ def test_trace_only_march_matches_the_whole_march(ops2d, grid, alpha, lumped):
     # marched and stays zero
     rng = np.random.default_rng(67)
     stepper = ParabolicStepper(ops2d, grid, alpha=alpha, lumped=lumped)
-    source = random_field(rng, grid, ops2d).values
+    source = random_field(rng, grid, ops2d)
     whole = stepper.run_adjoint(source)
     trace = stepper.run_adjoint(source, ops2d.gamma2_nodes)
     assert trace.shape == (grid.n_steps + 1, ops2d.gamma2_nodes.size)

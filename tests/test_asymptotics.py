@@ -9,7 +9,7 @@ from parctrl.asymptotics import (
     decay_with_forcing,
     exp_forcing_quadrature,
 )
-from parctrl.fem_core import BoundaryControl, TimeField, TimeGrid
+from parctrl.fem_core import TimeGrid
 from parctrl.state_solvers import ProblemSpec, solve_elliptic_dirichlet
 from parctrl.optimal_control import optimize_boundary
 
@@ -48,10 +48,10 @@ def test_sweep_optimize_trivial_target(ops1d, grid):
     spec = make_spec(ops1d, grid)
     from parctrl.state_solvers import solve_parabolic
 
-    q0 = BoundaryControl.zeros(grid, ops1d.gamma2_nodes.size)
+    q0 = np.zeros((grid.n_steps + 1, ops1d.gamma2_nodes.size))
     spec.target = solve_parabolic(ops1d, spec, q0, grid)
     ref = optimize_boundary(ops1d, spec, grid, tol=1e-11)
-    assert np.max(np.abs(ref.q_opt.values)) == 0.0
+    assert np.max(np.abs(ref.q_opt)) == 0.0
     rows = alpha_sweep(ops1d, spec, grid, ALPHAS, q="optimize", tol=1e-11)
     controls = [r.err_control for r in rows]
     assert all(b < a for a, b in zip(controls, controls[1:]))
@@ -75,7 +75,7 @@ def test_sweep_releases_the_systems_it_builds(grid, monkeypatch, mode):
 
     ops = fem_core.assemble(fem_core.build_interval_mesh(16, 0.0, 1.0, "left"))
     spec = make_spec(ops, grid)
-    solve_elliptic_dirichlet(ops, spec.source.values[1],
+    solve_elliptic_dirichlet(ops, spec.source[1],
                              np.zeros(ops.gamma2_nodes.size), spec.boundary_temp)
     before = set(ops.systems)
     factorized = []
@@ -96,7 +96,7 @@ def test_sweep_releases_the_systems_it_builds(grid, monkeypatch, mode):
 
 
 def test_sweep_validates_alphas(ops1d, grid, spec1d):
-    q = BoundaryControl.zeros(grid, ops1d.gamma2_nodes.size)
+    q = np.zeros((grid.n_steps + 1, ops1d.gamma2_nodes.size))
     with pytest.raises(ValueError):
         alpha_sweep(ops1d, spec1d, grid, (10.0, 10.0), q=q)
     with pytest.raises(ValueError):
@@ -115,12 +115,12 @@ def decay_setup(ops, grid, start_at_steady):
         v0 = v0 + np.sin(np.pi * x)
         v0[ops.dirichlet_nodes] = b
     spec = ProblemSpec(
-        source=TimeField.constant_in_time(grid, g_row),
+        source=np.tile(g_row, (grid.n_steps + 1, 1)),
         boundary_temp=b,
         initial_temp=v0,
-        target=TimeField.zeros(grid, ops.n_nodes),
+        target=np.zeros((grid.n_steps + 1, ops.n_nodes)),
     )
-    return spec, BoundaryControl.constant_in_time(grid, q_row), u_inf
+    return spec, np.tile(q_row, (grid.n_steps + 1, 1)), u_inf
 
 
 def test_decay_steady_start(ops1d):
@@ -141,7 +141,7 @@ def test_decay_bound_and_rate(ops1d):
 def test_decay_rejects_time_varying_data(ops1d):
     grid = TimeGrid(t_final=5.0, n_steps=100)
     spec, q, _ = decay_setup(ops1d, grid, start_at_steady=False)
-    spec.source.values[3] += 1.0
+    spec.source[3] += 1.0
     with pytest.raises(ValueError):
         decay_study(ops1d, spec, q, grid)
 
@@ -158,7 +158,7 @@ def test_forced_decay_reduces_to_constant_case(ops1d):
     spec, q, _ = decay_setup(ops1d, grid, start_at_steady=False)
     plain = decay_study(ops1d, spec, q, grid)
     forced = decay_with_forcing(ops1d, spec, q, grid,
-                                g_inf=spec.source.values[1], q_inf=q.values[1])
+                                g_inf=spec.source[1], q_inf=q[1])
     # constant forcing: the weighted integrals vanish and the bound is the
     # pure exponential on the squared norm
     for pr, fr in zip(plain.rows, forced.rows):
@@ -171,12 +171,12 @@ def test_forced_decay_bound_holds(ops1d):
     # holds at every step with the 5 percent slack
     grid = TimeGrid(t_final=5.0, n_steps=100)
     spec, q, u_inf = decay_setup(ops1d, grid, start_at_steady=False)
-    g_inf = spec.source.values[1].copy()
+    g_inf = spec.source[1].copy()
     times = grid.times()
-    spec.source = TimeField(g_inf[None, :] + np.exp(-times)[:, None]
-                            * np.ones(ops1d.n_nodes)[None, :])
+    spec.source = (g_inf[None, :] + np.exp(-times)[:, None]
+                   * np.ones(ops1d.n_nodes)[None, :])
     assert ops1d.lambda0 < 2.0  # the weighted source gap must stay integrable
-    result = decay_with_forcing(ops1d, spec, q, grid, g_inf=g_inf, q_inf=q.values[1])
+    result = decay_with_forcing(ops1d, spec, q, grid, g_inf=g_inf, q_inf=q[1])
     for r in result.rows:
         assert r.err_h ** 2 <= 1.05 * r.bound ** 2
 

@@ -374,6 +374,83 @@ def test_bad_keys_fail_before_assembly(tmp_path, capsys, monkeypatch, key, value
     assert key in err and f"bad.cfg:{at + 1}:" in err
 
 
+TWO_D = ("dim = 1\ncells = 32", "dim = 2\nnx = 4\nny = 4")
+
+
+@pytest.mark.parametrize("edits,key,message", [
+    ([("z_d = constant(0.25)\n", "")], None, "missing required key 'z_d' in section [data]"),
+    ([("g = constant(1.0)", "g = nope(1)")], "g", "unknown profile 'nope'"),
+    ([("g = constant(1.0)", "g = constant()")], "g",
+     "profile 'constant' takes 1 parameter(s), got 0"),
+    ([("g = constant(1.0)", "g = csv:nothere.csv")], "g", "referenced file does not exist"),
+    ([("q0 = constant(1.0)", "q0 = ramp(x)")], "q0",
+     "non-numeric profile parameter in 'ramp(x)'"),
+    ([("b = constant(0.0)", "b = csv:data.csv")], "b",
+     "key 'b' does not accept CSV references"),
+    ([("q0 = constant(1.0)", "q0 = constant(1.0)\ng_inf = csv:data.csv")], "g_inf",
+     "key 'g_inf' does not accept CSV references"),
+    ([("q0 = constant(1.0)", "q0 = constant(1.0)\nq_inf = csv:data.csv")], "q_inf",
+     "key 'q_inf' does not accept CSV references"),
+    ([("t_final = 1.0", "t_final = soon")], "t_final",
+     "key 't_final' must be a number, got 'soon'"),
+    ([("cells = 32", "cells = 3.5")], "cells", "key 'cells' must be an integer, got '3.5'"),
+    ([("gamma1 = left", "gamma1 = left, right")], "gamma1",
+     "1D gamma1 must be a single side (left or right)"),
+    ([("dim = 1\ncells = 32", "dim = 3")], "dim", "dim must be 1 or 2, got 3"),
+    ([TWO_D, ("gamma1 = left", "gamma1 = diagonal")], "gamma1",
+     "unknown edge names: ['diagonal']"),
+], ids=["data-missing", "data-unknown-profile", "data-profile-arity",
+        "data-missing-csv", "data-non-numeric-parameter", "data-csv-on-b",
+        "data-csv-on-g_inf", "data-csv-on-q_inf", "not-a-number", "not-an-integer",
+        "1d-two-sides", "dim-3", "2d-bad-edge"])
+def test_config_input_errors_exit_2_before_assembly(tmp_path, capsys, monkeypatch, edits,
+                                                    key, message):
+    # every check that needs no operators, the [data] entries' included,
+    # comes before assembly, which on a large mesh costs seconds
+    assembled = count_assembly(monkeypatch)
+    (tmp_path / "data.csv").write_text("step,time,n0\n0,0,1\n")
+    text = SMALL_CFG
+    for old, new in edits:
+        text = text.replace(old, new)
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(text)
+    assert run("solve", str(bad), tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    anchor = "bad.cfg:" if key is None else "bad.cfg:{}:".format(next(
+        i for i, line in enumerate(text.splitlines(), 1) if line.startswith(f"{key} =")))
+    assert f"{anchor} {message}" in err
+    assert assembled == []
+
+
+@pytest.mark.parametrize("name,content,message", [
+    ("missing.cfg", None, "cannot read config: "),
+    ("run.json", "not json", "cannot read manifest: "),
+    ("run.json", '{"command": "solve"}', "manifest carries no config_text"),
+], ids=["unreadable-config", "manifest-not-json", "manifest-without-config-text"])
+def test_unreadable_config_or_manifest_exits_2(tmp_path, capsys, name, content, message):
+    path = tmp_path / name
+    if content is not None:
+        path.write_text(content)
+    assert run("solve", str(path), tmp_path / "out") == 2
+    assert capsys.readouterr().err.startswith(f"error: {path}: {message}")
+
+
+def test_solve_without_q_is_the_zero_flux(tmp_path):
+    for label, q in (("absent", ""), ("zero", "q = constant(0.0)\n")):
+        cfg = tmp_path / f"{label}.cfg"
+        cfg.write_text(SMALL_CFG.replace("q = constant(0.5)\n", q))
+        assert run("solve", str(cfg), tmp_path / label) == 0
+    assert ((tmp_path / "absent" / "u.csv").read_bytes()
+            == (tmp_path / "zero" / "u.csv").read_bytes())
+
+
+def test_verify_without_q0_passes(tmp_path):
+    # building-block-recombination then runs on a unit flux direction
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(SMALL_CFG.replace("q0 = constant(1.0)\n", ""))
+    assert run("verify", str(cfg), tmp_path / "out") == 0
+
+
 def small_2d_problem(alpha="5.0"):
     from parctrl.config import build_problem
 
@@ -684,7 +761,7 @@ def test_exp_decay_source_is_sampled_per_step(tmp_path):
     problem = build_with(tmp_path, SMALL_CFG.replace(
         "g = constant(1.0)", "g = exp-decay(1,0.5,2)\ng_inf = exp-decay(1,0.5,2)"))
     t = problem.grid.times()
-    rows = problem.spec.source.values
+    rows = problem.spec.source
     assert rows.shape == (t.size, problem.ops.n_nodes)
     for k, t_k in enumerate(t):
         np.testing.assert_allclose(rows[k], 1.0 + 0.5 * math.exp(-2.0 * t_k),
@@ -701,8 +778,8 @@ def test_ramp_flux_is_sampled_on_gamma2(tmp_path):
     ops = problem.ops
     x = ops.mesh.node_coords[ops.gamma2_nodes, 0]
     assert np.unique(x).size > 1
-    assert problem.q.values.shape == (problem.grid.n_steps + 1, ops.gamma2_nodes.size)
-    for row in problem.q.values:
+    assert problem.q.shape == (problem.grid.n_steps + 1, ops.gamma2_nodes.size)
+    for row in problem.q:
         assert np.array_equal(row, 0.5 * x)
 
 
@@ -765,7 +842,6 @@ def test_v_b_is_read_at_t0(tmp_path, profile, b):
     # a CSV reference is still read whole, and its row 0 kept
     from parctrl.cli import write_field_csv
     from parctrl.config import build_problem
-    from parctrl.fem_core import TimeField
     from parctrl.profiles import parse_profile, sample
 
     def build(v_b):
@@ -776,7 +852,7 @@ def test_v_b_is_read_at_t0(tmp_path, profile, b):
 
     problem = build(profile)
     grid, ops = problem.grid, problem.ops
-    row0 = sample(parse_profile(profile), ops.mesh.node_coords, grid, TimeField).values[0]
+    row0 = sample(parse_profile(profile), ops.mesh.node_coords, grid, True)[0]
     row0[ops.dirichlet_nodes] = problem.spec.boundary_temp
     assert problem.spec.initial_temp.tobytes() == row0.tobytes()
 
@@ -805,7 +881,6 @@ def test_data_csv_references_round_trip(tmp_path):
     # every bit; a CSV of the wrong width is named by the kind it was read as
     from parctrl.cli import write_control_csv, write_field_csv
     from parctrl.config import build_problem
-    from parctrl.fem_core import BoundaryControl, TimeField
 
     small = tmp_path / "small.cfg"
     small.write_text(SMALL_CFG)
@@ -825,10 +900,10 @@ def test_data_csv_references_round_trip(tmp_path):
         return build_problem(load_config(str(cfg)))
 
     read = build("g.csv", "q.csv")
-    assert type(read.spec.source) is TimeField
-    assert read.spec.source.values.tobytes() == g.tobytes()
-    assert type(read.q) is BoundaryControl
-    assert read.q.values.tobytes() == q.tobytes()
+    assert read.spec.source.shape == g.shape
+    assert read.spec.source.tobytes() == g.tobytes()
+    assert read.q.shape == q.shape
+    assert read.q.tobytes() == q.tobytes()
     with pytest.raises(ConfigError, match=r"CSV field .*q\.csv has shape"):
         build("q.csv", "q.csv")
     with pytest.raises(ConfigError, match=r"CSV control .*g\.csv has shape"):
@@ -896,6 +971,21 @@ def test_a_worker_exception_keeps_its_type_message_and_attributes():
     assert (caught.value.path, caught.value.line) == ("run.cfg", 7)
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def test_config_error_pickles_as_itself():
+    # what _run_tasks sends from a worker: the anchor is not added twice
+    import pickle
+
+    sent = ConfigError("bad value", "run.cfg", 7)
+    sent.add_note("raised in a worker process")
+    received = pickle.loads(pickle.dumps(sent))
+    assert type(received) is ConfigError
+    assert str(received) == "run.cfg:7: bad value"
+    assert (received.path, received.line) == ("run.cfg", 7)
+    assert received.__notes__ == ["raised in a worker process"]
+    assert str(pickle.loads(pickle.dumps(ConfigError("no line", "run.cfg")))) == \
+        "run.cfg: no line"
 
 
 def test_run_tasks_reaps_its_workers_when_a_parent_task_raises():

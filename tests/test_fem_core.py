@@ -10,8 +10,6 @@ from parctrl import fem_core
 from parctrl.fem_core import (
     GAMMA1,
     GAMMA2,
-    BoundaryControl,
-    TimeField,
     TimeGrid,
     assemble,
     build_interval_mesh,
@@ -307,14 +305,14 @@ def test_inner_products_basics(ops1d, grid):
     assert np.isclose(inner_domain(ops1d, ones, ones), 1.0)
 
     grid2 = TimeGrid(t_final=2.0, n_steps=20)
-    U = TimeField.constant_in_time(grid2, ones)
+    U = np.tile(ones, (grid2.n_steps + 1, 1))
     assert np.isclose(inner_domain_time(grid2, ops1d, U, U), 2.0)
 
     rng = np.random.default_rng(11)
-    q = BoundaryControl.zeros(grid, ops1d.gamma2_nodes.size)
-    q.values[1:] = rng.standard_normal(q.values[1:].shape)
+    q = np.zeros((grid.n_steps + 1, ops1d.gamma2_nodes.size))
+    q[1:] = rng.standard_normal(q[1:].shape)
     assert inner_boundary_time(grid, ops1d, q, q) > 0.0
-    q0 = BoundaryControl.zeros(grid, ops1d.gamma2_nodes.size)
+    q0 = np.zeros((grid.n_steps + 1, ops1d.gamma2_nodes.size))
     assert inner_boundary_time(grid, ops1d, q0, q0) == 0.0
 
 
@@ -330,13 +328,13 @@ def test_inner_product_symmetry(ops2d, grid):
     a, b = inner_boundary(ops2d, q, r), inner_boundary(ops2d, r, q)
     assert abs(a - b) <= 1e-14 * max(abs(a), 1.0)
 
-    U = TimeField(rng.standard_normal((grid.n_steps + 1, n)))
-    V = TimeField(rng.standard_normal((grid.n_steps + 1, n)))
+    U = rng.standard_normal((grid.n_steps + 1, n))
+    V = rng.standard_normal((grid.n_steps + 1, n))
     a, b = inner_domain_time(grid, ops2d, U, V), inner_domain_time(grid, ops2d, V, U)
     assert abs(a - b) <= 1e-14 * max(abs(a), 1.0)
 
-    Q = BoundaryControl(rng.standard_normal((grid.n_steps + 1, m)))
-    R = BoundaryControl(rng.standard_normal((grid.n_steps + 1, m)))
+    Q = rng.standard_normal((grid.n_steps + 1, m))
+    R = rng.standard_normal((grid.n_steps + 1, m))
     a, b = inner_boundary_time(grid, ops2d, Q, R), inner_boundary_time(grid, ops2d, R, Q)
     assert abs(a - b) <= 1e-14 * max(abs(a), 1.0)
 
@@ -344,8 +342,8 @@ def test_inner_product_symmetry(ops2d, grid):
 def test_inner_product_shape_rejection(ops1d, grid):
     with pytest.raises(ValueError):
         inner_domain(ops1d, np.ones(3), np.ones(3))
-    bad = TimeField(np.zeros((grid.n_steps, ops1d.n_nodes)))
-    good = TimeField.zeros(grid, ops1d.n_nodes)
+    bad = np.zeros((grid.n_steps, ops1d.n_nodes))
+    good = np.zeros((grid.n_steps + 1, ops1d.n_nodes))
     with pytest.raises(ValueError):
         inner_domain_time(grid, ops1d, bad, good)
 

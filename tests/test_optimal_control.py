@@ -4,8 +4,6 @@ import numpy as np
 import pytest
 
 from parctrl.fem_core import (
-    BoundaryControl,
-    TimeField,
     inner_boundary_time,
     inner_domain_time,
     norm_boundary_time,
@@ -25,7 +23,7 @@ from conftest import make_spec, random_control, random_field, rel_err
 
 
 def zero_q(ops, grid):
-    return BoundaryControl.zeros(grid, ops.gamma2_nodes.size)
+    return np.zeros((grid.n_steps + 1, ops.gamma2_nodes.size))
 
 
 def test_cost_zero_at_perfect_tracking(ops1d, grid):
@@ -53,14 +51,14 @@ def test_convexity_identity(ops1d, grid, alpha):
         q1 = random_control(rng, grid, ops1d)
         q2 = random_control(rng, grid, ops1d)
         t = rng.uniform(0.05, 0.95)
-        mix = BoundaryControl((1 - t) * q2.values + t * q1.values)
+        mix = (1 - t) * q2 + t * q1
         lhs = ((1 - t) * tracking_cost(ops1d, spec, q2, grid, alpha)
                + t * tracking_cost(ops1d, spec, q1, grid, alpha)
                - tracking_cost(ops1d, spec, mix, grid, alpha))
         u1 = solve_parabolic(ops1d, spec, q1, grid, alpha)
         u2 = solve_parabolic(ops1d, spec, q2, grid, alpha)
-        du = TimeField(u2.values - u1.values)
-        dq = BoundaryControl(q2.values - q1.values)
+        du = u2 - u1
+        dq = q2 - q1
         rhs = 0.5 * t * (1 - t) * (inner_domain_time(grid, ops1d, du, du)
                                    + 0.9 * inner_boundary_time(grid, ops1d, dq, dq))
         assert rel_err(lhs, rhs) < 1e-10
@@ -78,8 +76,8 @@ def test_gradient_matches_central_difference(ops1d, grid, alpha, eps):
     grad = tracking_gradient(ops1d, spec, q, grid, alpha)
     for _ in range(3):
         eta = random_control(rng, grid, ops1d)
-        plus = BoundaryControl(q.values + eps * eta.values)
-        minus = BoundaryControl(q.values - eps * eta.values)
+        plus = q + eps * eta
+        minus = q - eps * eta
         fd = (tracking_cost(ops1d, spec, plus, grid, alpha)
               - tracking_cost(ops1d, spec, minus, grid, alpha)) / (2 * eps)
         pairing = inner_boundary_time(grid, ops1d, grad, eta)
@@ -99,7 +97,7 @@ def test_optimize_boundary_trivial_target(ops1d, grid, alpha):
     spec.target = solve_parabolic(ops1d, spec, zero_q(ops1d, grid), grid, alpha)
     res = optimize_boundary(ops1d, spec, grid, tol=1e-10, alpha=alpha)
     assert res.converged
-    assert np.max(np.abs(res.q_opt.values)) == 0.0
+    assert np.max(np.abs(res.q_opt)) == 0.0
     assert res.cost == 0.0
 
 
@@ -180,24 +178,24 @@ def test_optimize_distributed_trivial_target(ops1d, grid):
     q_fixed = random_control(rng, grid, ops1d, scale=0.4)
     from dataclasses import replace
 
-    zero_g = TimeField.zeros(grid, ops1d.n_nodes)
+    zero_g = np.zeros((grid.n_steps + 1, ops1d.n_nodes))
     spec.target = solve_parabolic(ops1d, replace(spec, source=zero_g), q_fixed, grid)
     res = optimize_distributed(ops1d, spec, grid, q_fixed, tol=1e-10)
     assert res.converged
-    assert np.max(np.abs(res.g_opt.values)) == 0.0
+    assert np.max(np.abs(res.g_opt)) == 0.0
 
 
 def test_optimize_simultaneous_trivial_target(ops1d, grid):
     from dataclasses import replace
 
     spec = make_spec(ops1d, grid)
-    zero_g = TimeField.zeros(grid, ops1d.n_nodes)
+    zero_g = np.zeros((grid.n_steps + 1, ops1d.n_nodes))
     spec.target = solve_parabolic(ops1d, replace(spec, source=zero_g),
                                   zero_q(ops1d, grid), grid)
     res = optimize_simultaneous(ops1d, spec, grid, tol=1e-10)
     assert res.converged
-    assert np.max(np.abs(res.q_opt.values)) == 0.0
-    assert np.max(np.abs(res.g_opt.values)) == 0.0
+    assert np.max(np.abs(res.q_opt)) == 0.0
+    assert np.max(np.abs(res.g_opt)) == 0.0
 
 
 def test_simultaneous_sandwich_and_fixed_point(ops1d, grid):
@@ -212,15 +210,13 @@ def test_simultaneous_sandwich_and_fixed_point(ops1d, grid):
 
     # re-optimizing one control at the other's joint optimum reproduces it
     dist = optimize_distributed(ops1d, spec, grid, sim.q_opt, tol=tol)
-    gap_g = norm_domain_time(grid, ops1d,
-                             TimeField(dist.g_opt.values - sim.g_opt.values))
+    gap_g = norm_domain_time(grid, ops1d, dist.g_opt - sim.g_opt)
     assert gap_g <= 10 * tol * max(1.0, norm_domain_time(grid, ops1d, sim.g_opt))
 
     from dataclasses import replace
 
     bnd = optimize_boundary(ops1d, replace(spec, source=sim.g_opt), grid, tol=tol)
-    gap_q = norm_boundary_time(grid, ops1d,
-                               BoundaryControl(bnd.q_opt.values - sim.q_opt.values))
+    gap_q = norm_boundary_time(grid, ops1d, bnd.q_opt - sim.q_opt)
     assert gap_q <= 10 * tol * max(1.0, norm_boundary_time(grid, ops1d, sim.q_opt))
 
 
@@ -289,7 +285,7 @@ def test_optimizer_control_variant_matrix(ops1d, grid, control, alpha):
     g = res.g_opt if res.g_opt is not None else spec.source
     q = res.q_opt if res.q_opt is not None else q_fixed
     u = solve_parabolic(ops1d, replace(spec, source=g), q, grid, alpha)
-    misfit = TimeField(u.values - spec.target.values)
+    misfit = u - spec.target
     fresh = (0.5 * inner_domain_time(grid, ops1d, misfit, misfit)
              + 0.5 * spec.flux_penalty * inner_boundary_time(grid, ops1d, q, q))
     if res.g_opt is not None:

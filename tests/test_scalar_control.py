@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from parctrl import fem_core
-from parctrl.fem_core import BoundaryControl, TimeField
 from parctrl.optimal_control import optimize_boundary, tracking_cost
 from parctrl.scalar_control import (
     building_blocks,
@@ -32,8 +31,7 @@ def over_problems(robin_alpha):
 
 
 def unit_q0(ops, grid, value=1.0):
-    return BoundaryControl.constant_in_time(
-        grid, np.full(ops.gamma2_nodes.size, value))
+    return np.full((grid.n_steps + 1, ops.gamma2_nodes.size), value)
 
 
 def fit_vertex(y_minus, y_zero, y_plus):
@@ -48,23 +46,23 @@ def test_recombination_matches_direct_solve(ops1d, grid):
     q0 = unit_q0(ops1d, grid)
     u_b, u_q0, u_g = building_blocks(ops1d, spec, q0, grid, "parabolic")
     for lam in (0.0, 1.0, -0.7):
-        q = BoundaryControl(lam * q0.values)
+        q = lam * q0
         direct = solve_parabolic(ops1d, spec, q, grid)
-        combo = u_b.values + lam * u_q0.values + u_g.values
-        scale = max(np.max(np.abs(direct.values)), 1.0)
-        assert np.max(np.abs(combo - direct.values)) < 1e-12 * scale
+        combo = u_b + lam * u_q0 + u_g
+        scale = max(np.max(np.abs(direct)), 1.0)
+        assert np.max(np.abs(combo - direct)) < 1e-12 * scale
 
 
 def test_flux_block_scales_linearly(ops1d, grid, spec1d):
     q0 = unit_q0(ops1d, grid)
     _, u_q0, _ = building_blocks(ops1d, spec1d, q0, grid, "parabolic")
-    q0_double = BoundaryControl(2.0 * q0.values)
+    q0_double = 2.0 * q0
     _, u_q0_double, _ = building_blocks(ops1d, spec1d, q0_double, grid, "parabolic")
-    assert np.max(np.abs(u_q0_double.values - 2.0 * u_q0.values)) < 1e-12
+    assert np.max(np.abs(u_q0_double - 2.0 * u_q0)) < 1e-12
 
 
 def test_zero_direction_rejected(ops1d, grid, spec1d):
-    q0 = BoundaryControl.zeros(grid, ops1d.gamma2_nodes.size)
+    q0 = np.zeros((grid.n_steps + 1, ops1d.gamma2_nodes.size))
     for variant, alpha in problems(5.0):
         with pytest.raises(ValueError):
             building_blocks(ops1d, spec1d, q0, grid, variant, alpha)
@@ -77,10 +75,9 @@ def bad_inputs(ops, grid):
     spec = make_spec(ops, grid)
     initial = spec.initial_temp.copy()
     initial[ops.dirichlet_nodes] = 1.0
-    short_target = replace(spec, target=TimeField(spec.target.values[:3]),
-                           initial_temp=initial)
+    short_target = replace(spec, target=spec.target[:3], initial_temp=initial)
     q0 = unit_q0(ops, grid)
-    return [(short_target, q0), (spec, BoundaryControl(q0.values[:4]))]
+    return [(short_target, q0), (spec, q0[:4])]
 
 
 @pytest.mark.parametrize("variant", ["parabolic", "elliptic"])
@@ -103,7 +100,7 @@ def test_checks_come_before_any_factorization(grid, function):
     # input raises before any system is factorized
     ops = fem_core.assemble(fem_core.build_interval_mesh(16, 0.0, 1.0, "left"))
     spec, q0 = bad_inputs(ops, grid)[0]
-    g = TimeField.zeros(grid, ops.n_nodes)
+    g = np.zeros((grid.n_steps + 1, ops.n_nodes))
     calls = {
         "building_blocks": lambda v: building_blocks(ops, spec, q0, grid, v),
         "scalar_optimum": lambda v: scalar_optimum(ops, spec, q0, grid, v),
@@ -123,11 +120,9 @@ def test_checks_come_before_any_factorization(grid, function):
 def test_parabolic_scalar_cost_is_the_tracking_cost(ops1d, grid, spec1d, alpha):
     # the direct route is the tracking cost of the full solve, bit for bit
     rng = np.random.default_rng(11)
-    q0 = BoundaryControl(rng.standard_normal((grid.n_steps + 1,
-                                              ops1d.gamma2_nodes.size)))
+    q0 = rng.standard_normal((grid.n_steps + 1, ops1d.gamma2_nodes.size))
     for lam in (-0.4, 1.3):
-        direct = tracking_cost(ops1d, spec1d, BoundaryControl(lam * q0.values),
-                               grid, alpha)
+        direct = tracking_cost(ops1d, spec1d, lam * q0, grid, alpha)
         assert scalar_cost(ops1d, spec1d, q0, grid, "parabolic", lam, alpha) == direct
 
 
@@ -135,7 +130,7 @@ def test_matched_target_gives_zero_minimizer(ops1d, grid):
     spec = make_spec(ops1d, grid)
     q0 = unit_q0(ops1d, grid)
     u_b, _, u_g = building_blocks(ops1d, spec, q0, grid, "parabolic")
-    spec.target = TimeField(u_b.values + u_g.values)
+    spec.target = u_b + u_g
     coeffs = scalar_optimum(ops1d, spec, q0, grid, "parabolic")
     assert abs(coeffs.linear) < 1e-13
     assert abs(coeffs.lambda_opt) < 1e-13
@@ -179,7 +174,7 @@ def test_minimizer_scaling_invariance(ops1d, grid, spec1d):
     q0 = unit_q0(ops1d, grid)
     coeffs = scalar_optimum(ops1d, spec1d, q0, grid, "parabolic")
     for c in (2.0, -0.5):
-        scaled = BoundaryControl(c * q0.values)
+        scaled = c * q0
         coeffs_c = scalar_optimum(ops1d, spec1d, scaled, grid, "parabolic")
         assert rel_err(coeffs_c.lambda_opt, coeffs.lambda_opt / c) < 1e-12
         # the optimal product lam * q0 is invariant
@@ -188,7 +183,7 @@ def test_minimizer_scaling_invariance(ops1d, grid, spec1d):
 
 def test_monotonicity_identical_inputs(ops1d, grid, spec1d):
     q0 = unit_q0(ops1d, grid)
-    g = TimeField.zeros(grid, ops1d.n_nodes)
+    g = np.zeros((grid.n_steps + 1, ops1d.n_nodes))
     rec = monotonicity_check(ops1d, spec1d, grid, 1.0, 1.0, g, g, q0, "parabolic")
     assert rec["holds"]
     assert rec["max_violation"] <= 1e-14
@@ -198,8 +193,8 @@ def test_monotonicity_identical_inputs(ops1d, grid, spec1d):
 def test_monotonicity_ordered_data(ops1d, grid, variant, alpha):
     spec = make_spec(ops1d, grid, source_value=0.0)
     q0 = unit_q0(ops1d, grid)
-    g1 = TimeField.zeros(grid, ops1d.n_nodes)
-    g2 = TimeField.constant_in_time(grid, np.ones(ops1d.n_nodes))
+    g1 = np.zeros((grid.n_steps + 1, ops1d.n_nodes))
+    g2 = np.ones((grid.n_steps + 1, ops1d.n_nodes))
     rec = monotonicity_check(ops1d, spec, grid, 1.0, 0.0, g1, g2, q0, variant,
                              alpha=alpha)
     assert rec["holds"], rec
@@ -208,8 +203,8 @@ def test_monotonicity_ordered_data(ops1d, grid, variant, alpha):
 def test_monotonicity_2d_lumped(ops2d, grid):
     spec = make_spec(ops2d, grid, source_value=0.0)
     q0 = unit_q0(ops2d, grid)
-    g1 = TimeField.zeros(grid, ops2d.n_nodes)
-    g2 = TimeField.constant_in_time(grid, np.ones(ops2d.n_nodes))
+    g1 = np.zeros((grid.n_steps + 1, ops2d.n_nodes))
+    g2 = np.ones((grid.n_steps + 1, ops2d.n_nodes))
     for alpha in (math.inf, 50.0):
         rec = monotonicity_check(ops2d, spec, grid, 0.5, -0.5, g1, g2, q0,
                                  "parabolic", alpha=alpha)
@@ -220,7 +215,7 @@ def test_monotonicity_sign_reversed_direction(ops1d, grid):
     # negative flux direction flips the admissible ordering of the scales
     spec = make_spec(ops1d, grid, source_value=0.0)
     q0 = unit_q0(ops1d, grid, value=-1.0)
-    g = TimeField.zeros(grid, ops1d.n_nodes)
+    g = np.zeros((grid.n_steps + 1, ops1d.n_nodes))
     rec = monotonicity_check(ops1d, spec, grid, 0.0, 1.0, g, g, q0, "parabolic")
     assert rec["holds"]
 
@@ -231,7 +226,7 @@ def test_monotonicity_robin_ordered_boundary_data(ops1d, grid):
     spec_hi.boundary_temp = spec_hi.boundary_temp + 0.5
     spec_hi.initial_temp = spec_hi.initial_temp + 0.5
     q0 = unit_q0(ops1d, grid)
-    g = TimeField.zeros(grid, ops1d.n_nodes)
+    g = np.zeros((grid.n_steps + 1, ops1d.n_nodes))
     rec = monotonicity_check(ops1d, spec_lo, grid, 1.0, 0.0, g, g, q0,
                              "parabolic", spec_upper=spec_hi, alpha=4.0)
     assert rec["holds"]
@@ -239,14 +234,14 @@ def test_monotonicity_robin_ordered_boundary_data(ops1d, grid):
 
 def test_monotonicity_names_failing_hypothesis(ops1d, grid, spec1d):
     q0 = unit_q0(ops1d, grid)
-    g = TimeField.zeros(grid, ops1d.n_nodes)
+    g = np.zeros((grid.n_steps + 1, ops1d.n_nodes))
     with pytest.raises(ValueError, match="lam2 <= lam1"):
         monotonicity_check(ops1d, spec1d, grid, 0.0, 1.0, g, g, q0, "parabolic")
-    g_big = TimeField.constant_in_time(grid, np.ones(ops1d.n_nodes))
+    g_big = np.ones((grid.n_steps + 1, ops1d.n_nodes))
     with pytest.raises(ValueError, match="g1 <= g2"):
         monotonicity_check(ops1d, spec1d, grid, 1.0, 0.0, g_big, g, q0, "parabolic")
     mixed = unit_q0(ops1d, grid)
-    mixed.values[1] = 0.0
+    mixed[1] = 0.0
     with pytest.raises(ValueError, match="one strict sign"):
         monotonicity_check(ops1d, spec1d, grid, 1.0, 0.0, g, g, mixed, "parabolic")
 

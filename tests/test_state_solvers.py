@@ -5,8 +5,6 @@ import pytest
 
 from parctrl import fem_core
 from parctrl.fem_core import (
-    BoundaryControl,
-    TimeField,
     TimeGrid,
     assemble,
     build_interval_mesh,
@@ -31,30 +29,30 @@ TRANSFER = 3.0  # the Robin coefficient of the constant-state tests
 def constant_spec(ops, grid, c):
     n = ops.n_nodes
     return ProblemSpec(
-        source=TimeField.zeros(grid, n),
+        source=np.zeros((grid.n_steps + 1, n)),
         boundary_temp=np.full(ops.dirichlet_nodes.size, c),
         initial_temp=np.full(n, c),
-        target=TimeField.zeros(grid, n),
+        target=np.zeros((grid.n_steps + 1, n)),
     )
 
 
 def zero_control(ops, grid):
-    return BoundaryControl.zeros(grid, ops.gamma2_nodes.size)
+    return np.zeros((grid.n_steps + 1, ops.gamma2_nodes.size))
 
 
 @pytest.mark.parametrize("alpha", [math.inf, TRANSFER], ids=["dirichlet", "robin"])
 def test_constants_are_steady_states(ops1d, grid, alpha):
     spec = constant_spec(ops1d, grid, 2.5)
     u = solve_parabolic(ops1d, spec, zero_control(ops1d, grid), grid, alpha)
-    assert np.max(np.abs(u.values - 2.5)) < 1e-12
+    assert np.max(np.abs(u - 2.5)) < 1e-12
 
 
 def test_constants_2d(ops2d, grid):
     spec = constant_spec(ops2d, grid, -1.0)
     u = solve_parabolic(ops2d, spec, zero_control(ops2d, grid), grid)
-    assert np.max(np.abs(u.values + 1.0)) < 1e-12
+    assert np.max(np.abs(u + 1.0)) < 1e-12
     u = solve_parabolic(ops2d, spec, zero_control(ops2d, grid), grid, TRANSFER)
-    assert np.max(np.abs(u.values + 1.0)) < 1e-12
+    assert np.max(np.abs(u + 1.0)) < 1e-12
 
 
 def _manufactured_error(n_cells, n_steps):
@@ -67,13 +65,13 @@ def _manufactured_error(n_cells, n_steps):
     exact = np.exp(-times)[:, None] * np.sin(np.pi * x / 2.0)[None, :]
     gval = (np.pi ** 2 / 4.0 - 1.0) * exact
     spec = ProblemSpec(
-        source=TimeField(gval),
+        source=gval,
         boundary_temp=np.zeros(1),
         initial_temp=exact[0].copy(),
-        target=TimeField.zeros(grid, ops.n_nodes),
+        target=np.zeros((grid.n_steps + 1, ops.n_nodes)),
     )
     u = solve_parabolic(ops, spec, zero_control(ops, grid), grid)
-    diff = u.values - exact
+    diff = u - exact
     err = 0.0
     for k in range(grid.n_steps + 1):
         err = max(err, math.sqrt(max(inner_domain(ops, diff[k], diff[k]), 0.0)))
@@ -89,19 +87,19 @@ def test_manufactured_convergence():
 
 def test_superposition(ops1d, grid, spec1d):
     rng = np.random.default_rng(21)
-    q = BoundaryControl(rng.standard_normal((grid.n_steps + 1, ops1d.gamma2_nodes.size)))
+    q = rng.standard_normal((grid.n_steps + 1, ops1d.gamma2_nodes.size))
     spec = make_spec(ops1d, grid, source_value=0.7, bump=0.5)
     spec.boundary_temp = np.full(ops1d.dirichlet_nodes.size, 0.3)
     spec.initial_temp = spec.initial_temp + 0.3
 
     full = solve_parabolic(ops1d, spec, q, grid)
 
-    only_b = ProblemSpec(TimeField.zeros(grid, ops1d.n_nodes), spec.boundary_temp,
+    only_b = ProblemSpec(np.zeros((grid.n_steps + 1, ops1d.n_nodes)), spec.boundary_temp,
                          spec.initial_temp, spec.target)
-    zero = ProblemSpec(TimeField.zeros(grid, ops1d.n_nodes),
+    zero = ProblemSpec(np.zeros((grid.n_steps + 1, ops1d.n_nodes)),
                        np.zeros(ops1d.dirichlet_nodes.size),
                        np.zeros(ops1d.n_nodes), spec.target)
-    only_q_spec = ProblemSpec(TimeField.zeros(grid, ops1d.n_nodes), zero.boundary_temp,
+    only_q_spec = ProblemSpec(np.zeros((grid.n_steps + 1, ops1d.n_nodes)), zero.boundary_temp,
                               zero.initial_temp, spec.target)
     only_g_spec = ProblemSpec(spec.source, zero.boundary_temp, zero.initial_temp,
                               spec.target)
@@ -110,33 +108,33 @@ def test_superposition(ops1d, grid, spec1d):
     u_q = solve_parabolic(ops1d, only_q_spec, q, grid)
     u_g = solve_parabolic(ops1d, only_g_spec, zero_control(ops1d, grid), grid)
 
-    combo = u_b.values + u_q.values + u_g.values
-    scale = np.max(np.abs(full.values))
-    assert np.max(np.abs(combo - full.values)) < 1e-12 * max(scale, 1.0)
+    combo = u_b + u_q + u_g
+    scale = np.max(np.abs(full))
+    assert np.max(np.abs(combo - full)) < 1e-12 * max(scale, 1.0)
 
 
 def test_robin_alpha_consistency(ops1d, grid):
     rng = np.random.default_rng(22)
     spec = make_spec(ops1d, grid)
-    q = BoundaryControl(rng.standard_normal((grid.n_steps + 1, ops1d.gamma2_nodes.size)))
+    q = rng.standard_normal((grid.n_steps + 1, ops1d.gamma2_nodes.size))
     u_d = solve_parabolic(ops1d, spec, q, grid)
     errs = []
     for alpha in (10.0, 100.0, 1000.0, 10000.0):
         u_a = solve_parabolic(ops1d, spec, q, grid, alpha=alpha)
-        errs.append(norm_h1_time(grid, ops1d, TimeField(u_a.values - u_d.values)))
+        errs.append(norm_h1_time(grid, ops1d, u_a - u_d))
     assert all(b < a for a, b in zip(errs, errs[1:]))
 
 
 def test_robin_boundary_mismatch_bounded(ops1d, grid):
     rng = np.random.default_rng(23)
     spec = make_spec(ops1d, grid)
-    q = BoundaryControl(rng.standard_normal((grid.n_steps + 1, ops1d.gamma2_nodes.size)))
+    q = rng.standard_normal((grid.n_steps + 1, ops1d.gamma2_nodes.size))
     b_ext = np.zeros(ops1d.n_nodes)
     b_ext[ops1d.dirichlet_nodes] = spec.boundary_temp
     vals = []
     for alpha in (2.0, 10.0, 100.0, 1000.0):
         u_a = solve_parabolic(ops1d, spec, q, grid, alpha=alpha)
-        mismatch = TimeField(u_a.values - b_ext[None, :])
+        mismatch = u_a - b_ext[None, :]
         vals.append(math.sqrt(alpha - 1.0) * norm_gamma1_time(grid, ops1d, mismatch))
     assert max(vals) <= 2.0 * vals[0]
 
@@ -157,7 +155,7 @@ def test_robin_inf_routes_to_dirichlet(ops1d, grid, spec1d):
     q = zero_control(ops1d, grid)
     u_inf = solve_parabolic(ops1d, spec1d, q, grid, alpha=math.inf)
     u_d = solve_parabolic(ops1d, spec1d, q, grid)
-    assert np.array_equal(u_inf.values, u_d.values)
+    assert np.array_equal(u_inf, u_d)
 
 
 def test_elliptic_constants(ops1d, ops2d):
@@ -241,7 +239,7 @@ def test_elliptic_robin_alpha_trend(ops1d):
 def test_discrete_energy_decay(ops1d, grid):
     spec = make_spec(ops1d, grid, source_value=0.0)
     u = solve_parabolic(ops1d, spec, zero_control(ops1d, grid), grid)
-    norms = [math.sqrt(inner_domain(ops1d, u.values[k], u.values[k]))
+    norms = [math.sqrt(inner_domain(ops1d, u[k], u[k]))
              for k in range(grid.n_steps + 1)]
     assert all(b < a for a, b in zip(norms, norms[1:]))
 
@@ -253,14 +251,14 @@ def test_steady_state_fixed_point(ops1d, grid):
     b = np.array([0.8])
     u_inf = solve_elliptic_dirichlet(ops1d, g, qv, b)
     spec = ProblemSpec(
-        source=TimeField.constant_in_time(grid, g),
+        source=np.tile(g, (grid.n_steps + 1, 1)),
         boundary_temp=b,
         initial_temp=u_inf,
-        target=TimeField.zeros(grid, ops1d.n_nodes),
+        target=np.zeros((grid.n_steps + 1, ops1d.n_nodes)),
     )
-    q = BoundaryControl.constant_in_time(grid, qv)
+    q = np.tile(qv, (grid.n_steps + 1, 1))
     u = solve_parabolic(ops1d, spec, q, grid)
-    assert np.max(np.abs(u.values - u_inf[None, :])) < 1e-10
+    assert np.max(np.abs(u - u_inf[None, :])) < 1e-10
 
 
 def test_spec_validation_rejects_mismatched_initial(ops1d, grid, spec1d):
@@ -377,10 +375,10 @@ def test_reused_systems_give_the_bits_of_fresh_ones():
     g, q_row = rng.standard_normal(ref.n_nodes), rng.standard_normal(ref.gamma2_nodes.size)
     b = rng.random(ref.dirichlet_nodes.size)
     calls = [
-        lambda ops: solve_parabolic(ops, spec, q, grid).values,
-        lambda ops: solve_parabolic(ops, spec, q, grid, 7.5).values,
-        lambda ops: solve_adjoint(ops, u, spec.target, grid, math.inf).values,
-        lambda ops: solve_adjoint(ops, u, spec.target, grid, 7.5).values,
+        lambda ops: solve_parabolic(ops, spec, q, grid),
+        lambda ops: solve_parabolic(ops, spec, q, grid, 7.5),
+        lambda ops: solve_adjoint(ops, u, spec.target, grid, math.inf),
+        lambda ops: solve_adjoint(ops, u, spec.target, grid, 7.5),
         lambda ops: solve_elliptic_robin(ops, g, q_row, b, math.inf),
         lambda ops: solve_elliptic_robin(ops, g, q_row, b, 7.5, lumped=True),
     ]
