@@ -20,6 +20,7 @@ from .fem_core import (
     DiscreteOperators,
     TimeGrid,
     _check_control,
+    inner_boundary,
     inner_domain,
     norm_boundary_time,
     norm_gamma1_time,
@@ -205,8 +206,7 @@ def decay_with_forcing(ops: DiscreteOperators, spec: ProblemSpec,
     for k in range(1, grid.n_steps + 1):
         dg = spec.source[k] - g_inf
         dq = q[k] - q_inf
-        f_k = (inner_domain(ops, dg, dg)
-               + tr_sq * float(dq @ (ops.bmass_gamma2_sub @ dq)))
+        f_k = inner_domain(ops, dg, dg) + tr_sq * inner_boundary(ops, dq, dq)
         shifted = decay * (shifted + grid.dt * f_k)
         bound_sq = err0_sq * math.exp(-lam0 * times[k]) + (2.0 / lam0) * shifted
         bound = math.sqrt(max(bound_sq, 0.0))

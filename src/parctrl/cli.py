@@ -33,13 +33,14 @@ variables as they stood once this module was imported, and set_by: "cli",
 "environment", or "none" when numpy was loaded first.
 
 Processes: verify's properties and optimize's CSV files are independent
-tasks, and _run_tasks runs them on one forked process per CPU this process
-may use (os.sched_getaffinity), each claiming the next task from one pipe.
-verify first computes what the library caches on first use (the spectral
-constants, the two stepper systems), and optimize forks once the optimizer
-has finished, so no worker computes anything twice.  The library itself
-stays single-process.  The manifest's workers is the number of processes the
-command ran on: 1 for solve, lambda, sweep-alpha and decay, and with one CPU.
+tasks, and _run_tasks runs them on a forked multiprocessing pool of one
+worker per CPU this process may use (os.sched_getaffinity), handed out one
+at a time, costliest first.  verify first computes what the library caches
+on first use (the spectral constants, the two stepper systems), and
+optimize forks once the optimizer has finished, so no worker computes
+anything twice.  The library itself stays single-process.  The manifest's
+workers is the number of processes the command ran on: 1 for solve, lambda,
+sweep-alpha and decay, and with one CPU.
 """
 
 from __future__ import annotations
@@ -48,11 +49,10 @@ import argparse
 import hashlib
 import json
 import math
+import multiprocessing
 import os
-import pickle
 import sys
 import time
-import traceback
 from dataclasses import replace
 
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
@@ -127,80 +127,43 @@ def _worker_count(n_tasks):
     return min(len(os.sched_getaffinity(0)), n_tasks)
 
 
+_TASKS = []  # what _run_tasks runs; its forked workers inherit it
+
+
+def _run_task(index):
+    return _TASKS[index]()
+
+
 def _run_tasks(tasks, order):
     """Run the zero-argument callables in tasks on _worker_count processes
     and return their results in task order.
 
-    Fork-join: the parent writes order, a permutation of the task indices
-    (costliest first), into a pipe one byte per index, forks one child per
-    further worker, and then the parent and every child claim one index at a
-    time from that pipe until it is empty.  A child sends its results back
-    pickled through a pipe of its own and always leaves through os._exit; it
-    stops claiming once its parent has gone.  With one CPU or one task no
-    child is forked and the parent runs every task.  The children see what
-    the parent built before the call, copy-on-write, so a caller computes
-    what is cached on first use before calling.  A task that raises empties
-    the queue, so every process stops after its current task; the parent
-    reaps every child before anything leaves, and raises a child's exception
-    as received, unpickled with a note holding the child's traceback.
+    With one CPU or one task nothing is forked: the caller runs the tasks in
+    order, a permutation of the task indices (costliest first).  Otherwise a
+    forked multiprocessing pool runs them, handed out one index at a time in
+    that order.  The workers see what the caller built before the call,
+    copy-on-write, so a caller computes what is cached on first use before
+    calling; only task indices and results are sent between processes.  A
+    task that raises in a worker is raised here with its type, message and
+    attributes, and the worker's traceback as its __cause__.  Leaving the
+    pool, on success or on error, terminates and reaps every worker.
     """
-    claims, fill = os.pipe()
-    os.write(fill, bytes(order))
-    os.close(fill)
-    parent = os.getpid()
-    children, results, failure = [], {}, None
-    try:
-        for _ in range(_worker_count(len(tasks)) - 1):
-            read_end, write_end = os.pipe()
-            pid = os.fork()
-            if pid == 0:
-                os.close(read_end)
-                _worker(tasks, claims, write_end, parent)
-            os.close(write_end)
-            children.append((pid, read_end))
-        while index := os.read(claims, 1):
-            results[index[0]] = tasks[index[0]]()
-    finally:
-        while os.read(claims, 4096):
-            pass
-        os.close(claims)
-        for pid, read_end in children:
-            with os.fdopen(read_end, "rb") as fh:
-                payload = fh.read()
-            os.waitpid(pid, 0)
-            if payload:
-                done, raised = pickle.loads(payload)
-                results.update(done)
-                failure = failure or raised
-    if failure is not None:
-        raise failure
-    missing = [i for i in range(len(tasks)) if i not in results]
-    if missing:
-        raise RuntimeError(f"a worker process exited without the results of tasks {missing}")
-    return [results[i] for i in range(len(tasks))]
-
-
-def _worker(tasks, claims, out, parent):
-    """A forked child of _run_tasks: claim and run tasks, send
-    ({index: result}, the exception raised or None) to the parent through
-    out, and leave through os._exit, so that it never returns into the
-    caller."""
-    status = 1
-    try:
-        done, failure = {}, None
-        while os.getppid() == parent and (index := os.read(claims, 1)):
-            try:
-                done[index[0]] = tasks[index[0]]()
-            except Exception as exc:
-                while os.read(claims, 4096):
-                    pass
-                exc.add_note(f"raised in a worker process:\n{traceback.format_exc()}")
-                failure = exc
-        with os.fdopen(out, "wb") as fh:
-            fh.write(pickle.dumps((done, failure)))
-        status = 0
-    finally:
-        os._exit(status)
+    global _TASKS
+    order = list(order)
+    workers = _worker_count(len(tasks))
+    if workers <= 1:
+        results = [tasks[i]() for i in order]
+    else:
+        # forked, not spawned: the tasks are closures over the caller's
+        # arrays, and the caller runs no other thread
+        _TASKS = tasks
+        try:
+            with multiprocessing.get_context("fork").Pool(workers) as pool:
+                results = list(pool.imap(_run_task, order))
+        finally:
+            _TASKS = []
+    done = dict(zip(order, results))
+    return [done[i] for i in range(len(tasks))]
 
 
 def write_svg_lines(path, series, title, logy=False, logx=False):
@@ -372,7 +335,7 @@ def _cmd_optimize(problem: Problem, out_dir):
         res = optimal_control.optimize_simultaneous(ops, spec, grid,
                                                     tol=problem.opt_tol, alpha=alpha)
     # one task per CSV; a field has a column per node and q_opt one per
-    # GAMMA2 node, so the fields are claimed first
+    # GAMMA2 node, so the fields are written first
     names = [name for name in ("q_opt", "g_opt", "u_opt", "p_opt")
              if getattr(res, name) is not None]
     files = {name: f"{name}.csv" for name in names}
@@ -414,11 +377,15 @@ def _cmd_lambda(problem: Problem, out_dir):
     kind, alpha = _variant(problem)
     # lambda.csv calls the default variant, dirichlet, by its problem kind
     variant = problem.variant if problem.variant != "dirichlet" else kind
-    if np.max(np.abs(problem.q0[1:])) == 0.0:
-        raise ConfigError("q0 must be nonzero", problem.cfg.path,
-                          problem.cfg.line_of("data", "q0"))
-    coeffs = scalar_control.scalar_optimum(problem.ops, problem.spec, problem.q0,
-                                           problem.grid, kind, alpha)
+    try:
+        coeffs = scalar_control.scalar_optimum(problem.ops, problem.spec, problem.q0,
+                                               problem.grid, kind, alpha)
+    except ValueError as exc:
+        # the library checks q0 on the rows the variant reads
+        if not str(exc).startswith("q0 "):
+            raise
+        raise ConfigError(str(exc), problem.cfg.path,
+                          problem.cfg.line_of("data", "q0")) from exc
     h_opt = coeffs.value(coeffs.lambda_opt)
     path = os.path.join(out_dir, "lambda.csv")
     _write_csv(path, "variant,A,B,C,lambda_opt,H_opt",
@@ -654,7 +621,7 @@ def _verify_battery(problem: Problem):
         ParabolicStepper(ops, grid, alpha)
     tasks = [lambda i=i, prop=prop: prop(np.random.default_rng((2024, i)))
              for i, (_, prop) in enumerate(properties)]
-    # claimed from the end: the optimizer and the marching properties
+    # run from the end: the optimizer and the marching properties
     # cost most, the first entries least
     outcomes = _run_tasks(tasks, reversed(range(len(tasks))))
     return [{"name": name, "passed": bool(passed), "detail": float(detail)}

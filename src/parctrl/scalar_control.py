@@ -92,8 +92,8 @@ def building_blocks(ops: DiscreteOperators, spec: ProblemSpec, q0: np.ndarray,
     _check_control(grid, ops, q0)
     q_rows = rows(q0)
     if pair(ops.bmass_gamma2_sub, q_rows, q_rows) == 0.0:
-        raise ValueError("q0 must not be identically zero: the quadratic "
-                         "coefficient would vanish")
+        raise ValueError("q0 must be nonzero on the rows the variant reads: "
+                         "the quadratic coefficient would vanish")
     zeros = np.zeros(ops.n_nodes)
     return (solve(spec.initial_temp, spec.boundary_temp, None, None),
             solve(zeros, None, None, q_rows),

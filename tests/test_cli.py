@@ -229,6 +229,23 @@ def test_lambda_rejects_zero_direction(cfg_path, tmp_path, capsys):
     assert f"bad.cfg:{line}: q0 must be nonzero" in capsys.readouterr().err
 
 
+def test_lambda_rejects_a_q0_zero_on_the_rows_the_variant_reads(tmp_path, capsys):
+    # the steady variant reads only the final row of q0, here the zero one
+    from parctrl.cli import write_control_csv
+    from parctrl.config import build_problem
+
+    problem = build_problem(parse_config_text(SMALL_CFG))
+    q0 = np.ones((problem.grid.n_steps + 1, problem.ops.gamma2_nodes.size))
+    q0[-1] = 0.0
+    write_control_csv(str(tmp_path / "q0.csv"), problem.grid, problem.ops, q0)
+    text = SMALL_CFG.replace("q0 = constant(1.0)", "q0 = csv:q0.csv\nvariant = elliptic")
+    line = text.splitlines().index("q0 = csv:q0.csv") + 1
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(text)
+    assert run("lambda", str(bad), tmp_path / "out") == 2
+    assert f"bad.cfg:{line}: q0 must be nonzero" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("key", ["g_inf", "q_inf"])
 def test_forced_decay_needs_both_limits_before_assembly(tmp_path, capsys, monkeypatch,
                                                         key):
@@ -988,22 +1005,105 @@ def test_config_error_pickles_as_itself():
         "run.cfg: no line"
 
 
-def test_run_tasks_reaps_its_workers_when_a_parent_task_raises():
+@TWO_CPUS
+def test_run_tasks_reaps_its_workers_when_a_worker_task_raises():
+    # raised at once: the workers still running a task are terminated, not
+    # waited for, and every worker is reaped
     import time
 
     from parctrl.cli import _run_tasks
 
     parent = os.getpid()
 
-    def task():
-        if os.getpid() == parent:
-            raise KeyError("raised in the parent")
-        time.sleep(0.2)
+    def raises():
+        if os.getpid() != parent:
+            raise KeyError("raised in a worker")
 
-    with pytest.raises(KeyError):
-        _run_tasks([task] * 4, range(4))
+    def sleeps():
+        time.sleep(30)
+
+    start = time.monotonic()
+    with pytest.raises(KeyError, match="raised in a worker"):
+        _run_tasks([raises, sleeps, sleeps, sleeps], range(4))
+    assert time.monotonic() - start < 10
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+@TWO_CPUS
+def test_an_unpicklable_worker_exception_names_the_pickling_failure():
+    # the exception cannot be sent back, so what failed to pickle is raised
+    from multiprocessing.pool import MaybeEncodingError
+
+    from parctrl.cli import _run_tasks
+
+    def task():
+        exc = ValueError("odd value")
+        exc.hook = lambda: None
+        raise exc
+
+    with pytest.raises(MaybeEncodingError,
+                       match=r"Can't pickle local object '.*task\.<locals>\.<lambda>'"):
+        _run_tasks([task] * 2, range(2))
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def alive(pid):
+    # a zombie has exited; only its parent has not reaped it yet
+    try:
+        with open(f"/proc/{pid}/stat", encoding="ascii") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+@TWO_CPUS
+def test_a_killed_parent_leaves_no_worker():
+    # the workers of a parent killed by SIGKILL, which runs no clean-up,
+    # exit by themselves
+    import select
+    import signal
+    import subprocess
+    import sys
+    import time
+
+    import parctrl
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(parctrl.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    script = ("import os, time\n"
+              "from parctrl.cli import _run_tasks\n"
+              "def task():\n"
+              "    print(os.getpid(), flush=True)\n"
+              "    time.sleep(1.5)\n"
+              "_run_tasks([task] * 4, range(4))\n")
+    two = set(sorted(os.sched_getaffinity(0))[:2])
+    proc = subprocess.Popen([sys.executable, "-c", script], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
+                            preexec_fn=lambda: os.sched_setaffinity(0, two))
+    text, deadline = b"", time.monotonic() + 30
+    try:
+        # until the two processes running the first tasks have printed
+        while text.count(b"\n") < 2 and time.monotonic() < deadline:
+            if select.select([proc.stdout], [], [], 1.0)[0]:
+                chunk = os.read(proc.stdout.fileno(), 1024)
+                if not chunk:
+                    break
+                text += chunk
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stdout.close()
+    workers = {int(pid) for pid in text.split()} - {proc.pid}
+    deadline = time.monotonic() + 5
+    while any(map(alive, workers)) and time.monotonic() < deadline:
+        time.sleep(0.1)
+    left = [pid for pid in workers if alive(pid)]
+    for pid in left:
+        os.kill(pid, signal.SIGKILL)
+    assert workers and left == []
 
 
 @pytest.mark.parametrize("dim", ["1d", "2d"])
