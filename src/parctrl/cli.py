@@ -145,8 +145,10 @@ def _run_tasks(tasks, order):
     copy-on-write, so a caller computes what is cached on first use before
     calling; only task indices and results are sent between processes.  A
     task that raises in a worker is raised here with its type, message and
-    attributes, and the worker's traceback as its __cause__.  Leaving the
-    pool, on success or on error, terminates and reaps every worker.
+    attributes, and the worker's traceback as its __cause__.  A worker that
+    dies without its result (a signal, os._exit) raises RuntimeError about
+    half a second later.  Leaving the pool, on success or on error, terminates and
+    reaps every worker.
     """
     global _TASKS
     order = list(order)
@@ -156,10 +158,20 @@ def _run_tasks(tasks, order):
     else:
         # forked, not spawned: the tasks are closures over the caller's
         # arrays, and the caller runs no other thread
-        _TASKS = tasks
+        _TASKS, others = tasks, set(multiprocessing.active_children())
         try:
             with multiprocessing.get_context("fork").Pool(workers) as pool:
-                results = list(pool.imap(_run_task, order))
+                started = set(multiprocessing.active_children()) - others
+                pending, results = pool.imap(_run_task, order), []
+                while len(results) < len(order):
+                    try:
+                        results.append(pending.next(timeout=0.5))
+                    except multiprocessing.TimeoutError:
+                        # the pool replaces a dead worker, and its task is lost
+                        dead = [p.exitcode for p in started if p.exitcode is not None]
+                        if dead:
+                            raise RuntimeError(f"a worker process exited with code {dead[0]} "
+                                               "before the tasks were done") from None
         finally:
             _TASKS = []
     done = dict(zip(order, results))
@@ -380,10 +392,8 @@ def _cmd_lambda(problem: Problem, out_dir):
     try:
         coeffs = scalar_control.scalar_optimum(problem.ops, problem.spec, problem.q0,
                                                problem.grid, kind, alpha)
-    except ValueError as exc:
+    except scalar_control.ZeroDirectionError as exc:
         # the library checks q0 on the rows the variant reads
-        if not str(exc).startswith("q0 "):
-            raise
         raise ConfigError(str(exc), problem.cfg.path,
                           problem.cfg.line_of("data", "q0")) from exc
     h_opt = coeffs.value(coeffs.lambda_opt)

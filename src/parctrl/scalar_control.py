@@ -35,6 +35,10 @@ from .fem_core import DiscreteOperators, TimeGrid, _check_control, _time_pairing
 from .state_solvers import ParabolicStepper, ProblemSpec, solve_elliptic_robin
 
 
+class ZeroDirectionError(ValueError):
+    """q0 is zero on every row the variant reads."""
+
+
 @dataclass(frozen=True)
 class QuadraticCoefficients:
     """Coefficients of the restricted cost lam -> quad*lam^2 + lin*lam + const."""
@@ -92,8 +96,8 @@ def building_blocks(ops: DiscreteOperators, spec: ProblemSpec, q0: np.ndarray,
     _check_control(grid, ops, q0)
     q_rows = rows(q0)
     if pair(ops.bmass_gamma2_sub, q_rows, q_rows) == 0.0:
-        raise ValueError("q0 must be nonzero on the rows the variant reads: "
-                         "the quadratic coefficient would vanish")
+        raise ZeroDirectionError("q0 must be nonzero on the rows the variant reads: "
+                                 "the quadratic coefficient would vanish")
     zeros = np.zeros(ops.n_nodes)
     return (solve(spec.initial_temp, spec.boundary_temp, None, None),
             solve(zeros, None, None, q_rows),

@@ -1031,6 +1031,33 @@ def test_run_tasks_reaps_its_workers_when_a_worker_task_raises():
 
 
 @TWO_CPUS
+@pytest.mark.parametrize("how", ["SIGKILL", "os._exit"])
+def test_a_worker_that_dies_fails_at_once(how):
+    # a worker killed by a signal or leaving through os._exit sends no
+    # result: the call raises, and every worker is reaped
+    import signal
+    import time
+
+    from parctrl.cli import _run_tasks
+
+    parent = os.getpid()
+
+    def task():
+        if os.getpid() != parent:
+            if how == "SIGKILL":
+                os.kill(os.getpid(), signal.SIGKILL)
+            os._exit(1)
+        time.sleep(0.2)
+
+    start = time.monotonic()
+    with pytest.raises(RuntimeError, match="a worker process exited"):
+        _run_tasks([task] * 3, range(3))
+    assert time.monotonic() - start < 10
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@TWO_CPUS
 def test_an_unpicklable_worker_exception_names_the_pickling_failure():
     # the exception cannot be sent back, so what failed to pickle is raised
     from multiprocessing.pool import MaybeEncodingError
