@@ -7,6 +7,7 @@ import pytest
 from parctrl import fem_core
 from parctrl.optimal_control import optimize_boundary, tracking_cost
 from parctrl.scalar_control import (
+    ZeroDirectionError,
     building_blocks,
     monotonicity_check,
     scalar_cost,
@@ -64,7 +65,7 @@ def test_flux_block_scales_linearly(ops1d, grid, spec1d):
 def test_zero_direction_rejected(ops1d, grid, spec1d):
     q0 = np.zeros((grid.n_steps + 1, ops1d.gamma2_nodes.size))
     for variant, alpha in problems(5.0):
-        with pytest.raises(ValueError):
+        with pytest.raises(ZeroDirectionError):
             building_blocks(ops1d, spec1d, q0, grid, variant, alpha)
 
 
