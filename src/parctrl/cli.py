@@ -146,9 +146,9 @@ def _run_tasks(tasks, order):
     calling; only task indices and results are sent between processes.  A
     task that raises in a worker is raised here with its type, message and
     attributes, and the worker's traceback as its __cause__.  A worker that
-    dies without its result (a signal, os._exit) raises RuntimeError about
-    half a second later.  Leaving the pool, on success or on error, terminates and
-    reaps every worker.
+    dies without its result (killed, or exiting inside a task) raises
+    RuntimeError about half a second later.  Leaving the pool, on success or
+    on error, terminates and reaps every worker.
     """
     global _TASKS
     order = list(order)
