@@ -12,6 +12,7 @@ Library layout:
   scalar_control   closed-form one-parameter controls and comparison checks for
                    the parabolic or elliptic problem at any alpha
   asymptotics      transfer-coefficient sweeps and long-time decay studies
+  properties       the verify property table over one configured problem
   cli              batch front end (config files, CSV/JSON/SVG output)
 
 The names below are re-exported lazily (PEP 562): ``import parctrl`` loads

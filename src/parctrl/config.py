@@ -224,8 +224,9 @@ def _data_entry(cfg, key, grid, kind=None, required=False):
     its profile and its CSV path raise ConfigError here.  Returns a function
     of the sampling points that gives its values there (None when absent):
     with kind None the profile's row at t = 0, with kind "field" or
-    "control" the (N+1)-row trajectory, from a profile or a CSV reference,
-    which may raise ConfigError when read."""
+    "control" the (N+1)-row trajectory, from a profile or a CSV reference.
+    That function raises ConfigError when a CSV cannot be read or a value
+    is not finite."""
     value = cfg.get("data", key)
     if value is None:
         if required:
@@ -249,12 +250,24 @@ def _data_entry(cfg, key, grid, kind=None, required=False):
                 return _read_csv(full, grid, kind, len(points))
             except ValueError as exc:
                 raise ConfigError(str(exc), cfg.path, line) from exc
-        return read
-    try:
-        profile = parse_profile(value)
-    except ProfileError as exc:
-        raise ConfigError(str(exc), cfg.path, line) from exc
-    return lambda points: sample(profile, points, grid, kind is not None)
+    else:
+        try:
+            profile = parse_profile(value)
+        except ProfileError as exc:
+            raise ConfigError(str(exc), cfg.path, line) from exc
+
+        def read(points):
+            return sample(profile, points, grid, kind is not None)
+
+    def checked(points):
+        # a nan or inf, written or overflowed, would run into every output
+        values = read(points)
+        finite = np.isfinite(values)
+        if not finite.all():
+            raise ConfigError(f"key '{key}' must be finite, got {values[~finite][0]}",
+                              cfg.path, line)
+        return values
+    return checked
 
 
 def build_problem(cfg: RawConfig) -> Problem:

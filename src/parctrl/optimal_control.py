@@ -237,7 +237,9 @@ def _optimize(ops, spec, grid, tol, alpha, max_iter, g_fixed=None, q_fixed=None)
         q_opt=None if qv is None else qv.copy(),
         u_opt=reduced.state["u"], p_opt=reduced.state["p"],
         cost=cost, optimality_residual=residual, iterations=iters,
-        converged=residual <= threshold, cost_history=costs, residual_history=resids)
+        # an infinite residual passes its own infinite threshold
+        converged=math.isfinite(residual) and residual <= threshold,
+        cost_history=costs, residual_history=resids)
 
 
 def optimize_boundary(ops: DiscreteOperators, spec: ProblemSpec, grid: TimeGrid,

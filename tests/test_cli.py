@@ -351,11 +351,15 @@ def test_unread_keys_are_rejected(tmp_path, capsys, section, key):
                                        ("source_penalty", "nan"),
                                        ("opt_tol", "nan"),
                                        ("alpha", "nan"), ("alpha", "-inf"),
-                                       ("alphas", "10, nan"), ("alphas", "10, inf")])
+                                       ("alphas", "10, nan"), ("alphas", "10, inf"),
+                                       ("g", "constant(nan)"),
+                                       ("q", "exp-decay(0, 1, -1000)"),
+                                       ("z_d", "constant(inf)")])
 def test_non_finite_values_are_rejected(tmp_path, capsys, key, value):
     # "<= 0" checks let nan through; every one of these must be > 0 and all
     # but alpha finite (alpha = inf imposes the datum exactly; sweep entries
-    # must also exceed 1)
+    # must also exceed 1); a [data] entry's sampled values must be finite,
+    # also where a profile overflows (exp of 1000 t)
     lines = SMALL_CFG.splitlines()
     line = next(i for i, text in enumerate(lines, 1) if text.startswith(f"{key} ="))
     lines[line - 1] = f"{key} = {value}"
@@ -443,7 +447,10 @@ def test_config_input_errors_exit_2_before_assembly(tmp_path, capsys, monkeypatc
     ("missing.cfg", None, "cannot read config: "),
     ("run.json", "not json", "cannot read manifest: "),
     ("run.json", '{"command": "solve"}', "manifest carries no config_text"),
-], ids=["unreadable-config", "manifest-not-json", "manifest-without-config-text"])
+    ("run.json", '{"config_text": 5}', "manifest carries no config_text string"),
+    ("run.json", '["config_text"]', "manifest carries no config_text string"),
+], ids=["unreadable-config", "manifest-not-json", "manifest-without-config-text",
+        "manifest-text-not-a-string", "manifest-not-an-object"])
 def test_unreadable_config_or_manifest_exits_2(tmp_path, capsys, name, content, message):
     path = tmp_path / name
     if content is not None:
@@ -834,6 +841,22 @@ def test_malformed_csv_reference_cites_the_key(cfg_path, tmp_path, capsys):
     assert f"bad.cfg:{line}: cannot read CSV control" in err and "'abc'" in err
 
 
+def test_a_nan_in_a_csv_reference_cites_the_key(tmp_path, capsys):
+    # like a profile's nan or inf, it would run into every output file
+    rows = [",".join(["%d" % k, "%g" % (k / 20)] + ["1.0"] * 33) for k in range(21)]
+    rows[7] = rows[7][:-3] + "nan"
+    (tmp_path / "data.csv").write_text("\n".join(["step,time," + ",".join(
+        f"n{i}" for i in range(33))] + rows) + "\n")
+    text = SMALL_CFG.replace("g = constant(1.0)", "g = csv:data.csv")
+    line = text.splitlines().index("g = csv:data.csv") + 1
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(text)
+    assert run("solve", str(bad), tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert err.endswith(f"bad.cfg:{line}: key 'g' must be finite, got nan\n")
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("value,written", [("TRUE", True), ("0", False)])
 def test_plots_takes_booleans_in_any_case(tmp_path, value, written):
     # a value that is not one of these is rejected (test_bad_keys_fail_before_assembly)
@@ -949,10 +972,10 @@ def test_a_worker_error_keeps_its_exit_code(cfg_path, tmp_path, capsys, monkeypa
     # parent, with its message, and every worker is reaped when main returns
     import time
 
-    from parctrl import cli
+    from parctrl import cli, properties
 
     raised = {"SolverError": cli.SolverError, "ValueError": ValueError}[error]
-    parent, real = os.getpid(), cli.solve_parabolic
+    parent, real = os.getpid(), properties.solve_parabolic
 
     def in_a_worker_only(*args, **kwargs):
         if os.getpid() != parent:
@@ -960,7 +983,7 @@ def test_a_worker_error_keeps_its_exit_code(cfg_path, tmp_path, capsys, monkeypa
         time.sleep(0.05)  # leaves tasks for the worker to claim
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "solve_parabolic", in_a_worker_only)
+    monkeypatch.setattr(properties, "solve_parabolic", in_a_worker_only)
     assert run("verify", cfg_path, tmp_path / "out") == code
     err = capsys.readouterr().err
     assert "no convergence in a worker" in err and "Traceback" not in err

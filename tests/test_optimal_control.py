@@ -151,6 +151,16 @@ def test_optimize_boundary_iteration_cap(ops1d, grid):
     assert res.q_opt is not None  # best iterate still returned
 
 
+def test_optimize_boundary_never_converges_on_an_infinite_residual(ops1d, grid):
+    # an infinite target gives an infinite residual, and tol * max(1, inf)
+    # is an infinite threshold that the residual would pass
+    spec = make_spec(ops1d, grid, target_value=math.inf)
+    with np.errstate(invalid="ignore", over="ignore"):
+        res = optimize_boundary(ops1d, spec, grid, tol=1e-10)
+    assert not math.isfinite(res.optimality_residual)
+    assert not res.converged
+
+
 def test_optimize_distributed(ops1d, grid):
     rng = np.random.default_rng(83)
     spec = make_spec(ops1d, grid)
