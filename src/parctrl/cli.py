@@ -2,23 +2,23 @@
 
     parctrl <command> --config <path> [--out <dir>]
 
-Commands: solve | optimize | lambda | sweep-alpha | decay | verify.  One
-table, _COMMANDS, gives each its runner, the [data] variant names it runs and
-the keys it reads that have no default; both are checked before the mesh is
-assembled.  solve, decay and distributed optimize read [data] q as a fixed
-flux (zeros when absent); q = optimize is read by sweep-alpha only, and is
-rejected at its line before assembly everywhere else q is read, as is decay's
-g_inf without q_inf or the reverse.  verify runs the table in properties.
-Every run writes its CSV outputs plus a JSON manifest echoing the config text,
-the mesh hash, the spectral constants the command read (verify reads all
-three, decay lambda0, and trace_norm when forced; the others none) and wall
-time; re-running a command from the manifest (pass the manifest path as
---config) reproduces byte-identical CSVs.  optimize also writes result.json,
-whose summary (with the CG cost and residual histories) is the manifest's
-results.  All CSVs go through one writer, one precompiled row format per file:
-floats as %.17g, booleans as true/false, a missing value as an empty cell.
-Exit codes: 0 success, 1 failed verify properties, 2 validation errors,
-3 solver non-convergence.
+Commands: solve | optimize | lambda | sweep-alpha | decay | verify.  config
+reads the config (or a run's manifest) and resolves every value a command
+reads; this module checks the command, runs it and writes its outputs.  One
+table, _COMMANDS, gives each command its runner, the [data] variant names it
+runs and the keys it requires; both are checked before the mesh is assembled,
+as are q = optimize, which only sweep-alpha reads, and decay's g_inf without
+q_inf or the reverse.  verify runs the table in properties.  A q0 that is zero
+on the rows lambda or verify reads exits 2 at its line.  Every run writes its
+CSV outputs plus a JSON manifest echoing the config text, the mesh hash, the
+spectral constants the command read (verify reads all three, decay lambda0,
+and trace_norm when forced; the others none) and wall time; re-running a
+command from the manifest (pass the manifest path as --config) reproduces
+byte-identical CSVs.  optimize also writes result.json, whose summary (with the
+CG cost and residual histories) is the manifest's results.  All CSVs go through
+one writer, one precompiled row format per file: floats as %.17g, booleans as
+true/false, a missing value as an empty cell.  Exit codes: 0 success, 1 failed
+verify properties, 2 validation errors, 3 solver non-convergence.
 
 BLAS threads: the CLI runs OpenBLAS on one thread unless the environment
 sets OPENBLAS_NUM_THREADS or OMP_NUM_THREADS, in which case that setting
@@ -65,13 +65,7 @@ _BLAS_THREADS = {**{var: os.environ.get(var) for var in _BLAS_THREAD_VARS},
 import numpy as np  # noqa: E402
 
 from . import asymptotics, optimal_control, properties, scalar_control  # noqa: E402
-from .config import (  # noqa: E402
-    ConfigError,
-    Problem,
-    build_problem,
-    load_config,
-    parse_config_text,
-)
+from .config import ConfigError, Problem, build_problem, load_config  # noqa: E402
 from .fem_core import SolverError  # noqa: E402
 from .state_solvers import solve_parabolic  # noqa: E402
 
@@ -275,8 +269,8 @@ def _write_manifest(out_dir, command, problem, outputs, results, workers, wall_t
 
 def _check_command(cfg, command):
     """Before any operator is assembled: a [data] variant name that command
-    does not run is a ConfigError at the variant line, and each key it reads
-    that has no default must be present.  q = optimize, where q is read as a
+    does not run is a ConfigError at the variant line, and each key it
+    requires must be present.  q = optimize, where q is read as a
     fixed flux, and decay's g_inf without q_inf or the reverse are
     ConfigErrors at the line of the key set."""
     _, variants, required = _COMMANDS[command]
@@ -297,27 +291,9 @@ def _check_command(cfg, command):
                           cfg.line_of("data", limits[0]))
 
 
-def _variant(problem):
-    """(kind, alpha) that [data] variant names: kind 'elliptic' for an
-    elliptic name, else 'parabolic'; alpha the config's [weights] alpha for
-    a name ending in robin, else +inf."""
-    name = problem.variant
-    kind = "elliptic" if name.startswith("elliptic") else "parabolic"
-    return kind, problem.alpha if name.endswith("robin") else math.inf
-
-
-def _fixed_flux(problem):
-    """[data] q as a fixed flux, zeros when absent (_check_command rejects
-    q = optimize wherever this is read)."""
-    if problem.q is None:
-        return np.zeros((problem.grid.n_steps + 1, problem.ops.gamma2_nodes.size))
-    return problem.q
-
-
 def _cmd_solve(problem: Problem, out_dir):
-    _, alpha = _variant(problem)
-    u = solve_parabolic(problem.ops, problem.spec, _fixed_flux(problem),
-                        problem.grid, alpha)
+    u = solve_parabolic(problem.ops, problem.spec, problem.q, problem.grid,
+                        problem.variant_alpha)
     write_field_csv(os.path.join(out_dir, "u.csv"), problem.grid, u)
     return ["u.csv"], {"u_file": "u.csv",
                        "final_max": float(np.max(u[-1])),
@@ -326,16 +302,18 @@ def _cmd_solve(problem: Problem, out_dir):
 
 def _cmd_optimize(problem: Problem, out_dir):
     ops, spec, grid = problem.ops, problem.spec, problem.grid
-    _, alpha = _variant(problem)
-    if problem.control == "boundary":
-        res = optimal_control.optimize_boundary(ops, spec, grid, tol=problem.opt_tol,
-                                                alpha=alpha)
-    elif problem.control == "distributed":
-        res = optimal_control.optimize_distributed(ops, spec, grid, _fixed_flux(problem),
-                                                   tol=problem.opt_tol, alpha=alpha)
-    else:
-        res = optimal_control.optimize_simultaneous(ops, spec, grid,
-                                                    tol=problem.opt_tol, alpha=alpha)
+    alpha = problem.variant_alpha
+    # an overflow gives a cost or residual that is not finite, an error below
+    with np.errstate(over="ignore", invalid="ignore"):
+        if problem.control == "boundary":
+            res = optimal_control.optimize_boundary(ops, spec, grid, tol=problem.opt_tol,
+                                                    alpha=alpha)
+        elif problem.control == "distributed":
+            res = optimal_control.optimize_distributed(ops, spec, grid, problem.q,
+                                                       tol=problem.opt_tol, alpha=alpha)
+        else:
+            res = optimal_control.optimize_simultaneous(ops, spec, grid,
+                                                        tol=problem.opt_tol, alpha=alpha)
     # one task per CSV; a field has a column per node and q_opt one per
     # GAMMA2 node, so the fields are written first
     names = [name for name in ("q_opt", "g_opt", "u_opt", "p_opt")
@@ -369,6 +347,9 @@ def _cmd_optimize(problem: Problem, out_dir):
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")
     outputs.append("result.json")
+    if not (math.isfinite(res.cost) and math.isfinite(res.optimality_residual)):
+        raise SolverError("optimizer stopped: the cost or the optimality residual is not "
+                          f"finite (cost {res.cost:.3e}, residual {res.optimality_residual:.3e})")
     if not res.converged:
         raise SolverError(f"optimizer did not converge within the iteration cap "
                           f"(residual {res.optimality_residual:.3e})")
@@ -376,16 +357,11 @@ def _cmd_optimize(problem: Problem, out_dir):
 
 
 def _cmd_lambda(problem: Problem, out_dir):
-    kind, alpha = _variant(problem)
     # lambda.csv calls the default variant, dirichlet, by its problem kind
-    variant = problem.variant if problem.variant != "dirichlet" else kind
-    try:
-        coeffs = scalar_control.scalar_optimum(problem.ops, problem.spec, problem.q0,
-                                               problem.grid, kind, alpha)
-    except scalar_control.ZeroDirectionError as exc:
-        # the library checks q0 on the rows the variant reads
-        raise ConfigError(str(exc), problem.cfg.path,
-                          problem.cfg.line_of("data", "q0")) from exc
+    variant = problem.variant if problem.variant != "dirichlet" else problem.kind
+    coeffs = scalar_control.scalar_optimum(problem.ops, problem.spec, problem.q0,
+                                           problem.grid, problem.kind,
+                                           problem.variant_alpha)
     h_opt = coeffs.value(coeffs.lambda_opt)
     path = os.path.join(out_dir, "lambda.csv")
     _write_csv(path, "variant,A,B,C,lambda_opt,H_opt",
@@ -425,15 +401,15 @@ def _cmd_sweep_alpha(problem: Problem, out_dir):
 
 
 def _cmd_decay(problem: Problem, out_dir):
-    q = _fixed_flux(problem)
     # _check_command has rejected g_inf without q_inf and the reverse
     forced = problem.g_inf is not None
     if forced:
-        result = asymptotics.decay_with_forcing(problem.ops, problem.spec, q,
+        result = asymptotics.decay_with_forcing(problem.ops, problem.spec, problem.q,
                                                 problem.grid, problem.g_inf,
                                                 problem.q_inf)
     else:
-        result = asymptotics.decay_study(problem.ops, problem.spec, q, problem.grid)
+        result = asymptotics.decay_study(problem.ops, problem.spec, problem.q,
+                                         problem.grid)
     path = os.path.join(out_dir, "decay.csv")
     _write_csv(path, "t,err_H,bound,ratio", "%.17g,%.17g,%.17g,%.17g",
                [(r.t, r.err_h, r.bound, r.ratio) for r in result.rows])
@@ -469,22 +445,8 @@ def _cmd_verify(problem: Problem, out_dir):
     return [], results, _worker_count(len(checks))
 
 
-def _load_config(config_path: str):
-    if config_path.endswith(".json"):
-        try:
-            with open(config_path, "r", encoding="utf-8") as fh:
-                manifest = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"cannot read manifest: {exc}", config_path) from exc
-        text = manifest.get("config_text") if isinstance(manifest, dict) else None
-        if not isinstance(text, str):
-            raise ConfigError("manifest carries no config_text string", config_path)
-        return parse_config_text(text, config_path)
-    return load_config(config_path)
-
-
 # command -> (runner, the [data] variant names it runs, the (section, key)
-# pairs it reads that have no default); sweep-alpha and verify run both
+# pairs it requires); sweep-alpha and verify run both
 # boundary conditions and take any name another command runs
 _BOUNDARY = ("dirichlet", "robin")
 _SCALAR = ("dirichlet", "parabolic", "parabolic_robin", "elliptic", "elliptic_robin")
@@ -512,26 +474,25 @@ def main(argv=None) -> int:
 
     t0 = time.perf_counter()
     try:
-        cfg = _load_config(args.config)
+        cfg = load_config(args.config)
         _check_command(cfg, args.command)
         problem = build_problem(cfg)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-
-    try:
-        os.makedirs(args.out, exist_ok=True)
-    except OSError as exc:
-        print(f"error: cannot create output directory {args.out}: "
-              f"{exc.strerror or exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    try:
+        try:
+            os.makedirs(args.out, exist_ok=True)
+        except OSError as exc:
+            print(f"error: cannot create output directory {args.out}: "
+                  f"{exc.strerror or exc}", file=sys.stderr)
+            return EXIT_VALIDATION
         outputs, results, workers = _COMMANDS[args.command][0](problem, args.out)
+    except scalar_control.ZeroDirectionError as exc:  # q0 on the rows the variant reads
+        print(f"error: {ConfigError(str(exc), cfg.path, cfg.line_of('data', 'q0'))}",
+              file=sys.stderr)
+        return EXIT_VALIDATION
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except ValueError as exc:
-        print(f"error: {problem.cfg.path}: {exc}", file=sys.stderr)
+        print(f"error: {args.config}: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except SolverError as exc:
         print(f"error: {exc}", file=sys.stderr)

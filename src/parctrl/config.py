@@ -10,11 +10,13 @@ The format is bracketed sections over "key = value" lines:
 Chosen over nested formats so every diagnostic can cite a file line and no
 parser dependency is implied.  Data entries are either profile expressions
 (see profiles.py) or "csv:relative/path" references resolved against the
-config file's directory.
+config file's directory.  This is the one reader of a config (a file, or the
+one a run's manifest.json echoes); build_problem resolves every value.
 """
 
 from __future__ import annotations
 
+import json
 import math
 import os
 from dataclasses import dataclass, field
@@ -103,11 +105,18 @@ def parse_config_text(text: str, path: str = "<config>") -> RawConfig:
 
 
 def load_config(path: str) -> RawConfig:
+    """The config at path, or the config_text a manifest.json echoes."""
+    manifest = path.endswith(".json")
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config: {exc}", path) from exc
+            text = json.load(fh) if manifest else fh.read()
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ConfigError(f"cannot read {'manifest' if manifest else 'config'}: {exc}",
+                          path) from exc
+    if manifest:
+        text = text.get("config_text") if isinstance(text, dict) else None
+        if not isinstance(text, str):
+            raise ConfigError("manifest carries no config_text string", path)
     return parse_config_text(text, path)
 
 
@@ -143,6 +152,7 @@ def _parse_int(cfg, section, key, minimum=None):
 
 _BOOLEANS = {"true": True, "false": False, "1": True, "0": False,
              "yes": True, "no": False}
+_REQUIRED = object()  # the _data_entry default of a [data] key that must be set
 
 
 def _parse_bool(cfg, section, key, default):
@@ -170,15 +180,16 @@ def _read_csv(path, grid, kind, width):
 
 @dataclass
 class Problem:
-    """Everything a command needs, built once from a parsed config."""
+    """Everything a command needs, built once from a parsed config; the
+    [data] variant gives the problem kind and the alpha it runs with."""
 
     mesh: object
     ops: object
     grid: TimeGrid
     spec: ProblemSpec
     cfg: RawConfig
-    q: np.ndarray | str | None = None  # or OPTIMIZE, which sweep-alpha reads
-    q0: np.ndarray | None = None
+    q: np.ndarray | str  # or OPTIMIZE, which sweep-alpha reads
+    q0: np.ndarray
     g_inf: np.ndarray | None = None
     q_inf: np.ndarray | None = None
     variant: str = "dirichlet"
@@ -187,6 +198,16 @@ class Problem:
     alphas: list = field(default_factory=list)
     opt_tol: float = 1e-10
     plots: bool = False
+
+    @property
+    def kind(self):
+        """'elliptic' for an elliptic variant name, else 'parabolic'."""
+        return "elliptic" if self.variant.startswith("elliptic") else "parabolic"
+
+    @property
+    def variant_alpha(self):
+        """alpha for a variant name ending in robin, else inf."""
+        return self.alpha if self.variant.endswith("robin") else math.inf
 
 
 def _build_mesh(cfg: RawConfig):
@@ -219,19 +240,19 @@ def _build_mesh(cfg: RawConfig):
                       cfg.line_of("mesh", "dim"))
 
 
-def _data_entry(cfg, key, grid, kind=None, required=False):
-    """The [data] entry key, checked without the operators: its presence,
-    its profile and its CSV path raise ConfigError here.  Returns a function
-    of the sampling points that gives its values there (None when absent):
+def _data_entry(cfg, key, grid, kind=None, default=None):
+    """The [data] entry key (default when absent), checked without the
+    operators: a _REQUIRED key's absence, its profile and its CSV path raise
+    ConfigError here.  Returns a function of the sampling points that gives
+    its values there (None when absent):
     with kind None the profile's row at t = 0, with kind "field" or
     "control" the (N+1)-row trajectory, from a profile or a CSV reference.
     That function raises ConfigError when a CSV cannot be read or a value
     is not finite."""
-    value = cfg.get("data", key)
+    value = cfg.get("data", key, default)
+    if value is _REQUIRED:
+        raise ConfigError(f"missing required key '{key}' in section [data]", cfg.path)
     if value is None:
-        if required:
-            raise ConfigError(f"missing required key '{key}' in section [data]",
-                              cfg.path)
         return lambda points: None
     line = cfg.line_of("data", key)
     if value.startswith("csv:"):
@@ -261,7 +282,8 @@ def _data_entry(cfg, key, grid, kind=None, required=False):
 
     def checked(points):
         # a nan or inf, written or overflowed, would run into every output
-        values = read(points)
+        with np.errstate(over="ignore", invalid="ignore"):  # rejected below
+            values = read(points)
         finite = np.isfinite(values)
         if not finite.all():
             raise ConfigError(f"key '{key}' must be finite, got {values[~finite][0]}",
@@ -310,12 +332,13 @@ def build_problem(cfg: RawConfig) -> Problem:
     optimize_q = cfg.get("data", "q") == OPTIMIZE
     # v_b is read at t = 0 only: a CSV reference's row 0, a profile sampled there
     v_b_csv = cfg.get("data", "v_b", "").startswith("csv:")
-    data = {key: _data_entry(cfg, key, grid, kind, required)
-            for key, kind, required in (
-                ("g", "field", True), ("z_d", "field", True), ("b", None, True),
-                ("v_b", "field" if v_b_csv else None, True),
-                ("q", "control", False), ("q0", "control", False),
-                ("g_inf", None, False), ("q_inf", None, False))
+    # an absent q is the zero flux, an absent q0 the unit flux direction
+    data = {key: _data_entry(cfg, key, grid, kind, default)
+            for key, kind, default in (
+                ("g", "field", _REQUIRED), ("z_d", "field", _REQUIRED),
+                ("b", None, _REQUIRED), ("v_b", "field" if v_b_csv else None, _REQUIRED),
+                ("q", "control", "constant(0)"), ("q0", "control", "constant(1)"),
+                ("g_inf", None, None), ("q_inf", None, None))
             if not (key == "q" and optimize_q)}
 
     ops = assemble(mesh)

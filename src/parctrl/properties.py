@@ -163,10 +163,9 @@ def table(problem: Problem):
         return worst <= 1e-10, worst
 
     def building_block_recombination(rng):
-        q0 = problem.q0 if problem.q0 is not None else np.ones((grid.n_steps + 1, m))
-        u_b, u_q0, u_g = scalar_control.building_blocks(ops, spec, q0, grid, "parabolic")
+        u_b, u_q0, u_g = scalar_control.building_blocks(ops, spec, problem.q0, grid)
         lam = 0.6
-        direct = solve_parabolic(ops, spec, lam * q0, grid)
+        direct = solve_parabolic(ops, spec, lam * problem.q0, grid)
         combo = u_b + lam * u_q0 + u_g
         gap = np.max(np.abs(combo - direct)) / max(np.max(np.abs(direct)), 1.0)
         return gap <= 1e-12, gap

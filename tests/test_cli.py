@@ -246,6 +246,26 @@ def test_lambda_rejects_a_q0_zero_on_the_rows_the_variant_reads(tmp_path, capsys
     assert f"bad.cfg:{line}: q0 must be nonzero" in capsys.readouterr().err
 
 
+def test_verify_rejects_a_zero_q0_at_its_line(tmp_path, capsys):
+    # building-block-recombination reads q0, and cites its line as lambda does
+    text = SMALL_CFG.replace("q0 = constant(1.0)", "q0 = constant(0.0)")
+    line = text.splitlines().index("q0 = constant(0.0)") + 1
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(text)
+    assert run("verify", str(bad), tmp_path / "out") == 2
+    assert f"bad.cfg:{line}: q0 must be nonzero" in capsys.readouterr().err
+
+
+def test_an_overflowing_optimize_prints_only_its_error_line(tmp_path, capsys):
+    # the cost overflows at once; numpy's overflow warning would come first
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(SMALL_CFG.replace("z_d = constant(0.25)", "z_d = constant(1e200)"))
+    assert run("optimize", str(cfg), tmp_path / "out") == 3
+    assert capsys.readouterr().err == (
+        "error: optimizer stopped: the cost or the optimality residual is not finite "
+        "(cost inf, residual inf)\n")
+
+
 @pytest.mark.parametrize("key", ["g_inf", "q_inf"])
 def test_forced_decay_needs_both_limits_before_assembly(tmp_path, capsys, monkeypatch,
                                                         key):
@@ -466,6 +486,38 @@ def test_solve_without_q_is_the_zero_flux(tmp_path):
         assert run("solve", str(cfg), tmp_path / label) == 0
     assert ((tmp_path / "absent" / "u.csv").read_bytes()
             == (tmp_path / "zero" / "u.csv").read_bytes())
+
+
+def test_load_config_reads_a_manifest(cfg_path, tmp_path):
+    # a run's manifest gives the entries of the config it was run from
+    assert run("solve", cfg_path, tmp_path / "out") == 0
+    manifest = str(tmp_path / "out" / "manifest.json")
+    cfg = load_config(manifest)
+    assert (cfg.path, cfg.text) == (manifest, SMALL_CFG)
+    assert cfg.entries == load_config(cfg_path).entries
+
+
+def test_absent_q_and_q0_are_zeros_and_ones(tmp_path):
+    problem = build_with(tmp_path, SMALL_CFG.replace("q = constant(0.5)\n", "")
+                         .replace("q0 = constant(1.0)\n", ""))
+    shape = (problem.grid.n_steps + 1, problem.ops.gamma2_nodes.size)
+    assert np.array_equal(problem.q, np.zeros(shape))
+    assert np.array_equal(problem.q0, np.ones(shape))
+
+
+@pytest.mark.parametrize("variant,kind,robin", [
+    ("dirichlet", "parabolic", False), ("robin", "parabolic", True),
+    ("parabolic", "parabolic", False), ("parabolic_robin", "parabolic", True),
+    ("elliptic", "elliptic", False), ("elliptic_robin", "elliptic", True)],
+    ids=["dirichlet", "robin", "parabolic", "parabolic_robin", "elliptic",
+         "elliptic_robin"])
+def test_variant_gives_the_kind_and_the_alpha_it_runs_with(variant, kind, robin):
+    from parctrl.config import build_problem
+
+    text = SMALL_CFG.replace("q0 = constant(1.0)", f"q0 = constant(1.0)\nvariant = {variant}")
+    problem = build_problem(parse_config_text(text.replace("alpha = 5.0", "alpha = 2.5")))
+    assert (problem.kind, problem.variant_alpha) == (kind, 2.5 if robin else math.inf)
+    assert problem.alpha == 2.5  # verify reads the raw alpha
 
 
 def test_verify_without_q0_passes(tmp_path):
