@@ -18,6 +18,7 @@ import numpy as np
 
 from .fem_core import (
     DiscreteOperators,
+    InputError,
     TimeGrid,
     _check_control,
     inner_boundary,
@@ -123,18 +124,19 @@ def alpha_sweep(ops: DiscreteOperators, spec: ProblemSpec, grid: TimeGrid,
     return rows
 
 
-def _require_time_constant(name, rows):
+def _require_time_constant(key, rows):
     if np.max(np.abs(rows[1:] - rows[1])) != 0.0:
-        raise ValueError(f"decay study needs time-constant data; {name} varies in time")
+        name = {"g": "the source", "q": "the flux"}[key]
+        raise InputError(f"decay study needs time-constant data; {name} varies in time", key)
 
 
 def _distances_to_steady(ops, spec, q, grid, g_inf, q_inf):
     """M-norm distance of the Dirichlet march with flux q to the steady state
-    of (g_inf, q_inf), per time level; ValueError when dt * coercivity > 0.1."""
+    of (g_inf, q_inf), per time level; InputError when dt * coercivity > 0.1."""
     lam0 = ops.lambda0
     if grid.dt * lam0 > 0.1:
-        raise ValueError(f"grid too coarse for the decay bound: dt * coercivity "
-                         f"= {grid.dt * lam0:.3f} > 0.1")
+        raise InputError(f"grid too coarse for the decay bound: dt * coercivity "
+                         f"= {grid.dt * lam0:.3g} > 0.1", "steps")
     u_inf = solve_elliptic_dirichlet(ops, g_inf, q_inf, spec.boundary_temp)
     diff = solve_parabolic(ops, spec, q, grid) - u_inf[None, :]
     return np.sqrt(np.maximum(
@@ -142,13 +144,15 @@ def _distances_to_steady(ops, spec, q, grid, g_inf, q_inf):
 
 
 def _fit_rate(times, errs, n_steps):
-    # least-squares slope of log err over the first half of the horizon
+    # least-squares slope of log err over the first half of the horizon; nan with
+    # fewer than two points, or with columns polyfit cannot scale (tt @ tt, log err)
     half = max(2, n_steps // 2 + 1)
     tt, ee = times[:half], errs[:half]
     mask = ee > 1e-14
-    if mask.sum() < 2:
+    tt, logs = tt[mask], np.log(ee[mask])
+    if tt.size < 2 or not 0.0 < tt @ tt < math.inf or not np.isfinite(logs).all():
         return math.nan
-    slope = np.polyfit(tt[mask], np.log(ee[mask]), 1)[0]
+    slope = np.polyfit(tt, logs, 1)[0]
     return float(-slope)
 
 
@@ -158,8 +162,8 @@ def decay_study(ops: DiscreteOperators, spec: ProblemSpec, q: np.ndarray,
     solution against err(0) * exp(-coercivity * t / 2) at every step."""
     spec.validate(ops, grid)
     _check_control(grid, ops, q)
-    _require_time_constant("the source", spec.source)
-    _require_time_constant("the flux", q)
+    _require_time_constant("g", spec.source)
+    _require_time_constant("q", q)
     errs = _distances_to_steady(ops, spec, q, grid, spec.source[1], q[1])
     lam0 = ops.lambda0
     times = grid.times()
@@ -190,8 +194,8 @@ def decay_with_forcing(ops: DiscreteOperators, spec: ProblemSpec,
     _check_control(grid, ops, q)
     lam0 = ops.lambda0
     if grid.t_final * lam0 > 500.0:
-        raise ValueError("horizon too long: coercivity * t_final must stay "
-                         "below 500 to keep the weighted integrals finite")
+        raise InputError("horizon too long: coercivity * t_final must stay "
+                         "below 500 to keep the weighted integrals finite", "t_final")
     g_inf = np.asarray(g_inf, dtype=float)
     q_inf = np.asarray(q_inf, dtype=float)
     errs = _distances_to_steady(ops, spec, q, grid, g_inf, q_inf)

@@ -8,35 +8,33 @@ reads; this module checks the command, runs it and writes its outputs.  One
 table, _COMMANDS, gives each command its runner, the [data] variant names it
 runs and the keys it requires; both are checked before the mesh is assembled,
 as are q = optimize, which only sweep-alpha reads, and decay's g_inf without
-q_inf or the reverse.  verify runs the table in properties.  A q0 that is zero
-on the rows lambda or verify reads exits 2 at its line.  Every run writes its
-CSV outputs plus a JSON manifest echoing the config text, the mesh hash, the
-spectral constants the command read (verify reads all three, decay lambda0,
-and trace_norm when forced; the others none) and wall time; re-running a
-command from the manifest (pass the manifest path as --config) reproduces
-byte-identical CSVs.  optimize also writes result.json, whose summary (with the
-CG cost and residual histories) is the manifest's results.  All CSVs go through
-one writer, one precompiled row format per file: floats as %.17g, booleans as
-true/false, a missing value as an empty cell.  Exit codes: 0 success, 1 failed
-verify properties, 2 validation errors, 3 solver non-convergence.
+q_inf or the reverse.  verify runs the table in properties.  An input the
+library rejects (a q0 zero on the rows lambda or verify reads, a decay grid
+too coarse, time-varying decay data) exits 2 at the line that sets it.
+
+Outputs: main runs the command under one np.errstate, so numpy warns of no
+overflow, and hands its runner _write, the one way it writes a file: a nan
+or an inf bound for a CSV or result.json exits 3 naming the file and its
+column, and that file is not written.  Every run also writes a manifest
+echoing the config text, the mesh hash, the spectral constants the command
+read and wall time; passed as --config it reproduces byte-identical CSVs.
+CSVs have one precompiled row format per file: floats as %.17g, booleans as
+true/false, a missing value as an empty cell.  Exit codes: 0 success, 1
+failed verify properties, 2 validation errors, 3 solver non-convergence or
+a non-finite number in an output.
 
 BLAS threads: the CLI runs OpenBLAS on one thread unless the environment
-sets OPENBLAS_NUM_THREADS or OMP_NUM_THREADS, in which case that setting
-wins.  OpenBLAS reads the variable when numpy and scipy load it, so this
-module sets OPENBLAS_NUM_THREADS=1 before importing either; the package
-__init__ re-exports lazily, so every CLI entry point gets here first.  Once
-numpy is loaded it sets nothing.  The manifest's blas_threads holds both
+sets OPENBLAS_NUM_THREADS or OMP_NUM_THREADS.  This module sets the first
+before numpy loads the BLAS; the package __init__ re-exports lazily, so every
+CLI entry point gets here first.  The manifest's blas_threads holds both
 variables as they stood once this module was imported, and set_by: "cli",
 "environment", or "none" when numpy was loaded first.
 
 Processes: verify's properties and optimize's CSV files are independent
-tasks, and _run_tasks runs them on a forked multiprocessing pool of one
-worker per CPU this process may use (os.sched_getaffinity), handed out one
-at a time, costliest first.  verify first runs properties.prepare, and
-optimize forks once the optimizer has finished, so no worker computes
-anything twice.  The library itself stays single-process.  The manifest's
-workers is the number of processes the command ran on: 1 for solve, lambda,
-sweep-alpha and decay, and with one CPU.
+tasks that _run_tasks runs on a forked pool of one worker per CPU this
+process may use, costliest first, once what they share is computed.  The
+manifest's workers is the number of processes the command ran on: 1 for
+solve, lambda, sweep-alpha and decay, and with one CPU.
 """
 
 from __future__ import annotations
@@ -44,7 +42,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import multiprocessing
 import os
 import sys
@@ -65,8 +62,8 @@ _BLAS_THREADS = {**{var: os.environ.get(var) for var in _BLAS_THREAD_VARS},
 import numpy as np  # noqa: E402
 
 from . import asymptotics, optimal_control, properties, scalar_control  # noqa: E402
-from .config import ConfigError, Problem, build_problem, load_config  # noqa: E402
-from .fem_core import SolverError  # noqa: E402
+from .config import KNOWN_KEYS, ConfigError, Problem, build_problem, load_config  # noqa: E402
+from .fem_core import InputError, SolverError  # noqa: E402
 from .state_solvers import solve_parabolic  # noqa: E402
 
 EXIT_OK = 0
@@ -89,20 +86,60 @@ def _write_csv(path, header, row_format, rows):
             fh.write(row_format % row)
 
 
-def _write_trajectory_csv(path, columns, grid, values):
-    # a field or control: "step,time,<columns>" with one row per time level
-    times = grid.times()
-    _write_csv(path, "step,time," + ",".join(columns),
-               ",".join(["%d", "%.17g"] + ["%.17g"] * len(columns)),
-               ((k, times[k], *values[k].tolist()) for k in range(values.shape[0])))
+# each kind of file as _write takes it: (columns, rows, writer)
+def _trajectory(columns, grid, values):
+    # a field or control: "step,time,<columns>", one row per time level
+    def writer(path):
+        times = grid.times()
+        _write_csv(path, "step,time," + ",".join(columns),
+                   ",".join(["%d", "%.17g"] + ["%.17g"] * len(columns)),
+                   ((k, times[k], *values[k].tolist()) for k in range(values.shape[0])))
+    return columns, values, writer
 
 
+def _field(grid, values):  # a column per node
+    return _trajectory([f"n{i}" for i in range(values.shape[1])], grid, values)
+
+
+def _control(grid, ops, values):  # a column per GAMMA2 node
+    return _trajectory([f"g2n{i}" for i in ops.gamma2_nodes], grid, values)
+
+
+def _table(header, row_format, rows):  # a few rows, each formatted by row_format
+    return header.split(","), rows, lambda path: _write_csv(path, header, row_format, rows)
+
+
+# the same CSVs, unchecked: any float, for data a config reads as csv:
 def write_field_csv(path, grid, values):
-    _write_trajectory_csv(path, [f"n{i}" for i in range(values.shape[1])], grid, values)
+    _field(grid, values)[-1](path)
 
 
 def write_control_csv(path, grid, ops, values):
-    _write_trajectory_csv(path, [f"g2n{i}" for i in ops.gamma2_nodes], grid, values)
+    _control(grid, ops, values)[-1](path)
+
+
+def _write_json(path, data):
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        json.dump(data, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def _write(out_dir, name, columns, rows, writer):
+    """The one way a command writes a file, so the one rule for its numbers:
+    rows, a 2D array with a column per name in columns or a list of rows
+    whose float cells are the numbers, holds no nan or inf.  The first one
+    raises SolverError naming the file and its column, and the file is not
+    written; else writer(path) writes it.  Returns name."""
+    path = os.path.join(out_dir, name)
+    if not isinstance(rows, np.ndarray):
+        rows = np.array([[c if isinstance(c, float) else 0.0 for c in row] for row in rows])
+    finite = np.isfinite(rows)
+    if not finite.all():
+        row, col = np.argwhere(~finite)[0]
+        raise SolverError(f"{path} not written: column {columns[col]} would hold "
+                          f"{rows[row, col]}")
+    writer(path)
+    return name
 
 
 def _worker_count(n_tasks):
@@ -122,17 +159,14 @@ def _run_tasks(tasks, order):
     """Run the zero-argument callables in tasks on _worker_count processes
     and return their results in task order.
 
-    With one CPU or one task nothing is forked: the caller runs the tasks in
-    order, a permutation of the task indices (costliest first).  Otherwise a
-    forked multiprocessing pool runs them, handed out one index at a time in
-    that order.  The workers see what the caller built before the call,
-    copy-on-write, so a caller computes what is cached on first use before
-    calling; only task indices and results are sent between processes.  A
-    task that raises in a worker is raised here with its type, message and
-    attributes, and the worker's traceback as its __cause__.  A worker that
-    dies without its result (killed, or exiting inside a task) raises
-    RuntimeError about half a second later.  Leaving the pool, on success or
-    on error, terminates and reaps every worker.
+    The tasks run in order, a permutation of the task indices (costliest
+    first): in the caller with one CPU or one task, else handed out one at a
+    time to a forked multiprocessing pool.  The workers see what the caller
+    built before the call, copy-on-write; only task indices and results are
+    sent between processes.  A task that raises in a worker is raised here
+    with its type, message and attributes, and the worker's traceback as its
+    __cause__.  A worker that dies without its result raises RuntimeError
+    about half a second later.  Leaving the pool terminates every worker.
     """
     global _TASKS
     order = list(order)
@@ -169,21 +203,15 @@ def write_svg_lines(path, series, title, logy=False, logx=False):
 
     def tf(vals, log):
         vals = np.asarray(vals, dtype=float)
-        if log:
-            vals = np.where(vals > 0, vals, np.nan)
-            return np.log10(vals)
-        return vals
+        return np.log10(np.where(vals > 0, vals, np.nan)) if log else vals
 
-    xs_all = np.concatenate([tf(x, logx) for _, x, _ in series])
-    ys_all = np.concatenate([tf(y, logy) for _, _, y in series])
-    xs_all = xs_all[np.isfinite(xs_all)]
-    ys_all = ys_all[np.isfinite(ys_all)]
-    x_lo, x_hi = (float(xs_all.min()), float(xs_all.max())) if xs_all.size else (0, 1)
-    y_lo, y_hi = (float(ys_all.min()), float(ys_all.max())) if ys_all.size else (0, 1)
-    if x_hi == x_lo:
-        x_hi = x_lo + 1.0
-    if y_hi == y_lo:
-        y_hi = y_lo + 1.0
+    def span(vals):  # the range of the finite values, never empty
+        vals = vals[np.isfinite(vals)]
+        lo, hi = (float(vals.min()), float(vals.max())) if vals.size else (0, 1)
+        return lo, hi if hi != lo else lo + 1.0
+
+    x_lo, x_hi = span(np.concatenate([tf(x, logx) for _, x, _ in series]))
+    y_lo, y_hi = span(np.concatenate([tf(y, logy) for _, _, y in series]))
 
     def px(x):
         return pad + (x - x_lo) / (x_hi - x_lo) * (width - 2 * pad)
@@ -260,19 +288,15 @@ def _write_manifest(out_dir, command, problem, outputs, results, workers, wall_t
         "results": results,
         "wall_time_s": wall_time,
     }
-    path = os.path.join(out_dir, "manifest.json")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return path
+    _write_json(os.path.join(out_dir, "manifest.json"), manifest)
 
 
 def _check_command(cfg, command):
     """Before any operator is assembled: a [data] variant name that command
     does not run is a ConfigError at the variant line, and each key it
-    requires must be present.  q = optimize, where q is read as a
-    fixed flux, and decay's g_inf without q_inf or the reverse are
-    ConfigErrors at the line of the key set."""
+    requires must be present.  q = optimize, where q is read as a fixed flux,
+    and decay's g_inf without q_inf or the reverse are ConfigErrors at the
+    line of the key set."""
     _, variants, required = _COMMANDS[command]
     name = cfg.get("data", "variant", "dirichlet")
     if name not in variants:
@@ -291,46 +315,38 @@ def _check_command(cfg, command):
                           cfg.line_of("data", limits[0]))
 
 
-def _cmd_solve(problem: Problem, out_dir):
+def _cmd_solve(problem: Problem, write):
     u = solve_parabolic(problem.ops, problem.spec, problem.q, problem.grid,
                         problem.variant_alpha)
-    write_field_csv(os.path.join(out_dir, "u.csv"), problem.grid, u)
-    return ["u.csv"], {"u_file": "u.csv",
-                       "final_max": float(np.max(u[-1])),
-                       "final_min": float(np.min(u[-1]))}, 1
+    return [write("u.csv", *_field(problem.grid, u))], {
+        "u_file": "u.csv", "final_max": float(np.max(u[-1])), "final_min": float(np.min(u[-1]))}, 1
 
 
-def _cmd_optimize(problem: Problem, out_dir):
+def _cmd_optimize(problem: Problem, write):
     ops, spec, grid = problem.ops, problem.spec, problem.grid
     alpha = problem.variant_alpha
-    # an overflow gives a cost or residual that is not finite, an error below
-    with np.errstate(over="ignore", invalid="ignore"):
-        if problem.control == "boundary":
-            res = optimal_control.optimize_boundary(ops, spec, grid, tol=problem.opt_tol,
-                                                    alpha=alpha)
-        elif problem.control == "distributed":
-            res = optimal_control.optimize_distributed(ops, spec, grid, problem.q,
-                                                       tol=problem.opt_tol, alpha=alpha)
-        else:
-            res = optimal_control.optimize_simultaneous(ops, spec, grid,
-                                                        tol=problem.opt_tol, alpha=alpha)
+    if problem.control == "boundary":
+        res = optimal_control.optimize_boundary(ops, spec, grid, tol=problem.opt_tol,
+                                                alpha=alpha)
+    elif problem.control == "distributed":
+        res = optimal_control.optimize_distributed(ops, spec, grid, problem.q,
+                                                   tol=problem.opt_tol, alpha=alpha)
+    else:
+        res = optimal_control.optimize_simultaneous(ops, spec, grid,
+                                                    tol=problem.opt_tol, alpha=alpha)
     # one task per CSV; a field has a column per node and q_opt one per
     # GAMMA2 node, so the fields are written first
     names = [name for name in ("q_opt", "g_opt", "u_opt", "p_opt")
              if getattr(res, name) is not None]
     files = {name: f"{name}.csv" for name in names}
 
-    def write(name):
-        path, values = os.path.join(out_dir, files[name]), getattr(res, name)
-        if name == "q_opt":
-            write_control_csv(path, grid, ops, values)
-        else:
-            write_field_csv(path, grid, values)
+    def write_csv(name):
+        values = getattr(res, name)
+        return write(files[name], *(_control(grid, ops, values) if name == "q_opt"
+                                    else _field(grid, values)))
 
-    _run_tasks([lambda name=name: write(name) for name in names],
-               sorted(range(len(names)), key=lambda i: names[i] == "q_opt"))
-    outputs = list(files.values())
-
+    outputs = _run_tasks([lambda name=name: write_csv(name) for name in names],
+                         sorted(range(len(names)), key=lambda i: names[i] == "q_opt"))
     summary = {
         "control": problem.control,
         "variant": problem.variant,
@@ -342,65 +358,58 @@ def _cmd_optimize(problem: Problem, out_dir):
         "residual_history": res.residual_history,
         "files": files,
     }
-    with open(os.path.join(out_dir, "result.json"), "w", encoding="utf-8",
-              newline="\n") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    outputs.append("result.json")
-    if not (math.isfinite(res.cost) and math.isfinite(res.optimality_residual)):
-        raise SolverError("optimizer stopped: the cost or the optimality residual is not "
-                          f"finite (cost {res.cost:.3e}, residual {res.optimality_residual:.3e})")
+    # each number in the summary, or in a list in it, is checked under its key
+    cells = [(key, v) for key, value in summary.items()
+             for v in (value if isinstance(value, list) else [value])]
+    outputs.append(write("result.json", [key for key, _ in cells], [[v for _, v in cells]],
+                         lambda path: _write_json(path, summary)))
     if not res.converged:
         raise SolverError(f"optimizer did not converge within the iteration cap "
                           f"(residual {res.optimality_residual:.3e})")
     return outputs, summary, _worker_count(len(names))
 
 
-def _cmd_lambda(problem: Problem, out_dir):
+def _cmd_lambda(problem: Problem, write):
     # lambda.csv calls the default variant, dirichlet, by its problem kind
     variant = problem.variant if problem.variant != "dirichlet" else problem.kind
     coeffs = scalar_control.scalar_optimum(problem.ops, problem.spec, problem.q0,
                                            problem.grid, problem.kind,
                                            problem.variant_alpha)
-    h_opt = coeffs.value(coeffs.lambda_opt)
-    path = os.path.join(out_dir, "lambda.csv")
-    _write_csv(path, "variant,A,B,C,lambda_opt,H_opt",
-               "%s,%.17g,%.17g,%.17g,%.17g,%.17g",
-               [(variant, coeffs.quadratic, coeffs.linear, coeffs.constant,
-                 coeffs.lambda_opt, h_opt)])
     results = {"variant": variant, "A": coeffs.quadratic, "B": coeffs.linear,
                "C": coeffs.constant, "lambda_opt": coeffs.lambda_opt,
-               "H_opt": h_opt, "discriminant": coeffs.discriminant}
-    return ["lambda.csv"], results, 1
+               "H_opt": coeffs.value(coeffs.lambda_opt)}
+    outputs = [write("lambda.csv", *_table(",".join(results), "%s" + ",%.17g" * 5,
+                                           [tuple(results.values())]))]
+    results["discriminant"] = coeffs.discriminant
+    return outputs, results, 1
 
 
-def _cmd_sweep_alpha(problem: Problem, out_dir):
+def _cmd_sweep_alpha(problem: Problem, write):
     rows = asymptotics.alpha_sweep(problem.ops, problem.spec, problem.grid,
                                    problem.alphas, q=problem.q, tol=problem.opt_tol)
-    path = os.path.join(out_dir, "sweep.csv")
-    # err_control is empty for a fixed flux
-    _write_csv(path, "alpha,err_state,err_adjoint,err_control,boundary_mismatch,converged",
-               "%.17g,%.17g,%.17g,%s,%.17g,%s",
-               [(r.alpha, r.err_state, r.err_adjoint,
-                 "" if r.err_control is None else "%.17g" % r.err_control,
-                 r.boundary_mismatch, "true" if r.converged else "false")
-                for r in rows])
-    outputs = ["sweep.csv"]
+    # err_control is an empty cell for a fixed flux; the rows' numbers are checked
+    header = "alpha,err_state,err_adjoint,err_control,boundary_mismatch,converged"
+    text = [(r.alpha, r.err_state, r.err_adjoint,
+             "" if r.err_control is None else "%.17g" % r.err_control,
+             r.boundary_mismatch, "true" if r.converged else "false") for r in rows]
+    outputs = [write("sweep.csv", header.split(","), [vars(r).values() for r in rows],
+                     lambda path: _write_csv(path, header, "%.17g,%.17g,%.17g,%s,%.17g,%s",
+                                             text))]
     if problem.plots:
         series = [("err_state", [r.alpha for r in rows], [r.err_state for r in rows]),
                   ("err_adjoint", [r.alpha for r in rows], [r.err_adjoint for r in rows])]
         if rows and rows[0].err_control is not None:
             series.append(("err_control", [r.alpha for r in rows],
                            [r.err_control for r in rows]))
-        write_svg_lines(os.path.join(out_dir, "sweep.svg"), series,
-                        "transfer-coefficient sweep", logx=True, logy=True)
-        outputs.append("sweep.svg")
+        # a plot draws only the finite points: nothing to check
+        outputs.append(write("sweep.svg", (), (), lambda path: write_svg_lines(
+            path, series, "transfer-coefficient sweep", logx=True, logy=True)))
     if any(not r.converged for r in rows):
         raise SolverError("one or more sweep rows did not converge")
     return outputs, {"rows": len(rows)}, 1
 
 
-def _cmd_decay(problem: Problem, out_dir):
+def _cmd_decay(problem: Problem, write):
     # _check_command has rejected g_inf without q_inf and the reverse
     forced = problem.g_inf is not None
     if forced:
@@ -410,17 +419,14 @@ def _cmd_decay(problem: Problem, out_dir):
     else:
         result = asymptotics.decay_study(problem.ops, problem.spec, problem.q,
                                          problem.grid)
-    path = os.path.join(out_dir, "decay.csv")
-    _write_csv(path, "t,err_H,bound,ratio", "%.17g,%.17g,%.17g,%.17g",
-               [(r.t, r.err_h, r.bound, r.ratio) for r in result.rows])
-    outputs = ["decay.csv"]
+    rows = result.rows
+    outputs = [write("decay.csv", *_table("t,err_H,bound,ratio", "%.17g,%.17g,%.17g,%.17g",
+                                          [(r.t, r.err_h, r.bound, r.ratio) for r in rows]))]
     if problem.plots:
-        write_svg_lines(
-            os.path.join(out_dir, "decay.svg"),
-            [("err_H", [r.t for r in result.rows], [r.err_h for r in result.rows]),
-             ("bound", [r.t for r in result.rows], [r.bound for r in result.rows])],
-            "decay toward the steady state", logy=True)
-        outputs.append("decay.svg")
+        outputs.append(write("decay.svg", (), (), lambda path: write_svg_lines(
+            path, [("err_H", [r.t for r in rows], [r.err_h for r in rows]),
+                   ("bound", [r.t for r in rows], [r.bound for r in rows])],
+            "decay toward the steady state", logy=True)))
     return outputs, {"fitted_rate": result.fitted_rate,
                      "coercivity": result.coercivity,
                      "forced": forced}, 1
@@ -438,16 +444,14 @@ def _verify_battery(problem: Problem):
             for (name, _), (passed, detail) in zip(entries, outcomes)]
 
 
-def _cmd_verify(problem: Problem, out_dir):
+def _cmd_verify(problem: Problem, write):
     checks = _verify_battery(problem)
-    results = {"properties": checks,
-               "all_passed": all(c["passed"] for c in checks)}
+    results = {"properties": checks, "all_passed": all(c["passed"] for c in checks)}
     return [], results, _worker_count(len(checks))
 
 
-# command -> (runner, the [data] variant names it runs, the (section, key)
-# pairs it requires); sweep-alpha and verify run both
-# boundary conditions and take any name another command runs
+# command -> (runner, the [data] variant names it runs, the (section, key) pairs
+# it requires); sweep-alpha and verify take any name another command runs
 _BOUNDARY = ("dirichlet", "robin")
 _SCALAR = ("dirichlet", "parabolic", "parabolic_robin", "elliptic", "elliptic_robin")
 _ANY = _BOUNDARY + _SCALAR[1:]
@@ -475,17 +479,22 @@ def main(argv=None) -> int:
     t0 = time.perf_counter()
     try:
         cfg = load_config(args.config)
-        _check_command(cfg, args.command)
-        problem = build_problem(cfg)
-        try:
-            os.makedirs(args.out, exist_ok=True)
-        except OSError as exc:
-            print(f"error: cannot create output directory {args.out}: "
-                  f"{exc.strerror or exc}", file=sys.stderr)
-            return EXIT_VALIDATION
-        outputs, results, workers = _COMMANDS[args.command][0](problem, args.out)
-    except scalar_control.ZeroDirectionError as exc:  # q0 on the rows the variant reads
-        print(f"error: {ConfigError(str(exc), cfg.path, cfg.line_of('data', 'q0'))}",
+        # a nan or an inf is not warned of but refused by _write; forked
+        # workers inherit this state
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            _check_command(cfg, args.command)
+            problem = build_problem(cfg)
+            try:
+                os.makedirs(args.out, exist_ok=True)
+            except OSError as exc:
+                print(f"error: cannot create output directory {args.out}: "
+                      f"{exc.strerror or exc}", file=sys.stderr)
+                return EXIT_VALIDATION
+            outputs, results, workers = _COMMANDS[args.command][0](
+                problem, lambda *file: _write(args.out, *file))
+    except InputError as exc:  # cited at the line that sets the input it names
+        section = next((s for s, keys in KNOWN_KEYS.items() if exc.key in keys), None)
+        print(f"error: {ConfigError(str(exc), cfg.path, cfg.line_of(section, exc.key))}",
               file=sys.stderr)
         return EXIT_VALIDATION
     except ConfigError as exc:

@@ -60,6 +60,7 @@ class RawConfig:
     text: str
     # section -> key -> (value string, line number)
     entries: dict = field(default_factory=dict)
+    sections: dict = field(default_factory=dict)  # section -> line of its header
 
     def get(self, section, key, default=None):
         return self.entries.get(section, {}).get(key, (default, None))[0]
@@ -69,9 +70,9 @@ class RawConfig:
 
     def require(self, section, key):
         value = self.get(section, key)
-        if value is None:
+        if value is None:  # cited at the section's header, when there is one
             raise ConfigError(f"missing required key '{key}' in section [{section}]",
-                              self.path)
+                              self.path, self.sections.get(section))
         return value
 
 
@@ -87,6 +88,7 @@ def parse_config_text(text: str, path: str = "<config>") -> RawConfig:
             if section not in KNOWN_KEYS:
                 raise ConfigError(f"unknown section [{section}]", path, lineno)
             cfg.entries.setdefault(section, {})
+            cfg.sections.setdefault(section, lineno)
             continue
         if "=" not in line:
             raise ConfigError("expected 'key = value'", path, lineno)
@@ -249,9 +251,7 @@ def _data_entry(cfg, key, grid, kind=None, default=None):
     "control" the (N+1)-row trajectory, from a profile or a CSV reference.
     That function raises ConfigError when a CSV cannot be read or a value
     is not finite."""
-    value = cfg.get("data", key, default)
-    if value is _REQUIRED:
-        raise ConfigError(f"missing required key '{key}' in section [data]", cfg.path)
+    value = cfg.require("data", key) if default is _REQUIRED else cfg.get("data", key, default)
     if value is None:
         return lambda points: None
     line = cfg.line_of("data", key)

@@ -53,6 +53,15 @@ class MeshError(ValueError):
     pass
 
 
+class InputError(ValueError):
+    """An input a computation cannot run on; key names it as a config sets it
+    ("q0", "g", "steps", ...), so a front end can cite it.  Pickles with it."""
+
+    def __init__(self, message, key=None):
+        super().__init__(message)
+        self.key = key
+
+
 class SolverError(RuntimeError):
     pass
 

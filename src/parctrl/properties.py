@@ -122,7 +122,7 @@ def table(problem: Problem):
         return worst < 0.0, worst
 
     def adjoint_duality(rng, alpha):
-        worst = 0.0
+        gaps = []
         u_0 = solve_parabolic(ops, spec, zero_q, grid, alpha)
         for _ in range(3):
             q, eta = draw(rng), draw(rng)
@@ -131,19 +131,21 @@ def table(problem: Problem):
             p_q = solve_adjoint(ops, u_q, spec.target, grid, alpha)
             lhs = inner_domain_time(grid, ops, u_eta - u_0, u_q - spec.target)
             rhs = -inner_boundary_time(grid, ops, eta, p_q[:, ops.gamma2_nodes])
-            worst = max(worst, rel(lhs, rhs))
+            gaps.append(rel(lhs, rhs))
+        worst = np.max(gaps)  # a nan gap is the worst, and fails
         return worst <= 1e-10, worst
 
     def gradient_central_difference(rng):
         # central differences of the quadratic cost
         q = draw(rng)
         grad = optimal_control.tracking_gradient(ops, spec, q, grid)
-        worst = 0.0
+        gaps = []
         for eps in (1e-2, 1e-4):
             eta = draw(rng)
             fd = (optimal_control.tracking_cost(ops, spec, q + eps * eta, grid)
                   - optimal_control.tracking_cost(ops, spec, q - eps * eta, grid)) / (2 * eps)
-            worst = max(worst, rel(fd, inner_boundary_time(grid, ops, grad, eta)))
+            gaps.append(rel(fd, inner_boundary_time(grid, ops, grad, eta)))
+        worst = np.max(gaps)
         return worst <= 1e-9, worst
 
     def convexity_identity(rng):

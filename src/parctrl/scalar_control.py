@@ -31,11 +31,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fem_core import DiscreteOperators, TimeGrid, _check_control, _time_pairing
+from .fem_core import DiscreteOperators, InputError, TimeGrid, _check_control, _time_pairing
 from .state_solvers import ParabolicStepper, ProblemSpec, solve_elliptic_robin
 
 
-class ZeroDirectionError(ValueError):
+class ZeroDirectionError(InputError):
     """q0 is zero on every row the variant reads."""
 
 
@@ -53,7 +53,7 @@ class QuadraticCoefficients:
 
     @property
     def discriminant(self) -> float:
-        return self.linear ** 2 - 4.0 * self.quadratic * self.constant
+        return self.linear * self.linear - 4.0 * self.quadratic * self.constant
 
     def value(self, lam: float) -> float:
         return self.quadratic * lam * lam + self.linear * lam + self.constant
@@ -97,7 +97,7 @@ def building_blocks(ops: DiscreteOperators, spec: ProblemSpec, q0: np.ndarray,
     q_rows = rows(q0)
     if pair(ops.bmass_gamma2_sub, q_rows, q_rows) == 0.0:
         raise ZeroDirectionError("q0 must be nonzero on the rows the variant reads: "
-                                 "the quadratic coefficient would vanish")
+                                 "the quadratic coefficient would vanish", "q0")
     zeros = np.zeros(ops.n_nodes)
     return (solve(spec.initial_temp, spec.boundary_temp, None, None),
             solve(zeros, None, None, q_rows),

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -171,7 +172,7 @@ def test_sweep_csv_writes_booleans_and_empty_cells(cfg_path, tmp_path, monkeypat
     from parctrl import asymptotics
 
     rows = [asymptotics.SweepRow(10.0, 0.1, 1 / 3, None, -0.0, True),
-            asymptotics.SweepRow(100.0, 5e-324, math.inf, 0.1, math.nan, False)]
+            asymptotics.SweepRow(100.0, 5e-324, 1e308, 0.1, 1e-300, False)]
     monkeypatch.setattr("parctrl.cli.asymptotics.alpha_sweep",
                         lambda *args, **kwargs: rows)
     out = tmp_path / "out"
@@ -262,8 +263,7 @@ def test_an_overflowing_optimize_prints_only_its_error_line(tmp_path, capsys):
     cfg.write_text(SMALL_CFG.replace("z_d = constant(0.25)", "z_d = constant(1e200)"))
     assert run("optimize", str(cfg), tmp_path / "out") == 3
     assert capsys.readouterr().err == (
-        "error: optimizer stopped: the cost or the optimality residual is not finite "
-        "(cost inf, residual inf)\n")
+        f"error: {tmp_path / 'out' / 'result.json'} not written: column cost would hold inf\n")
 
 
 @pytest.mark.parametrize("key", ["g_inf", "q_inf"])
@@ -280,6 +280,66 @@ def test_forced_decay_needs_both_limits_before_assembly(tmp_path, capsys, monkey
     err = capsys.readouterr().err
     assert f"bad.cfg:{line}: forced decay needs both g_inf and q_inf" in err
     assert assembled == []
+
+
+@pytest.mark.parametrize("edits,key", [
+    ([("steps = 20", "steps = 2")], "steps"),
+    ([("g = constant(1.0)", "g = exp-decay(1,0.5,2)")], "g"),
+    ([("q = constant(0.5)", "q = exp-decay(0.5,0.1,1)")], "q"),
+    ([("t_final = 1.0", "t_final = 1000"),
+      ("q0 = constant(1.0)", "q0 = constant(1.0)\ng_inf = constant(1.0)\nq_inf = constant(0.5)")],
+     "t_final"),
+], ids=["grid-too-coarse", "time-varying-source", "time-varying-flux", "horizon-too-long"])
+def test_decay_cites_the_line_of_the_input_it_rejects(tmp_path, capsys, edits, key):
+    text = SMALL_CFG
+    for old, new in edits:
+        text = text.replace(old, new)
+    line = next(i for i, t in enumerate(text.splitlines(), 1) if t.startswith(f"{key} ="))
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(text)
+    assert run("decay", str(bad), tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}:{line}: ") and err.count("\n") == 1
+
+
+def test_a_nan_fails_the_properties_that_fold_their_samples(tmp_path, capsys):
+    # max(0.0, nan) is 0.0: a fold that kept it passed on a nan
+    text = (Path(__file__).resolve().parents[1] / "configs" / "benchmark1d.cfg").read_text()
+    for old, new in (("cells = 256", "cells = 32"), ("steps = 200", "steps = 20"),
+                     ("z_d = constant(0.25)", "z_d = constant(1e200)")):
+        text = text.replace(old, new)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    assert run("verify", str(cfg), tmp_path / "out") == 1
+    assert "FAIL  gradient-central-difference  (nan)\n" in capsys.readouterr().out
+
+
+def test_write_names_the_first_non_finite_cell_and_writes_nothing(tmp_path):
+    from parctrl.cli import _field, _write
+    from parctrl.fem_core import SolverError, TimeGrid
+
+    values = np.zeros((4, 6))
+    values[2, 5], values[3, 1] = -math.inf, math.nan
+    with pytest.raises(SolverError) as info:
+        _write(str(tmp_path), "u.csv", *_field(TimeGrid(t_final=1.0, n_steps=3), values))
+    assert str(info.value) == f"{tmp_path / 'u.csv'} not written: column n5 would hold -inf"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command,old,new,name,column", [
+    ("decay", "g = constant(1.0)", "g = constant(1e300)", "decay.csv", "err_H"),
+    ("sweep-alpha", "z_d = constant(0.25)", "z_d = constant(1e300)", "sweep.csv",
+     "err_adjoint"),
+], ids=["decay", "sweep-alpha"])
+def test_a_non_finite_output_exits_3_and_is_not_written(tmp_path, capsys, command, old,
+                                                        new, name, column):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(SMALL_CFG.replace(old, new))
+    out = tmp_path / "out"
+    assert run(command, str(cfg), out) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {out / name} not written: column {column} would hold ")
+    assert err.count("\n") == 1 and not (out / name).exists()
 
 
 def test_sweep_command_fixed_q(cfg_path, tmp_path):
@@ -419,7 +479,8 @@ TWO_D = ("dim = 1\ncells = 32", "dim = 2\nnx = 4\nny = 4")
 
 
 @pytest.mark.parametrize("edits,key,message", [
-    ([("z_d = constant(0.25)\n", "")], None, "missing required key 'z_d' in section [data]"),
+    ([("z_d = constant(0.25)\n", "")], "[data]",
+     "missing required key 'z_d' in section [data]"),
     ([("g = constant(1.0)", "g = nope(1)")], "g", "unknown profile 'nope'"),
     ([("g = constant(1.0)", "g = constant()")], "g",
      "profile 'constant' takes 1 parameter(s), got 0"),
@@ -457,8 +518,9 @@ def test_config_input_errors_exit_2_before_assembly(tmp_path, capsys, monkeypatc
     bad.write_text(text)
     assert run("solve", str(bad), tmp_path / "out") == 2
     err = capsys.readouterr().err
-    anchor = "bad.cfg:" if key is None else "bad.cfg:{}:".format(next(
-        i for i, line in enumerate(text.splitlines(), 1) if line.startswith(f"{key} =")))
+    # cited at the key's line, or a missing key at its section's header
+    anchor = "bad.cfg:{}:".format(next(
+        i for i, line in enumerate(text.splitlines(), 1) if line.split(" =")[0] == key))
     assert f"{anchor} {message}" in err
     assert assembled == []
 
@@ -1133,6 +1195,16 @@ def test_a_worker_that_dies_fails_at_once(how):
 
 
 @TWO_CPUS
+def test_forked_workers_inherit_the_callers_errstate():
+    # main's one np.errstate covers verify's and optimize's workers too
+    from parctrl.cli import _run_tasks
+
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        states = _run_tasks([np.geterr] * 4, range(4))
+    assert all(state["over"] == state["invalid"] == state["divide"] == "ignore"
+               for state in states)
+
+
 def test_an_unpicklable_worker_exception_names_the_pickling_failure():
     # the exception cannot be sent back, so what failed to pickle is raised
     from multiprocessing.pool import MaybeEncodingError
