@@ -17,7 +17,8 @@ overflow, and hands its runner _write, the one way it writes a file: a nan
 or an inf bound for a CSV or result.json exits 3 naming the file and its
 column, and that file is not written.  Every run also writes a manifest
 echoing the config text, the mesh hash, the spectral constants the command
-read and wall time; passed as --config it reproduces byte-identical CSVs.
+read and wall time, with null for a diagnostic that is not finite; passed
+as --config it reproduces byte-identical CSVs.
 CSVs have one precompiled row format per file: floats as %.17g, booleans as
 true/false, a missing value as an empty cell.  Exit codes: 0 success, 1
 failed verify properties, 2 validation errors, 3 solver non-convergence or
@@ -120,7 +121,7 @@ def write_control_csv(path, grid, ops, values):
 
 def _write_json(path, data):
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(data, fh, indent=2, sort_keys=True)
+        json.dump(data, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 
@@ -288,6 +289,9 @@ def _write_manifest(out_dir, command, problem, outputs, results, workers, wall_t
         "results": results,
         "wall_time_s": wall_time,
     }
+    # JSON has no nan or inf: a diagnostic that is not finite (a discriminant
+    # that overflows, a rate fit that cannot scale) is written as null
+    manifest = json.loads(json.dumps(manifest), parse_constant=lambda token: None)
     _write_json(os.path.join(out_dir, "manifest.json"), manifest)
 
 

@@ -3,17 +3,18 @@
 Provides mesh construction with two-part boundary tagging (GAMMA1 carries the
 temperature datum, GAMMA2 the flux control), assembly of the stiffness, mass
 and boundary-mass matrices (each one batched scatter, _scatter, of local
-matrices computed for all cells at once), the discrete coercivity and trace
-constants via one pencil power iteration (inverse iteration for the smallest
-eigenvalue), the one SPD factorization that every linear solve and every
-power iteration uses (spd_solver: banded Cholesky after a reverse
-Cuthill-McKee ordering), and the discrete inner products used by every
-other module.  A trajectory is a plain float ndarray with one row per time
-level, (N+1, n) over the nodes (a field: state, adjoint, source, target) or
-(N+1, |GAMMA2|) over the GAMMA2 nodes (a flux control); row 0 is inert.
-Every shape is checked by one _check_shape, and every time integral of two
-trajectories goes through one right-endpoint rectangle pairing,
-_time_pairing.
+matrices computed for all cells at once; K and M share one int32 triplet
+index and hold one (ne, p, p) local array at a time), the discrete
+coercivity and trace constants via one pencil power iteration (inverse
+iteration for the smallest eigenvalue), the one SPD factorization that every
+linear solve and every power iteration uses (spd_solver: banded Cholesky
+after a reverse Cuthill-McKee ordering), and the discrete inner products
+used by every other module.  A trajectory is a plain float ndarray with one
+row per time level, (N+1, n) over the nodes (a field: state, adjoint,
+source, target) or (N+1, |GAMMA2|) over the GAMMA2 nodes (a flux control);
+row 0 is inert.  Every shape is checked by one _check_shape, and every time
+integral of two trajectories goes through one right-endpoint rectangle
+pairing, _time_pairing.
 
 The assembled matrices are never modified after assembly.  The spectral
 constants are computed on first read and kept, as are the factorized systems
@@ -245,41 +246,56 @@ class DiscreteOperators:
 
 
 def _interval_local(coords):
-    """Stiffness and mass matrices of P1 intervals, coords (ne, 2, 1) ->
-    two (ne, 2, 2) arrays."""
-    h = (coords[:, 1, 0] - coords[:, 0, 0])[:, None, None]
+    """Stiffness matrices of P1 intervals, coords (ne, 2, 1) -> (ne, 2, 2),
+    and the lengths (ne,)."""
+    h = coords[:, 1, 0] - coords[:, 0, 0]
     if np.any(h <= 0.0):
         raise MeshError("zero-area element encountered during assembly")
-    k = np.array([[1.0, -1.0], [-1.0, 1.0]]) / h
-    m = np.array([[2.0, 1.0], [1.0, 2.0]]) * (h / 6.0)
-    return k, m
+    return np.array([[1.0, -1.0], [-1.0, 1.0]]) / h[:, None, None], h
 
 
 def _triangle_local(coords):
-    """Stiffness and mass matrices of P1 triangles, coords (ne, 3, 2) ->
-    two (ne, 3, 3) arrays."""
+    """Stiffness matrices of P1 triangles, coords (ne, 3, 2) -> (ne, 3, 3),
+    and the areas (ne,).  The one (ne, 3, 3) array is computed in place."""
     x, y = coords[:, :, 0], coords[:, :, 1]
     area2 = ((x[:, 1] - x[:, 0]) * (y[:, 2] - y[:, 0])
              - (x[:, 2] - x[:, 0]) * (y[:, 1] - y[:, 0]))
-    area = 0.5 * np.abs(area2)[:, None, None]
+    area = 0.5 * np.abs(area2)
     if np.any(area <= 0.0):
         raise MeshError("zero-area element encountered during assembly")
     b = np.column_stack([y[:, 1] - y[:, 2], y[:, 2] - y[:, 0], y[:, 0] - y[:, 1]])
     c = np.column_stack([x[:, 2] - x[:, 1], x[:, 0] - x[:, 2], x[:, 1] - x[:, 0]])
-    b, c = b / area2[:, None], c / area2[:, None]
-    k = area * (b[:, :, None] * b[:, None, :] + c[:, :, None] * c[:, None, :])
-    m = area / 12.0 * (np.ones((3, 3)) + np.eye(3))
-    return k, m
+    b /= area2[:, None]
+    c /= area2[:, None]
+    k = b[:, :, None] * b[:, None, :]
+    for i in range(3):
+        k[:, i] += c[:, i, None] * c
+    k *= area[:, None, None]
+    return k, area
 
 
-def _scatter(n, cells, local):
-    """n x n matrix summing each cell's (p, p) local matrix into the rows and
-    columns of its p nodes.  The triplets run cell by cell, row-major within a
-    cell, which fixes the order in which duplicates are summed."""
+def _simplex_mass(measure, d):
+    """Mass matrices of P1 d-simplices, measure (ne,) -> (ne, d+1, d+1):
+    measure / ((d+1)(d+2)) * (1 + delta_ij), 1 at a point (d = 0)."""
+    return ((measure / ((d + 1) * (d + 2)))[:, None, None]
+            * (np.ones((d + 1, d + 1)) + np.eye(d + 1)))
+
+
+def _triplets(n, cells):
+    """The COO (row, col) index of a scatter over cells into an n x n matrix,
+    in the index dtype scipy would convert it to (int32 below 2**31 nodes),
+    cell by cell, row-major within a cell, which fixes the order in which
+    duplicates are summed."""
+    cells = cells.astype(sp.get_index_dtype(maxval=n))
     p = cells.shape[1]
-    rows = np.repeat(cells, p, axis=1).ravel()
-    cols = np.tile(cells, (1, p)).ravel()
-    return sp.csr_matrix((local.ravel(), (rows, cols)), shape=(n, n))
+    return np.repeat(cells, p, axis=1).ravel(), np.tile(cells, (1, p)).ravel()
+
+
+def _scatter(n, index, local):
+    """n x n matrix summing each cell's (p, p) local matrix into the rows and
+    columns of its p nodes, at index = _triplets(n, cells): one int32 index
+    that K and M share, so scipy converts none."""
+    return sp.csr_matrix((local.ravel(), index), shape=(n, n))
 
 
 def _facet_mass(mesh, tag):
@@ -287,12 +303,12 @@ def _facet_mass(mesh, tag):
                      dtype=int).reshape(-1, mesh.dim)
     if mesh.dim == 1:
         # 1D: the boundary measure is the counting measure
-        local = np.ones((cells.shape[0], 1, 1))
+        measure = np.ones(cells.shape[0])
     else:
         edge = mesh.node_coords[cells[:, 1]] - mesh.node_coords[cells[:, 0]]
-        length = np.linalg.norm(edge, axis=1)[:, None, None]
-        local = np.array([[2.0, 1.0], [1.0, 2.0]]) * (length / 6.0)
-    return _scatter(mesh.n_nodes, cells, local)
+        measure = np.linalg.norm(edge, axis=1)
+    return _scatter(mesh.n_nodes, _triplets(mesh.n_nodes, cells),
+                    _simplex_mass(measure, mesh.dim - 1))
 
 
 def _lump(mat: sp.csr_matrix) -> sp.csr_matrix:
@@ -300,12 +316,16 @@ def _lump(mat: sp.csr_matrix) -> sp.csr_matrix:
 
 
 def assemble(mesh: Mesh) -> DiscreteOperators:
-    """Assemble all bilinear forms with exact element quadrature."""
+    """Assemble all bilinear forms with exact element quadrature.  K and M
+    share one triplet index, and one (ne, p, p) local array lives at a time."""
     n = mesh.n_nodes
     local = _interval_local if mesh.dim == 1 else _triangle_local
-    k_loc, m_loc = local(mesh.node_coords[mesh.elements])
-    stiffness = _scatter(n, mesh.elements, k_loc)
-    mass = _scatter(n, mesh.elements, m_loc)
+    index = _triplets(n, mesh.elements)
+    k_loc, measure = local(mesh.node_coords[mesh.elements])
+    stiffness = _scatter(n, index, k_loc)
+    del k_loc
+    mass = _scatter(n, index, _simplex_mass(measure, mesh.dim))
+    del index, measure
     b1 = _facet_mass(mesh, GAMMA1)
     b2 = _facet_mass(mesh, GAMMA2)
 
@@ -435,8 +455,12 @@ def spd_solver(a_mat: sp.spmatrix):
 
 def _time_pairing(mat, a: np.ndarray, b: np.ndarray) -> float:
     """sum_{k=1..N} a_k . (mat b_k) over two (N+1)-row trajectories: the
-    rectangle-rule pairing before its factor dt; row 0 never enters."""
-    return float(np.sum(a[1:] * (mat @ b[1:].T).T))
+    rectangle-rule pairing before its factor dt; row 0 never enters.  One
+    (N, n) buffer holds mat b_k, 16 rows at a time, then a_k * (mat b_k)."""
+    out = np.empty((a.shape[0] - 1, a.shape[1]))
+    for k in range(0, out.shape[0], 16):
+        out[k:k + 16] = (mat @ b[1 + k:17 + k].T).T
+    return float(np.sum(np.multiply(a[1:], out, out=out)))
 
 
 def _check_shape(name, array, shape):

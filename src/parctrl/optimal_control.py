@@ -187,7 +187,7 @@ def _optimize(ops, spec, grid, tol, alpha, max_iter, g_fixed=None, q_fixed=None)
       during certification   x (C), u and the misfit (T each) until the
                              adjoint p (T) is marched, then u, p and the new
                              gradient (C); r and d are dropped first.
-    The inner products add two T-sized temporaries while they sum.
+    The inner products add one T-sized buffer while they sum.
     """
     if tol <= 0:
         raise ValueError(f"tol must be > 0, got {tol}")

@@ -72,6 +72,14 @@ def numbers(path):
                     pass
 
 
+def strict_json(text):
+    # json.loads accepts the NaN and Infinity that json.dump writes by
+    # default; neither is JSON
+    def reject(token):
+        raise ValueError(f"{token} is not JSON")
+    return json.loads(text, parse_constant=reject)
+
+
 def broken_rules(command, cfg, out, code, stdout, stderr):
     """What one run did against the CLI's rules, as a list of reasons."""
     lines = stderr.splitlines()
@@ -93,6 +101,10 @@ def broken_rules(command, cfg, out, code, stdout, stderr):
         written = sorted(out.glob("*.csv")) + sorted(out.glob("result.json"))
         broken += [f"{p.name} holds {x}" for p in written for x in numbers(p)
                    if not math.isfinite(x)][:1]
+        try:
+            strict_json((out / "manifest.json").read_text())
+        except ValueError as exc:
+            broken.append(f"manifest.json: {exc}")
     return broken
 
 
@@ -130,9 +142,11 @@ def run_all(section_key, value, capfd):
 @example(section_key=("data", "q"), value="constant(-1e300)")
 @example(section_key=("data", "z_d"), value="constant(1e200)")
 @example(section_key=("weights", "flux_penalty"), value="1e308")
-# decay's grid too coarse, which cited no line
+# decay's grid too coarse, which cited no line; lambda's manifest held a
+# bare NaN discriminant
 @example(section_key=("grid", "t_final"), value="1e308")
-# LAPACK text on fd 2 from decay's rate fit at a subnormal step
+# LAPACK text on fd 2 from decay's rate fit at a subnormal step, and a bare
+# NaN fitted_rate in its manifest
 @example(section_key=("grid", "t_final"), value="1e-308")
 @example(section_key=("grid", "t_final"), value="5e-324")
 # a missing required key, cited at its section's header
@@ -169,3 +183,18 @@ def test_decay_at_a_subnormal_step_keeps_lapack_silent(tmp_path, t_final):
                            "--out", str(out)], env=env, capture_output=True, text=True)
     assert (done.returncode, done.stderr) == (0, "")
     assert all(math.isfinite(x) for x in numbers(out / "decay.csv"))
+
+
+@pytest.mark.parametrize("command, t_final, key", [
+    ("lambda", "1e308", "discriminant"), ("decay", "1e-308", "fitted_rate")])
+def test_a_non_finite_diagnostic_is_null_in_the_manifest(tmp_path, command, t_final, key):
+    # B * B overflows in the discriminant, and the rate fit cannot scale the
+    # subnormal times; the manifest held a bare NaN, which is not JSON
+    cfg, out, again = tmp_path / "run.cfg", tmp_path / "out", tmp_path / "again"
+    cfg.write_text(config_text(("grid", "t_final"), t_final))
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
+    manifest = out / "manifest.json"
+    assert strict_json(manifest.read_text())["results"][key] is None
+    assert main([command, "--config", str(manifest), "--out", str(again)]) == 0
+    csv_name = f"{command}.csv"
+    assert (again / csv_name).read_bytes() == (out / csv_name).read_bytes()

@@ -304,15 +304,17 @@ def test_optimizer_control_variant_matrix(ops1d, grid, control, alpha):
 
 
 @pytest.mark.parametrize("control, alpha, bound", [
-    ("simultaneous", 5.0, 10.0),
-    ("boundary", math.inf, 5.5),
+    ("simultaneous", 5.0, 7.25),
+    ("boundary", math.inf, 4.0),
 ])
 def test_optimizer_memory_is_bounded_in_trajectories(control, alpha, bound):
     # many steps on few nodes, so the (N+1)-row arrays dominate the traced
     # peak.  Besides the problem's data, CG holds x, r, d and hd, and each
     # application its state and adjoint (only a GAMMA2 trace when the source
-    # is fixed); an extra gradient, kept state or dropped-too-late temporary
-    # crosses the bound (12.8 and 6.5 arrays before the trajectories were cut)
+    # is fixed), and each inner product one product buffer; an extra
+    # gradient, kept state or dropped-too-late temporary crosses the bound
+    # (12.8 and 6.5 arrays before the trajectories were cut, 7.49 and 4.49
+    # with two temporaries per inner product)
     import tracemalloc
 
     from parctrl import fem_core
