@@ -267,17 +267,17 @@ def _write_manifest(out_dir, command, problem, outputs, results, workers, wall_t
     mesh_hash = hashlib.sha256()
     with open(os.path.join(out_dir, "mesh.json"), "w", encoding="utf-8",
               newline="\n") as fh:
-        for piece in _mesh_json_pieces(problem.mesh):
+        for piece in _mesh_json_pieces(problem.ops.mesh):
             fh.write(piece)
             mesh_hash.update(piece.encode())
         fh.write("\n")
     manifest = {
         "command": command,
-        "config_path": problem.cfg.path,
+        "config_path": problem.cfg.source,
         "config_text": problem.cfg.text,
         "mesh": {
-            "dim": problem.mesh.dim,
-            "n_nodes": problem.mesh.n_nodes,
+            "dim": problem.ops.mesh.dim,
+            "n_nodes": problem.ops.n_nodes,
             "hash": mesh_hash.hexdigest(),
             "file": "mesh.json",
         },

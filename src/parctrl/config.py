@@ -10,8 +10,9 @@ The format is bracketed sections over "key = value" lines:
 Chosen over nested formats so every diagnostic can cite a file line and no
 parser dependency is implied.  Data entries are either profile expressions
 (see profiles.py) or "csv:relative/path" references resolved against the
-config file's directory.  This is the one reader of a config (a file, or the
-one a run's manifest.json echoes); build_problem resolves every value.
+directory of the config file first read, which a run's manifest records.
+This is the one reader of a config (a file, or the one a run's manifest.json
+echoes); build_problem resolves every value.
 """
 
 from __future__ import annotations
@@ -58,6 +59,7 @@ class ConfigError(ValueError):
 class RawConfig:
     path: str
     text: str
+    source: str  # the config file text was first read from; csv: paths start there
     # section -> key -> (value string, line number)
     entries: dict = field(default_factory=dict)
     sections: dict = field(default_factory=dict)  # section -> line of its header
@@ -77,7 +79,7 @@ class RawConfig:
 
 
 def parse_config_text(text: str, path: str = "<config>") -> RawConfig:
-    cfg = RawConfig(path=path, text=text)
+    cfg = RawConfig(path=path, text=text, source=path)
     section = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -107,7 +109,8 @@ def parse_config_text(text: str, path: str = "<config>") -> RawConfig:
 
 
 def load_config(path: str) -> RawConfig:
-    """The config at path, or the config_text a manifest.json echoes."""
+    """The config at path, or the config_text a manifest.json echoes; either
+    way its source is the config file first read (a manifest's config_path)."""
     manifest = path.endswith(".json")
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -115,11 +118,12 @@ def load_config(path: str) -> RawConfig:
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read {'manifest' if manifest else 'config'}: {exc}",
                           path) from exc
-    if manifest:
-        text = text.get("config_text") if isinstance(text, dict) else None
-        if not isinstance(text, str):
-            raise ConfigError("manifest carries no config_text string", path)
-    return parse_config_text(text, path)
+    echo = text if isinstance(text, dict) else {"config_text": None if manifest else text}
+    if not isinstance(echo.get("config_text"), str):
+        raise ConfigError("manifest carries no config_text string", path)
+    cfg = parse_config_text(echo["config_text"], path)
+    cfg.source = os.path.abspath(str(echo.get("config_path", path)))
+    return cfg
 
 
 def _parse_float(cfg, section, key, value):
@@ -185,7 +189,6 @@ class Problem:
     """Everything a command needs, built once from a parsed config; the
     [data] variant gives the problem kind and the alpha it runs with."""
 
-    mesh: object
     ops: object
     grid: TimeGrid
     spec: ProblemSpec
@@ -257,8 +260,7 @@ def _data_entry(cfg, key, grid, kind=None, default=None):
     line = cfg.line_of("data", key)
     if value.startswith("csv:"):
         rel = value[len("csv:"):].strip()
-        base = os.path.dirname(os.path.abspath(cfg.path)) if cfg.path != "<config>" else "."
-        full = os.path.join(base, rel)
+        full = os.path.join(os.path.dirname(os.path.abspath(cfg.source)), rel)
         if not os.path.exists(full):
             raise ConfigError(f"referenced file does not exist: {full}",
                               cfg.path, line)
@@ -367,7 +369,7 @@ def build_problem(cfg: RawConfig) -> Problem:
         raise ConfigError(str(exc), cfg.path) from exc
 
     return Problem(
-        mesh=mesh, ops=ops, grid=grid, spec=spec, cfg=cfg,
+        ops=ops, grid=grid, spec=spec, cfg=cfg,
         q=OPTIMIZE if optimize_q else data["q"](gamma2), q0=data["q0"](gamma2),
         g_inf=data["g_inf"](every), q_inf=data["q_inf"](gamma2),
         variant=cfg.get("data", "variant", "dirichlet"), alpha=alpha, control=control,

@@ -18,10 +18,10 @@ pairing, _time_pairing.
 
 The assembled matrices are never modified after assembly.  The spectral
 constants are computed on first read and kept, as are the factorized systems
-the solvers look up (state_solvers, where each system's one object picks its
-lumped or consistent matrices); both caches live and die with their
-DiscreteOperators, except that asymptotics.alpha_sweep drops the systems it
-built.  The library is single-threaded: an ops is not to be
+the solvers look up (state_solvers; ops holds only the consistent forms, and
+a lumped system's object lumps those it uses); both caches live and die with
+their DiscreteOperators, except that asymptotics.alpha_sweep drops the
+systems it built.  The library is single-threaded: an ops is not to be
 shared between threads.  The CLI forks worker processes for verify and
 optimize only after it has computed these caches, so every worker reads the
 parent's copy and none computes them again.  Assembly and the eigen-iterations are deterministic.
@@ -192,9 +192,10 @@ class DiscreteOperators:
     on first read.
 
     stiffness            K,   houses the gradient form
-    mass / mass_lumped   M_H, houses the L2(Omega) product
-    bmass_gamma1(_lumped)     boundary mass on the temperature part (Robin term)
-    bmass_gamma2(_lumped)     boundary mass on the flux part (control pairing)
+    mass                 M_H, houses the L2(Omega) product
+    bmass_gamma1         boundary mass on the temperature part (Robin term)
+    bmass_gamma2         boundary mass on the flux part (control pairing)
+    bmass_gamma2_sub     its |GAMMA2| x |GAMMA2| block, the control Gram matrix
     lambda0              coercivity of the gradient form on {v: v=0 on GAMMA1}
     lambda1              coercivity of gradient form + GAMMA1 mass on all of V
     trace_norm           discrete norm of the GAMMA2 trace operator
@@ -205,16 +206,12 @@ class DiscreteOperators:
     mesh: Mesh
     stiffness: sp.csr_matrix
     mass: sp.csr_matrix
-    mass_lumped: sp.csr_matrix
     bmass_gamma1: sp.csr_matrix
-    bmass_gamma1_lumped: sp.csr_matrix
     bmass_gamma2: sp.csr_matrix
-    bmass_gamma2_lumped: sp.csr_matrix
     dirichlet_nodes: np.ndarray
     gamma2_nodes: np.ndarray
     free_nodes: np.ndarray
-    # |GAMMA2| x |GAMMA2| Gram matrix of the control space
-    bmass_gamma2_sub: sp.csr_matrix = field(default=None, repr=False)
+    bmass_gamma2_sub: sp.csr_matrix = field(repr=False)
     systems: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
@@ -328,6 +325,10 @@ def assemble(mesh: Mesh) -> DiscreteOperators:
     del index, measure
     b1 = _facet_mass(mesh, GAMMA1)
     b2 = _facet_mass(mesh, GAMMA2)
+    for mat in (stiffness, mass, b1, b2):
+        # cut to nnz the unsummed buffers sum_duplicates keeps above half
+        if mat.data.base is not None and mat.data.base.size > mat.nnz:
+            mat.indices, mat.data = mat.indices.copy(), mat.data.copy()
 
     dirichlet = mesh.tagged_nodes(GAMMA1)
     gamma2 = mesh.tagged_nodes(GAMMA2)
@@ -339,11 +340,8 @@ def assemble(mesh: Mesh) -> DiscreteOperators:
         mesh=mesh,
         stiffness=stiffness,
         mass=mass,
-        mass_lumped=_lump(mass),
         bmass_gamma1=b1,
-        bmass_gamma1_lumped=_lump(b1),
         bmass_gamma2=b2,
-        bmass_gamma2_lumped=_lump(b2),
         dirichlet_nodes=dirichlet,
         gamma2_nodes=gamma2,
         free_nodes=free,

@@ -82,7 +82,7 @@ def table(problem: Problem):
         def forms(a_mat, xs):
             return np.einsum("ij,ij->j", xs, a_mat @ xs)
 
-        V, K1 = ops.stiffness + ops.mass, ops.stiffness + ops.bmass_gamma1
+        V, K1 = ops.v_matrix(), ops.stiffness + ops.bmass_gamma1
         slacks, vq_max = np.full(3, np.inf), -np.inf
         for _ in range(_CERTIFICATE_VECTORS // _CERTIFICATE_BLOCK):
             vs = np.ascontiguousarray(rng.standard_normal((_CERTIFICATE_BLOCK, n)).T)

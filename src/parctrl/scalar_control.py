@@ -12,10 +12,10 @@ through ParabolicStepper or solve_elliptic_robin, whose one GAMMA1 helper
 alone decides how alpha imposes the datum.
 
 The monotonicity check compares two such solutions nodewise.  It always runs
-on the lumped mass matrix, over the non-obtuse meshes produced by the mesh
-builders: that combination makes the system matrix an M-matrix, so ordered
-data yield ordered solutions; with consistent mass the ordering can fail
-spuriously, so there is no consistent-mass option.
+on the lumped mass matrix, which the system object lumps itself, over the
+non-obtuse meshes of the mesh builders: that combination makes the system
+matrix an M-matrix, so ordered data yield ordered solutions; with consistent
+mass the ordering can fail spuriously, so there is no consistent-mass option.
 
 All spatial quadratures reuse the assembled mass and boundary-mass matrices,
 never pointwise products, so every inner product refers to one discrete

@@ -12,7 +12,7 @@ factorization, the lift and the constant load.  So each recursion has one
 entry taking alpha last, default +inf: solve_parabolic, solve_adjoint and
 solve_elliptic_robin (solve_elliptic_dirichlet is its alpha +inf call).
 ProblemSpec holds no alpha: one spec poses the Dirichlet and every Robin problem.
-The same object alone picks its system's lumped or consistent matrices: the
+The same object alone lumps a lumped system's matrices (ops holds none): the
 mass and the GAMMA1 and GAMMA2 boundary masses.  ParabolicStepper reads
 the mass and the GAMMA2 load from it, and so does the steady solve for its
 flux load (its source term keeps the consistent mass).  Every state,
@@ -51,6 +51,7 @@ from .fem_core import (
     _check_control,
     _check_field,
     _check_shape,
+    _lump,
     spd_solver,
 )
 
@@ -92,7 +93,7 @@ class ProblemSpec:
 class _Gamma1Imposition:
     """One linear system: how the GAMMA1 datum enters it (its unknown rows,
     its factorization, the datum's lift and load) and the matrices it is
-    built from, which it alone picks, lumped or consistent as one flag says.
+    built from: ops' own, or with lumped their lumps, which it alone builds.
 
     alpha +inf eliminates the GAMMA1 rows and columns; finite alpha > 0
     keeps all nodes and adds alpha * B1, the GAMMA1 boundary mass.  The
@@ -107,9 +108,9 @@ class _Gamma1Imposition:
         self.n_nodes, self.dirichlet_nodes = ops.n_nodes, ops.dirichlet_nodes
         self.alpha = alpha
         self.dt = 1.0 if dt is None else dt
-        self.mass = ops.mass_lumped if lumped else ops.mass
-        b2 = ops.bmass_gamma2_lumped if lumped else ops.bmass_gamma2
-        self.load_gamma2 = b2[:, ops.gamma2_nodes].tocsr()
+        pick = _lump if lumped else lambda consistent: consistent
+        self.mass = pick(ops.mass)
+        self.load_gamma2 = pick(ops.bmass_gamma2)[:, ops.gamma2_nodes].tocsr()
 
         def volume(spatial):
             return spatial if dt is None else self.mass + dt * spatial
@@ -121,7 +122,7 @@ class _Gamma1Imposition:
             self.rows = f
             self.solve = spd_solver(a_full[np.ix_(f, f)].tocsr())
         else:
-            self._b1 = ops.bmass_gamma1_lumped if lumped else ops.bmass_gamma1
+            self._b1 = pick(ops.bmass_gamma1)
             self.rows = slice(None)
             self.solve = spd_solver(volume(ops.stiffness + alpha * self._b1).tocsr())
 

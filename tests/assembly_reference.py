@@ -18,7 +18,6 @@ from parctrl.fem_core import (
     TOP,
     Mesh,
     MeshError,
-    _lump,
 )
 
 
@@ -117,10 +116,7 @@ def operators(mesh):
     return {
         "stiffness": sp.csr_matrix((kvals, (rows, cols)), shape=(n, n)),
         "mass": mass,
-        "mass_lumped": _lump(mass),
         "bmass_gamma1": b1,
-        "bmass_gamma1_lumped": _lump(b1),
         "bmass_gamma2": b2,
-        "bmass_gamma2_lumped": _lump(b2),
         "bmass_gamma2_sub": b2[np.ix_(gamma2, gamma2)].tocsr(),
     }

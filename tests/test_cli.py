@@ -804,6 +804,33 @@ def test_manifest_rerun_reproduces_csv_bytes(cfg_path, tmp_path):
         assert (out3 / name).read_bytes() == (out4 / name).read_bytes()
 
 
+def test_a_manifest_with_a_relative_csv_reference_reruns(tmp_path, capsys, monkeypatch):
+    # csv: paths resolve against the directory of the config first read,
+    # which every manifest carries on, not against the manifest's directory
+    monkeypatch.chdir(tmp_path)
+    Path("base.cfg").write_text(SMALL_CFG)
+    assert run("solve", "base.cfg", "gen") == 0
+    Path("cfgdir").mkdir()
+    Path("cfgdir/ref.cfg").write_text(
+        SMALL_CFG.replace("g = constant(1.0)", "g = csv:../gen/u.csv")
+        .replace("v_b = sine-bump(1.0)", "v_b = csv:../gen/u.csv"))
+    assert run("solve", "cfgdir/ref.cfg", "deep/er/run1") == 0
+    assert run("solve", "deep/er/run1/manifest.json", "run2") == 0
+    Path("elsewhere").mkdir()
+    monkeypatch.chdir(tmp_path / "elsewhere")
+    assert run("solve", "../run2/manifest.json", "x/y/run3") == 0
+    want = (tmp_path / "deep" / "er" / "run1" / "u.csv").read_bytes()
+    assert (tmp_path / "run2" / "u.csv").read_bytes() == want
+    assert Path("x/y/run3/u.csv").read_bytes() == want
+    # an unreadable reference is still cited at the manifest's line
+    (tmp_path / "gen" / "u.csv").unlink()
+    capsys.readouterr()
+    assert run("solve", "x/y/run3/manifest.json", "run4") == 2
+    line = SMALL_CFG.splitlines().index("g = constant(1.0)") + 1
+    assert capsys.readouterr().err.startswith(
+        f"error: x/y/run3/manifest.json:{line}: referenced file does not exist")
+
+
 def test_optimizer_nonconvergence_exits_3(cfg_path, tmp_path, capsys, monkeypatch):
     # the genuine cap is exercised at the library level; here only the exit
     # code plumbing matters

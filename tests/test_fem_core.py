@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import math
 from itertools import combinations
 
 import numpy as np
@@ -11,6 +13,7 @@ from parctrl.fem_core import (
     GAMMA1,
     GAMMA2,
     TimeGrid,
+    _lump,
     assemble,
     build_interval_mesh,
     build_rect_mesh,
@@ -23,6 +26,7 @@ from parctrl.fem_core import (
     spd_solver,
     trace_norm,
 )
+from parctrl.state_solvers import _Gamma1Imposition
 
 # closed-form 1D limits, derived by hand before the build:
 #   smallest eigenvalue of -v'' = mu v, v(0) = 0, v'(1) = 0  is  mu1 = (pi/2)^2,
@@ -107,7 +111,8 @@ def test_stiffness_kernel_and_mass_total(ops_name, request):
     row_sums = np.asarray(ops.stiffness.sum(axis=1)).ravel()
     assert np.max(np.abs(row_sums)) < 1e-12
     assert np.isclose(ops.mass.sum(), 1.0)  # |Omega| = 1 for both meshes
-    assert np.isclose(ops.mass_lumped.sum(), 1.0)
+    lumped = _Gamma1Imposition(ops, math.inf, lumped=True)
+    assert np.isclose(lumped.mass.sum(), 1.0)
 
 
 def test_matrices_symmetric_and_boundary_support(ops2d):
@@ -387,8 +392,15 @@ GAMMA1_SUBSETS = [set(edges) for r in (1, 2, 3)
 
 
 def assert_same_bits(ops, mesh):
-    for name, want in assembly_reference.operators(mesh).items():
-        got = getattr(ops, name)
+    oracle = assembly_reference.operators(mesh)
+    # a lumped (Robin, steady) system lumps the assembled forms itself
+    lumped = _Gamma1Imposition(ops, 1.0, lumped=True)
+    pairs = [(name, getattr(ops, name), want) for name, want in oracle.items()] + [
+        ("lumped mass", lumped.mass, _lump(oracle["mass"])),
+        ("lumped _b1", lumped._b1, _lump(oracle["bmass_gamma1"])),
+        ("lumped load_gamma2", lumped.load_gamma2,
+         _lump(oracle["bmass_gamma2"])[:, ops.gamma2_nodes].tocsr())]
+    for name, got, want in pairs:
         for part in ("indptr", "indices", "data"):
             a, b = getattr(got, part), getattr(want, part)
             assert a.dtype == b.dtype and a.shape == b.shape, (name, part)
@@ -437,7 +449,7 @@ def test_assembly_transient_memory_is_bounded_per_element(mesh, bound):
     # K and M are scattered from one int32 triplet index, one (ne, p, p)
     # local array at a time; an int64 index per matrix and both local arrays
     # alive together peaked at 564, 563 and 268 bytes per element.  The
-    # operators kept are about 125 bytes per element in 2D, 152 in 1D
+    # operators kept are about 98-105 bytes per element in 2D, 103 in 1D
     import tracemalloc
 
     mesh = mesh()
@@ -448,6 +460,35 @@ def test_assembly_transient_memory_is_bounded_per_element(mesh, bound):
     finally:
         tracemalloc.stop()
     assert peak < bound * mesh.elements.shape[0]
+
+
+@pytest.mark.parametrize("mesh", [
+    lambda: build_interval_mesh(4096, 0.0, 1.0, "left"),
+    lambda: build_rect_mesh(40, 40, {"left"}),
+], ids=["interval-4096", "rect-40x40"])
+def test_assembled_matrices_hold_no_slack(mesh):
+    # sum_duplicates leaves the summed indices and data views of its unsummed
+    # buffers unless they shrink below half: 16,384 long for the 12,289
+    # entries of the 1D K and M, 160 for the 121 of the 40x40 GAMMA1 mass
+    ops = assemble(mesh())
+    for f in dataclasses.fields(ops):
+        mat = getattr(ops, f.name)
+        if sp.issparse(mat):
+            for part in ("indices", "data"):
+                array = getattr(mat, part)
+                held = array if array.base is None else array.base
+                assert held.size == mat.nnz, (f.name, part, held.size, mat.nnz)
+
+
+def test_ops_keeps_one_copy_of_each_form(ops2d):
+    # only a lumped system lumps; a consistent one holds ops' own matrices
+    assert not [f.name for f in dataclasses.fields(ops2d) if "lumped" in f.name]
+    for dt in (None, 0.1):
+        consistent = _Gamma1Imposition(ops2d, 2.0, lumped=False, dt=dt)
+        assert consistent.mass is ops2d.mass
+        assert consistent._b1 is ops2d.bmass_gamma1
+        lumped = _Gamma1Imposition(ops2d, 2.0, lumped=True, dt=dt)
+        assert (lumped.mass != _lump(ops2d.mass)).nnz == 0
 
 
 def test_eigensolver_iteration_cap(ops1d):

@@ -268,13 +268,20 @@ def test_spec_validation_rejects_mismatched_initial(ops1d, grid, spec1d):
         solve_parabolic(ops1d, spec1d, zero_control(ops1d, grid), grid)
 
 
+def _dense(mat, lumped):
+    """mat as a dense array, or with lumped its diagonal of dense row sums,
+    so that a lumped reference does not go through the library's lumping."""
+    dense = mat.toarray()
+    return np.diag(dense.sum(axis=1)) if lumped else dense
+
+
 def _dense_reference(ops, grid, alpha, lumped, initial, b, g, q, s):
     """Forward and adjoint recursions with dense matrices and
     numpy.linalg.solve; elimination replaces the GAMMA1 rows of the step
     matrix by identity rows carrying the datum (zero for the adjoint)."""
-    mass = (ops.mass_lumped if lumped else ops.mass).toarray()
-    b1 = (ops.bmass_gamma1_lumped if lumped else ops.bmass_gamma1).toarray()
-    b2 = (ops.bmass_gamma2_lumped if lumped else ops.bmass_gamma2).toarray()
+    mass = _dense(ops.mass, lumped)
+    b1 = _dense(ops.bmass_gamma1, lumped)
+    b2 = _dense(ops.bmass_gamma2, lumped)
     load2 = b2[:, ops.gamma2_nodes]
     n, d, dt = ops.n_nodes, ops.dirichlet_nodes, grid.dt
     b_ext = np.zeros(n)
@@ -342,8 +349,8 @@ def test_steady_solve_matches_dense_reference(alpha, lumped):
     g = rng.standard_normal(n)
     q = rng.standard_normal(ops.gamma2_nodes.size)
 
-    b1 = (ops.bmass_gamma1_lumped if lumped else ops.bmass_gamma1).toarray()
-    b2 = (ops.bmass_gamma2_lumped if lumped else ops.bmass_gamma2).toarray()
+    b1 = _dense(ops.bmass_gamma1, lumped)
+    b2 = _dense(ops.bmass_gamma2, lumped)
     rhs = ops.mass.toarray() @ g - b2[:, ops.gamma2_nodes] @ q
     if math.isinf(alpha):
         # identity rows carry the datum on GAMMA1
