@@ -12,7 +12,9 @@ parser dependency is implied.  Data entries are either profile expressions
 (see profiles.py) or "csv:relative/path" references resolved against the
 directory of the config file first read, which a run's manifest records.
 This is the one reader of a config (a file, or the one a run's manifest.json
-echoes); build_problem resolves every value.
+echoes); build_problem resolves every value.  It samples each [data] entry
+on the mesh's nodes and assembles the operators last, so every error raised
+here, a CSV's or a non-finite value's too, comes before assembly.
 """
 
 from __future__ import annotations
@@ -25,8 +27,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .asymptotics import OPTIMIZE, check_alphas
-from .fem_core import TimeGrid, assemble, build_interval_mesh, build_rect_mesh
-from .profiles import ProfileError, parse_profile, sample
+from .fem_core import (GAMMA1, GAMMA2, TimeGrid, assemble, build_interval_mesh,
+                       build_rect_mesh)
+from .profiles import parse_profile, sample
 from .state_solvers import ProblemSpec
 
 KNOWN_KEYS = {
@@ -245,19 +248,17 @@ def _build_mesh(cfg: RawConfig):
                       cfg.line_of("mesh", "dim"))
 
 
-def _data_entry(cfg, key, grid, kind=None, default=None):
-    """The [data] entry key (default when absent), checked without the
-    operators: a _REQUIRED key's absence, its profile and its CSV path raise
-    ConfigError here.  Returns a function of the sampling points that gives
-    its values there (None when absent):
-    with kind None the profile's row at t = 0, with kind "field" or
-    "control" the (N+1)-row trajectory, from a profile or a CSV reference.
-    That function raises ConfigError when a CSV cannot be read or a value
-    is not finite."""
+def _data_entry(cfg, key, grid, points, kind=None, default=None):
+    """The [data] entry key (default when absent) sampled at points, or None
+    when absent: with kind None the profile's row at t = 0, with kind "field"
+    or "control" the (N+1)-row trajectory, from a profile or a CSV reference.
+    A _REQUIRED key's absence, its profile, its CSV path, a CSV that cannot
+    be read as one and a value that is not finite raise ConfigError."""
     value = cfg.require("data", key) if default is _REQUIRED else cfg.get("data", key, default)
     if value is None:
-        return lambda points: None
+        return None
     line = cfg.line_of("data", key)
+    full = None  # the path of a CSV reference
     if value.startswith("csv:"):
         rel = value[len("csv:"):].strip()
         full = os.path.join(os.path.dirname(os.path.abspath(cfg.source)), rel)
@@ -267,36 +268,25 @@ def _data_entry(cfg, key, grid, kind=None, default=None):
         if kind is None:
             raise ConfigError(f"key '{key}' does not accept CSV references",
                               cfg.path, line)
-
-        def read(points):
-            try:
-                return _read_csv(full, grid, kind, len(points))
-            except ValueError as exc:
-                raise ConfigError(str(exc), cfg.path, line) from exc
-    else:
-        try:
-            profile = parse_profile(value)
-        except ProfileError as exc:
-            raise ConfigError(str(exc), cfg.path, line) from exc
-
-        def read(points):
-            return sample(profile, points, grid, kind is not None)
-
-    def checked(points):
-        # a nan or inf, written or overflowed, would run into every output
+    # a nan or inf, written or overflowed, would run into every output
+    try:
         with np.errstate(over="ignore", invalid="ignore"):  # rejected below
-            values = read(points)
-        finite = np.isfinite(values)
-        if not finite.all():
-            raise ConfigError(f"key '{key}' must be finite, got {values[~finite][0]}",
-                              cfg.path, line)
-        return values
-    return checked
+            values = (sample(parse_profile(value), points, grid, kind is not None)
+                      if full is None else _read_csv(full, grid, kind, len(points)))
+    except ValueError as exc:  # a bad profile, or a CSV that is not one
+        raise ConfigError(str(exc), cfg.path, line) from exc
+    finite = np.isfinite(values)
+    if not finite.all():
+        raise ConfigError(f"key '{key}' must be finite, got {values[~finite][0]}",
+                          cfg.path, line)
+    return values
 
 
 def build_problem(cfg: RawConfig) -> Problem:
+    # one pass in dependency order: the mesh, the scalar keys, the [data]
+    # entries sampled on its nodes, then assembly, which on a large mesh
+    # costs seconds; so a bad key fails before it
     mesh = _build_mesh(cfg)
-    # every key that does not need the operators is checked before assembly
     t_final = _parse_float(cfg, "grid", "t_final", cfg.require("grid", "t_final"))
     steps = _parse_int(cfg, "grid", "steps", minimum=1)
     try:
@@ -330,36 +320,34 @@ def build_problem(cfg: RawConfig) -> Problem:
                           f"got {control!r}", cfg.path, cfg.line_of("data", "control"))
     opt_tol = _parse_positive(cfg, "tolerances", "opt_tol", "1e-10")
     plots = _parse_bool(cfg, "output", "plots", "false")
-    # so is each [data] entry; they are sampled once the nodes are known
-    optimize_q = cfg.get("data", "q") == OPTIMIZE
+    every = mesh.node_coords
+    dirichlet = mesh.tagged_nodes(GAMMA1)
+    gamma1, gamma2 = every[dirichlet], every[mesh.tagged_nodes(GAMMA2)]
+    g = _data_entry(cfg, "g", grid, every, "field", _REQUIRED)
+    z_d = _data_entry(cfg, "z_d", grid, every, "field", _REQUIRED)
+    b = _data_entry(cfg, "b", grid, gamma1, None, _REQUIRED)
     # v_b is read at t = 0 only: a CSV reference's row 0, a profile sampled there
     v_b_csv = cfg.get("data", "v_b", "").startswith("csv:")
-    # an absent q is the zero flux, an absent q0 the unit flux direction
-    data = {key: _data_entry(cfg, key, grid, kind, default)
-            for key, kind, default in (
-                ("g", "field", _REQUIRED), ("z_d", "field", _REQUIRED),
-                ("b", None, _REQUIRED), ("v_b", "field" if v_b_csv else None, _REQUIRED),
-                ("q", "control", "constant(0)"), ("q0", "control", "constant(1)"),
-                ("g_inf", None, None), ("q_inf", None, None))
-            if not (key == "q" and optimize_q)}
-
-    ops = assemble(mesh)
-    every = ops.mesh.node_coords
-    gamma1, gamma2 = every[ops.dirichlet_nodes], every[ops.gamma2_nodes]
-    g, z_d, b = data["g"](every), data["z_d"](every), data["b"](gamma1)
-    v_b = data["v_b"](every)
+    v_b = _data_entry(cfg, "v_b", grid, every, "field" if v_b_csv else None, _REQUIRED)
     if v_b_csv:
         v_b = v_b[0].copy()
+    # an absent q is the zero flux, an absent q0 the unit flux direction
+    q = (OPTIMIZE if cfg.get("data", "q") == OPTIMIZE
+         else _data_entry(cfg, "q", grid, gamma2, "control", "constant(0)"))
+    q0 = _data_entry(cfg, "q0", grid, gamma2, "control", "constant(1)")
+    g_inf = _data_entry(cfg, "g_inf", grid, every)
+    q_inf = _data_entry(cfg, "q_inf", grid, gamma2)
     # profiles evaluate trig at boundary points with roundoff; snap when the
     # mismatch is clearly numerical noise, reject otherwise
-    gap = np.abs(v_b[ops.dirichlet_nodes] - b)
+    gap = np.abs(v_b[dirichlet] - b)
     scale = max(float(np.max(np.abs(v_b))), float(np.max(np.abs(b))), 1.0)
     if np.max(gap) > 1e-12 * scale:
         raise ConfigError("v_b disagrees with b on the gamma1 nodes "
                           f"(max gap {np.max(gap):.3e})", cfg.path,
                           cfg.line_of("data", "v_b"))
-    v_b[ops.dirichlet_nodes] = b
+    v_b[dirichlet] = b
 
+    ops = assemble(mesh)
     spec = ProblemSpec(
         source=g, boundary_temp=b, initial_temp=v_b, target=z_d,
         flux_penalty=flux_penalty, source_penalty=source_penalty)
@@ -369,8 +357,6 @@ def build_problem(cfg: RawConfig) -> Problem:
         raise ConfigError(str(exc), cfg.path) from exc
 
     return Problem(
-        ops=ops, grid=grid, spec=spec, cfg=cfg,
-        q=OPTIMIZE if optimize_q else data["q"](gamma2), q0=data["q0"](gamma2),
-        g_inf=data["g_inf"](every), q_inf=data["q_inf"](gamma2),
+        ops=ops, grid=grid, spec=spec, cfg=cfg, q=q, q0=q0, g_inf=g_inf, q_inf=q_inf,
         variant=cfg.get("data", "variant", "dirichlet"), alpha=alpha, control=control,
         alphas=alphas, opt_tol=opt_tol, plots=plots)

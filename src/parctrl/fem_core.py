@@ -504,10 +504,6 @@ def inner_boundary_time(grid: TimeGrid, ops: DiscreteOperators,
     return grid.dt * _time_pairing(ops.bmass_gamma2_sub, q, r)
 
 
-def norm_domain_time(grid, ops, u: np.ndarray) -> float:
-    return float(np.sqrt(max(inner_domain_time(grid, ops, u, u), 0.0)))
-
-
 def norm_boundary_time(grid, ops, q: np.ndarray) -> float:
     return float(np.sqrt(max(inner_boundary_time(grid, ops, q, q), 0.0)))
 

@@ -1,10 +1,11 @@
 """Every command on any one-key change of a small config keeps the CLI's
 rules: exit 0, 2 or 3 (1 only for a verify FAIL), an exit 2 that cites
 path:line:, one line on standard error and nothing else (no warning, no
-traceback, no LAPACK text on fd 2), and no nan or inf in a written CSV or
-result.json.  Hypothesis (MacIver, Hatfield-Dodds et al., JOSS 2019) draws
-the change: one key set to a token of the list below or to a random finite
-float, or dropped.  Every input that once broke a rule is an @example."""
+traceback, no LAPACK text on fd 2), no nan or inf in a written CSV or
+result.json, and no build_problem that raises after it has assembled.
+Hypothesis (MacIver, Hatfield-Dodds et al., JOSS 2019) draws the change:
+one key set to a token of the list below or to a random finite float, or
+dropped.  Every input that once broke a rule is an @example."""
 
 import csv
 import json
@@ -20,6 +21,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from parctrl import cli, config
 from parctrl.cli import COMMANDS, main
 
 # 8 cells and 40 steps: each command runs in milliseconds
@@ -108,18 +110,38 @@ def broken_rules(command, cfg, out, code, stdout, stderr):
     return broken
 
 
+def watch_set_up(patch, events):
+    # events gets "assemble" for each assembly and "raised" when build_problem
+    # raises, which on a large mesh must not cost an assembly first
+    build, assemble = cli.build_problem, config.assemble
+
+    def watched_build(cfg):
+        try:
+            return build(cfg)
+        except Exception:
+            events.append("raised")
+            raise
+    patch.setattr(cli, "build_problem", watched_build)
+    patch.setattr(config, "assemble", lambda mesh: events.append("assemble") or assemble(mesh))
+
+
 def run_all(section_key, value, capfd):
     """{command: reasons} for the commands that broke a rule on the config."""
     found = {}
-    with tempfile.TemporaryDirectory() as tmp:
+    events = []
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
+        watch_set_up(patch, events)
         cfg = Path(tmp) / "run.cfg"
         cfg.write_text(config_text(section_key, value))
         for command in COMMANDS:
             out = Path(tmp) / command
             capfd.readouterr()
+            events.clear()
             code = main([command, "--config", str(cfg), "--out", str(out)])
             stdout, stderr = capfd.readouterr()
             broken = broken_rules(command, cfg, out, code, stdout, stderr)
+            if "raised" in events and "assemble" in events:
+                broken.append("build_problem raised after assembly")
             if broken:
                 found[command] = broken + [stderr]
     return found
@@ -149,6 +171,9 @@ def run_all(section_key, value, capfd):
 # NaN fitted_rate in its manifest
 @example(section_key=("grid", "t_final"), value="1e-308")
 @example(section_key=("grid", "t_final"), value="5e-324")
+# config errors raised after assembly: a non-finite [data] value, v_b off b
+@example(section_key=("data", "g"), value="constant(nan)")
+@example(section_key=("data", "v_b"), value="constant(1e300)")
 # a missing required key, cited at its section's header
 @example(section_key=("data", "g"), value=DROPPED)
 @example(section_key=("grid", "steps"), value=DROPPED)

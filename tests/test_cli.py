@@ -501,16 +501,33 @@ TWO_D = ("dim = 1\ncells = 32", "dim = 2\nnx = 4\nny = 4")
     ([("dim = 1\ncells = 32", "dim = 3")], "dim", "dim must be 1 or 2, got 3"),
     ([TWO_D, ("gamma1 = left", "gamma1 = diagonal")], "gamma1",
      "unknown edge names: ['diagonal']"),
+    ([("q = constant(0.5)", "q = exp-decay(0, 1, -1000)")], "q",
+     "key 'q' must be finite, got inf"),
+    ([("g = constant(1.0)", "g = csv:data.csv")], "g",
+     "CSV field {dir}/data.csv has shape (1, 1), expected (21, 33)"),
+    ([("g = constant(1.0)", "g = csv:cell.csv")], "g",
+     "cannot read CSV field {dir}/cell.csv: "),
+    ([("z_d = constant(0.25)", "z_d = csv:nan.csv")], "z_d",
+     "key 'z_d' must be finite, got nan"),
+    ([("b = constant(0.0)", "b = constant(1.0)")], "v_b",
+     "v_b disagrees with b on the gamma1 nodes"),
 ], ids=["data-missing", "data-unknown-profile", "data-profile-arity",
         "data-missing-csv", "data-non-numeric-parameter", "data-csv-on-b",
         "data-csv-on-g_inf", "data-csv-on-q_inf", "not-a-number", "not-an-integer",
-        "1d-two-sides", "dim-3", "2d-bad-edge"])
+        "1d-two-sides", "dim-3", "2d-bad-edge", "data-overflow", "data-csv-shape",
+        "data-csv-cell", "data-csv-nan", "data-v_b-off-b"])
 def test_config_input_errors_exit_2_before_assembly(tmp_path, capsys, monkeypatch, edits,
                                                     key, message):
-    # every check that needs no operators, the [data] entries' included,
-    # comes before assembly, which on a large mesh costs seconds
+    # every error config raises, a [data] entry's sampled values and the
+    # v_b/b check included, comes before assembly, which on a large mesh
+    # costs seconds
     assembled = count_assembly(monkeypatch)
     (tmp_path / "data.csv").write_text("step,time,n0\n0,0,1\n")
+    (tmp_path / "cell.csv").write_text("step,time,n0\n0,0,x\n")
+    rows = [[k, k / 20] + [0.25] * 33 for k in range(21)]  # 21 steps, 33 nodes
+    rows[5][7] = math.nan
+    (tmp_path / "nan.csv").write_text(
+        "header\n" + "".join(",".join(map(str, row)) + "\n" for row in rows))
     text = SMALL_CFG
     for old, new in edits:
         text = text.replace(old, new)
@@ -521,7 +538,7 @@ def test_config_input_errors_exit_2_before_assembly(tmp_path, capsys, monkeypatc
     # cited at the key's line, or a missing key at its section's header
     anchor = "bad.cfg:{}:".format(next(
         i for i, line in enumerate(text.splitlines(), 1) if line.split(" =")[0] == key))
-    assert f"{anchor} {message}" in err
+    assert f"{anchor} {message.format(dir=tmp_path)}" in err
     assert assembled == []
 
 
