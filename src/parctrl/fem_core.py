@@ -422,6 +422,12 @@ def spd_solver(a_mat: sp.spmatrix):
     and its transpose alike.  The band grows like n^1.5 on square meshes.
     Only the upper band is read, so a matrix that is not exactly symmetric
     raises SolverError, as does one that is not positive definite.
+
+    The callable also exposes the factor's own order: solve.perm, the RCM
+    permutation, and solve.permuted(c), the one dpbtrs that maps c = b[perm]
+    to x[perm], overwriting c.  solve(b) is that dpbtrs between a gather and
+    a scatter.  state_solvers reads both, so each step of its marches (and
+    its steady solve) gathers and scatters once, in the unknowns' order.
     """
     a = sp.csr_matrix(a_mat)
     if (a != a.T).nnz:
@@ -437,12 +443,16 @@ def spd_solver(a_mat: sp.spmatrix):
     if info != 0:
         raise SolverError(f"matrix is not positive definite (leading minor {info})")
 
+    def permuted(c):
+        return dpbtrs(factor, c, lower=0, overwrite_b=1)[0]
+
     def solve(b):
-        x, _ = dpbtrs(factor, np.asarray(b, dtype=float)[perm], lower=0, overwrite_b=1)
+        x = permuted(np.asarray(b, dtype=float)[perm])
         out = np.empty_like(x)
         out[perm] = x
         return out
 
+    solve.perm, solve.permuted = perm, permuted
     return solve
 
 

@@ -26,6 +26,13 @@ and adjoints p driven by a tracking residual, the pairing identity
 (w, r)_time-domain = -(perturbation, trace p)_time-boundary holds to machine
 precision, and optimizer correctness is testable at solver tolerance.
 
+Both marches run in the order of the system's one RCM-banded factor (see
+fem_core.spd_solver): each step is one gather rhs[order], one dpbtrs and
+one scatter to [order], and the forcing loads come one block of steps at a
+time from one sparse product each.  Neither changes a bit of any state or
+adjoint (see ParabolicStepper), so every output is as a march one step at a
+time in the natural order would give it.
+
 Every solver gets its _Gamma1Imposition from _imposition, which keeps one
 per system in ops.systems, so each distinct system is factorized once per
 ops.  asymptotics.alpha_sweep drops each system it builds once used (the
@@ -119,24 +126,27 @@ class _Gamma1Imposition:
             a_full = volume(ops.stiffness).tocsr()
             f, d = ops.free_nodes, ops.dirichlet_nodes
             self._a_fd = a_full[np.ix_(f, d)].tocsr()
-            self.rows = f
+            rows = f
             self.solve = spd_solver(a_full[np.ix_(f, f)].tocsr())
         else:
             self._b1 = pick(ops.bmass_gamma1)
-            self.rows = slice(None)
+            rows = np.arange(self.n_nodes)
             self.solve = spd_solver(volume(ops.stiffness + alpha * self._b1).tocsr())
+        # the unknown rows in the factor's order: rhs[order] is the permuted
+        # right-hand side and x[order] = solve.permuted(rhs[order])
+        self.order = rows[self.solve.perm]
 
     def lift_and_load(self, b):
-        """(lift, load) of the GAMMA1 datum b, to subtract from and add to the
-        right-hand side: elimination has a lift, Robin a transfer load.  The
-        unused one is 0.0 or -0.0: x - 0.0 and x + -0.0 equal x bit for bit
-        (+0.0 would turn -0.0 into 0.0), so every value stays unchanged.
+        """(lift, load) of the GAMMA1 datum b: elimination subtracts its lift
+        from rhs[order], so the lift comes in the factor's order; Robin adds
+        its transfer load to the whole right-hand side.  The unused one is
+        None, since subtracting 0.0 or adding -0.0 would change no bit.
         """
         if math.isinf(self.alpha):
-            return self._a_fd @ b, -0.0
+            return (self._a_fd @ b)[self.solve.perm], None
         b_ext = np.zeros(self.n_nodes)
         b_ext[self.dirichlet_nodes] = b
-        return 0.0, self.dt * self.alpha * (self._b1 @ b_ext)
+        return None, self.dt * self.alpha * (self._b1 @ b_ext)
 
 
 def _imposition(ops: DiscreteOperators, alpha, lumped: bool,
@@ -153,10 +163,42 @@ def _imposition(ops: DiscreteOperators, alpha, lumped: bool,
     return ops.systems[key]
 
 
+# the most doubles one block of forcing loads holds; see _scaled_loads
+_BLOCK_DOUBLES = 2048
+
+
+def _scaled_loads(mat, values, k0, k1, dt):
+    """dt * (mat @ values[k]) as row k - k0, for k0 <= k < k1, from one
+    sparse product; None when values is None.  scipy's csr_matvecs sums each
+    column in csr_matvec's order (as fem_core._time_pairing relies on), so
+    every row has the bits of the single product.  A one-step block (more
+    than _BLOCK_DOUBLES / 2 nodes) takes that single product itself, which
+    costs less than scipy's multi-vector route with one vector."""
+    if values is None:
+        return None
+    if k1 - k0 == 1:
+        loads = (mat @ values[k0])[None]
+    else:
+        loads = (mat @ values[k0:k1].T).T
+    loads *= dt
+    return loads
+
+
 class ParabolicStepper:
     """Prefactored backward-Euler marcher for the system _Gamma1Imposition
     builds from alpha and lumped.  The same factorization drives the forward
     state recursion and its exact transpose, the backward adjoint recursion.
+
+    Each step gathers its right-hand side in the factor's order (rhs[order],
+    then minus the lift, already in that order), makes one dpbtrs and
+    scatters the result to u[k, order].  The forcing loads dt * (M g_k),
+    dt * (L q_k) and the adjoint's dt * (M s_k) are computed one block of
+    steps at a time, with one sparse product per block and load; a block
+    holds at most _BLOCK_DOUBLES numbers, so no buffer grows with the
+    trajectory.  Every value has the bits of a step-by-step march that
+    solves rhs[rows] - lift in the natural order: a permuted gather and
+    scatter move the same numbers, each load row is summed in the same
+    order, and the sums are taken in the same order.
     """
 
     def __init__(self, ops: DiscreteOperators, grid: TimeGrid, alpha=math.inf,
@@ -166,6 +208,12 @@ class ParabolicStepper:
         self.grid = grid
         self.alpha = self._gamma1.alpha
         self.lumped = lumped
+
+    def _blocks(self):
+        """(k0, k1) over the steps 1..N, one block of steps each."""
+        size = max(1, _BLOCK_DOUBLES // self.ops.n_nodes)
+        last = self.grid.n_steps + 1
+        return [(k0, min(k0 + size, last)) for k0 in range(1, last, size)]
 
     def run(self, initial, boundary_temp=None, source_values=None,
             flux_values=None) -> np.ndarray:
@@ -179,16 +227,25 @@ class ParabolicStepper:
         b = np.zeros(ops.dirichlet_nodes.size) if boundary_temp is None else boundary_temp
         # elimination keeps the datum on GAMMA1; Robin overwrites these entries
         u[1:, ops.dirichlet_nodes] = b
-        lift, load = self._gamma1.lift_and_load(b)
-        rows, solve = self._gamma1.rows, self._gamma1.solve
-        mass, load_gamma2 = self._gamma1.mass, self._gamma1.load_gamma2
-        for k in range(1, nsteps + 1):
-            rhs = mass @ u[k - 1] + load
-            if source_values is not None:
-                rhs = rhs + dt * (mass @ source_values[k])
-            if flux_values is not None:
-                rhs = rhs - dt * (load_gamma2 @ flux_values[k])
-            u[k, rows] = solve(rhs[rows] - lift)
+        gamma1 = self._gamma1
+        lift, load = gamma1.lift_and_load(b)
+        order, solve = gamma1.order, gamma1.solve.permuted
+        mass, load_gamma2 = gamma1.mass, gamma1.load_gamma2
+        for k0, k1 in self._blocks():
+            sources = _scaled_loads(mass, source_values, k0, k1, dt)
+            fluxes = _scaled_loads(load_gamma2, flux_values, k0, k1, dt)
+            for k in range(k0, k1):
+                rhs = mass @ u[k - 1]
+                if load is not None:
+                    rhs += load
+                if sources is not None:
+                    rhs += sources[k - k0]
+                if fluxes is not None:
+                    rhs -= fluxes[k - k0]
+                c = rhs[order]
+                if lift is not None:
+                    c -= lift
+                u[k, order] = solve(c)
         return u
 
     def run_adjoint(self, source_values: np.ndarray, columns=None) -> np.ndarray:
@@ -206,14 +263,17 @@ class ParabolicStepper:
         nsteps = grid.n_steps
         keep = slice(None) if columns is None else columns
         p = np.zeros((nsteps + 1, n if columns is None else len(columns)))
-        p_k = np.zeros(n)  # the whole adjoint at step k, zero off rows
-        rows, solve, mass = self._gamma1.rows, self._gamma1.solve, self._gamma1.mass
-        for k in range(nsteps, 0, -1):
-            rhs = mass @ p_k + dt * (mass @ source_values[k])
-            p_k[rows] = solve(rhs[rows])
-            p[k] = p_k[keep]
+        p_k = np.zeros(n)  # the whole adjoint at step k, zero off the unknowns
+        order, solve, mass = self._gamma1.order, self._gamma1.solve.permuted, self._gamma1.mass
+        for k0, k1 in reversed(self._blocks()):
+            sources = _scaled_loads(mass, source_values, k0, k1, dt)
+            for k in range(k1 - 1, k0 - 1, -1):
+                rhs = mass @ p_k
+                rhs += sources[k - k0]
+                p_k[order] = solve(rhs[order])
+                p[k] = p_k[keep]
         if columns is None:
-            p[0, rows] = solve((mass @ p_k)[rows])
+            p[0, order] = solve((mass @ p_k)[order])
         return p
 
 
@@ -263,7 +323,12 @@ def solve_elliptic_robin(ops: DiscreteOperators, g: np.ndarray, q: np.ndarray,
     # elimination keeps the datum on GAMMA1; Robin overwrites these entries
     u[ops.dirichlet_nodes] = b
     lift, load = gamma1.lift_and_load(b)
-    u[gamma1.rows] = gamma1.solve(rhs[gamma1.rows] + load - lift)
+    if load is not None:
+        rhs += load
+    c = rhs[gamma1.order]
+    if lift is not None:
+        c -= lift
+    u[gamma1.order] = gamma1.solve.permuted(c)
     return u
 
 

@@ -1,6 +1,7 @@
-"""The package imports lazily and the CLI sets the OpenBLAS thread count
-before numpy loads; both are checked in child processes, whose imports and
-environment this test process does not share."""
+"""The package imports lazily, the CLI sets the OpenBLAS thread count
+before numpy loads, and the CLI alone freezes the collector's heap at
+import; all are checked in child processes, whose imports, environment and
+collector this test process does not share."""
 
 import json
 import os
@@ -57,6 +58,17 @@ except AttributeError:
     pass
 else:
     raise AssertionError("an unknown name resolved")
+"""
+    subprocess.run([sys.executable, "-c", script], env=child_env(), check=True)
+
+
+def test_only_the_cli_freezes_the_heap():
+    script = """
+import gc
+import parctrl.config, parctrl.optimal_control, parctrl.properties
+assert gc.get_freeze_count() == 0, gc.get_freeze_count()
+import parctrl.cli
+assert gc.get_freeze_count() > 0
 """
     subprocess.run([sys.executable, "-c", script], env=child_env(), check=True)
 

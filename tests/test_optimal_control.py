@@ -304,26 +304,31 @@ def test_optimizer_control_variant_matrix(ops1d, grid, control, alpha):
     assert rel_err(res.cost, fresh) < 1e-9
 
 
-@pytest.mark.parametrize("control, alpha, bound", [
-    ("simultaneous", 5.0, 7.25),
-    ("boundary", math.inf, 4.0),
+@pytest.mark.parametrize("control, alpha, bound, cells, steps", [
+    pytest.param("simultaneous", 5.0, 7.25, None, 300, id="simultaneous-5.0-7.25"),
+    pytest.param("boundary", math.inf, 4.0, None, 300, id="boundary-inf-4.0"),
+    pytest.param("boundary", math.inf, 3.65, 64, 600, id="boundary-inf-3.65-1d"),
 ])
-def test_optimizer_memory_is_bounded_in_trajectories(control, alpha, bound):
+def test_optimizer_memory_is_bounded_in_trajectories(control, alpha, bound, cells, steps):
     # many steps on few nodes, so the (N+1)-row arrays dominate the traced
     # peak.  Besides the problem's data, CG holds x, r, d and hd, and each
     # application its state and adjoint (only a GAMMA2 trace when the source
     # is fixed), and each inner product one product buffer; an extra
     # gradient, kept state or dropped-too-late temporary crosses the bound
     # (12.8 and 6.5 arrays before the trajectories were cut, 7.49 and 4.49
-    # with two temporaries per inner product)
+    # with two temporaries per inner product).  The 1D case has the march's
+    # longest load blocks (31 steps on 65 nodes): it reads 3.19 arrays, and
+    # 4.29 with a block cap of 16384 doubles instead of 2048
     import tracemalloc
 
     from parctrl import fem_core
     from parctrl.fem_core import TimeGrid
     from parctrl.state_solvers import ParabolicStepper
 
-    ops = fem_core.assemble(fem_core.build_rect_mesh(10, 10, {"left"}))
-    grid = TimeGrid(t_final=1.0, n_steps=300)
+    mesh = (fem_core.build_rect_mesh(10, 10, {"left"}) if cells is None
+            else fem_core.build_interval_mesh(cells, 0.0, 1.0, "left"))
+    ops = fem_core.assemble(mesh)
+    grid = TimeGrid(t_final=1.0, n_steps=steps)
     spec = make_spec(ops, grid)
     ParabolicStepper(ops, grid, alpha=alpha)  # the factorization, outside the trace
     tracemalloc.start()

@@ -432,3 +432,82 @@ def test_bad_alpha_caches_nothing():
         with pytest.raises(ValueError, match="transfer coefficient"):
             solve_elliptic_robin(ops, *zeros, alpha)
     assert ops.systems == {}
+
+
+def _step_by_step(stepper, initial, b, g, q, s, columns):
+    """run and run_adjoint as one step at a time in the natural order: each
+    load its own sparse product, the unknown rows gathered, solved through
+    spd_solver's own gather and scatter, and scattered back."""
+    ops, grid, gamma1 = stepper.ops, stepper.grid, stepper._gamma1
+    n, d, dt, nsteps = ops.n_nodes, ops.dirichlet_nodes, grid.dt, grid.n_steps
+    mass, load2, solve = gamma1.mass, gamma1.load_gamma2, gamma1.solve
+    datum = np.zeros(d.size) if b is None else b
+    if math.isinf(stepper.alpha):
+        rows, lift, load = ops.free_nodes, gamma1._a_fd @ datum, -0.0
+    else:
+        b_ext = np.zeros(n)
+        b_ext[d] = datum
+        rows, lift, load = slice(None), 0.0, dt * stepper.alpha * (gamma1._b1 @ b_ext)
+    u = np.empty((nsteps + 1, n))
+    u[0] = initial
+    u[1:, d] = datum
+    for k in range(1, nsteps + 1):
+        rhs = mass @ u[k - 1] + load
+        if g is not None:
+            rhs = rhs + dt * (mass @ g[k])
+        if q is not None:
+            rhs = rhs - dt * (load2 @ q[k])
+        u[k, rows] = solve(rhs[rows] - lift)
+    p = np.zeros((nsteps + 1, n))
+    for k in range(nsteps, 0, -1):
+        following = p[k + 1] if k < nsteps else np.zeros(n)
+        rhs = mass @ following + dt * (mass @ s[k])
+        p[k, rows] = solve(rhs[rows])
+    if columns is None:
+        p[0, rows] = solve((mass @ p[1])[rows])
+        return u, p
+    p_cols = p[:, columns]
+    p_cols[0] = 0.0
+    return u, p_cols
+
+
+@pytest.mark.parametrize("forcing", ["none", "datum", "source", "flux", "all"])
+@pytest.mark.parametrize("lumped", [False, True], ids=["consistent", "lumped"])
+@pytest.mark.parametrize("alpha", [math.inf, 5.0], ids=["elimination", "robin"])
+@pytest.mark.parametrize("mesh", [build_interval_mesh(16, 0.0, 1.0, "right"),
+                                  fem_core.build_rect_mesh(5, 4, {"left", "bottom"})],
+                         ids=["1d", "2d"])
+def test_march_has_the_bits_of_a_step_by_step_march(mesh, alpha, lumped, forcing):
+    # the block loads and the march in the factor's order change no bit,
+    # signed zeros included, over several blocks and a partial last one,
+    # of many steps or of one (which takes the one-vector product)
+    from parctrl import state_solvers
+
+    ops = assemble(mesh)
+    size = state_solvers._BLOCK_DOUBLES // ops.n_nodes
+    for steps in (2 * size + size // 2, 2 * size + 1):
+        _check_march_bits(ops, TimeGrid(t_final=0.5, n_steps=steps), alpha, lumped, forcing)
+
+
+def _check_march_bits(ops, grid, alpha, lumped, forcing):
+    n, m = ops.n_nodes, ops.gamma2_nodes.size
+    rng = np.random.default_rng(17)
+    b = g = q = None
+    if forcing in ("datum", "all"):
+        b = 1.0 + rng.random(ops.dirichlet_nodes.size)
+    if forcing in ("source", "all"):
+        g = rng.standard_normal((grid.n_steps + 1, n))
+    if forcing in ("flux", "all"):
+        q = rng.standard_normal((grid.n_steps + 1, m))
+    initial = rng.standard_normal(n)
+    initial[ops.dirichlet_nodes] = 0.0 if b is None else b
+    s = rng.standard_normal((grid.n_steps + 1, n))
+    s[:, ::3] = -0.0
+
+    stepper = ParabolicStepper(ops, grid, alpha=alpha, lumped=lumped)
+    u = stepper.run(initial, b, g, q)
+    for columns in (None, ops.gamma2_nodes):
+        u_ref, p_ref = _step_by_step(stepper, initial, b, g, q, s, columns)
+        assert np.array_equal(u.view(np.int64), u_ref.view(np.int64))
+        p = stepper.run_adjoint(s, columns)
+        assert np.array_equal(p.view(np.int64), p_ref.view(np.int64))
