@@ -164,8 +164,29 @@ def _worker_count(n_tasks):
 _TASKS = []  # what _run_tasks runs; its forked workers inherit it
 
 
-def _run_task(index):
-    return _TASKS[index]()
+def _serve(conn, inherited):
+    """A worker's loop: run each task index read from conn and send back
+    (True, result) or (False, exception), until conn reads end of file."""
+    from multiprocessing.pool import ExceptionWithTraceback, MaybeEncodingError
+
+    for other in inherited:  # the caller's ends of the pipes: see _run_tasks
+        other.close()
+    while True:
+        try:
+            index = conn.recv()
+        except EOFError:
+            return
+        try:
+            result = (True, _TASKS[index]())
+        except Exception as exc:
+            # unpickled in the caller as exc, with this traceback as __cause__
+            result = (False, ExceptionWithTraceback(exc, exc.__traceback__))
+        try:
+            conn.send(result)
+        except OSError:  # the caller is gone
+            return
+        except Exception as exc:  # the result does not pickle
+            conn.send((False, MaybeEncodingError(exc, result[1])))
 
 
 def _run_tasks(tasks, order):
@@ -174,39 +195,70 @@ def _run_tasks(tasks, order):
 
     The tasks run in order, a permutation of the task indices (costliest
     first): in the caller with one CPU or one task, else handed out one at a
-    time to a forked multiprocessing pool.  The workers see what the caller
-    built before the call, copy-on-write; only task indices and results are
-    sent between processes.  A task that raises in a worker is raised here
-    with its type, message and attributes, and the worker's traceback as its
-    __cause__.  A worker that dies without its result raises RuntimeError
-    about half a second later.  Leaving the pool terminates every worker.
+    time to forked workers, each over a pipe of its own.  The workers see
+    what the caller built before the call, copy-on-write; only task indices
+    and results are sent between processes.  A task that raises in a worker
+    is raised here with its type, message and attributes, and the worker's
+    traceback as its __cause__; one whose exception does not pickle raises
+    MaybeEncodingError.  A worker that dies without its result raises
+    RuntimeError at once.  On return every worker has been reaped: idle ones
+    leave at the end of their pipe, busy ones (after an error) are
+    terminated.  No lock is shared between processes, so a worker stopped
+    at any point cannot stall the caller, as it can stall a
+    multiprocessing.Pool terminated while the worker sends a result.
     """
     global _TASKS
     order = list(order)
     workers = _worker_count(len(tasks))
     if workers <= 1:
-        results = [tasks[i]() for i in order]
+        results = {i: tasks[i]() for i in order}
     else:
         # forked, not spawned: the tasks are closures over the caller's
-        # arrays, and the caller runs no other thread
-        _TASKS, others = tasks, set(multiprocessing.active_children())
+        # arrays, and the caller runs no other thread.  multiprocessing.pool
+        # (_serve's exception wrappers) is loaded once, here, for every worker
+        import multiprocessing.connection
+        import multiprocessing.pool  # noqa: F401
+
+        context, pending, results = multiprocessing.get_context("fork"), iter(order), {}
+        pool, busy = {}, {}  # the caller's end of each pipe -> its worker, task index
+        _TASKS = tasks
         try:
-            with multiprocessing.get_context("fork").Pool(workers) as pool:
-                started = set(multiprocessing.active_children()) - others
-                pending, results = pool.imap(_run_task, order), []
-                while len(results) < len(order):
+            for _ in range(workers):
+                ours, theirs = context.Pipe()
+                # each worker closes the caller's ends it inherits, so it
+                # reads end of file once the caller closes its end or dies
+                worker = context.Process(target=_serve, args=(theirs, [*pool, ours]),
+                                         daemon=True)
+                worker.start()
+                theirs.close()
+                pool[ours] = worker
+                busy[ours] = next(pending)
+                ours.send(busy[ours])
+            while busy:
+                for conn in multiprocessing.connection.wait(list(busy)):
                     try:
-                        results.append(pending.next(timeout=0.5))
-                    except multiprocessing.TimeoutError:
-                        # the pool replaces a dead worker, and its task is lost
-                        dead = [p.exitcode for p in started if p.exitcode is not None]
-                        if dead:
-                            raise RuntimeError(f"a worker process exited with code {dead[0]} "
-                                               "before the tasks were done") from None
+                        ok, value = conn.recv()
+                    except EOFError:
+                        pool[conn].join()
+                        raise RuntimeError(f"a worker process exited with code "
+                                           f"{pool[conn].exitcode} before the tasks "
+                                           "were done") from None
+                    if not ok:
+                        raise value
+                    results[busy.pop(conn)] = value
+                    index = next(pending, None)
+                    if index is not None:
+                        busy[conn] = index
+                        conn.send(index)
         finally:
             _TASKS = []
-    done = dict(zip(order, results))
-    return [done[i] for i in range(len(tasks))]
+            for conn, worker in pool.items():
+                conn.close()
+                if conn in busy:
+                    worker.terminate()
+            for worker in pool.values():
+                worker.join()
+    return [results[i] for i in range(len(tasks))]
 
 
 def write_svg_lines(path, series, title, logy=False, logx=False):

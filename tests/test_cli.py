@@ -1212,6 +1212,58 @@ def test_run_tasks_reaps_its_workers_when_a_worker_task_raises():
 
 
 @TWO_CPUS
+def test_an_error_while_workers_send_results_never_stalls():
+    # the workers still busy when a task raises are terminated, some while
+    # they send a 1 MB result; a thread holding the GIL delays the caller's
+    # own threads, as a loaded host does.  A multiprocessing.Pool stalled
+    # here in about one run in three: a worker terminated while it held the
+    # result queue's lock left the pool's task handler waiting forever
+    import signal
+    import subprocess
+    import sys
+
+    import parctrl
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(parctrl.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    script = ("import os, threading\n"
+              "from parctrl.cli import _run_tasks\n"
+              "parent = os.getpid()\n"
+              "def big():\n"
+              "    return bytes(1 << 20)\n"
+              "def raises():\n"
+              "    if os.getpid() != parent:\n"
+              "        raise KeyError('raised in a worker')\n"
+              "def spin():\n"
+              "    while True:\n"
+              "        pass\n"
+              "threading.Thread(target=spin, daemon=True).start()\n"
+              "for _ in range(10):\n"
+              "    try:\n"
+              "        _run_tasks([big] * 4 + [raises] + [big] * 4, range(9))\n"
+              "    except KeyError:\n"
+              "        pass\n"
+              "    else:\n"
+              "        raise SystemExit('no KeyError')\n"
+              "try:\n"
+              "    os.waitpid(-1, os.WNOHANG)\n"
+              "except ChildProcessError:\n"
+              "    print('reaped')\n")
+    proc = subprocess.Popen([sys.executable, "-c", script], env=env, text=True,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            start_new_session=True)
+    try:
+        out, err = proc.communicate(timeout=60)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        pytest.fail("_run_tasks stalled after a worker task raised")
+    assert proc.returncode == 0, err
+    assert out == "reaped\n"
+
+
+@TWO_CPUS
 @pytest.mark.parametrize("how", ["SIGKILL", "os._exit"])
 def test_a_worker_that_dies_fails_at_once(how):
     # a worker killed by a signal or leaving through os._exit sends no
