@@ -37,9 +37,11 @@ process may use, costliest first, once what they share is computed.  The
 manifest's workers is the number of processes the command ran on: 1 for
 solve, lambda, sweep-alpha and decay, and with one CPU.  This module calls
 gc.freeze() once, after its imports: the ~42,000 objects they leave live
-until exit, so no later collection walks them, no forked worker writes to
-their pages, and the final collections at exit skip them (exit after main
-took 67 ms on 2 cores before, 17 ms after).  It is the one freeze: the
+until exit, so no later collection walks them, in this process or a forked
+worker, and the final collections at exit skip them (exit after main took
+67 ms on 2 cores before, 17 ms after).  Skipped by the collector, their GC
+headers stay unwritten, so a worker copies fewer of their pages; reading an
+object still writes its reference count and copies its page.  It is the one freeze: the
 library modules never freeze, so a process that imports only them keeps
 its collector as it was.
 """
@@ -75,8 +77,8 @@ from .fem_core import InputError, SolverError  # noqa: E402
 from .state_solvers import solve_parabolic  # noqa: E402
 
 # what the imports made lives until exit: frozen, it is skipped by later
-# collections, by interpreter exit and by the forked workers, which then
-# copy none of its pages (see "Processes" above)
+# collections, here, in the forked workers and at interpreter exit (see
+# "Processes" above)
 gc.freeze()
 
 EXIT_OK = 0
@@ -164,10 +166,20 @@ def _worker_count(n_tasks):
 _TASKS = []  # what _run_tasks runs; its forked workers inherit it
 
 
+class _WorkerTraceback(Exception):
+    """The traceback of a task that raised in a worker, formatted there: the
+    __cause__ of the exception _run_tasks raises for it."""
+
+    def __str__(self):
+        return f'\n"""\n{self.args[0]}"""'
+
+
 def _serve(conn, inherited):
     """A worker's loop: run each task index read from conn and send back
-    (True, result) or (False, exception), until conn reads end of file."""
-    from multiprocessing.pool import ExceptionWithTraceback, MaybeEncodingError
+    (True, result, None), or (False, exception, its formatted traceback),
+    until conn reads end of file."""
+    import traceback
+    from multiprocessing.pool import MaybeEncodingError
 
     for other in inherited:  # the caller's ends of the pipes: see _run_tasks
         other.close()
@@ -177,16 +189,15 @@ def _serve(conn, inherited):
         except EOFError:
             return
         try:
-            result = (True, _TASKS[index]())
+            result = (True, _TASKS[index](), None)
         except Exception as exc:
-            # unpickled in the caller as exc, with this traceback as __cause__
-            result = (False, ExceptionWithTraceback(exc, exc.__traceback__))
+            result = (False, exc, "".join(traceback.format_exception(exc)))
         try:
             conn.send(result)
         except OSError:  # the caller is gone
             return
-        except Exception as exc:  # the result does not pickle
-            conn.send((False, MaybeEncodingError(exc, result[1])))
+        except Exception as exc:  # the result or exception does not pickle
+            conn.send((False, MaybeEncodingError(exc, result[1]), None))
 
 
 def _run_tasks(tasks, order):
@@ -215,7 +226,8 @@ def _run_tasks(tasks, order):
     else:
         # forked, not spawned: the tasks are closures over the caller's
         # arrays, and the caller runs no other thread.  multiprocessing.pool
-        # (_serve's exception wrappers) is loaded once, here, for every worker
+        # (_serve's MaybeEncodingError and traceback) is loaded once, here,
+        # for every worker
         import multiprocessing.connection
         import multiprocessing.pool  # noqa: F401
 
@@ -237,14 +249,14 @@ def _run_tasks(tasks, order):
             while busy:
                 for conn in multiprocessing.connection.wait(list(busy)):
                     try:
-                        ok, value = conn.recv()
+                        ok, value, trace = conn.recv()
                     except EOFError:
                         pool[conn].join()
                         raise RuntimeError(f"a worker process exited with code "
                                            f"{pool[conn].exitcode} before the tasks "
                                            "were done") from None
                     if not ok:
-                        raise value
+                        raise value from (None if trace is None else _WorkerTraceback(trace))
                     results[busy.pop(conn)] = value
                     index = next(pending, None)
                     if index is not None:

@@ -426,8 +426,9 @@ def spd_solver(a_mat: sp.spmatrix):
     The callable also exposes the factor's own order: solve.perm, the RCM
     permutation, and solve.permuted(c), the one dpbtrs that maps c = b[perm]
     to x[perm], overwriting c.  solve(b) is that dpbtrs between a gather and
-    a scatter.  state_solvers reads both, so each step of its marches (and
-    its steady solve) gathers and scatters once, in the unknowns' order.
+    a scatter.  Only state_solvers._Gamma1Imposition reads both: its
+    solve_into gathers the unknown rows of a right-hand side in the factor's
+    order and scatters the solution back, once per step of each march.
     """
     a = sp.csr_matrix(a_mat)
     if (a != a.T).nnz:

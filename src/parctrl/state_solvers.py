@@ -26,12 +26,11 @@ and adjoints p driven by a tracking residual, the pairing identity
 (w, r)_time-domain = -(perturbation, trace p)_time-boundary holds to machine
 precision, and optimizer correctness is testable at solver tolerance.
 
-Both marches run in the order of the system's one RCM-banded factor (see
-fem_core.spd_solver): each step is one gather rhs[order], one dpbtrs and
-one scatter to [order], and the forcing loads come one block of steps at a
-time from one sparse product each.  Neither changes a bit of any state or
-adjoint (see ParabolicStepper), so every output is as a march one step at a
-time in the natural order would give it.
+Every solve runs in the order of the system's one RCM-banded factor (see
+fem_core.spd_solver and _Gamma1Imposition.solve_into): one gather of the
+right-hand side's unknown rows in that order, one dpbtrs and one scatter.
+That changes no bit of any state or adjoint, so every output is as a solve
+in the natural order would give it.
 
 Every solver gets its _Gamma1Imposition from _imposition, which keeps one
 per system in ops.systems, so each distinct system is factorized once per
@@ -127,26 +126,39 @@ class _Gamma1Imposition:
             f, d = ops.free_nodes, ops.dirichlet_nodes
             self._a_fd = a_full[np.ix_(f, d)].tocsr()
             rows = f
-            self.solve = spd_solver(a_full[np.ix_(f, f)].tocsr())
+            solve = spd_solver(a_full[np.ix_(f, f)].tocsr())
         else:
             self._b1 = pick(ops.bmass_gamma1)
             rows = np.arange(self.n_nodes)
-            self.solve = spd_solver(volume(ops.stiffness + alpha * self._b1).tocsr())
-        # the unknown rows in the factor's order: rhs[order] is the permuted
-        # right-hand side and x[order] = solve.permuted(rhs[order])
-        self.order = rows[self.solve.perm]
+            solve = spd_solver(volume(ops.stiffness + alpha * self._b1).tocsr())
+        # the unknown rows in the factor's order, and the one dpbtrs that
+        # solves for them from the right-hand side taken in that order
+        self._perm, self._order, self._permuted = solve.perm, rows[solve.perm], solve.permuted
 
     def lift_and_load(self, b):
-        """(lift, load) of the GAMMA1 datum b: elimination subtracts its lift
-        from rhs[order], so the lift comes in the factor's order; Robin adds
+        """(lift, load) of the GAMMA1 datum b: solve_into subtracts the lift
+        from the unknown rows, so it comes in the factor's order; Robin adds
         its transfer load to the whole right-hand side.  The unused one is
         None, since subtracting 0.0 or adding -0.0 would change no bit.
         """
         if math.isinf(self.alpha):
-            return (self._a_fd @ b)[self.solve.perm], None
+            return (self._a_fd @ b)[self._perm], None
         b_ext = np.zeros(self.n_nodes)
         b_ext[self.dirichlet_nodes] = b
         return None, self.dt * self.alpha * (self._b1 @ b_ext)
+
+    def solve_into(self, out, rhs, lift=None):
+        """Write the system's solution for the n-vector rhs (minus lift, as
+        lift_and_load gives it) to the unknown rows of out, leaving the
+        other rows: one gather of rhs in the factor's order, one dpbtrs and
+        one scatter.  A gather and a scatter move numbers without changing
+        them, so out has the bits of solving rhs[rows] - lift in the natural
+        order.
+        """
+        c = rhs[self._order]
+        if lift is not None:
+            c -= lift
+        out[self._order] = self._permuted(c)
 
 
 def _imposition(ops: DiscreteOperators, alpha, lumped: bool,
@@ -163,42 +175,13 @@ def _imposition(ops: DiscreteOperators, alpha, lumped: bool,
     return ops.systems[key]
 
 
-# the most doubles one block of forcing loads holds; see _scaled_loads
-_BLOCK_DOUBLES = 2048
-
-
-def _scaled_loads(mat, values, k0, k1, dt):
-    """dt * (mat @ values[k]) as row k - k0, for k0 <= k < k1, from one
-    sparse product; None when values is None.  scipy's csr_matvecs sums each
-    column in csr_matvec's order (as fem_core._time_pairing relies on), so
-    every row has the bits of the single product.  A one-step block (more
-    than _BLOCK_DOUBLES / 2 nodes) takes that single product itself, which
-    costs less than scipy's multi-vector route with one vector."""
-    if values is None:
-        return None
-    if k1 - k0 == 1:
-        loads = (mat @ values[k0])[None]
-    else:
-        loads = (mat @ values[k0:k1].T).T
-    loads *= dt
-    return loads
-
-
 class ParabolicStepper:
     """Prefactored backward-Euler marcher for the system _Gamma1Imposition
     builds from alpha and lumped.  The same factorization drives the forward
     state recursion and its exact transpose, the backward adjoint recursion.
 
-    Each step gathers its right-hand side in the factor's order (rhs[order],
-    then minus the lift, already in that order), makes one dpbtrs and
-    scatters the result to u[k, order].  The forcing loads dt * (M g_k),
-    dt * (L q_k) and the adjoint's dt * (M s_k) are computed one block of
-    steps at a time, with one sparse product per block and load; a block
-    holds at most _BLOCK_DOUBLES numbers, so no buffer grows with the
-    trajectory.  Every value has the bits of a step-by-step march that
-    solves rhs[rows] - lift in the natural order: a permuted gather and
-    scatter move the same numbers, each load row is summed in the same
-    order, and the sums are taken in the same order.
+    Each step is one sparse product per term of its right-hand side and one
+    solve_into: a gather in the factor's order, one dpbtrs and one scatter.
     """
 
     def __init__(self, ops: DiscreteOperators, grid: TimeGrid, alpha=math.inf,
@@ -208,12 +191,6 @@ class ParabolicStepper:
         self.grid = grid
         self.alpha = self._gamma1.alpha
         self.lumped = lumped
-
-    def _blocks(self):
-        """(k0, k1) over the steps 1..N, one block of steps each."""
-        size = max(1, _BLOCK_DOUBLES // self.ops.n_nodes)
-        last = self.grid.n_steps + 1
-        return [(k0, min(k0 + size, last)) for k0 in range(1, last, size)]
 
     def run(self, initial, boundary_temp=None, source_values=None,
             flux_values=None) -> np.ndarray:
@@ -229,23 +206,16 @@ class ParabolicStepper:
         u[1:, ops.dirichlet_nodes] = b
         gamma1 = self._gamma1
         lift, load = gamma1.lift_and_load(b)
-        order, solve = gamma1.order, gamma1.solve.permuted
         mass, load_gamma2 = gamma1.mass, gamma1.load_gamma2
-        for k0, k1 in self._blocks():
-            sources = _scaled_loads(mass, source_values, k0, k1, dt)
-            fluxes = _scaled_loads(load_gamma2, flux_values, k0, k1, dt)
-            for k in range(k0, k1):
-                rhs = mass @ u[k - 1]
-                if load is not None:
-                    rhs += load
-                if sources is not None:
-                    rhs += sources[k - k0]
-                if fluxes is not None:
-                    rhs -= fluxes[k - k0]
-                c = rhs[order]
-                if lift is not None:
-                    c -= lift
-                u[k, order] = solve(c)
+        for k in range(1, nsteps + 1):
+            rhs = mass @ u[k - 1]
+            if load is not None:
+                rhs += load
+            if source_values is not None:
+                rhs += dt * (mass @ source_values[k])
+            if flux_values is not None:
+                rhs -= dt * (load_gamma2 @ flux_values[k])
+            gamma1.solve_into(u[k], rhs, lift)
         return u
 
     def run_adjoint(self, source_values: np.ndarray, columns=None) -> np.ndarray:
@@ -264,16 +234,12 @@ class ParabolicStepper:
         keep = slice(None) if columns is None else columns
         p = np.zeros((nsteps + 1, n if columns is None else len(columns)))
         p_k = np.zeros(n)  # the whole adjoint at step k, zero off the unknowns
-        order, solve, mass = self._gamma1.order, self._gamma1.solve.permuted, self._gamma1.mass
-        for k0, k1 in reversed(self._blocks()):
-            sources = _scaled_loads(mass, source_values, k0, k1, dt)
-            for k in range(k1 - 1, k0 - 1, -1):
-                rhs = mass @ p_k
-                rhs += sources[k - k0]
-                p_k[order] = solve(rhs[order])
-                p[k] = p_k[keep]
+        gamma1, mass = self._gamma1, self._gamma1.mass
+        for k in range(nsteps, 0, -1):
+            gamma1.solve_into(p_k, mass @ p_k + dt * (mass @ source_values[k]))
+            p[k] = p_k[keep]
         if columns is None:
-            p[0, order] = solve((mass @ p_k)[order])
+            gamma1.solve_into(p[0], mass @ p_k)
         return p
 
 
@@ -325,10 +291,7 @@ def solve_elliptic_robin(ops: DiscreteOperators, g: np.ndarray, q: np.ndarray,
     lift, load = gamma1.lift_and_load(b)
     if load is not None:
         rhs += load
-    c = rhs[gamma1.order]
-    if lift is not None:
-        c -= lift
-    u[gamma1.order] = gamma1.solve.permuted(c)
+    gamma1.solve_into(u, rhs, lift)
     return u
 
 

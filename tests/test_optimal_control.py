@@ -316,9 +316,8 @@ def test_optimizer_memory_is_bounded_in_trajectories(control, alpha, bound, cell
     # is fixed), and each inner product one product buffer; an extra
     # gradient, kept state or dropped-too-late temporary crosses the bound
     # (12.8 and 6.5 arrays before the trajectories were cut, 7.49 and 4.49
-    # with two temporaries per inner product).  The 1D case has the march's
-    # longest load blocks (31 steps on 65 nodes): it reads 3.19 arrays, and
-    # 4.29 with a block cap of 16384 doubles instead of 2048
+    # with two temporaries per inner product).  The 1D case, 600 steps on 65
+    # nodes, reads 3.08 arrays: its bound keeps the 2D boundary case's margin
     import tracemalloc
 
     from parctrl import fem_core

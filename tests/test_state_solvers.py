@@ -11,6 +11,7 @@ from parctrl.fem_core import (
     inner_domain,
     norm_gamma1_time,
     norm_h1_time,
+    spd_solver,
 )
 from parctrl.state_solvers import (
     ParabolicStepper,
@@ -435,19 +436,22 @@ def test_bad_alpha_caches_nothing():
 
 
 def _step_by_step(stepper, initial, b, g, q, s, columns):
-    """run and run_adjoint as one step at a time in the natural order: each
-    load its own sparse product, the unknown rows gathered, solved through
-    spd_solver's own gather and scatter, and scattered back."""
+    """run and run_adjoint as one step at a time in the natural order: the
+    unknown rows gathered, solved by a factorization of the test's own
+    through spd_solver's own gather and scatter, and scattered back."""
     ops, grid, gamma1 = stepper.ops, stepper.grid, stepper._gamma1
     n, d, dt, nsteps = ops.n_nodes, ops.dirichlet_nodes, grid.dt, grid.n_steps
-    mass, load2, solve = gamma1.mass, gamma1.load_gamma2, gamma1.solve
+    mass, load2 = gamma1.mass, gamma1.load_gamma2
     datum = np.zeros(d.size) if b is None else b
     if math.isinf(stepper.alpha):
         rows, lift, load = ops.free_nodes, gamma1._a_fd @ datum, -0.0
+        system = (mass + dt * ops.stiffness).tocsr()[np.ix_(rows, rows)]
     else:
         b_ext = np.zeros(n)
         b_ext[d] = datum
         rows, lift, load = slice(None), 0.0, dt * stepper.alpha * (gamma1._b1 @ b_ext)
+        system = mass + dt * (ops.stiffness + stepper.alpha * gamma1._b1)
+    solve = spd_solver(system)
     u = np.empty((nsteps + 1, n))
     u[0] = initial
     u[1:, d] = datum
@@ -478,15 +482,8 @@ def _step_by_step(stepper, initial, b, g, q, s, columns):
                                   fem_core.build_rect_mesh(5, 4, {"left", "bottom"})],
                          ids=["1d", "2d"])
 def test_march_has_the_bits_of_a_step_by_step_march(mesh, alpha, lumped, forcing):
-    # the block loads and the march in the factor's order change no bit,
-    # signed zeros included, over several blocks and a partial last one,
-    # of many steps or of one (which takes the one-vector product)
-    from parctrl import state_solvers
-
-    ops = assemble(mesh)
-    size = state_solvers._BLOCK_DOUBLES // ops.n_nodes
-    for steps in (2 * size + size // 2, 2 * size + 1):
-        _check_march_bits(ops, TimeGrid(t_final=0.5, n_steps=steps), alpha, lumped, forcing)
+    # the march in the factor's order changes no bit, signed zeros included
+    _check_march_bits(assemble(mesh), TimeGrid(t_final=0.5, n_steps=7), alpha, lumped, forcing)
 
 
 def _check_march_bits(ops, grid, alpha, lumped, forcing):
