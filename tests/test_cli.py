@@ -1167,6 +1167,8 @@ def test_a_worker_exception_keeps_its_type_message_and_attributes():
         _run_tasks([task] * 3, range(3))
     assert str(caught.value) == "run.cfg:7: bad value"
     assert (caught.value.path, caught.value.line) == ("run.cfg", 7)
+    # the worker's traceback, formatted there, is the cause
+    assert 'raise ConfigError("bad value", "run.cfg", 7)' in str(caught.value.__cause__)
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
