@@ -15,10 +15,11 @@ too coarse, time-varying decay data) exits 2 at the line that sets it.
 Outputs: main runs the command under one np.errstate, so numpy warns of no
 overflow, and hands its runner _write, the one way it writes a file: a nan
 or an inf bound for a CSV or result.json exits 3 naming the file and its
-column, and that file is not written.  Every run also writes a manifest
-echoing the config text, the mesh hash, the spectral constants the command
-read and wall time, with null for a diagnostic that is not finite; passed
-as --config it reproduces byte-identical CSVs.
+column, and that file is not written.  A run that exits 0 or 1 also writes,
+once its runner has returned, a manifest echoing the config text, the mesh
+hash, the spectral constants the command read and wall time, with null for
+a diagnostic that is not finite; passed as --config it reproduces
+byte-identical CSVs.
 CSVs have one precompiled row format per file: floats as %.17g, booleans as
 true/false, a missing value as an empty cell.  Exit codes: 0 success, 1
 failed verify properties, 2 validation errors, 3 solver non-convergence or
@@ -38,12 +39,11 @@ manifest's workers is the number of processes the command ran on: 1 for
 solve, lambda, sweep-alpha and decay, and with one CPU.  This module calls
 gc.freeze() once, after its imports: the ~42,000 objects they leave live
 until exit, so no later collection walks them, in this process or a forked
-worker, and the final collections at exit skip them (exit after main took
-67 ms on 2 cores before, 17 ms after).  Skipped by the collector, their GC
-headers stay unwritten, so a worker copies fewer of their pages; reading an
-object still writes its reference count and copies its page.  It is the one freeze: the
-library modules never freeze, so a process that imports only them keeps
-its collector as it was.
+worker, and the final collections at exit skip them.  Skipped by the
+collector, their GC headers stay unwritten, so a worker copies fewer of their
+pages; reading an object still writes its reference count and copies its
+page.  It is the one freeze: the library modules never freeze, so a process
+that imports only them keeps its collector as it was.
 """
 
 from __future__ import annotations
@@ -72,7 +72,7 @@ _BLAS_THREADS = {**{var: os.environ.get(var) for var in _BLAS_THREAD_VARS},
 import numpy as np  # noqa: E402
 
 from . import asymptotics, optimal_control, properties, scalar_control  # noqa: E402
-from .config import KNOWN_KEYS, ConfigError, Problem, build_problem, load_config  # noqa: E402
+from .config import ConfigError, Problem, build_problem, load_config  # noqa: E402
 from .fem_core import InputError, SolverError  # noqa: E402
 from .state_solvers import solve_parabolic  # noqa: E402
 
@@ -163,9 +163,6 @@ def _worker_count(n_tasks):
     return min(len(os.sched_getaffinity(0)), n_tasks)
 
 
-_TASKS = []  # what _run_tasks runs; its forked workers inherit it
-
-
 class _WorkerTraceback(Exception):
     """The traceback of a task that raised in a worker, formatted there: the
     __cause__ of the exception _run_tasks raises for it."""
@@ -174,10 +171,10 @@ class _WorkerTraceback(Exception):
         return f'\n"""\n{self.args[0]}"""'
 
 
-def _serve(conn, inherited):
-    """A worker's loop: run each task index read from conn and send back
-    (True, result, None), or (False, exception, its formatted traceback),
-    until conn reads end of file."""
+def _serve(conn, inherited, tasks):
+    """A worker's loop: run the task of each index read from conn and send
+    back (True, result, None), or (False, exception, its formatted
+    traceback), until conn reads end of file."""
     import traceback
     from multiprocessing.pool import MaybeEncodingError
 
@@ -189,7 +186,7 @@ def _serve(conn, inherited):
         except EOFError:
             return
         try:
-            result = (True, _TASKS[index](), None)
+            result = (True, tasks[index](), None)
         except Exception as exc:
             result = (False, exc, "".join(traceback.format_exception(exc)))
         try:
@@ -218,29 +215,27 @@ def _run_tasks(tasks, order):
     at any point cannot stall the caller, as it can stall a
     multiprocessing.Pool terminated while the worker sends a result.
     """
-    global _TASKS
     order = list(order)
     workers = _worker_count(len(tasks))
     if workers <= 1:
         results = {i: tasks[i]() for i in order}
     else:
         # forked, not spawned: the tasks are closures over the caller's
-        # arrays, and the caller runs no other thread.  multiprocessing.pool
-        # (_serve's MaybeEncodingError and traceback) is loaded once, here,
-        # for every worker
+        # arrays, handed to each worker unpickled, and the caller runs no
+        # other thread.  multiprocessing.pool (_serve's MaybeEncodingError
+        # and traceback) is loaded once, here, for every worker
         import multiprocessing.connection
         import multiprocessing.pool  # noqa: F401
 
         context, pending, results = multiprocessing.get_context("fork"), iter(order), {}
         pool, busy = {}, {}  # the caller's end of each pipe -> its worker, task index
-        _TASKS = tasks
         try:
             for _ in range(workers):
                 ours, theirs = context.Pipe()
                 # each worker closes the caller's ends it inherits, so it
                 # reads end of file once the caller closes its end or dies
-                worker = context.Process(target=_serve, args=(theirs, [*pool, ours]),
-                                         daemon=True)
+                worker = context.Process(target=_serve,
+                                         args=(theirs, [*pool, ours], tasks), daemon=True)
                 worker.start()
                 theirs.close()
                 pool[ours] = worker
@@ -263,7 +258,6 @@ def _run_tasks(tasks, order):
                         busy[conn] = index
                         conn.send(index)
         finally:
-            _TASKS = []
             for conn, worker in pool.items():
                 conn.close()
                 if conn in busy:
@@ -380,19 +374,17 @@ def _check_command(cfg, command):
     _, variants, required = _COMMANDS[command]
     name = cfg.get("data", "variant", "dirichlet")
     if name not in variants:
-        raise ConfigError(f"{command} takes variant {' | '.join(variants)}, "
-                          f"got {name!r}", cfg.path, cfg.line_of("data", "variant"))
+        raise cfg.error("variant", f"{command} takes variant {' | '.join(variants)}, "
+                                   f"got {name!r}")
     for section, key in required:
         cfg.require(section, key)
     if cfg.get("data", "q") == asymptotics.OPTIMIZE and (
             command in ("solve", "decay")
             or command == "optimize" and cfg.get("data", "control") == "distributed"):
-        raise ConfigError("q = optimize is read by sweep-alpha only", cfg.path,
-                          cfg.line_of("data", "q"))
+        raise cfg.error("q", "q = optimize is read by sweep-alpha only")
     limits = [key for key in ("g_inf", "q_inf") if cfg.get("data", key) is not None]
     if command == "decay" and len(limits) == 1:
-        raise ConfigError("forced decay needs both g_inf and q_inf", cfg.path,
-                          cfg.line_of("data", limits[0]))
+        raise cfg.error(limits[0], "forced decay needs both g_inf and q_inf")
 
 
 def _cmd_solve(problem: Problem, write):
@@ -573,9 +565,7 @@ def main(argv=None) -> int:
             outputs, results, workers = _COMMANDS[args.command][0](
                 problem, lambda *file: _write(args.out, *file))
     except InputError as exc:  # cited at the line that sets the input it names
-        section = next((s for s, keys in KNOWN_KEYS.items() if exc.key in keys), None)
-        print(f"error: {ConfigError(str(exc), cfg.path, cfg.line_of(section, exc.key))}",
-              file=sys.stderr)
+        print(f"error: {cfg.error(exc.key, str(exc))}", file=sys.stderr)
         return EXIT_VALIDATION
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

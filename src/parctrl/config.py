@@ -27,8 +27,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .asymptotics import OPTIMIZE, check_alphas
-from .fem_core import (GAMMA1, GAMMA2, TimeGrid, assemble, build_interval_mesh,
-                       build_rect_mesh)
+from .fem_core import (GAMMA1, GAMMA2, MeshError, TimeGrid, assemble,
+                       build_interval_mesh, build_rect_mesh)
 from .profiles import parse_profile, sample
 from .state_solvers import ProblemSpec
 
@@ -70,8 +70,13 @@ class RawConfig:
     def get(self, section, key, default=None):
         return self.entries.get(section, {}).get(key, (default, None))[0]
 
-    def line_of(self, section, key):
-        return self.entries.get(section, {}).get(key, (None, None))[1]
+    def error(self, key, message):
+        """The ConfigError for message, cited at the line that sets key: each
+        key name is in one section of KNOWN_KEYS.  A key the config does not
+        set gives no line."""
+        section = next((s for s, keys in KNOWN_KEYS.items() if key in keys), None)
+        return ConfigError(message, self.path,
+                           self.entries.get(section, {}).get(key, (None, None))[1])
 
     def require(self, section, key):
         value = self.get(section, key)
@@ -129,19 +134,17 @@ def load_config(path: str) -> RawConfig:
     return cfg
 
 
-def _parse_float(cfg, section, key, value):
+def _parse_float(cfg, key, value):
     try:
         return float(value)
     except ValueError:
-        raise ConfigError(f"key '{key}' must be a number, got {value!r}",
-                          cfg.path, cfg.line_of(section, key)) from None
+        raise cfg.error(key, f"key '{key}' must be a number, got {value!r}") from None
 
 
 def _parse_positive(cfg, section, key, default):
-    value = _parse_float(cfg, section, key, cfg.get(section, key, default))
+    value = _parse_float(cfg, key, cfg.get(section, key, default))
     if not (math.isfinite(value) and value > 0):
-        raise ConfigError(f"key '{key}' must be finite and > 0, got {value}",
-                          cfg.path, cfg.line_of(section, key))
+        raise cfg.error(key, f"key '{key}' must be finite and > 0, got {value}")
     return value
 
 
@@ -151,11 +154,9 @@ def _parse_int(cfg, section, key, minimum=None):
     try:
         number = int(value)
     except ValueError:
-        raise ConfigError(f"key '{key}' must be an integer, got {value!r}",
-                          cfg.path, cfg.line_of(section, key)) from None
+        raise cfg.error(key, f"key '{key}' must be an integer, got {value!r}") from None
     if minimum is not None and number < minimum:
-        raise ConfigError(f"key '{key}' must be >= {minimum}, got {number}",
-                          cfg.path, cfg.line_of(section, key))
+        raise cfg.error(key, f"key '{key}' must be >= {minimum}, got {number}")
     return number
 
 
@@ -167,8 +168,8 @@ _REQUIRED = object()  # the _data_entry default of a [data] key that must be set
 def _parse_bool(cfg, section, key, default):
     value = cfg.get(section, key, default)
     if value.lower() not in _BOOLEANS:
-        raise ConfigError(f"key '{key}' must be one of {', '.join(_BOOLEANS)}, "
-                          f"got {value!r}", cfg.path, cfg.line_of(section, key))
+        raise cfg.error(key, f"key '{key}' must be one of {', '.join(_BOOLEANS)}, "
+                             f"got {value!r}")
     return _BOOLEANS[value.lower()]
 
 
@@ -223,29 +224,25 @@ def _build_mesh(cfg: RawConfig):
     # a size key of the other dimension would be accepted and then ignored
     for key in {1: ("nx", "ny"), 2: ("cells",)}.get(dim, ()):
         if cfg.get("mesh", key) is not None:
-            raise ConfigError(f"key '{key}' does not apply to a {dim}D mesh",
-                              cfg.path, cfg.line_of("mesh", key))
+            raise cfg.error(key, f"key '{key}' does not apply to a {dim}D mesh")
     gamma1 = cfg.require("mesh", "gamma1")
     sides = [s.strip() for s in gamma1.split(",") if s.strip()]
+    if dim == 1:
+        cells = _parse_int(cfg, "mesh", "cells", minimum=2)
+        if len(sides) != 1:
+            raise cfg.error("gamma1", "1D gamma1 must be a single side (left or right)")
+        build, args = build_interval_mesh, (cells, 0.0, 1.0, sides[0])
+    elif dim == 2:
+        nx, ny = (_parse_int(cfg, "mesh", key, minimum=2) for key in ("nx", "ny"))
+        build, args = build_rect_mesh, (nx, ny, set(sides))
+    else:
+        raise cfg.error("dim", f"dim must be 1 or 2, got {dim}")
     # sizes are checked at their own lines; what the builders reject after
     # that is a bad side name, cited at the gamma1 line
     try:
-        if dim == 1:
-            cells = _parse_int(cfg, "mesh", "cells", minimum=2)
-            if len(sides) != 1:
-                raise ConfigError("1D gamma1 must be a single side (left or right)",
-                                  cfg.path, cfg.line_of("mesh", "gamma1"))
-            return build_interval_mesh(cells, 0.0, 1.0, sides[0])
-        if dim == 2:
-            nx = _parse_int(cfg, "mesh", "nx", minimum=2)
-            ny = _parse_int(cfg, "mesh", "ny", minimum=2)
-            return build_rect_mesh(nx, ny, set(sides))
-    except ValueError as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(str(exc), cfg.path, cfg.line_of("mesh", "gamma1")) from exc
-    raise ConfigError(f"dim must be 1 or 2, got {dim}", cfg.path,
-                      cfg.line_of("mesh", "dim"))
+        return build(*args)
+    except MeshError as exc:
+        raise cfg.error("gamma1", str(exc)) from exc
 
 
 def _data_entry(cfg, key, grid, points, kind=None, default=None):
@@ -257,28 +254,24 @@ def _data_entry(cfg, key, grid, points, kind=None, default=None):
     value = cfg.require("data", key) if default is _REQUIRED else cfg.get("data", key, default)
     if value is None:
         return None
-    line = cfg.line_of("data", key)
     full = None  # the path of a CSV reference
     if value.startswith("csv:"):
         rel = value[len("csv:"):].strip()
         full = os.path.join(os.path.dirname(os.path.abspath(cfg.source)), rel)
         if not os.path.exists(full):
-            raise ConfigError(f"referenced file does not exist: {full}",
-                              cfg.path, line)
+            raise cfg.error(key, f"referenced file does not exist: {full}")
         if kind is None:
-            raise ConfigError(f"key '{key}' does not accept CSV references",
-                              cfg.path, line)
+            raise cfg.error(key, f"key '{key}' does not accept CSV references")
     # a nan or inf, written or overflowed, would run into every output
     try:
         with np.errstate(over="ignore", invalid="ignore"):  # rejected below
             values = (sample(parse_profile(value), points, grid, kind is not None)
                       if full is None else _read_csv(full, grid, kind, len(points)))
     except ValueError as exc:  # a bad profile, or a CSV that is not one
-        raise ConfigError(str(exc), cfg.path, line) from exc
+        raise cfg.error(key, str(exc)) from exc
     finite = np.isfinite(values)
     if not finite.all():
-        raise ConfigError(f"key '{key}' must be finite, got {values[~finite][0]}",
-                          cfg.path, line)
+        raise cfg.error(key, f"key '{key}' must be finite, got {values[~finite][0]}")
     return values
 
 
@@ -287,37 +280,35 @@ def build_problem(cfg: RawConfig) -> Problem:
     # entries sampled on its nodes, then assembly, which on a large mesh
     # costs seconds; so a bad key fails before it
     mesh = _build_mesh(cfg)
-    t_final = _parse_float(cfg, "grid", "t_final", cfg.require("grid", "t_final"))
+    t_final = _parse_float(cfg, "t_final", cfg.require("grid", "t_final"))
     steps = _parse_int(cfg, "grid", "steps", minimum=1)
     try:
         grid = TimeGrid(t_final=t_final, n_steps=steps)
     except ValueError as exc:
-        raise ConfigError(str(exc), cfg.path, cfg.line_of("grid", "t_final")) from exc
+        raise cfg.error("t_final", str(exc)) from exc
 
     flux_penalty = _parse_positive(cfg, "weights", "flux_penalty", "1.0")
     source_penalty = _parse_positive(cfg, "weights", "source_penalty", "1.0")
     # an absent alpha imposes the datum exactly, as does an explicit inf
-    alpha = _parse_float(cfg, "weights", "alpha", cfg.get("weights", "alpha", "inf"))
+    alpha = _parse_float(cfg, "alpha", cfg.get("weights", "alpha", "inf"))
     if not alpha > 0:
-        raise ConfigError(f"key 'alpha' must be > 0, got {alpha}", cfg.path,
-                          cfg.line_of("weights", "alpha"))
+        raise cfg.error("alpha", f"key 'alpha' must be > 0, got {alpha}")
     alphas_text = cfg.get("weights", "alphas")
     alphas = []
     if alphas_text is not None:
         for part in alphas_text.split(","):
             part = part.strip()
             if part:
-                alphas.append(_parse_float(cfg, "weights", "alphas", part))
+                alphas.append(_parse_float(cfg, "alphas", part))
         try:
             alphas = check_alphas(alphas)
         except ValueError as exc:
-            raise ConfigError(f"key 'alphas': {exc}", cfg.path,
-                              cfg.line_of("weights", "alphas")) from exc
+            raise cfg.error("alphas", f"key 'alphas': {exc}") from exc
 
     control = cfg.get("data", "control", "boundary")
     if control not in ("boundary", "distributed", "simultaneous"):
-        raise ConfigError(f"control must be boundary, distributed or simultaneous, "
-                          f"got {control!r}", cfg.path, cfg.line_of("data", "control"))
+        raise cfg.error("control", "control must be boundary, distributed or "
+                        f"simultaneous, got {control!r}")
     opt_tol = _parse_positive(cfg, "tolerances", "opt_tol", "1e-10")
     plots = _parse_bool(cfg, "output", "plots", "false")
     every = mesh.node_coords
@@ -342,9 +333,8 @@ def build_problem(cfg: RawConfig) -> Problem:
     gap = np.abs(v_b[dirichlet] - b)
     scale = max(float(np.max(np.abs(v_b))), float(np.max(np.abs(b))), 1.0)
     if np.max(gap) > 1e-12 * scale:
-        raise ConfigError("v_b disagrees with b on the gamma1 nodes "
-                          f"(max gap {np.max(gap):.3e})", cfg.path,
-                          cfg.line_of("data", "v_b"))
+        raise cfg.error("v_b", "v_b disagrees with b on the gamma1 nodes "
+                        f"(max gap {np.max(gap):.3e})")
     v_b[dirichlet] = b
 
     ops = assemble(mesh)

@@ -542,6 +542,41 @@ def test_config_input_errors_exit_2_before_assembly(tmp_path, capsys, monkeypatc
     assert assembled == []
 
 
+@pytest.mark.parametrize("command,edits,key,message", [
+    ("solve", [("plots = true", "plots = ture")], "plots",
+     "key 'plots' must be one of true, false, 1, 0, yes, no, got 'ture'"),
+    ("optimize", [("q0 = constant(1.0)", "q0 = constant(1.0)\ncontrol = nowhere")],
+     "control", "control must be boundary, distributed or simultaneous, got 'nowhere'"),
+    ("decay", [("q0 = constant(1.0)", "q0 = constant(1.0)\nvariant = robin")], "variant",
+     "decay takes variant dirichlet, got 'robin'"),
+    ("solve", [("flux_penalty = 1.0", "flux_penalty = 0")], "flux_penalty",
+     "key 'flux_penalty' must be finite and > 0, got 0.0"),
+    ("solve", [("source_penalty = 1.0", "source_penalty = inf")], "source_penalty",
+     "key 'source_penalty' must be finite and > 0, got inf"),
+    ("solve", [("opt_tol = 1e-10", "opt_tol = nan")], "opt_tol",
+     "key 'opt_tol' must be finite and > 0, got nan"),
+    ("solve", [("alpha = 5.0", "alpha = -1")], "alpha", "key 'alpha' must be > 0, got -1.0"),
+    ("solve", [TWO_D, ("gamma1 = left", "gamma1 = left, right, bottom, top")], "gamma1",
+     "gamma1_edges covers the whole boundary: the flux part would have zero measure"),
+    ("decay", [("t_final = 1.0", "t_final = 1000"), ("q0 = constant(1.0)", FORCED)],
+     "t_final", "horizon too long: coercivity * t_final must stay below 500 to keep "
+     "the weighted integrals finite"),
+], ids=["plots", "control", "variant", "flux_penalty", "source_penalty", "opt_tol",
+        "alpha", "2d-gamma1-whole-boundary", "decay-horizon-too-long"])
+def test_key_errors_print_the_exact_anchored_line(tmp_path, capsys, command, edits, key,
+                                                  message):
+    # the whole of stderr: "error: <path>:<line of key>: <message>", one line
+    text = SMALL_CFG
+    for old, new in edits:
+        text = text.replace(old, new)
+    line = next(i for i, entry in enumerate(text.splitlines(), 1)
+                if entry.split(" =")[0] == key)
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(text)
+    assert run(command, str(bad), tmp_path / "out") == 2
+    assert capsys.readouterr().err == f"error: {bad}:{line}: {message}\n"
+
+
 @pytest.mark.parametrize("name,content,message", [
     ("missing.cfg", None, "cannot read config: "),
     ("run.json", "not json", "cannot read manifest: "),
@@ -1118,11 +1153,13 @@ def test_shipped_benchmark_config_loads():
     assert problem.grid.n_steps == 200
 
 
-TWO_CPUS = pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2,
-                              reason="a worker is forked only on two or more CPUs")
+@pytest.fixture()
+def two_cpus(monkeypatch):
+    # _worker_count sees two CPUs, so _run_tasks forks its workers on any host
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
 
 
-@TWO_CPUS
+@pytest.mark.usefixtures("two_cpus")
 @pytest.mark.parametrize("error,code", [("SolverError", 3), ("ValueError", 2)])
 def test_a_worker_error_keeps_its_exit_code(cfg_path, tmp_path, capsys, monkeypatch,
                                             error, code):
@@ -1149,7 +1186,7 @@ def test_a_worker_error_keeps_its_exit_code(cfg_path, tmp_path, capsys, monkeypa
         os.waitpid(-1, os.WNOHANG)
 
 
-@TWO_CPUS
+@pytest.mark.usefixtures("two_cpus")
 def test_a_worker_exception_keeps_its_type_message_and_attributes():
     # unpickling would call ConfigError(message) and anchor the message twice
     import time
@@ -1188,7 +1225,7 @@ def test_config_error_pickles_as_itself():
         "run.cfg: no line"
 
 
-@TWO_CPUS
+@pytest.mark.usefixtures("two_cpus")
 def test_run_tasks_reaps_its_workers_when_a_worker_task_raises():
     # raised at once: the workers still running a task are terminated, not
     # waited for, and every worker is reaped
@@ -1213,7 +1250,6 @@ def test_run_tasks_reaps_its_workers_when_a_worker_task_raises():
         os.waitpid(-1, os.WNOHANG)
 
 
-@TWO_CPUS
 def test_an_error_while_workers_send_results_never_stalls():
     # the workers still busy when a task raises are terminated, some while
     # they send a 1 MB result; a thread holding the GIL delays the caller's
@@ -1230,6 +1266,7 @@ def test_an_error_while_workers_send_results_never_stalls():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
     script = ("import os, threading\n"
+              "os.sched_getaffinity = lambda pid: {0, 1}\n"
               "from parctrl.cli import _run_tasks\n"
               "parent = os.getpid()\n"
               "def big():\n"
@@ -1265,7 +1302,7 @@ def test_an_error_while_workers_send_results_never_stalls():
     assert out == "reaped\n"
 
 
-@TWO_CPUS
+@pytest.mark.usefixtures("two_cpus")
 @pytest.mark.parametrize("how", ["SIGKILL", "os._exit"])
 def test_a_worker_that_dies_fails_at_once(how):
     # a worker killed by a signal or leaving through os._exit sends no
@@ -1292,7 +1329,7 @@ def test_a_worker_that_dies_fails_at_once(how):
         os.waitpid(-1, os.WNOHANG)
 
 
-@TWO_CPUS
+@pytest.mark.usefixtures("two_cpus")
 def test_forked_workers_inherit_the_callers_errstate():
     # main's one np.errstate covers verify's and optimize's workers too
     from parctrl.cli import _run_tasks
@@ -1303,6 +1340,7 @@ def test_forked_workers_inherit_the_callers_errstate():
                for state in states)
 
 
+@pytest.mark.usefixtures("two_cpus")
 def test_an_unpicklable_worker_exception_names_the_pickling_failure():
     # the exception cannot be sent back, so what failed to pickle is raised
     from multiprocessing.pool import MaybeEncodingError
@@ -1330,7 +1368,6 @@ def alive(pid):
         return False
 
 
-@TWO_CPUS
 def test_a_killed_parent_leaves_no_worker():
     # the workers of a parent killed by SIGKILL, which runs no clean-up,
     # exit by themselves
@@ -1346,15 +1383,14 @@ def test_a_killed_parent_leaves_no_worker():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
     script = ("import os, time\n"
+              "os.sched_getaffinity = lambda pid: {0, 1}\n"
               "from parctrl.cli import _run_tasks\n"
               "def task():\n"
               "    print(os.getpid(), flush=True)\n"
               "    time.sleep(1.5)\n"
               "_run_tasks([task] * 4, range(4))\n")
-    two = set(sorted(os.sched_getaffinity(0))[:2])
     proc = subprocess.Popen([sys.executable, "-c", script], env=env,
-                            stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
-                            preexec_fn=lambda: os.sched_setaffinity(0, two))
+                            stdout=subprocess.PIPE, stderr=subprocess.DEVNULL)
     text, deadline = b"", time.monotonic() + 30
     try:
         # until the two processes running the first tasks have printed
