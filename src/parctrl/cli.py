@@ -20,8 +20,10 @@ once its runner has returned, a manifest echoing the config text, the mesh
 hash, the spectral constants the command read and wall time, with null for
 a diagnostic that is not finite; passed as --config it reproduces
 byte-identical CSVs.
-CSVs have one precompiled row format per file: floats as %.17g, booleans as
-true/false, a missing value as an empty cell.  Exit codes: 0 success, 1
+_write_csv writes every CSV: floats as the bytes of %.17g, laid out from
+exact integer digits by one numpy kernel a block at a time (the rare value
+outside its range through %.17g itself), booleans as true/false, a missing
+value as an empty cell.  Exit codes: 0 success, 1
 failed verify properties, 2 validation errors, 3 solver non-convergence or
 a non-finite number in an output.
 
@@ -87,28 +89,196 @@ EXIT_VALIDATION = 2
 EXIT_NO_CONVERGENCE = 3
 
 
-def _write_csv(path, header, row_format, rows):
-    """The one CSV writer: the header line, then row_format % row per row.
+# _format_floats' tables, built with numpy arithmetic at import: 10**p and
+# its Veltkamp halves for p <= 22 (the exact powers of ten), and for each
+# 4-digit group its ASCII digits, one uint32 per group, and its trailing zeros
+_POW10 = np.array([float(10 ** p) for p in range(23)])
+_SPLIT = 134217729.0  # 2**27 + 1: splits a double into two 26-bit halves
+_POW10_HI = _SPLIT * _POW10 - (_SPLIT * _POW10 - _POW10)
+_POW10_LO = _POW10 - _POW10_HI
 
-    Rows are formatted and written one at a time: a whole field's strings
-    (or its Python floats) at once would sit next to the factorization that
-    stays cached on ops.
+
+def _group_tables():
+    digits = np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1)  # those of 0..9999
+    zeros = 0
+    for zero in digits == 0:
+        zeros = zero * (1 + zeros)
+    return np.ascontiguousarray((digits + ord("0")).T).view(np.uint32).ravel(), zeros
+
+
+_GROUP_DIGITS, _GROUP_ZEROS = _group_tables()
+
+# Each value's 32 source bytes: its first digit, its end, "-.", its other 16
+# digits in four groups, then "e-0123456789".  A layout, one per
+# (sign, exponent -6..16, significant digits 1..17), names the source byte of
+# each of the up to 25 output bytes and how many of them are written.
+_LAYOUT_WIDTH = 25
+_END, _MINUS, _POINT, _E, _ZERO = 1, 2, 3, 20, 22
+
+
+def _layouts():
+    neg = np.arange(2, dtype=np.int8)[:, None, None, None]
+    exp = np.arange(-6, 17, dtype=np.int8)[None, :, None, None]
+    digits = np.arange(1, 18, dtype=np.int8)[None, None, :, None]
+    t = np.arange(_LAYOUT_WIDTH, dtype=np.int8)[None, None, None, :] - neg  # after the sign
+    sci = exp < -4  # %g's exponent notation: 1.2345e-05
+    pad = np.where(sci, 0, np.maximum(-exp, 0))  # zeros before the digits: 0.00012345
+    point = np.where(sci | (exp < 0), 1, exp + 1)  # characters before the point
+    shown = np.maximum(pad + digits, point)  # digits or padding zeros, point excluded
+    fraction = shown > point
+    mantissa = shown + fraction
+    i = t - (t > point)  # index into the padded digits
+    digit = np.where(i < pad, _ZERO, np.where(i == pad, 0, 3 + i - pad))
+    u = t - mantissa
+    suffix = np.where(u < 3, _E + u, _ZERO - exp)  # "e-0", then the exponent's digit
+    source = np.where(t < 0, _MINUS, np.where((t == point) & fraction, _POINT, np.where(
+        t < mantissa, digit, np.where(u < 4 * sci, suffix, _END))))
+    length = neg + mantissa + 4 * sci + 1
+    return (source.reshape(-1, _LAYOUT_WIDTH).astype(np.uint8),
+            length.ravel().astype(np.uint8))
+
+
+_LAYOUT_SOURCE, _LAYOUT_LENGTH = _layouts()
+_LAYOUT_COLUMNS = np.arange(_LAYOUT_WIDTH, dtype=np.uint8)
+_SIGN_POINT = np.frombuffer(b"-.", np.uint16)
+_EXPONENT_CHARS = np.frombuffer(b"e-0123456789", np.uint32)
+
+
+def _times_pow10(a, p):
+    """a * 10**p as hi + lo, exactly: Dekker's product of a and _POW10[p]."""
+    hi = a * _POW10[p]
+    c = _SPLIT * a
+    a_hi = c - (c - a)
+    a_lo = a - a_hi
+    b_hi, b_lo = _POW10_HI[p], _POW10_LO[p]
+    return hi, ((a_hi * b_hi - hi) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+
+
+def _outside(hi, lo):
+    # -1 where hi + lo < 1e16, +1 where hi + lo >= 1e17, else 0: exact compares
+    below = (hi < 1e16) | ((hi == 1e16) & (lo < 0))
+    above = (hi > 1e17) | ((hi == 1e17) & (lo >= 0))
+    return above.astype(np.intp) - below
+
+
+def _format_floats(x, ends):
+    """The bytes of "%.17g" % v followed by the byte end, for each value v of
+    the float64 array x and end of the uint8 array ends, without a bignum.
+
+    For 1e-6 <= |v| < 1e17 the exponent e of v's 17 digits lies in -6..16,
+    so p = 16 - e <= 22 and 10**p is a double.  Dekker's product gives
+    |v| * 10**p = hi + lo exactly; hi >= 1e16 > 2**53 is an even integer, so
+    hi + rint(lo) is the 17-digit integer, rounded half to even.  e comes
+    from log10 and is fixed by exact compares of hi + lo with 1e16 and 1e17.
+    The integer never rounds up to 10**17 here: no double in that range lies
+    within 5e-18 (relative) below a power of ten.  The digits are laid out by
+    %g's rules through _layouts; zero and -0 are laid out the same way.  Any
+    other value (nan, inf, a subnormal, |v| < 1e-6 or >= 1e17) is written
+    with "%.17g" % v.
     """
-    row_format += "\n"
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(header + "\n")
+    a = np.abs(x)
+    ok = (a >= 1e-6) & (a < 1e17)  # false for nan; the exact compares settle the ends
+    a = np.where(ok, a, 1.0)
+    p = np.clip(16 - np.floor(np.log10(a)).astype(np.intp), 0, 22)
+    hi, lo = _times_pow10(a, p)
+    step = _outside(hi, lo)
+    if step.any():  # log10 was one off, next to a power of ten
+        p -= step
+        ok &= (p >= 0) & (p <= 22)
+        p = np.clip(p, 0, 22)
+        hi, lo = _times_pow10(a, p)
+        ok &= _outside(hi, lo) == 0
+    n = np.where(ok, hi.astype(np.int64) + np.rint(lo).astype(np.int64), 0)
+    exp = np.where(ok, 16 - p, 0)
+    lead, rest = np.divmod(n, 10 ** 16)
+    groups = []
+    for scale in (10 ** 12, 10 ** 8, 10 ** 4):
+        group, rest = np.divmod(rest, scale)
+        groups.append(group)
+    groups.append(rest)
+    zeros = 0
+    for group in groups:  # the trailing zeros of the 16 digits after the first
+        zeros = _GROUP_ZEROS[group] + (group == 0) * zeros
+    layout = (np.signbit(x) * 23 + exp + 6) * 17 + 16 - zeros
+    source = np.empty((x.size, 8), np.uint32)
+    for i, group in enumerate(groups, 1):
+        source[:, i] = _GROUP_DIGITS.take(group)
+    source[:, 5:] = _EXPONENT_CHARS
+    source = source.view(np.uint8)
+    source.view(np.uint16)[:, 1] = _SIGN_POINT
+    source[:, 0] = ord("0") + lead
+    source[:, _END] = ends
+    index = _LAYOUT_SOURCE.take(layout, axis=0)
+    length = _LAYOUT_LENGTH.take(layout)
+    for i in np.flatnonzero(~ok & (x != 0)):
+        text = b"%.17g%c" % (x[i], ends[i])
+        source[i, 4:4 + len(text)] = np.frombuffer(text, np.uint8)
+        index[i] = 4 + _LAYOUT_COLUMNS
+        length[i] = len(text)
+    flat = np.repeat(np.arange(0, source.size, 32), length)
+    flat += index[_LAYOUT_COLUMNS < length[:, None]]
+    return source.ravel().take(flat).tobytes()
+
+
+_CSV_BLOCK = 4096  # values per _format_floats call: see _write_csv
+
+
+def _write_csv(path, header, cells, rows):
+    """The one CSV writer: the header line, then one line per row.
+
+    cells names the kind of each cell of a row, comma-separated: %.17g a
+    float, or %s text, joined in as it is.  A float cell may be a 1D array,
+    one cell per value (a field's values at one time), or None, an empty
+    cell.  The floats go through _format_floats, which writes the bytes
+    "%.17g" % v writes: exact 17-digit integers laid out by numpy for
+    1e-6 <= |v| < 1e17 and for zero, "%.17g" % v itself for the rare other
+    value (nan, inf, a subnormal).  It takes _CSV_BLOCK values a call, a row
+    wider than that over several calls: a whole field's text at once would
+    sit next to the factorization that stays cached on ops.
+    """
+    text = [kind == "%s" for kind in cells.split(",")]
+    block = np.empty(_CSV_BLOCK)
+    ends = np.full(_CSV_BLOCK, ord(","), np.uint8)
+    size = 0
+    with open(path, "wb") as fh:
+        fh.write(header.encode() + b"\n")
+
+        def flush():
+            nonlocal size
+            fh.write(_format_floats(block[:size], ends[:size]))
+            ends[:size] = ord(",")
+            size = 0
+
+        final = len(text) - 1
         for row in rows:
-            fh.write(row_format % row)
+            for i, (is_text, cell) in enumerate(zip(text, row)):
+                if is_text or cell is None:
+                    if size:
+                        flush()
+                    fh.write(("" if cell is None else cell).encode()
+                             + (b"\n" if i == final else b","))
+                    continue
+                values, done = np.ravel(cell), 0
+                while done < values.size:
+                    if size == _CSV_BLOCK:
+                        flush()
+                    take = min(_CSV_BLOCK - size, values.size - done)
+                    block[size:size + take] = values[done:done + take]
+                    size, done = size + take, done + take
+                if i == final:
+                    ends[size - 1] = ord("\n")
+        if size:
+            flush()
 
 
 # each kind of file as _write takes it: (columns, rows, writer)
 def _trajectory(columns, grid, values):
-    # a field or control: "step,time,<columns>", one row per time level
+    # a field or control: "step,time,<columns>", one row per time level; the
+    # step is written as a float, whose %.17g is its %d
     def writer(path):
         times = grid.times()
-        _write_csv(path, "step,time," + ",".join(columns),
-                   ",".join(["%d", "%.17g"] + ["%.17g"] * len(columns)),
-                   ((k, times[k], *values[k].tolist()) for k in range(values.shape[0])))
+        _write_csv(path, "step,time," + ",".join(columns), "%.17g,%.17g,%.17g",
+                   ((k, times[k], values[k]) for k in range(values.shape[0])))
     return columns, values, writer
 
 
@@ -120,8 +290,8 @@ def _control(grid, ops, values):  # a column per GAMMA2 node
     return _trajectory([f"g2n{i}" for i in ops.gamma2_nodes], grid, values)
 
 
-def _table(header, row_format, rows):  # a few rows, each formatted by row_format
-    return header.split(","), rows, lambda path: _write_csv(path, header, row_format, rows)
+def _table(header, cells, rows):  # a few rows of the cell kinds cells names
+    return header.split(","), rows, lambda path: _write_csv(path, header, cells, rows)
 
 
 # the same CSVs, unchecked: any float, for data a config reads as csv:
@@ -461,12 +631,11 @@ def _cmd_sweep_alpha(problem: Problem, write):
                                    problem.alphas, q=problem.q, tol=problem.opt_tol)
     # err_control is an empty cell for a fixed flux; the rows' numbers are checked
     header = "alpha,err_state,err_adjoint,err_control,boundary_mismatch,converged"
-    text = [(r.alpha, r.err_state, r.err_adjoint,
-             "" if r.err_control is None else "%.17g" % r.err_control,
-             r.boundary_mismatch, "true" if r.converged else "false") for r in rows]
+    cells = [(r.alpha, r.err_state, r.err_adjoint, r.err_control, r.boundary_mismatch,
+              "true" if r.converged else "false") for r in rows]
     outputs = [write("sweep.csv", header.split(","), [vars(r).values() for r in rows],
-                     lambda path: _write_csv(path, header, "%.17g,%.17g,%.17g,%s,%.17g,%s",
-                                             text))]
+                     lambda path: _write_csv(path, header, "%.17g,%.17g,%.17g,%.17g,%.17g,%s",
+                                             cells))]
     if problem.plots:
         series = [("err_state", [r.alpha for r in rows], [r.err_state for r in rows]),
                   ("err_adjoint", [r.alpha for r in rows], [r.err_adjoint for r in rows])]

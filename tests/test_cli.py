@@ -168,6 +168,72 @@ def test_csv_writer_golden_bytes(tmp_path):
         assert (tmp_path / "r.csv").read_text() == f"h\n{line}\n{line}\n"
 
 
+def _ulps_around(values, ulps):
+    # values, and each one to `ulps` doubles below and above it
+    out, down, up = [values], values, values
+    for _ in range(ulps):
+        down, up = np.nextafter(down, -np.inf), np.nextafter(up, np.inf)
+        out += [down, up]
+    return np.concatenate(out)
+
+
+def test_every_float_is_written_as_percent_17g(tmp_path):
+    # the writer's digit kernel against "%.17g" % v, in a field whose rows
+    # (step, time and the values) are one and a half blocks long: each row
+    # splits across kernel calls, and every second one ends at a block's end
+    from parctrl.cli import _CSV_BLOCK, write_field_csv
+    from parctrl.fem_core import TimeGrid
+
+    rng = np.random.default_rng(28)
+    powers = np.array([float(f"1e{k}") for k in range(-8, 19)])
+    edges = np.array([1e-7, 1e-6, 1e-5, 1e16, 1e17])
+    # 1 + 2**-17, and each c / 2**(p + 1) with c odd and c * 5**p in
+    # [2e16, 2e17), lies exactly halfway between two 17-digit decimals:
+    # %.17g rounds it half to even
+    ties = [1 + 2.0 ** -np.arange(1, 53)]
+    for p in range(1, 23):
+        low, high = -(-2 * 10 ** 16 // 5 ** p), min(2 * 10 ** 17 // 5 ** p, 2 ** 53)
+        ties.append(np.ldexp((rng.integers(low, high, 50) | 1).astype(float), -p - 1))
+    dyadic = np.ldexp(rng.integers(1, 2 ** 53, 10 ** 5).astype(float),
+                      -rng.integers(0, 80, 10 ** 5))
+    special = np.array([0.0, 5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308,
+                        1e-320, np.nan, np.inf, 1.7976931348623157e308])
+    signed = np.concatenate([_ulps_around(powers, 2), _ulps_around(edges, 4), *ties,
+                             dyadic, special])
+    bits = rng.integers(0, 2 ** 64, 10 ** 5, dtype=np.uint64).view(np.float64)
+    values = np.concatenate([signed, -signed, bits])
+    cols = _CSV_BLOCK * 3 // 2 - 2
+    values = np.resize(values, (-(-values.size // cols), cols))
+    grid = TimeGrid(t_final=1.0, n_steps=values.shape[0] - 1)
+
+    write_field_csv(str(tmp_path / "u.csv"), grid, values)
+    times = grid.times()
+    header = "step,time," + ",".join(f"n{i}" for i in range(cols))
+    body = [",".join([str(k), "%.17g" % times[k]] + ["%.17g" % v for v in values[k].tolist()])
+            for k in range(values.shape[0])]
+    assert (tmp_path / "u.csv").read_bytes() == "\n".join([header] + body + [""]).encode()
+
+
+def test_field_csv_memory_does_not_grow_with_the_field(tmp_path):
+    # a 150 x 150 mesh's field: the writer formats _CSV_BLOCK values at a
+    # time.  The traced peak, the field itself excluded, is its 22,801
+    # column names and header (about 1.4 MB) and one block's temporaries
+    # (about 1.8 MB at 4,096 values, 3.3 MB at 8,192)
+    import tracemalloc
+
+    from parctrl.cli import write_field_csv
+    from parctrl.fem_core import TimeGrid
+
+    values = np.random.default_rng(0).standard_normal((101, 22_801))
+    tracemalloc.start()
+    try:
+        write_field_csv(str(tmp_path / "u.csv"), TimeGrid(t_final=1.0, n_steps=100), values)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4_000_000
+
+
 def test_sweep_csv_writes_booleans_and_empty_cells(cfg_path, tmp_path, monkeypatch):
     from parctrl import asymptotics
 

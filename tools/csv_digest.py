@@ -42,6 +42,9 @@ byte-identity check of a refactor: run it before and after, and diff.
 
 The CLI runs in subprocesses; the operators are assembled in this process.
 Either way the package comes from the src/ directory next to this script.
+Like the CLI, this script runs OpenBLAS on one thread unless the environment
+sets OPENBLAS_NUM_THREADS or OMP_NUM_THREADS: it sets the first before numpy
+loads, so the assembled operators' constants do not depend on the CPU count.
 
 --compare is the check of a declared value change.  It makes the same runs,
 on this tree's configs, with this tree's package and with the package in
@@ -69,6 +72,9 @@ import os
 import subprocess
 import sys
 import tempfile
+
+if not any(os.environ.get(var) for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")):
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"  # before numpy loads: see the docstring
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CONFIGS = ("benchmark1d", "benchmark2d")
