@@ -51,6 +51,7 @@ that imports only them keeps its collector as it was.
 from __future__ import annotations
 
 import argparse
+import functools
 import gc
 import hashlib
 import json
@@ -89,34 +90,20 @@ EXIT_VALIDATION = 2
 EXIT_NO_CONVERGENCE = 3
 
 
-# _format_floats' tables, built with numpy arithmetic at import: 10**p and
-# its Veltkamp halves for p <= 22 (the exact powers of ten), and for each
-# 4-digit group its ASCII digits, one uint32 per group, and its trailing zeros
-_POW10 = np.array([float(10 ** p) for p in range(23)])
-_SPLIT = 134217729.0  # 2**27 + 1: splits a double into two 26-bit halves
-_POW10_HI = _SPLIT * _POW10 - (_SPLIT * _POW10 - _POW10)
-_POW10_LO = _POW10 - _POW10_HI
-
-
-def _group_tables():
-    digits = np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1)  # those of 0..9999
-    zeros = 0
-    for zero in digits == 0:
-        zeros = zero * (1 + zeros)
-    return np.ascontiguousarray((digits + ord("0")).T).view(np.uint32).ravel(), zeros
-
-
-_GROUP_DIGITS, _GROUP_ZEROS = _group_tables()
-
-# Each value's 32 source bytes: its first digit, its end, "-.", its other 16
-# digits in four groups, then "e-0123456789".  A layout, one per
-# (sign, exponent -6..16, significant digits 1..17), names the source byte of
-# each of the up to 25 output bytes and how many of them are written.
-_LAYOUT_WIDTH = 25
+# Each value's 32 source bytes in _format_floats: its first digit, its end,
+# "-.", its other 16 digits in four groups, then "e-0123456789"
+_SIGN_POINT = np.frombuffer(b"-.", np.uint16)
+_EXPONENT_CHARS = np.frombuffer(b"e-0123456789", np.uint32)
 _END, _MINUS, _POINT, _E, _ZERO = 1, 2, 3, 20, 22
+_LAYOUT_WIDTH = 25
+_LAYOUT_COLUMNS = np.arange(_LAYOUT_WIDTH, dtype=np.uint8)
+_SPLIT = 134217729.0  # 2**27 + 1: splits a double into two 26-bit halves
 
 
 def _layouts():
+    """For each (sign, exponent -6..16, significant digits 1..17), in that
+    order: the source byte of each of the up to 25 output bytes, and how
+    many of them are written."""
     neg = np.arange(2, dtype=np.int8)[:, None, None, None]
     exp = np.arange(-6, 17, dtype=np.int8)[None, :, None, None]
     digits = np.arange(1, 18, dtype=np.int8)[None, None, :, None]
@@ -138,19 +125,32 @@ def _layouts():
             length.ravel().astype(np.uint8))
 
 
-_LAYOUT_SOURCE, _LAYOUT_LENGTH = _layouts()
-_LAYOUT_COLUMNS = np.arange(_LAYOUT_WIDTH, dtype=np.uint8)
-_SIGN_POINT = np.frombuffer(b"-.", np.uint16)
-_EXPONENT_CHARS = np.frombuffer(b"e-0123456789", np.uint32)
+@functools.cache
+def _tables():
+    """_format_floats' tables, built with numpy arithmetic on its first call,
+    so that a process writing no CSV never builds them: 10**p and its
+    Veltkamp halves for p <= 22 (the exact powers of ten), one row each; for
+    each 4-digit group its ASCII digits, one uint32 per group, and its
+    trailing zeros; and the _layouts."""
+    pow10 = np.array([float(10 ** p) for p in range(23)])
+    pow10_hi = _SPLIT * pow10 - (_SPLIT * pow10 - pow10)
+    digits = np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1)  # those of 0..9999
+    zeros = np.zeros(10_000, np.uint8)
+    for zero in digits == 0:
+        zeros = zero * (1 + zeros)
+    return (np.stack([pow10, pow10_hi, pow10 - pow10_hi]),
+            np.ascontiguousarray((digits + ord("0")).T).view(np.uint32).ravel(), zeros,
+            *_layouts())
 
 
-def _times_pow10(a, p):
-    """a * 10**p as hi + lo, exactly: Dekker's product of a and _POW10[p]."""
-    hi = a * _POW10[p]
+def _times_pow10(a, p, pow10):
+    """a * 10**p as hi + lo, exactly: Dekker's product, pow10 the rows of
+    10**p and its two halves."""
+    b, b_hi, b_lo = pow10[:, p]
+    hi = a * b
     c = _SPLIT * a
     a_hi = c - (c - a)
     a_lo = a - a_hi
-    b_hi, b_lo = _POW10_HI[p], _POW10_LO[p]
     return hi, ((a_hi * b_hi - hi) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
 
 
@@ -176,17 +176,18 @@ def _format_floats(x, ends):
     other value (nan, inf, a subnormal, |v| < 1e-6 or >= 1e17) is written
     with "%.17g" % v.
     """
+    pow10, group_digits, group_zeros, layout_source, layout_length = _tables()
     a = np.abs(x)
     ok = (a >= 1e-6) & (a < 1e17)  # false for nan; the exact compares settle the ends
     a = np.where(ok, a, 1.0)
     p = np.clip(16 - np.floor(np.log10(a)).astype(np.intp), 0, 22)
-    hi, lo = _times_pow10(a, p)
+    hi, lo = _times_pow10(a, p, pow10)
     step = _outside(hi, lo)
     if step.any():  # log10 was one off, next to a power of ten
         p -= step
         ok &= (p >= 0) & (p <= 22)
         p = np.clip(p, 0, 22)
-        hi, lo = _times_pow10(a, p)
+        hi, lo = _times_pow10(a, p, pow10)
         ok &= _outside(hi, lo) == 0
     n = np.where(ok, hi.astype(np.int64) + np.rint(lo).astype(np.int64), 0)
     exp = np.where(ok, 16 - p, 0)
@@ -198,18 +199,18 @@ def _format_floats(x, ends):
     groups.append(rest)
     zeros = 0
     for group in groups:  # the trailing zeros of the 16 digits after the first
-        zeros = _GROUP_ZEROS[group] + (group == 0) * zeros
+        zeros = group_zeros[group] + (group == 0) * zeros
     layout = (np.signbit(x) * 23 + exp + 6) * 17 + 16 - zeros
     source = np.empty((x.size, 8), np.uint32)
     for i, group in enumerate(groups, 1):
-        source[:, i] = _GROUP_DIGITS.take(group)
+        source[:, i] = group_digits.take(group)
     source[:, 5:] = _EXPONENT_CHARS
     source = source.view(np.uint8)
     source.view(np.uint16)[:, 1] = _SIGN_POINT
     source[:, 0] = ord("0") + lead
     source[:, _END] = ends
-    index = _LAYOUT_SOURCE.take(layout, axis=0)
-    length = _LAYOUT_LENGTH.take(layout)
+    index = layout_source.take(layout, axis=0)
+    length = layout_length.take(layout)
     for i in np.flatnonzero(~ok & (x != 0)):
         text = b"%.17g%c" % (x[i], ends[i])
         source[i, 4:4 + len(text)] = np.frombuffer(text, np.uint8)
