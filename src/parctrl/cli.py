@@ -237,7 +237,7 @@ def _write_csv(path, header, cells, rows):
     wider than that over several calls: a whole field's text at once would
     sit next to the factorization that stays cached on ops.
     """
-    text = [kind == "%s" for kind in cells.split(",")]
+    text_cells = [kind == "%s" for kind in cells.split(",")]
     block = np.empty(_CSV_BLOCK)
     ends = np.full(_CSV_BLOCK, ord(","), np.uint8)
     size = 0
@@ -250,9 +250,9 @@ def _write_csv(path, header, cells, rows):
             ends[:size] = ord(",")
             size = 0
 
-        final = len(text) - 1
+        final = len(text_cells) - 1
         for row in rows:
-            for i, (is_text, cell) in enumerate(zip(text, row)):
+            for i, (is_text, cell) in enumerate(zip(text_cells, row)):
                 if is_text or cell is None:
                     if size:
                         flush()
@@ -632,11 +632,11 @@ def _cmd_sweep_alpha(problem: Problem, write):
                                    problem.alphas, q=problem.q, tol=problem.opt_tol)
     # err_control is an empty cell for a fixed flux; the rows' numbers are checked
     header = "alpha,err_state,err_adjoint,err_control,boundary_mismatch,converged"
-    cells = [(r.alpha, r.err_state, r.err_adjoint, r.err_control, r.boundary_mismatch,
+    table = [(r.alpha, r.err_state, r.err_adjoint, r.err_control, r.boundary_mismatch,
               "true" if r.converged else "false") for r in rows]
     outputs = [write("sweep.csv", header.split(","), [vars(r).values() for r in rows],
                      lambda path: _write_csv(path, header, "%.17g,%.17g,%.17g,%.17g,%.17g,%s",
-                                             cells))]
+                                             table))]
     if problem.plots:
         series = [("err_state", [r.alpha for r in rows], [r.err_state for r in rows]),
                   ("err_adjoint", [r.alpha for r in rows], [r.err_adjoint for r in rows])]
