@@ -13,19 +13,20 @@ library rejects (a q0 zero on the rows lambda or verify reads, a decay grid
 too coarse, time-varying decay data) exits 2 at the line that sets it.
 
 Outputs: main runs the command under one np.errstate, so numpy warns of no
-overflow, and hands its runner _write, the one way it writes a file: a nan
-or an inf bound for a CSV or result.json exits 3 naming the file and its
-column, and that file is not written.  A run that exits 0 or 1 also writes,
-once its runner has returned, a manifest echoing the config text, the mesh
-hash, the spectral constants the command read and wall time, with null for
-a diagnostic that is not finite; passed as --config it reproduces
-byte-identical CSVs.
+overflow, and hands its runner the output directory.  Each file has one
+writer, which checks the numbers it writes: a nan or an inf bound for a CSV
+or result.json exits 3 naming the file and its column, and that file is not
+written.  An output that cannot be written exits 2 naming it.  A run that
+exits 0 or 1 also writes, once its runner has returned, a manifest echoing
+the config text, the mesh hash, the spectral constants the command read and
+wall time, with null for a diagnostic that is not finite; passed as
+--config it reproduces byte-identical CSVs.
 _write_csv writes every CSV: floats as the bytes of %.17g, laid out from
 exact integer digits by one numpy kernel a block at a time (the rare value
-outside its range through %.17g itself), booleans as true/false, a missing
-value as an empty cell.  Exit codes: 0 success, 1
-failed verify properties, 2 validation errors, 3 solver non-convergence or
-a non-finite number in an output.
+outside its range through %.17g itself), text cells such as true/false as
+they are, a missing value as an empty cell.  Exit codes: 0 success, 1
+failed verify properties, 2 validation errors or an unwritable output, 3
+solver non-convergence or a non-finite number in an output.
 
 BLAS threads: the CLI runs OpenBLAS on one thread unless the environment
 sets OPENBLAS_NUM_THREADS or OMP_NUM_THREADS.  This module sets the first
@@ -34,11 +35,11 @@ CLI entry point gets here first.  The manifest's blas_threads holds both
 variables as they stood once this module was imported, and set_by: "cli",
 "environment", or "none" when numpy was loaded first.
 
-Processes: verify's properties and optimize's CSV files are independent
-tasks that _run_tasks runs on a forked pool of one worker per CPU this
-process may use, costliest first, once what they share is computed.  The
+Processes: verify's properties are independent tasks that _run_tasks runs
+on a forked pool of one worker per CPU this process may use, costliest
+first, once what they share is computed; no other command forks.  The
 manifest's workers is the number of processes the command ran on: 1 for
-solve, lambda, sweep-alpha and decay, and with one CPU.  This module calls
+every command but verify, and for verify with one CPU.  This module calls
 gc.freeze() once, after its imports: the ~42,000 objects they leave live
 until exit, so no later collection walks them, in this process or a forked
 worker, and the final collections at exit skip them.  Skipped by the
@@ -224,20 +225,36 @@ def _format_floats(x, ends):
 _CSV_BLOCK = 4096  # values per _format_floats call: see _write_csv
 
 
-def _write_csv(path, header, cells, rows):
-    """The one CSV writer: the header line, then one line per row.
+def _write_csv(path, header, rows):
+    """The one CSV writer, and the one check of a CSV's numbers: the header
+    line, then one line per row.
 
-    cells names the kind of each cell of a row, comma-separated: %.17g a
-    float, or %s text, joined in as it is.  A float cell may be a 1D array,
-    one cell per value (a field's values at one time), or None, an empty
-    cell.  The floats go through _format_floats, which writes the bytes
-    "%.17g" % v writes: exact 17-digit integers laid out by numpy for
-    1e-6 <= |v| < 1e17 and for zero, "%.17g" % v itself for the rare other
-    value (nan, inf, a subnormal).  It takes _CSV_BLOCK values a call, a row
+    Each cell's kind is its type: a str is text, joined in as it is; None
+    is an empty cell; anything else is a float, or a 1D float array with a
+    cell per value (a field's values at one time).  rows is read twice.
+    First, the first value that is not finite, in row order, raises
+    SolverError naming path and the value's column in header, and the file
+    is not opened.  Then the floats go through _format_floats, which writes
+    the bytes "%.17g" % v writes: exact 17-digit integers laid out by numpy
+    for 1e-6 <= |v| < 1e17 and for zero, "%.17g" % v itself for the rare
+    other value (a subnormal).  It takes _CSV_BLOCK values a call, a row
     wider than that over several calls: a whole field's text at once would
     sit next to the factorization that stays cached on ops.
     """
-    text_cells = [kind == "%s" for kind in cells.split(",")]
+    for row in rows:
+        column = 0
+        for cell in row:
+            if cell is None or isinstance(cell, str):
+                column += 1
+                continue
+            values = np.ravel(cell)
+            finite = np.isfinite(values)
+            if not finite.all():
+                bad = finite.argmin()
+                name = header.split(",")[column + bad]
+                raise SolverError(f"{path} not written: column {name} would hold "
+                                  f"{values[bad]}")
+            column += values.size
     block = np.empty(_CSV_BLOCK)
     ends = np.full(_CSV_BLOCK, ord(","), np.uint8)
     size = 0
@@ -250,14 +267,13 @@ def _write_csv(path, header, cells, rows):
             ends[:size] = ord(",")
             size = 0
 
-        final = len(text_cells) - 1
         for row in rows:
-            for i, (is_text, cell) in enumerate(zip(text_cells, row)):
-                if is_text or cell is None:
+            final = len(row) - 1
+            for i, cell in enumerate(row):
+                if cell is None or isinstance(cell, str):
                     if size:
                         flush()
-                    fh.write(("" if cell is None else cell).encode()
-                             + (b"\n" if i == final else b","))
+                    fh.write((cell or "").encode() + (b"\n" if i == final else b","))
                     continue
                 values, done = np.ravel(cell), 0
                 while done < values.size:
@@ -272,60 +288,36 @@ def _write_csv(path, header, cells, rows):
             flush()
 
 
-# each kind of file as _write takes it: (columns, rows, writer)
-def _trajectory(columns, grid, values):
-    # a field or control: "step,time,<columns>", one row per time level; the
-    # step is written as a float, whose %.17g is its %d
-    def writer(path):
-        times = grid.times()
-        _write_csv(path, "step,time," + ",".join(columns), "%.17g,%.17g,%.17g",
-                   ((k, times[k], values[k]) for k in range(values.shape[0])))
-    return columns, values, writer
+def _trajectory_rows(grid, values):
+    # a field's or a control's rows, one per time level: the step, written
+    # as a float, whose %.17g is its %d, the time, then the values
+    times = grid.times()
+    return [(k, times[k], values[k]) for k in range(values.shape[0])]
 
 
-def _field(grid, values):  # a column per node
-    return _trajectory([f"n{i}" for i in range(values.shape[1])], grid, values)
-
-
-def _control(grid, ops, values):  # a column per GAMMA2 node
-    return _trajectory([f"g2n{i}" for i in ops.gamma2_nodes], grid, values)
-
-
-def _table(header, cells, rows):  # a few rows of the cell kinds cells names
-    return header.split(","), rows, lambda path: _write_csv(path, header, cells, rows)
-
-
-# the same CSVs, unchecked: any float, for data a config reads as csv:
 def write_field_csv(path, grid, values):
-    _field(grid, values)[-1](path)
+    """A field: "step,time,n0,n1,...", a column per node."""
+    _write_csv(path, "step,time," + ",".join(f"n{i}" for i in range(values.shape[1])),
+               _trajectory_rows(grid, values))
 
 
 def write_control_csv(path, grid, ops, values):
-    _control(grid, ops, values)[-1](path)
+    """A boundary control: "step,time,g2n<i>,...", a column per GAMMA2 node."""
+    _write_csv(path, "step,time," + ",".join(f"g2n{i}" for i in ops.gamma2_nodes),
+               _trajectory_rows(grid, values))
 
 
 def _write_json(path, data):
+    """JSON, with the CSVs' rule for the numbers of data's top-level values
+    and lists: the first one that is not finite raises SolverError naming
+    path and its key, and the file is not opened."""
+    for key, value in data.items():
+        for v in value if isinstance(value, list) else [value]:
+            if isinstance(v, float) and not np.isfinite(v):
+                raise SolverError(f"{path} not written: column {key} would hold {v}")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(data, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
-
-
-def _write(out_dir, name, columns, rows, writer):
-    """The one way a command writes a file, so the one rule for its numbers:
-    rows, a 2D array with a column per name in columns or a list of rows
-    whose float cells are the numbers, holds no nan or inf.  The first one
-    raises SolverError naming the file and its column, and the file is not
-    written; else writer(path) writes it.  Returns name."""
-    path = os.path.join(out_dir, name)
-    if not isinstance(rows, np.ndarray):
-        rows = np.array([[c if isinstance(c, float) else 0.0 for c in row] for row in rows])
-    finite = np.isfinite(rows)
-    if not finite.all():
-        row, col = np.argwhere(~finite)[0]
-        raise SolverError(f"{path} not written: column {columns[col]} would hold "
-                          f"{rows[row, col]}")
-    writer(path)
-    return name
 
 
 def _worker_count(n_tasks):
@@ -558,14 +550,15 @@ def _check_command(cfg, command):
         raise cfg.error(limits[0], "forced decay needs both g_inf and q_inf")
 
 
-def _cmd_solve(problem: Problem, write):
+def _cmd_solve(problem: Problem, out_dir):
     u = solve_parabolic(problem.ops, problem.spec, problem.q, problem.grid,
                         problem.variant_alpha)
-    return [write("u.csv", *_field(problem.grid, u))], {
+    write_field_csv(os.path.join(out_dir, "u.csv"), problem.grid, u)
+    return ["u.csv"], {
         "u_file": "u.csv", "final_max": float(np.max(u[-1])), "final_min": float(np.min(u[-1]))}, 1
 
 
-def _cmd_optimize(problem: Problem, write):
+def _cmd_optimize(problem: Problem, out_dir):
     ops, spec, grid = problem.ops, problem.spec, problem.grid
     alpha = problem.variant_alpha
     if problem.control == "boundary":
@@ -577,19 +570,14 @@ def _cmd_optimize(problem: Problem, write):
     else:
         res = optimal_control.optimize_simultaneous(ops, spec, grid,
                                                     tol=problem.opt_tol, alpha=alpha)
-    # one task per CSV; a field has a column per node and q_opt one per
-    # GAMMA2 node, so the fields are written first
-    names = [name for name in ("q_opt", "g_opt", "u_opt", "p_opt")
-             if getattr(res, name) is not None]
-    files = {name: f"{name}.csv" for name in names}
-
-    def write_csv(name):
-        values = getattr(res, name)
-        return write(files[name], *(_control(grid, ops, values) if name == "q_opt"
-                                    else _field(grid, values)))
-
-    outputs = _run_tasks([lambda name=name: write_csv(name) for name in names],
-                         sorted(range(len(names)), key=lambda i: names[i] == "q_opt"))
+    files = {name: f"{name}.csv" for name in ("q_opt", "g_opt", "u_opt", "p_opt")
+             if getattr(res, name) is not None}
+    for name, file in files.items():
+        path = os.path.join(out_dir, file)
+        if name == "q_opt":  # a column per GAMMA2 node; a field has one per node
+            write_control_csv(path, grid, ops, res.q_opt)
+        else:
+            write_field_csv(path, grid, getattr(res, name))
     summary = {
         "control": problem.control,
         "variant": problem.variant,
@@ -601,18 +589,14 @@ def _cmd_optimize(problem: Problem, write):
         "residual_history": res.residual_history,
         "files": files,
     }
-    # each number in the summary, or in a list in it, is checked under its key
-    cells = [(key, v) for key, value in summary.items()
-             for v in (value if isinstance(value, list) else [value])]
-    outputs.append(write("result.json", [key for key, _ in cells], [[v for _, v in cells]],
-                         lambda path: _write_json(path, summary)))
+    _write_json(os.path.join(out_dir, "result.json"), summary)
     if not res.converged:
         raise SolverError(f"optimizer did not converge within the iteration cap "
                           f"(residual {res.optimality_residual:.3e})")
-    return outputs, summary, _worker_count(len(names))
+    return [*files.values(), "result.json"], summary, 1
 
 
-def _cmd_lambda(problem: Problem, write):
+def _cmd_lambda(problem: Problem, out_dir):
     # lambda.csv calls the default variant, dirichlet, by its problem kind
     variant = problem.variant if problem.variant != "dirichlet" else problem.kind
     coeffs = scalar_control.scalar_optimum(problem.ops, problem.spec, problem.q0,
@@ -621,22 +605,21 @@ def _cmd_lambda(problem: Problem, write):
     results = {"variant": variant, "A": coeffs.quadratic, "B": coeffs.linear,
                "C": coeffs.constant, "lambda_opt": coeffs.lambda_opt,
                "H_opt": coeffs.value(coeffs.lambda_opt)}
-    outputs = [write("lambda.csv", *_table(",".join(results), "%s" + ",%.17g" * 5,
-                                           [tuple(results.values())]))]
+    _write_csv(os.path.join(out_dir, "lambda.csv"), ",".join(results),
+               [tuple(results.values())])
     results["discriminant"] = coeffs.discriminant
-    return outputs, results, 1
+    return ["lambda.csv"], results, 1
 
 
-def _cmd_sweep_alpha(problem: Problem, write):
+def _cmd_sweep_alpha(problem: Problem, out_dir):
     rows = asymptotics.alpha_sweep(problem.ops, problem.spec, problem.grid,
                                    problem.alphas, q=problem.q, tol=problem.opt_tol)
-    # err_control is an empty cell for a fixed flux; the rows' numbers are checked
-    header = "alpha,err_state,err_adjoint,err_control,boundary_mismatch,converged"
-    table = [(r.alpha, r.err_state, r.err_adjoint, r.err_control, r.boundary_mismatch,
-              "true" if r.converged else "false") for r in rows]
-    outputs = [write("sweep.csv", header.split(","), [vars(r).values() for r in rows],
-                     lambda path: _write_csv(path, header, "%.17g,%.17g,%.17g,%.17g,%.17g,%s",
-                                             table))]
+    # err_control is None, an empty cell, for a fixed flux
+    _write_csv(os.path.join(out_dir, "sweep.csv"),
+               "alpha,err_state,err_adjoint,err_control,boundary_mismatch,converged",
+               [(r.alpha, r.err_state, r.err_adjoint, r.err_control, r.boundary_mismatch,
+                 "true" if r.converged else "false") for r in rows])
+    outputs = ["sweep.csv"]
     if problem.plots:
         series = [("err_state", [r.alpha for r in rows], [r.err_state for r in rows]),
                   ("err_adjoint", [r.alpha for r in rows], [r.err_adjoint for r in rows])]
@@ -644,14 +627,15 @@ def _cmd_sweep_alpha(problem: Problem, write):
             series.append(("err_control", [r.alpha for r in rows],
                            [r.err_control for r in rows]))
         # a plot draws only the finite points: nothing to check
-        outputs.append(write("sweep.svg", (), (), lambda path: write_svg_lines(
-            path, series, "transfer-coefficient sweep", logx=True, logy=True)))
+        write_svg_lines(os.path.join(out_dir, "sweep.svg"), series,
+                        "transfer-coefficient sweep", logx=True, logy=True)
+        outputs.append("sweep.svg")
     if any(not r.converged for r in rows):
         raise SolverError("one or more sweep rows did not converge")
     return outputs, {"rows": len(rows)}, 1
 
 
-def _cmd_decay(problem: Problem, write):
+def _cmd_decay(problem: Problem, out_dir):
     # _check_command has rejected g_inf without q_inf and the reverse
     forced = problem.g_inf is not None
     if forced:
@@ -662,13 +646,15 @@ def _cmd_decay(problem: Problem, write):
         result = asymptotics.decay_study(problem.ops, problem.spec, problem.q,
                                          problem.grid)
     rows = result.rows
-    outputs = [write("decay.csv", *_table("t,err_H,bound,ratio", "%.17g,%.17g,%.17g,%.17g",
-                                          [(r.t, r.err_h, r.bound, r.ratio) for r in rows]))]
+    _write_csv(os.path.join(out_dir, "decay.csv"), "t,err_H,bound,ratio",
+               [(r.t, r.err_h, r.bound, r.ratio) for r in rows])
+    outputs = ["decay.csv"]
     if problem.plots:
-        outputs.append(write("decay.svg", (), (), lambda path: write_svg_lines(
-            path, [("err_H", [r.t for r in rows], [r.err_h for r in rows]),
-                   ("bound", [r.t for r in rows], [r.bound for r in rows])],
-            "decay toward the steady state", logy=True)))
+        write_svg_lines(os.path.join(out_dir, "decay.svg"),
+                        [("err_H", [r.t for r in rows], [r.err_h for r in rows]),
+                         ("bound", [r.t for r in rows], [r.bound for r in rows])],
+                        "decay toward the steady state", logy=True)
+        outputs.append("decay.svg")
     return outputs, {"fitted_rate": result.fitted_rate,
                      "coercivity": result.coercivity,
                      "forced": forced}, 1
@@ -686,7 +672,7 @@ def _verify_battery(problem: Problem):
             for (name, _), (passed, detail) in zip(entries, outcomes)]
 
 
-def _cmd_verify(problem: Problem, write):
+def _cmd_verify(problem: Problem, out_dir):
     checks = _verify_battery(problem)
     results = {"properties": checks, "all_passed": all(c["passed"] for c in checks)}
     return [], results, _worker_count(len(checks))
@@ -721,8 +707,8 @@ def main(argv=None) -> int:
     t0 = time.perf_counter()
     try:
         cfg = load_config(args.config)
-        # a nan or an inf is not warned of but refused by _write; forked
-        # workers inherit this state
+        # a nan or an inf is not warned of but refused by the file's writer;
+        # verify's forked workers inherit this state
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             _check_command(cfg, args.command)
             problem = build_problem(cfg)
@@ -732,8 +718,9 @@ def main(argv=None) -> int:
                 print(f"error: cannot create output directory {args.out}: "
                       f"{exc.strerror or exc}", file=sys.stderr)
                 return EXIT_VALIDATION
-            outputs, results, workers = _COMMANDS[args.command][0](
-                problem, lambda *file: _write(args.out, *file))
+            outputs, results, workers = _COMMANDS[args.command][0](problem, args.out)
+        _write_manifest(args.out, args.command, problem, outputs, results, workers,
+                        time.perf_counter() - t0)
     except InputError as exc:  # cited at the line that sets the input it names
         print(f"error: {cfg.error(exc.key, str(exc))}", file=sys.stderr)
         return EXIT_VALIDATION
@@ -746,9 +733,11 @@ def main(argv=None) -> int:
     except SolverError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
-
-    wall = time.perf_counter() - t0
-    _write_manifest(args.out, args.command, problem, outputs, results, workers, wall)
+    except OSError as exc:
+        if exc.filename is None:  # not an output file: a failed fork, say
+            raise
+        print(f"error: cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)
+        return EXIT_VALIDATION
 
     if args.command == "verify":
         for c in results["properties"]:

@@ -125,7 +125,8 @@ def test_optimize_command(cfg_path, tmp_path):
 
 # the writer's edge values: signed zero, non-finite, subnormal, huge, and
 # decimals that %.17g must not round
-EDGE_VALUES = [-0.0, math.nan, math.inf, -math.inf, 5e-324, 1e308, 0.1, 1 / 3, 10.0]
+EDGE_VALUES = [-0.0, 5e-324, 1e308, 0.1, 1 / 3, 10.0]
+NON_FINITE = [math.nan, math.inf, -math.inf]
 
 
 def old_cell(x):
@@ -141,7 +142,7 @@ def old_cell(x):
 def test_csv_writer_golden_bytes(tmp_path):
     from types import SimpleNamespace
 
-    from parctrl.cli import _write_csv, write_control_csv, write_field_csv
+    from parctrl.cli import _format_floats, _write_csv, write_control_csv, write_field_csv
     from parctrl.fem_core import TimeGrid
 
     grid = TimeGrid(t_final=1.0, n_steps=3)
@@ -163,9 +164,14 @@ def test_csv_writer_golden_bytes(tmp_path):
     # fixed-width rows of numpy and of Python floats, as decay.csv and
     # lambda.csv pass them
     for row in (tuple(np.float64(v) for v in EDGE_VALUES), tuple(EDGE_VALUES)):
-        _write_csv(str(tmp_path / "r.csv"), "h", ",".join(["%.17g"] * n), [row, row])
+        _write_csv(str(tmp_path / "r.csv"), "h", [row, row])
         line = ",".join(old_cell(v) for v in row)
         assert (tmp_path / "r.csv").read_text() == f"h\n{line}\n{line}\n"
+
+    # the writers refuse nan and inf; the kernel writes them as %.17g does
+    ends = np.frombuffer(b",,\n", np.uint8)
+    assert _format_floats(np.array(NON_FINITE), ends).decode() == (
+        ",".join(old_cell(v) for v in NON_FINITE) + "\n")
 
 
 def _ulps_around(values, ulps):
@@ -180,8 +186,9 @@ def _ulps_around(values, ulps):
 def test_every_float_is_written_as_percent_17g(tmp_path):
     # the writer's digit kernel against "%.17g" % v, in a field whose rows
     # (step, time and the values) are one and a half blocks long: each row
-    # splits across kernel calls, and every second one ends at a block's end
-    from parctrl.cli import _CSV_BLOCK, write_field_csv
+    # splits across kernel calls, and every second one ends at a block's end.
+    # The writers refuse nan and inf, so those go to the kernel directly
+    from parctrl.cli import _CSV_BLOCK, _format_floats, write_field_csv
     from parctrl.fem_core import TimeGrid
 
     rng = np.random.default_rng(28)
@@ -202,6 +209,8 @@ def test_every_float_is_written_as_percent_17g(tmp_path):
                              dyadic, special])
     bits = rng.integers(0, 2 ** 64, 10 ** 5, dtype=np.uint64).view(np.float64)
     values = np.concatenate([signed, -signed, bits])
+    finite = np.isfinite(values)
+    non_finite, values = values[~finite], values[finite]
     cols = _CSV_BLOCK * 3 // 2 - 2
     values = np.resize(values, (-(-values.size // cols), cols))
     grid = TimeGrid(t_final=1.0, n_steps=values.shape[0] - 1)
@@ -212,6 +221,10 @@ def test_every_float_is_written_as_percent_17g(tmp_path):
     body = [",".join([str(k), "%.17g" % times[k]] + ["%.17g" % v for v in values[k].tolist()])
             for k in range(values.shape[0])]
     assert (tmp_path / "u.csv").read_bytes() == "\n".join([header] + body + [""]).encode()
+    assert non_finite.size > 4
+    ends = np.full(non_finite.size, ord(","), np.uint8)
+    assert _format_floats(non_finite, ends) == "".join(
+        "%.17g," % v for v in non_finite.tolist()).encode()
 
 
 def test_field_csv_memory_does_not_grow_with_the_field(tmp_path):
@@ -381,13 +394,13 @@ def test_a_nan_fails_the_properties_that_fold_their_samples(tmp_path, capsys):
 
 
 def test_write_names_the_first_non_finite_cell_and_writes_nothing(tmp_path):
-    from parctrl.cli import _field, _write
+    from parctrl.cli import write_field_csv
     from parctrl.fem_core import SolverError, TimeGrid
 
     values = np.zeros((4, 6))
     values[2, 5], values[3, 1] = -math.inf, math.nan
     with pytest.raises(SolverError) as info:
-        _write(str(tmp_path), "u.csv", *_field(TimeGrid(t_final=1.0, n_steps=3), values))
+        write_field_csv(str(tmp_path / "u.csv"), TimeGrid(t_final=1.0, n_steps=3), values)
     assert str(info.value) == f"{tmp_path / 'u.csv'} not written: column n5 would hold -inf"
     assert list(tmp_path.iterdir()) == []
 
@@ -406,6 +419,32 @@ def test_a_non_finite_output_exits_3_and_is_not_written(tmp_path, capsys, comman
     err = capsys.readouterr().err
     assert err.startswith(f"error: {out / name} not written: column {column} would hold ")
     assert err.count("\n") == 1 and not (out / name).exists()
+
+
+def test_the_named_column_counts_text_and_empty_cells(cfg_path, tmp_path, capsys,
+                                                      monkeypatch):
+    # a text or an empty cell is one column: the first non-finite value
+    # after one is named by its own column, not the one before it
+    from parctrl import asymptotics
+    from parctrl.cli import _write_csv
+    from parctrl.fem_core import SolverError
+
+    rows = [asymptotics.SweepRow(10.0, 0.1, 1 / 3, None, 0.5, True),
+            asymptotics.SweepRow(100.0, 0.2, 0.25, None, math.inf, True)]
+    monkeypatch.setattr("parctrl.cli.asymptotics.alpha_sweep",
+                        lambda *args, **kwargs: rows)
+    out = tmp_path / "out"
+    assert run("sweep-alpha", cfg_path, out) == 3
+    assert capsys.readouterr().err == (
+        f"error: {out / 'sweep.csv'} not written: column boundary_mismatch would hold inf\n")
+    assert not (out / "sweep.csv").exists()
+
+    path = tmp_path / "lambda.csv"
+    with pytest.raises(SolverError) as info:
+        _write_csv(str(path), "variant,A,B,C", [("parabolic", 1.0, 2.0, 3.0),
+                                                ("elliptic", math.nan, 2.0, 3.0)])
+    assert str(info.value) == f"{path} not written: column A would hold nan"
+    assert not path.exists()
 
 
 def test_sweep_command_fixed_q(cfg_path, tmp_path):
@@ -1530,7 +1569,7 @@ def test_optimize_csvs_are_the_same_pinned_to_one_cpu(tmp_path, control, variant
         assert (outs["all"] / name).read_bytes() == (outs["one"] / name).read_bytes(), name
     workers = {label: json.loads((out / "manifest.json").read_text())["workers"]
                for label, out in outs.items()}
-    assert workers == {"all": min(len(os.sched_getaffinity(0)), len(names)), "one": 1}
+    assert workers == {"all": 1, "one": 1}
 
 
 @pytest.mark.parametrize("below", [False, True], ids=["file", "below-a-file"])
@@ -1542,6 +1581,15 @@ def test_an_out_that_cannot_be_created_exits_2(cfg_path, tmp_path, capsys, below
     assert run("solve", cfg_path, out) == 2
     err = capsys.readouterr().err
     assert err == f"error: cannot create output directory {out}: {reason}\n"
+
+
+@pytest.mark.parametrize("name", ["u.csv", "manifest.json"])
+def test_an_output_that_cannot_be_written_exits_2(cfg_path, tmp_path, capsys, name):
+    # a directory where the output goes: one error line, not a traceback
+    out = tmp_path / "out"
+    (out / name).mkdir(parents=True)
+    assert run("solve", cfg_path, out) == 2
+    assert capsys.readouterr().err == f"error: cannot write {out / name}: Is a directory\n"
 
 
 def test_verify_battery_computes_the_cached_values_before_forking(monkeypatch):

@@ -31,10 +31,11 @@ left edge, the size of the solve-2d-150 benchmark: one
 "sha256  operators/<mesh>/<field>.<part>:<dtype>" line per array (the mesh's
 node_coords and elements, each sparse matrix's indptr, indices and data, the
 node index sets), then "repr" lines of lambda0, lambda1 and trace_norm.
-Each verify and optimize run, the commands that fork worker processes, is
-made a second time with the CLI pinned to one CPU, so that it forks none;
-a digest or verify line that differs between the two goes to standard error
-and the exit status is 1.  Nothing printed depends on the temporary
+Each verify run, whose properties run on forked worker processes, and each
+optimize run is made a second time with the CLI pinned to one CPU, so that
+verify forks none and optimize's bytes are checked not to depend on the CPU
+count; a digest or verify line that differs between the two goes to
+standard error and the exit status is 1.  Nothing printed depends on the temporary
 directory, on wall time or on the CPU count, so the
 output of two checkouts is equal exactly when their CSVs, mesh files, mesh
 hashes, verify results and operators are, bit for bit.  Use it as the
@@ -137,8 +138,8 @@ def _run(root, command, config_path, out_dir, pinned=False):
 
 def _run_all(root, tmp):
     """Run every run with the package under root/src, into tmp, and each
-    verify and optimize run (the commands that fork workers) once more
-    pinned to one CPU.  Returns one (run label, verify label or None, output
+    verify run (whose properties run on forked workers) and optimize run
+    once more pinned to one CPU.  Returns one (run label, verify label or None, output
     directory, stdout) per unpinned run, and the digest lines on which a
     pinned run differs from its unpinned run, as "<line>  vs pinned
     <line>"."""
