@@ -123,8 +123,8 @@ def test_optimize_command(cfg_path, tmp_path):
     assert json.loads((out / "manifest.json").read_text())["results"] == res
 
 
-# the writer's edge values: signed zero, non-finite, subnormal, huge, and
-# decimals that %.17g must not round
+# the writer's edge values: signed zero, subnormal, huge, and decimals that
+# %.17g must not round; and the non-finite ones, which the writers refuse
 EDGE_VALUES = [-0.0, 5e-324, 1e308, 0.1, 1 / 3, 10.0]
 NON_FINITE = [math.nan, math.inf, -math.inf]
 
