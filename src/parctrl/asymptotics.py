@@ -125,7 +125,8 @@ def alpha_sweep(ops: DiscreteOperators, spec: ProblemSpec, grid: TimeGrid,
 
 
 def _require_time_constant(key, rows):
-    if np.max(np.abs(rows[1:] - rows[1])) != 0.0:
+    # rows 1..N equal, column by column; a nan or inf spread is not 0 either
+    if np.max(np.ptp(rows[1:], axis=0)) != 0.0:
         name = {"g": "the source", "q": "the flux"}[key]
         raise InputError(f"decay study needs time-constant data; {name} varies in time", key)
 

@@ -479,9 +479,10 @@ _MESH_JSON_ROWS = 4096  # rows of elements or node_coords serialized at a time
 
 
 def _mesh_json_pieces(mesh):
-    """The text of json.dumps(mesh.to_json_dict(), sort_keys=True) in pieces:
-    elements and node_coords go a block of rows at a time, so neither is
-    ever a whole Python list or string."""
+    """The mesh as one JSON object with sorted keys, the text json.dumps
+    gives it, in pieces: boundary_facets as [nodes, tag] pairs, dim, then
+    elements and node_coords as nested lists, a block of rows at a time, so
+    neither is ever a whole Python list or string."""
     facets = [[list(f), t] for f, t in mesh.boundary_facets]
     yield f'{{"boundary_facets": {json.dumps(facets)}, "dim": {json.dumps(mesh.dim)}'
     for key in ("elements", "node_coords"):

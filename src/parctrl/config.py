@@ -248,7 +248,8 @@ def _build_mesh(cfg: RawConfig):
 def _data_entry(cfg, key, grid, points, kind=None, default=None):
     """The [data] entry key (default when absent) sampled at points, or None
     when absent: with kind None the profile's row at t = 0, with kind "field"
-    or "control" the (N+1)-row trajectory, from a profile or a CSV reference.
+    or "control" the (N+1)-row trajectory, from a profile (a time-constant
+    one's read-only, see profiles.sample) or a CSV reference.
     A _REQUIRED key's absence, its profile, its CSV path, a CSV that cannot
     be read as one and a value that is not finite raise ConfigError."""
     value = cfg.require("data", key) if default is _REQUIRED else cfg.get("data", key, default)
@@ -269,9 +270,11 @@ def _data_entry(cfg, key, grid, points, kind=None, default=None):
                       if full is None else _read_csv(full, grid, kind, len(points)))
     except ValueError as exc:  # a bad profile, or a CSV that is not one
         raise cfg.error(key, str(exc)) from exc
-    finite = np.isfinite(values)
+    # a time-constant profile's trajectory holds one row, repeated by stride 0
+    held = values[:1] if values.strides[0] == 0 else values
+    finite = np.isfinite(held)
     if not finite.all():
-        raise cfg.error(key, f"key '{key}' must be finite, got {values[~finite][0]}")
+        raise cfg.error(key, f"key '{key}' must be finite, got {held[~finite][0]}")
     return values
 
 

@@ -22,8 +22,8 @@ the solvers look up (state_solvers; ops holds only the consistent forms, and
 a lumped system's object lumps those it uses); both caches live and die with
 their DiscreteOperators, except that asymptotics.alpha_sweep drops the
 systems it built.  The library is single-threaded: an ops is not to be
-shared between threads.  The CLI forks worker processes for verify and
-optimize only after it has computed these caches, so every worker reads the
+shared between threads.  The CLI forks verify's worker processes only
+after it has computed these caches, so every worker reads the
 parent's copy and none computes them again.  Assembly and the eigen-iterations are deterministic.
 The BLAS under numpy and scipy may run its own threads: the CLI pins OpenBLAS
 to one unless the environment sets a count (see cli), and a library caller
@@ -108,14 +108,6 @@ class Mesh:
     def tagged_nodes(self, tag: str) -> np.ndarray:
         nodes = sorted({i for facet, t in self.boundary_facets if t == tag for i in facet})
         return np.asarray(nodes, dtype=int)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "dim": self.dim,
-            "node_coords": self.node_coords.tolist(),
-            "elements": self.elements.tolist(),
-            "boundary_facets": [[list(f), t] for f, t in self.boundary_facets],
-        }
 
 
 def build_interval_mesh(n_cells: int, left: float = 0.0, right: float = 1.0,

@@ -7,7 +7,8 @@ A profile is "name(p1,p2,...)" evaluated on node coordinates and time:
   exp-decay(c,a,r)   c + a * exp(-r t), spatially uniform
   ramp(a)            a * x (first coordinate), time-constant
 
-sample evaluates one on any points, at t = 0 or per time step into a trajectory.
+sample evaluates one on any points, at t = 0 or per time step into a trajectory,
+which for a time-constant profile costs one row whatever the step count.
 The registry stays closed on purpose: configs carry no expression language,
 and anything not expressible here comes in as a CSV reference instead.
 """
@@ -83,9 +84,11 @@ def evaluate(profile: Profile, points: np.ndarray, t: float) -> np.ndarray:
 
 def sample(profile: Profile, points, grid, trajectory=False):
     """The profile at points: its one row at t = 0, or with trajectory the
-    (N+1)-row array with one row per time level of grid."""
+    (N+1)-row array with one row per time level of grid; for a time-constant
+    profile a read-only view of that one row."""
     if not trajectory:
         return evaluate(profile, points, 0.0)
     if not profile.time_dependent:
-        return np.tile(evaluate(profile, points, 0.0), (grid.n_steps + 1, 1))
+        row = evaluate(profile, points, 0.0)
+        return np.broadcast_to(row, (grid.n_steps + 1, row.size))
     return np.vstack([evaluate(profile, points, t) for t in grid.times()])

@@ -61,7 +61,8 @@ def table(problem: Problem):
 
     def unforced(datum, initial, q=zero_q):
         # the state with no source, a constant GAMMA1 datum and flux q
-        bare = replace(spec, source=np.zeros((grid.n_steps + 1, n)), initial_temp=initial,
+        bare = replace(spec, source=np.broadcast_to(np.zeros(n), (grid.n_steps + 1, n)),
+                       initial_temp=initial,
                        boundary_temp=np.full(ops.dirichlet_nodes.size, datum))
         return solve_parabolic(ops, bare, q, grid)
 

@@ -37,8 +37,8 @@ per system in ops.systems, so each distinct system is factorized once per
 ops.  asymptotics.alpha_sweep drops each system it builds once used (the
 reference's before the rows, each row's when the row ends), so a sweep
 holds one factorization at a time.  The cache is per ops and unlocked: the
-library is single-threaded.  The CLI forks worker processes (verify,
-optimize) only after it has filled the cache, so the workers share the
+library is single-threaded.  The CLI forks verify's worker processes
+only after it has filled the cache, so the workers share the
 parent's factors and factorize nothing.  Only the BLAS inside a factorization or solve
 may thread; the CLI runs it on one thread unless the environment sets a
 count, and a library caller chooses for its own process.
@@ -72,6 +72,10 @@ class ProblemSpec:
     target         tracking target, an (N+1, n) trajectory
     flux_penalty   weight of the boundary control in the cost (finite, > 0)
     source_penalty weight of the distributed control in the cost (finite, > 0)
+
+    The solvers only read the data, never write them, so they may be
+    read-only: build_problem passes time-constant profile data as one row
+    broadcast to every time level (profiles.sample).
     """
 
     source: np.ndarray

@@ -64,6 +64,17 @@ def random_field(rng, grid, ops, scale=1.0):
     return f
 
 
+def mesh_json_dict(mesh):
+    """The mesh as plain lists, facets as [nodes, tag]: json.dumps of it with
+    sort_keys is the text the CLI writes to mesh.json."""
+    return {
+        "dim": mesh.dim,
+        "node_coords": mesh.node_coords.tolist(),
+        "elements": mesh.elements.tolist(),
+        "boundary_facets": [[list(f), t] for f, t in mesh.boundary_facets],
+    }
+
+
 def rel_err(a, b):
     denom = max(abs(a), abs(b), 1e-300)
     return abs(a - b) / denom

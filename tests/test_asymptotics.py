@@ -11,7 +11,7 @@ from parctrl.asymptotics import (
     exp_forcing_quadrature,
 )
 from parctrl.config import build_problem, load_config
-from parctrl.fem_core import TimeGrid
+from parctrl.fem_core import InputError, TimeGrid
 from parctrl.state_solvers import ProblemSpec, solve_elliptic_dirichlet
 from parctrl.optimal_control import optimize_boundary
 
@@ -163,6 +163,21 @@ def test_decay_rejects_time_varying_data(ops1d):
     spec.source[3] += 1.0
     with pytest.raises(ValueError):
         decay_study(ops1d, spec, q, grid)
+
+
+@pytest.mark.parametrize("key,row,value", [("g", 100, math.nan), ("q", 1, math.nan),
+                                           ("q", 50, math.inf), ("g", 0, 7.0)])
+def test_decay_time_constant_check_reads_rows_1_to_n(ops1d, key, row, value):
+    # a nan or inf in rows 1..N is no constant; row 0 is inert and not read
+    grid = TimeGrid(t_final=5.0, n_steps=100)
+    spec, q, _ = decay_setup(ops1d, grid, start_at_steady=False)
+    (spec.source if key == "g" else q)[row, 0] = value
+    if row == 0:
+        assert decay_study(ops1d, spec, q, grid).rows
+        return
+    with pytest.raises(InputError, match="needs time-constant data") as info:
+        decay_study(ops1d, spec, q, grid)
+    assert info.value.key == key
 
 
 def test_decay_rejects_coarse_grid(ops1d):

@@ -9,6 +9,8 @@ import pytest
 from parctrl.cli import COMMANDS, main
 from parctrl.config import ConfigError, load_config, parse_config_text
 
+from conftest import mesh_json_dict
+
 SMALL_CFG = """\
 [mesh]
 dim = 1
@@ -608,6 +610,10 @@ TWO_D = ("dim = 1\ncells = 32", "dim = 2\nnx = 4\nny = 4")
      "unknown edge names: ['diagonal']"),
     ([("q = constant(0.5)", "q = exp-decay(0, 1, -1000)")], "q",
      "key 'q' must be finite, got inf"),
+    ([("z_d = constant(0.25)", "z_d = constant(inf)")], "z_d",
+     "key 'z_d' must be finite, got inf"),
+    ([("g = constant(1.0)", "g = sine-bump(inf)")], "g",  # inf * sin(0) at node 0
+     "key 'g' must be finite, got nan"),
     ([("g = constant(1.0)", "g = csv:data.csv")], "g",
      "CSV field {dir}/data.csv has shape (1, 1), expected (21, 33)"),
     ([("g = constant(1.0)", "g = csv:cell.csv")], "g",
@@ -619,7 +625,8 @@ TWO_D = ("dim = 1\ncells = 32", "dim = 2\nnx = 4\nny = 4")
 ], ids=["data-missing", "data-unknown-profile", "data-profile-arity",
         "data-missing-csv", "data-non-numeric-parameter", "data-csv-on-b",
         "data-csv-on-g_inf", "data-csv-on-q_inf", "not-a-number", "not-an-integer",
-        "1d-two-sides", "dim-3", "2d-bad-edge", "data-overflow", "data-csv-shape",
+        "1d-two-sides", "dim-3", "2d-bad-edge", "data-overflow", "data-constant-inf",
+        "data-first-non-finite", "data-csv-shape",
         "data-csv-cell", "data-csv-nan", "data-v_b-off-b"])
 def test_config_input_errors_exit_2_before_assembly(tmp_path, capsys, monkeypatch, edits,
                                                     key, message):
@@ -1028,7 +1035,7 @@ def test_mesh_json_streamed_in_chunks_is_the_whole_dump(tmp_path):
     assert run("solve", str(cfg), out) == 0
     mesh = build_rect_mesh(70, 70, {"left"})
     assert min(mesh.elements.shape[0], mesh.n_nodes) > cli._MESH_JSON_ROWS
-    text = json.dumps(mesh.to_json_dict(), sort_keys=True)
+    text = json.dumps(mesh_json_dict(mesh), sort_keys=True)
     assert (out / "mesh.json").read_text() == text + "\n"
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["mesh"]["hash"] == hashlib.sha256(text.encode()).hexdigest()
@@ -1173,6 +1180,90 @@ def test_v_b_boundary_mismatch_rejected(tmp_path, capsys):
     assert "v_b disagrees" in capsys.readouterr().err
 
 
+def _trajectory_entries(problem):
+    # every [data] entry build_problem samples as a trajectory, with the
+    # points it samples it on
+    ops = problem.ops
+    every, gamma2 = ops.mesh.node_coords, ops.mesh.node_coords[ops.gamma2_nodes]
+    return {"g": (problem.spec.source, every), "z_d": (problem.spec.target, every),
+            "q": (problem.q, gamma2), "q0": (problem.q0, gamma2)}
+
+
+@pytest.mark.parametrize("profile", ["constant(1.5)", "sine-bump(0.5)", "ramp(2.0)"])
+def test_time_constant_entries_hold_one_read_only_row(tmp_path, profile):
+    # a time-constant profile's trajectory is its t = 0 row, broadcast to
+    # every time level: the shape of a trajectory, the memory of one row
+    from parctrl.config import build_problem
+    from parctrl.profiles import evaluate, parse_profile
+
+    text = SMALL_CFG
+    for key in ("g", "z_d", "q", "q0"):
+        text = text.replace(next(line for line in text.splitlines()
+                                 if line.startswith(f"{key} =")), f"{key} = {profile}")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    problem = build_problem(load_config(str(cfg)))
+    rows = problem.grid.n_steps + 1
+    for key, (values, points) in _trajectory_entries(problem).items():
+        assert values.shape == (rows, len(points)), key
+        assert not values.flags.writeable and values.strides[0] == 0, key
+        row = evaluate(parse_profile(profile), points, 0.0)
+        assert values[0].tobytes() == row.tobytes(), key
+        with pytest.raises(ValueError, match="read-only"):
+            values[-1, 0] = 0.0
+
+
+def test_time_dependent_and_csv_entries_are_full_writable_arrays(tmp_path):
+    # exp-decay varies in time and a csv: reference may: each time level
+    # has a row of its own
+    from parctrl.cli import write_control_csv, write_field_csv
+    from parctrl.config import build_problem
+
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(SMALL_CFG)
+    plain = build_problem(load_config(str(cfg)))
+    grid, ops = plain.grid, plain.ops
+    rng = np.random.default_rng(3)
+    field = rng.standard_normal((grid.n_steps + 1, ops.n_nodes))
+    control = rng.standard_normal((grid.n_steps + 1, ops.gamma2_nodes.size))
+    write_field_csv(str(tmp_path / "g.csv"), grid, field)
+    write_control_csv(str(tmp_path / "q0.csv"), grid, ops, control)
+    cfg.write_text(SMALL_CFG.replace("g = constant(1.0)", "g = csv:g.csv")
+                   .replace("z_d = constant(0.25)", "z_d = exp-decay(0.25,1.0,2.0)")
+                   .replace("q = constant(0.5)", "q = exp-decay(0.5,0.5,1.0)")
+                   .replace("q0 = constant(1.0)", "q0 = csv:q0.csv"))
+    problem = build_problem(load_config(str(cfg)))
+    for key, (values, points) in _trajectory_entries(problem).items():
+        assert values.shape == (grid.n_steps + 1, len(points)), key
+        assert values.flags.writeable and values.flags.c_contiguous, key
+        assert values[0].tobytes() != values[-1].tobytes(), key
+    assert problem.spec.source.tobytes() == field.tobytes()
+    assert problem.q0.tobytes() == control.tobytes()
+
+
+def test_build_problem_memory_does_not_grow_with_the_steps(tmp_path):
+    # time-constant [data] profiles hold one row each, so nothing build_problem
+    # keeps or makes on the way grows with the step count
+    import tracemalloc
+
+    from parctrl.config import build_problem
+
+    def peak(steps):
+        cfg = tmp_path / f"run{steps}.cfg"
+        cfg.write_text(SMALL_CFG.replace("cells = 32", "cells = 64")
+                       .replace("steps = 20", f"steps = {steps}"))
+        raw = load_config(str(cfg))
+        tracemalloc.start()
+        try:
+            build_problem(raw)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(10)  # first calls fill caches no later call grows
+    assert peak(100_000) <= peak(10) + 64_000
+
+
 @pytest.mark.parametrize("profile, b", [("sine-bump(1.0)", "constant(0.0)"),
                                         ("exp-decay(0.5,0.25,3.0)", "constant(0.75)")])
 def test_v_b_is_read_at_t0(tmp_path, profile, b):
@@ -1190,7 +1281,7 @@ def test_v_b_is_read_at_t0(tmp_path, profile, b):
 
     problem = build(profile)
     grid, ops = problem.grid, problem.ops
-    row0 = sample(parse_profile(profile), ops.mesh.node_coords, grid, True)[0]
+    row0 = sample(parse_profile(profile), ops.mesh.node_coords, grid, True)[0].copy()
     row0[ops.dirichlet_nodes] = problem.spec.boundary_temp
     assert problem.spec.initial_temp.tobytes() == row0.tobytes()
 

@@ -28,6 +28,8 @@ from parctrl.fem_core import (
 )
 from parctrl.state_solvers import _Gamma1Imposition
 
+from conftest import mesh_json_dict
+
 # closed-form 1D limits, derived by hand before the build:
 #   smallest eigenvalue of -v'' = mu v, v(0) = 0, v'(1) = 0  is  mu1 = (pi/2)^2,
 #   so the coercivity constant against the H1 norm is mu1 / (1 + mu1);
@@ -421,7 +423,7 @@ def test_assembly_matches_loop_oracle_2d(edges):
         for ny in range(2, 9):
             mesh = build_rect_mesh(nx, ny, edges)
             looped = assembly_reference.rect_mesh(nx, ny, edges)
-            assert mesh.to_json_dict() == looped.to_json_dict()
+            assert mesh_json_dict(mesh) == mesh_json_dict(looped)
             assert mesh.node_coords.tobytes() == looped.node_coords.tobytes()
             assert mesh.elements.dtype == looped.elements.dtype
             assert_same_bits(assemble(mesh), looped)
@@ -516,7 +518,7 @@ def test_eigensolver_iteration_cap(ops1d):
 def test_mesh_json_dict_fields():
     # the JSON form written to mesh.json: plain lists, facets as [nodes, tag]
     mesh = build_rect_mesh(3, 2, {"top", "left"})
-    d = mesh.to_json_dict()
+    d = mesh_json_dict(mesh)
     assert sorted(d) == ["boundary_facets", "dim", "elements", "node_coords"]
     assert d["dim"] == 2
     assert d["node_coords"] == mesh.node_coords.tolist()
