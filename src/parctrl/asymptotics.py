@@ -139,7 +139,8 @@ def _distances_to_steady(ops, spec, q, grid, g_inf, q_inf):
         raise InputError(f"grid too coarse for the decay bound: dt * coercivity "
                          f"= {grid.dt * lam0:.3g} > 0.1", "steps")
     u_inf = solve_elliptic_dirichlet(ops, g_inf, q_inf, spec.boundary_temp)
-    diff = solve_parabolic(ops, spec, q, grid) - u_inf[None, :]
+    diff = solve_parabolic(ops, spec, q, grid)
+    diff -= u_inf  # in place: no second (N+1, n) array
     return np.sqrt(np.maximum(
         np.einsum("kj,kj->k", diff, (ops.mass @ diff.T).T), 0.0))
 

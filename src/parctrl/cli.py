@@ -430,8 +430,8 @@ def _run_tasks(tasks, order):
     return [results[i] for i in range(len(tasks))]
 
 
-def write_svg_lines(path, series, title, logy=False, logx=False):
-    """Minimal deterministic line plot: fixed canvas, fixed palette."""
+def write_svg_lines(path, series, title, logx=False):
+    """Minimal deterministic line plot, log y: fixed canvas, fixed palette."""
     width, height, pad = 640, 440, 60
     colors = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd")
 
@@ -445,7 +445,7 @@ def write_svg_lines(path, series, title, logy=False, logx=False):
         return lo, hi if hi != lo else lo + 1.0
 
     x_lo, x_hi = span(np.concatenate([tf(x, logx) for _, x, _ in series]))
-    y_lo, y_hi = span(np.concatenate([tf(y, logy) for _, _, y in series]))
+    y_lo, y_hi = span(np.concatenate([tf(y, True) for _, _, y in series]))
 
     def px(x):
         return pad + (x - x_lo) / (x_hi - x_lo) * (width - 2 * pad)
@@ -463,7 +463,7 @@ def write_svg_lines(path, series, title, logy=False, logx=False):
              f'<line x1="{pad}" y1="{pad}" x2="{pad}" y2="{height - pad}" '
              f'stroke="black"/>']
     for idx, (label, xs, ys) in enumerate(series):
-        txs, tys = tf(xs, logx), tf(ys, logy)
+        txs, tys = tf(xs, logx), tf(ys, True)
         pts = " ".join(f"{px(a):.2f},{py(b):.2f}" for a, b in zip(txs, tys)
                        if np.isfinite(a) and np.isfinite(b))
         color = colors[idx % len(colors)]
@@ -629,7 +629,7 @@ def _cmd_sweep_alpha(problem: Problem, out_dir):
                            [r.err_control for r in rows]))
         # a plot draws only the finite points: nothing to check
         write_svg_lines(os.path.join(out_dir, "sweep.svg"), series,
-                        "transfer-coefficient sweep", logx=True, logy=True)
+                        "transfer-coefficient sweep", logx=True)
         outputs.append("sweep.svg")
     if any(not r.converged for r in rows):
         raise SolverError("one or more sweep rows did not converge")
@@ -654,7 +654,7 @@ def _cmd_decay(problem: Problem, out_dir):
         write_svg_lines(os.path.join(out_dir, "decay.svg"),
                         [("err_H", [r.t for r in rows], [r.err_h for r in rows]),
                          ("bound", [r.t for r in rows], [r.bound for r in rows])],
-                        "decay toward the steady state", logy=True)
+                        "decay toward the steady state")
         outputs.append("decay.svg")
     return outputs, {"fitted_rate": result.fitted_rate,
                      "coercivity": result.coercivity,

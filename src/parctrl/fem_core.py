@@ -341,12 +341,13 @@ def assemble(mesh: Mesh) -> DiscreteOperators:
     )
 
 
-def _pencil_eig(a_mat, b_mat, largest, tol=EIG_TOL, max_iter=EIG_MAX_ITER):
+def _pencil_eig(a_mat, b_mat, largest):
     """Extreme eigenvalue of A x = lam B x, A PSD and B SPD, by power iteration.
 
     largest iterates x <- B^-1 A x; otherwise (A SPD) inverse iteration
     x <- A^-1 B x finds the smallest.  Either way the iterate is B-normalized
-    and its Rayleigh quotient is the estimate.
+    and its Rayleigh quotient is the estimate.  It stops when the estimate
+    moves by at most EIG_TOL relative, and raises after EIG_MAX_ITER steps.
     """
     factorized, applied = (b_mat, a_mat) if largest else (a_mat, b_mat)
     solve = spd_solver(factorized)
@@ -355,18 +356,18 @@ def _pencil_eig(a_mat, b_mat, largest, tol=EIG_TOL, max_iter=EIG_MAX_ITER):
     x = np.ones(n) + 1e-3 * np.linspace(0.0, 1.0, n)
     x /= np.sqrt(x @ (b_mat @ x))
     lam_old = np.inf
-    for _ in range(max_iter):
+    for _ in range(EIG_MAX_ITER):
         y = solve(applied @ x)
         bn = np.sqrt(y @ (b_mat @ y))
         if bn == 0.0:
             raise EigenSolverError("power iteration produced a null vector")
         y /= bn
         lam = y @ (a_mat @ y)
-        if abs(lam - lam_old) <= tol * abs(lam):
+        if abs(lam - lam_old) <= EIG_TOL * abs(lam):
             return float(lam)
         lam_old = lam
         x = y
-    raise EigenSolverError(f"power iteration did not converge in {max_iter} iterations")
+    raise EigenSolverError(f"power iteration did not converge in {EIG_MAX_ITER} iterations")
 
 
 def coercivity_constant(ops: DiscreteOperators, space: str) -> float:

@@ -6,7 +6,8 @@ one forward solve per evaluation.  They differ only in which of (source, flux)
 is held fixed, so the three optimizers are thin calls into one driver,
 _optimize: a _ReducedProblem owns the Gram inner product and the gradient
 and Hessian applications, and _optimize runs the one restarted CG loop over
-it and packs the result.  The normal equations are solved by conjugate
+it and packs the result, with the state and adjoint that the last gradient
+application returned.  The normal equations are solved by conjugate
 gradients in the control-space inner product (Hinze, Pinnau, Ulbrich &
 Ulbrich, Optimization with PDE Constraints, 2009); every operator
 application costs exactly one homogeneous state solve plus one adjoint
@@ -75,8 +76,7 @@ def tracking_gradient(ops: DiscreteOperators, spec: ProblemSpec, q: np.ndarray,
     spec.validate(ops, grid)
     _check_control(grid, ops, q)
     reduced = _ReducedProblem(ops, spec, grid, alpha, g_fixed=spec.source)
-    grad, _ = reduced.grad_at(q)
-    return grad
+    return reduced.grad_at(q)[0]
 
 
 class _ReducedProblem:
@@ -90,7 +90,8 @@ class _ReducedProblem:
     Each application holds only the (N+1)-row arrays it reads again.
     grad_at holds the state u, the misfit u - target until the cost is summed
     and the adjoint marched, the whole adjoint p (p_opt.csv keeps its row 0)
-    and the gradient; u and p stay in state.  apply_h holds the homogeneous
+    and the gradient, and returns u and p with the gradient and the cost, so
+    the caller decides how long they live.  apply_h holds the homogeneous
     state w until its adjoint is marched, then that adjoint and the result;
     with the source fixed, the adjoint march keeps only the GAMMA2 columns
     the flux block reads.
@@ -102,7 +103,6 @@ class _ReducedProblem:
         self.g_fixed, self.q_fixed = g_fixed, q_fixed
         self.n_g = ops.n_nodes if g_fixed is None else 0
         self.width = self.n_g + (ops.gamma2_nodes.size if q_fixed is None else 0)
-        self.state = {}  # u and p of the latest grad_at
 
     def free_parts(self, x):
         """(source, flux) parts of a control vector; None for a fixed part."""
@@ -137,23 +137,22 @@ class _ReducedProblem:
         return out
 
     def grad_at(self, x):
-        """True gradient and cost at x, from fresh state and adjoint solves."""
+        """(gradient, cost, u, p) at x: the true gradient and cost from fresh
+        state and adjoint solves, with that state u and adjoint p."""
         ops, spec, grid = self.ops, self.spec, self.grid
         gv, qv = self.free_parts(x)
         g_all = self.g_fixed if gv is None else gv
         q_all = self.q_fixed if qv is None else qv
         u = self.stepper.run(spec.initial_temp, spec.boundary_temp, g_all, q_all)
-        self.state["u"] = u
         misfit = u - spec.target
         cost = 0.5 * inner_domain_time(grid, ops, misfit, misfit)
         p = self.stepper.run_adjoint(misfit)
         del misfit
-        self.state["p"] = p
         if gv is not None:
             cost = cost + 0.5 * spec.source_penalty * inner_domain_time(grid, ops, gv, gv)
         # a fixed flux still carries its (constant) penalty term
         cost = cost + 0.5 * spec.flux_penalty * inner_boundary_time(grid, ops, q_all, q_all)
-        return self._riesz(gv, qv, p), cost
+        return self._riesz(gv, qv, p), cost, u, p
 
     def apply_h(self, x):
         """Reduced Hessian times x: homogeneous state, then its adjoint."""
@@ -182,8 +181,8 @@ def _optimize(ops, spec, grid, tol, alpha, max_iter, g_fixed=None, q_fixed=None)
                              adjoint (T each; the adjoint only a GAMMA2
                              trace with the source fixed), then the adjoint
                              and the new hd (C), which is dropped once r is
-                             updated; the gradient and the kept u and p are
-                             dropped when CG starts;
+                             updated; the gradient and the u and p grad_at
+                             returned are dropped when CG starts;
       during certification   x (C), u and the misfit (T each) until the
                              adjoint p (T) is marched, then u, p and the new
                              gradient (C); r and d are dropped first.
@@ -197,7 +196,7 @@ def _optimize(ops, spec, grid, tol, alpha, max_iter, g_fixed=None, q_fixed=None)
     reduced = _ReducedProblem(ops, spec, grid, alpha, g_fixed, q_fixed)
     inner = reduced.inner
     x = np.zeros((grid.n_steps + 1, reduced.width))
-    grad, cost = reduced.grad_at(x)
+    grad, cost, u, p = reduced.grad_at(x)
     residual = math.sqrt(inner(grad, grad))
     threshold = tol * max(1.0, residual)
     costs, resids = [cost], [residual]
@@ -207,7 +206,7 @@ def _optimize(ops, spec, grid, tol, alpha, max_iter, g_fixed=None, q_fixed=None)
             break
         # warm start at x: the residual of H x = b is -grad
         r, grad = np.negative(grad, out=grad), None
-        reduced.state.clear()
+        u = p = None
         d = r.copy()
         rr = inner(r, r)
         while math.sqrt(rr) > threshold and iters < max_iter:
@@ -229,13 +228,13 @@ def _optimize(ops, spec, grid, tol, alpha, max_iter, g_fixed=None, q_fixed=None)
             rr = rr_new
             iters += 1
         r = d = None
-        grad, cost = reduced.grad_at(x)  # certified residual, fresh solves
+        grad, cost, u, p = reduced.grad_at(x)  # certified residual, fresh solves
         residual = math.sqrt(inner(grad, grad))
     gv, qv = reduced.free_parts(x)
     return OptimResult(
         g_opt=None if gv is None else gv.copy(),
         q_opt=None if qv is None else qv.copy(),
-        u_opt=reduced.state["u"], p_opt=reduced.state["p"],
+        u_opt=u, p_opt=p,
         cost=cost, optimality_residual=residual, iterations=iters,
         # an infinite residual passes its own infinite threshold
         converged=math.isfinite(residual) and residual <= threshold,

@@ -16,7 +16,6 @@ after it share them.
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 
 import numpy as np
 
@@ -50,7 +49,6 @@ def table(problem: Problem):
     pairs; check() returns (passed, worst observed value)."""
     ops, spec, grid = problem.ops, problem.spec, problem.grid
     n, m = ops.n_nodes, ops.gamma2_nodes.size
-    zero_q = np.zeros((grid.n_steps + 1, m))
 
     def draw(rng):
         # the next random control
@@ -59,12 +57,11 @@ def table(problem: Problem):
     def rel(a, b):
         return abs(a - b) / max(abs(a), abs(b), 1e-300)
 
-    def unforced(datum, initial, q=zero_q):
-        # the state with no source, a constant GAMMA1 datum and flux q
-        bare = replace(spec, source=np.broadcast_to(np.zeros(n), (grid.n_steps + 1, n)),
-                       initial_temp=initial,
-                       boundary_temp=np.full(ops.dirichlet_nodes.size, datum))
-        return solve_parabolic(ops, bare, q, grid)
+    def unforced(datum, initial, q=None):
+        # the Dirichlet march from initial with a constant GAMMA1 datum, no
+        # source and flux q, or none: a zero load would change no bit
+        return ParabolicStepper(ops, grid).run(
+            initial, np.full(ops.dirichlet_nodes.size, datum), None, q)
 
     def inner_product_symmetry(rng):
         u, v = rng.standard_normal(n), rng.standard_normal(n)
@@ -124,7 +121,8 @@ def table(problem: Problem):
 
     def adjoint_duality(rng, alpha):
         gaps = []
-        u_0 = solve_parabolic(ops, spec, zero_q, grid, alpha)
+        u_0 = ParabolicStepper(ops, grid, alpha).run(  # no flux
+            spec.initial_temp, spec.boundary_temp, spec.source)
         for _ in range(3):
             q, eta = draw(rng), draw(rng)
             u_q = solve_parabolic(ops, spec, q, grid, alpha)

@@ -10,9 +10,16 @@ from parctrl.asymptotics import (
     decay_with_forcing,
     exp_forcing_quadrature,
 )
-from parctrl.config import build_problem, load_config
+from parctrl import properties
+from parctrl.config import build_problem, load_config, parse_config_text
 from parctrl.fem_core import InputError, TimeGrid
-from parctrl.state_solvers import ProblemSpec, solve_elliptic_dirichlet
+from parctrl.profiles import Profile, evaluate
+from parctrl.state_solvers import (
+    ParabolicStepper,
+    ProblemSpec,
+    solve_elliptic_dirichlet,
+    solve_parabolic,
+)
 from parctrl.optimal_control import optimize_boundary
 
 from conftest import make_spec, random_control
@@ -213,6 +220,38 @@ def test_forced_decay_bound_holds(ops1d):
     result = decay_with_forcing(ops1d, spec, q, grid, g_inf=g_inf, q_inf=q[1])
     for r in result.rows:
         assert r.err_h ** 2 <= 1.05 * r.bound ** 2
+
+
+def sequential_squared_m_norms(ops, u):
+    # each level's u_k^T M u_k, its terms added strictly in index order
+    return np.array([np.cumsum(u_k * (ops.mass @ u_k))[-1] for u_k in u])
+
+
+@pytest.mark.parametrize("edits", [
+    [], [("dim = 1\ncells = 256", "dim = 2\nnx = 48\nny = 48"), ("steps = 200", "steps = 100")]],
+    ids=["1d-256", "2d-48x48"])
+def test_level_m_norms_have_the_bits_of_a_sequential_sum(edits):
+    # decay and energy-decay reduce all levels in one einsum; a march that
+    # hands over one level at a time must sum its level strictly in order
+    # to keep their bits (an einsum or a dot of one row need not)
+    text = (Path(__file__).resolve().parents[1] / "configs" / "benchmark1d.cfg").read_text()
+    for old, new in edits:
+        assert old in text
+        text = text.replace(old, new)
+    problem = build_problem(parse_config_text(text))
+    ops, spec, grid, q = problem.ops, problem.spec, problem.grid, problem.q
+
+    u_inf = solve_elliptic_dirichlet(ops, spec.source[1], q[1], spec.boundary_temp)
+    diff = solve_parabolic(ops, spec, q, grid) - u_inf
+    expected = np.sqrt(np.maximum(sequential_squared_m_norms(ops, diff), 0.0))
+    rows = decay_study(ops, spec, q, grid).rows
+    assert [r.err_h.hex() for r in rows] == [e.hex() for e in expected.tolist()]
+
+    bump = evaluate(Profile("sine-bump", (1.0,)), ops.mesh.node_coords, 0.0)
+    bump[ops.dirichlet_nodes] = 0.0
+    norms = np.sqrt(sequential_squared_m_norms(ops, ParabolicStepper(ops, grid).run(bump)))
+    _, detail = dict(properties.table(problem))["energy-decay"]()
+    assert float(detail).hex() == float(np.max(norms[1:] - norms[:-1])).hex()
 
 
 def test_exp_forcing_quadrature_limits():

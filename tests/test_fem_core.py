@@ -493,16 +493,17 @@ def test_ops_keeps_one_copy_of_each_form(ops2d):
         assert (lumped.mass != _lump(ops2d.mass)).nnz == 0
 
 
-def test_eigensolver_iteration_cap(ops1d):
+def test_eigensolver_iteration_cap(ops1d, monkeypatch):
     f = ops1d.free_nodes
     a_mat = ops1d.stiffness[np.ix_(f, f)].tocsc()
     b_mat = (ops1d.stiffness + ops1d.mass)[np.ix_(f, f)].tocsr()
     # one power iteration serves both ends of the spectrum; both stop at the cap
-    with pytest.raises(fem_core.EigenSolverError, match="did not converge in 0"):
-        fem_core._pencil_eig(a_mat, b_mat, largest=False, max_iter=0)
-    with pytest.raises(fem_core.EigenSolverError, match="did not converge in 0"):
-        fem_core._pencil_eig(ops1d.bmass_gamma2, ops1d.v_matrix(), largest=True,
-                             max_iter=0)
+    with monkeypatch.context() as patch:
+        patch.setattr(fem_core, "EIG_MAX_ITER", 0)
+        with pytest.raises(fem_core.EigenSolverError, match="did not converge in 0"):
+            fem_core._pencil_eig(a_mat, b_mat, largest=False)
+        with pytest.raises(fem_core.EigenSolverError, match="did not converge in 0"):
+            fem_core._pencil_eig(ops1d.bmass_gamma2, ops1d.v_matrix(), largest=True)
     # and with room to run, each end agrees with the dense pencil spectrum
     import scipy.linalg
 
